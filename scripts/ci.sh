@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate + service HTTP smoke + engine smoke + bench regression diff.
+# Tier-1 gate + perfbench unit tests + service HTTP smoke + engine smoke +
+# bench regression diff.
 #
 #   ./scripts/ci.sh          # tier-1 tests + HTTP smoke + quick bench + diff
-#   ./scripts/ci.sh --fast   # tier-1 tests only
+#   ./scripts/ci.sh --fast   # tier-1 and perfbench unit tests only
 #
 # The smoke report is diffed per (workload, stage) against the previous
 # run's report when one is available under $BENCH_BASELINE_DIR (CI restores
@@ -30,6 +31,9 @@ EOF
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== perfbench unit tests =="
+python perfbench/selftest.py
 
 echo "== bitset equivalence without the compiled extension =="
 # Re-run the bitset suite with the native kernel forced away so both the

@@ -76,7 +76,20 @@ def to_json(dfg: DFG, *, indent: int | None = None) -> str:
     return json.dumps(to_payload(dfg), indent=indent)
 
 
+#: Types ``json.dumps`` always encodes, so ``_json_safe`` answers for them
+#: without the probe.  Ints qualify only below :data:`_SAFE_INT_BITS`:
+#: past ``sys.get_int_max_str_digits()`` digits (640 at the least)
+#: ``json.dumps`` raises.
+_JSON_SCALARS = frozenset({str, float, bool, type(None)})
+_SAFE_INT_BITS = 2000
+
+
 def _json_safe(value: object) -> bool:
+    kind = type(value)
+    if kind in _JSON_SCALARS or (
+        kind is int and value.bit_length() < _SAFE_INT_BITS
+    ):
+        return True
     try:
         json.dumps(value)
     except (TypeError, ValueError):

@@ -80,8 +80,8 @@ from repro.service.http import (
     shard_rows_from_wire,
     shard_rows_to_wire,
 )
-from repro.service.jobs import EditRequest, JobRequest, JobResult
-from repro.service.service import SchedulerService
+from repro.service.jobs import EditRequest, JobRequest, JobResult, results_json
+from repro.service.service import SchedulerService, SubmitOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.shard import ShardTask
@@ -141,6 +141,16 @@ class _TokenBucket:
             self.tokens -= 1.0
             return 0.0
         return (1.0 - self.tokens) / self.rate
+
+
+def _encoded(outcome: SubmitOutcome) -> "tuple[str, str]":
+    """``(cache level, response body)``, encoded on the calling pool thread.
+
+    The encode runs once per result (:meth:`JobResult.to_json` memoises
+    it), and never on the event loop: a cold 670 KB answer would
+    otherwise block every other connection while it serialises.
+    """
+    return outcome.cache, outcome.result.to_json()
 
 
 class _PriorityPool:
@@ -656,14 +666,12 @@ class AsyncServiceServer:
                 if service.probe_result(request)
                 else PRIORITY_NORMAL
             )
-            outcome = await self._pool.submit(
-                lambda: service.submit_outcome(request), priority=priority
+            cache, text = await self._pool.submit(
+                lambda: _encoded(service.submit_outcome(request)),
+                priority=priority,
             )
             await self._send_json(
-                writer,
-                200,
-                outcome.result.to_json(),
-                headers={"X-Repro-Cache": outcome.cache},
+                writer, 200, text, headers={"X-Repro-Cache": cache}
             )
         elif path == "/v1/jobs:batch":
             try:
@@ -678,24 +686,19 @@ class AsyncServiceServer:
                     field="jobs",
                 )
             requests = [JobRequest.from_dict(job) for job in payload["jobs"]]
-            results = await self._pool.submit(
-                lambda: service.submit_many(requests)
+            text = await self._pool.submit(
+                lambda: results_json(service.submit_many(requests))
             )
-            await self._send_json(
-                writer, 200, {"results": [r.to_dict() for r in results]}
-            )
+            await self._send_json(writer, 200, text)
         elif path == "/v1/jobs:edit":
             request = EditRequest.from_json(body.decode("utf-8"))
             # Edits are interactive by definition: always high priority.
-            outcome = await self._pool.submit(
-                lambda: service.submit_edit_outcome(request),
+            cache, text = await self._pool.submit(
+                lambda: _encoded(service.submit_edit_outcome(request)),
                 priority=PRIORITY_HIGH,
             )
             await self._send_json(
-                writer,
-                200,
-                outcome.result.to_json(),
-                headers={"X-Repro-Cache": outcome.cache},
+                writer, 200, text, headers={"X-Repro-Cache": cache}
             )
         elif path == "/v1/catalog:shard":
             from repro.service.shard import ShardTask

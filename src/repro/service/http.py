@@ -105,7 +105,7 @@ from repro.service.errors import (
     http_status,
     retry_after_of,
 )
-from repro.service.jobs import EditRequest, JobRequest, JobResult
+from repro.service.jobs import EditRequest, JobRequest, JobResult, results_json
 from repro.service.service import SchedulerService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -263,9 +263,8 @@ class _Handler(BaseHTTPRequestHandler):
                 requests = [
                     JobRequest.from_dict(job) for job in payload["jobs"]
                 ]
-                results = service.submit_many(requests)
                 self._send_json(
-                    200, {"results": [r.to_dict() for r in results]}
+                    200, results_json(service.submit_many(requests))
                 )
             elif self.path == "/v1/jobs:edit":
                 self._check_accepting()

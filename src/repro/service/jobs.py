@@ -40,7 +40,7 @@ from repro.service.serialize import (
     selection_result_to_dict,
 )
 
-__all__ = ["EditRequest", "JobRequest", "JobResult"]
+__all__ = ["EditRequest", "JobRequest", "JobResult", "results_json"]
 
 _REQUEST_FIELDS = {
     "workload",
@@ -498,7 +498,20 @@ class JobResult:
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps(self.to_dict(), indent=indent)``.
+
+        The compact form (``indent=None``) is what the service writes for
+        every submit, so it is encoded once per result and memoised on the
+        instance, outside the dataclass fields: a result-cache hit then
+        costs a socket write, not a re-serialisation.
+        """
+        if indent is not None:
+            return json.dumps(self.to_dict(), indent=indent)
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict())
+            object.__setattr__(self, "_json", text)
+        return text
 
     def answer_dict(self) -> dict[str, Any]:
         """:meth:`to_dict` minus the per-submit echo fields.
@@ -580,3 +593,12 @@ class JobResult:
     def canonical_graph_json(self) -> str:
         """Canonical form of the scheduled graph (content addressing)."""
         return canonical_json(self.dfg)
+
+
+def results_json(results: "list[JobResult]") -> str:
+    """The batch body ``{"results": [...]}`` built from memoised encodings.
+
+    Byte-identical to ``json.dumps({"results": [r.to_dict() for r in
+    results]})`` (default separators), without re-encoding any result.
+    """
+    return '{"results": [' + ", ".join(r.to_json() for r in results) + "]}"

@@ -18,6 +18,7 @@ Malformed payloads raise
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -113,18 +114,35 @@ def pattern_to_list(pattern: Pattern) -> list[str]:
 
 
 def pattern_from_list(payload: Any) -> Pattern:
-    """Inverse of :func:`pattern_to_list`."""
-    if not isinstance(payload, list) or not all(
-        isinstance(c, str) for c in payload
-    ):
-        raise JobValidationError(
-            f"malformed pattern payload: expected a list of colors, "
-            f"got {payload!r}"
-        )
+    """Inverse of :func:`pattern_to_list`.
+
+    Valid bags are interned: a result carries ~100 pattern bags but only
+    ~20 distinct ones, so each distinct color list is validated once and
+    its (immutable) :class:`Pattern` reused.  Failures are not cached, so
+    every occurrence of a malformed bag raises.
+    """
+    if isinstance(payload, list):
+        try:
+            return _interned_pattern(tuple(payload))
+        except TypeError:  # an unhashable color
+            pass
+    raise _malformed_pattern(payload)
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned_pattern(colors: tuple[Any, ...]) -> Pattern:
+    if not all(isinstance(c, str) for c in colors):
+        raise _malformed_pattern(list(colors))
     try:
-        return Pattern(payload)
+        return Pattern(colors)
     except ReproError as exc:
         raise JobValidationError(f"invalid pattern: {exc}") from exc
+
+
+def _malformed_pattern(payload: Any) -> JobValidationError:
+    return JobValidationError(
+        f"malformed pattern payload: expected a list of colors, got {payload!r}"
+    )
 
 
 def library_to_dict(library: PatternLibrary) -> dict[str, Any]:

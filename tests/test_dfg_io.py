@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import enum
+import json
+import math
+
 import pytest
 
 from repro.dfg.graph import DFG
 from repro.dfg.io import (
+    _json_safe,
     canonical_json,
     color_from_name,
     dfg_digest,
@@ -64,6 +69,55 @@ class TestJson:
     def test_malformed_payload_rejected(self):
         with pytest.raises(GraphError, match="malformed"):
             from_json('{"nodes": [{"name": "x"}], "edges": []}')
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+def _dumps_probe(value: object) -> bool:
+    try:
+        json.dumps(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+class TestJsonSafe:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "op",
+            "",
+            0,
+            -7,
+            2**1999 - 1,
+            2**1999,
+            10**5000,
+            -(10**5000),
+            1.5,
+            math.nan,
+            math.inf,
+            True,
+            None,
+            _Level.LOW,
+            _Name("x"),
+            ("input", "x0"),
+            [["input", "x0"], 1],
+            {"k": 1},
+            {1, 2},
+            object(),
+            b"raw",
+            [10**5000],
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_verdict_matches_the_dumps_probe(self, value):
+        assert _json_safe(value) is _dumps_probe(value)
 
 
 class TestEdgeList:

@@ -43,6 +43,7 @@ from repro.service import (
     AsyncServiceServer,
     JobRequest,
     ServiceClient,
+    ServiceServer,
     ShardCoordinator,
     ShardTask,
 )
@@ -147,6 +148,41 @@ class TestAsyncCoreRoundTrip:
                 await client.health()
 
         asyncio.run(run())
+
+
+# --------------------------------------------------------------------------- #
+# warm bodies are the first encoding, byte for byte
+# --------------------------------------------------------------------------- #
+class TestWarmBodies:
+    @pytest.mark.parametrize("core", ["async", "threaded"])
+    def test_warm_bodies_match_the_cold_one(self, core):
+        server = (
+            AsyncServiceServer(port=0) if core == "async" else ServiceServer(port=0)
+        )
+        server.start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        body = _job().to_json().encode("utf-8")
+        replies = []
+        try:
+            for _ in range(3):
+                conn.request(
+                    "POST",
+                    "/v1/jobs",
+                    body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                assert resp.status == 200
+                replies.append((resp.getheader("X-Repro-Cache"), resp.read()))
+        finally:
+            conn.close()
+            server.shutdown()
+            if core == "threaded":
+                server.server_close()
+        caches = [cache for cache, _ in replies]
+        assert caches == ["none", "result", "result"]
+        cold, warm, again = (raw for _, raw in replies)
+        assert warm == again == cold
 
 
 # --------------------------------------------------------------------------- #
