@@ -32,6 +32,34 @@ EOF
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== pre-flight: a doomed default-config fft64 submit runs no DFS =="
+# The level-width floor alone proves fft64 exceeds the 5M antichain cap at
+# every span, so the job must fail with the span-0 error before a single
+# partition is classified (partition_misses stays 0).  No timing gate: the
+# elapsed time is printed for the log only.
+python - <<'EOF'
+import time
+
+from repro.exceptions import SelectionError
+from repro.service import JobRequest, SchedulerService
+
+with SchedulerService() as service:
+    start = time.perf_counter()
+    try:
+        service.submit(JobRequest(capacity=5, pdef=4, workload="fft64"))
+    except SelectionError as exc:
+        cause = str(exc.__cause__)
+    else:
+        raise SystemExit("fft64 at the default config must raise SelectionError")
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    misses = service.stats.partition_misses
+if "span ≤ 0" not in cause:
+    raise SystemExit(f"expected the span-0 limit as the cause, got {cause!r}")
+if misses != 0:
+    raise SystemExit(f"pre-flight let the DFS run: partition_misses={misses}")
+print(f"  rejected in {elapsed_ms:.1f} ms with partition_misses=0")
+EOF
+
 echo "== perfbench unit tests =="
 python perfbench/selftest.py
 

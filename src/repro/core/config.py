@@ -36,7 +36,11 @@ class SelectionConfig:
     span_limit:
         Antichain span bound during pattern generation (``None`` disables).
     max_antichains:
-        Safety ceiling forwarded to the enumerator.
+        Safety ceiling on the antichains one pattern-generation attempt may
+        enumerate (``≥ 1``, or ``None`` for no ceiling).  Checked up front
+        too: when the level widths alone prove more antichains than this
+        at every span (:func:`~repro.dfg.antichains.antichain_count_floor`),
+        the build fails before any enumeration runs.
     store_antichains:
         Keep raw antichains on the catalog (reporting only).
     max_pattern_size:
@@ -48,7 +52,10 @@ class SelectionConfig:
     adaptive_span:
         When enumeration overflows ``max_antichains``, retry with
         progressively tighter span limits (…→1→0) instead of failing.
-        The catalog records the span actually used.
+        The catalog records the span actually used.  A job the level-width
+        floor already rejects skips the ladder and raises the
+        :class:`~repro.exceptions.SelectionError` its span-0 attempt
+        would have raised.
     widen_to_capacity:
         Beyond-paper extension: after selection, pad each selected pattern
         with extra slots of its own colors (largest remaining per-slot
@@ -76,6 +83,10 @@ class SelectionConfig:
         if self.span_limit is not None and self.span_limit < 0:
             raise SelectionError(
                 f"span_limit must be ≥ 0 or None; got {self.span_limit}"
+            )
+        if self.max_antichains is not None and self.max_antichains < 1:
+            raise SelectionError(
+                f"max_antichains must be ≥ 1 or None; got {self.max_antichains}"
             )
         if self.max_pattern_size is not None and self.max_pattern_size < 1:
             raise SelectionError(

@@ -28,9 +28,10 @@ from repro.core.priority import (
     raw_priority,
 )
 from repro.patterns.multiset import iter_subbag_keys, n_subbags
+from repro.dfg.antichains import antichain_count_floor, limit_error
 from repro.dfg.levels import LevelAnalysis
 from repro.dfg.validate import validate_dfg
-from repro.exceptions import EnumerationLimitError, SelectionError
+from repro.exceptions import CycleError, EnumerationLimitError, SelectionError
 from repro.patterns.enumeration import PatternCatalog, classify_antichains
 from repro.patterns.library import PatternLibrary
 from repro.patterns.pattern import Pattern
@@ -197,6 +198,12 @@ class PatternSelector:
         shard coordinator fanning partitions out over service instances
         (:mod:`repro.service.shard`) — inherit the exact same policy
         instead of re-implementing it.
+
+        Before any attempt, a level-width floor
+        (:func:`~repro.dfg.antichains.antichain_count_floor`) that already
+        exceeds ``config.max_antichains`` fails the job without calling
+        ``classify``: no span could succeed, so the error (type, message
+        and cause) is the one the last attempt would have raised.
         """
         config = self.config
         size = self.capacity
@@ -208,6 +215,16 @@ class PatternSelector:
             start = 3 if config.span_limit is None else config.span_limit
             spans.extend(range(start - 1, -1, -1))
         last_error: EnumerationLimitError | None = None
+        cap = config.max_antichains
+        try:
+            doomed = cap is not None and antichain_count_floor(dfg, size) > cap
+        except CycleError:
+            doomed = False  # classify reports the cycle, edges included
+        if doomed:
+            if not config.adaptive_span:
+                raise limit_error(dfg, cap, size, config.span_limit)
+            spans = []
+            last_error = limit_error(dfg, cap, size, 0)
         for span in spans:
             try:
                 return classify(size, span)

@@ -56,7 +56,9 @@ sequential visit order exactly, which keeps merged catalogs bit-identical.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.dfg.levels import LevelAnalysis
@@ -78,6 +80,7 @@ __all__ = [
     "count_antichains_by_size",
     "is_antichain",
     "is_executable",
+    "antichain_count_floor",
     "limit_error",
 ]
 
@@ -97,6 +100,31 @@ def limit_error(
         f"(size ≤ {max_size}, span ≤ {span_limit}); raise "
         f"max_count or tighten the span limit"
     )
+
+
+def antichain_count_floor(dfg: "DFG", max_size: int) -> int:
+    """A lower bound on the antichains of size ``1..max_size`` at any span.
+
+    Nodes sharing an ASAP level are pairwise parallel (a path ``u → v``
+    forces ``ASAP(u) < ASAP(v)``), and a subset of ASAP level ``t`` has
+    span 0 because every member's ALAP is ``≥ t``; the same holds for one
+    ALAP level.  So every non-empty subset of one level is a span-0
+    antichain, and the larger of the two level censuses never exceeds the
+    antichain count at span 0 — nor, since spans only admit more, at any
+    span.  O(n + levels·max_size) over the memoized
+    :class:`~repro.dfg.levels.LevelAnalysis`; raises
+    :class:`~repro.exceptions.CycleError` on a cyclic graph.
+    """
+    levels = LevelAnalysis.of(dfg)
+    return max(
+        sum(
+            comb(width, k)
+            for width in Counter(by_node.values()).values()
+            for k in range(1, max_size + 1)
+        )
+        for by_node in (levels.asap, levels.alap)
+    )
+
 
 #: Default hard ceiling on the number of enumerated antichains.
 DEFAULT_MAX_COUNT = 5_000_000

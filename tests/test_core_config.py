@@ -51,3 +51,10 @@ class TestValidation:
             SelectionConfig(span_limit=-1)
         SelectionConfig(span_limit=0)
         SelectionConfig(span_limit=None)
+
+    def test_max_antichains_positive_or_none(self):
+        for bad in (0, -5):
+            with pytest.raises(SelectionError, match="max_antichains"):
+                SelectionConfig(max_antichains=bad)
+        SelectionConfig(max_antichains=1)
+        SelectionConfig(max_antichains=None)

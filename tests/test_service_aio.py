@@ -34,6 +34,7 @@ from repro.core.selection import PatternSelector
 from repro.exceptions import (
     EnumerationLimitError,
     JobValidationError,
+    SelectionError,
     ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -64,6 +65,21 @@ def _job(**overrides) -> JobRequest:
 
 def catalog_bits(catalog) -> str:
     return json.dumps(catalog_to_dict(catalog))
+
+
+def _post_job(server, body: str) -> "tuple[int, dict]":
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request(
+            "POST",
+            "/v1/jobs",
+            body=body.encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture()
@@ -130,6 +146,43 @@ class TestAsyncCoreRoundTrip:
                 return exc.value.http_status
 
         assert asyncio.run(run()) == 400
+
+    def test_doomed_job_fails_fast_with_the_same_envelope(self, server):
+        # fft16 cannot fit 100k antichains at any span; the level-width
+        # pre-flight rejects it before a single partition is classified.
+        request = _job(
+            workload="fft16", config=SelectionConfig(max_antichains=100_000)
+        )
+        message = (
+            "pattern generation for 'fft16' exceeds 100000 antichains even "
+            "at span 0; lower SelectionConfig.max_pattern_size (currently 5) "
+            "to tame the C(width, size) growth"
+        )
+        status, envelope = _post_job(server, request.to_json())
+        assert status == 422
+        assert envelope == {
+            "error": {"type": "SelectionError", "message": message}
+        }
+        with ServiceClient(server.url, timeout=30) as client:
+            with pytest.raises(SelectionError) as exc:
+                client.submit(request)
+        assert str(exc.value) == message
+        assert exc.value.http_status == 422
+        assert server.service.stats.partition_misses == 0
+
+    def test_invalid_antichain_cap_is_a_400(self, server):
+        payload = json.loads(_job().to_json())
+        payload["config"]["max_antichains"] = -5
+        status, envelope = _post_job(server, json.dumps(payload))
+        assert status == 400
+        assert envelope == {
+            "error": {
+                "type": "JobValidationError",
+                "message": "invalid config: max_antichains must be ≥ 1 or "
+                "None; got -5",
+                "field": "config",
+            }
+        }
 
     def test_close_is_idempotent_and_terminal(self, server):
         client = ServiceClient(server.url, timeout=30)

@@ -469,13 +469,16 @@ class TestCoordinatorFailover:
         # limit must still surface (the adaptive-span ladder needs it).
         from repro.workloads.synthetic import layered_dag
 
+        # Cap above the level-width floor (500), below the count (1962),
+        # so the limit is raised by the shards, not the pre-flight.
         cfg = SelectionConfig(
-            span_limit=2, max_antichains=50, adaptive_span=False
+            span_limit=2, max_antichains=1000, adaptive_span=False
         )
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
         with ShardCoordinator.local(2) as coord:
             with pytest.raises(EnumerationLimitError):
                 coord.build_catalog(dfg, 5, config=cfg)
+            assert sum(s.service.stats.shard_tasks for s in coord.shards) > 0
 
     def test_stats_surface_through_completion_service_describe(self):
         service = SchedulerService()

@@ -240,13 +240,19 @@ class TestShardMergeEquivalence:
         assert sharded.span_limit == reference.span_limit
 
     def test_enumeration_limit_propagates_without_adaptive(self):
-        cfg = SelectionConfig(span_limit=2, max_antichains=50, adaptive_span=False)
+        # Level-width floor 500 <= cap 1000 < 1962 antichains at span 2:
+        # the pre-flight lets the job through, so the overflow is raised
+        # by the shard DFS itself.
+        cfg = SelectionConfig(
+            span_limit=2, max_antichains=1000, adaptive_span=False
+        )
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
         with pytest.raises(EnumerationLimitError):
             fused_catalog(dfg, 5, cfg)
         with ShardCoordinator.local(2) as coord:
             with pytest.raises(EnumerationLimitError):
                 coord.build_catalog(dfg, 5, config=cfg)
+            assert sum(s.service.stats.shard_tasks for s in coord.shards) > 0
 
     def test_store_antichains_is_rejected(self):
         with ShardCoordinator.local(2) as coord:
@@ -349,11 +355,15 @@ class TestRemoteShards:
         assert catalog_bits(sharded) == reference
 
     def test_remote_enumeration_limit_is_typed(self, servers):
-        cfg = SelectionConfig(span_limit=2, max_antichains=50, adaptive_span=False)
+        # Cap above the level-width floor (500), below the count (1962).
+        cfg = SelectionConfig(
+            span_limit=2, max_antichains=1000, adaptive_span=False
+        )
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
         with ShardCoordinator([servers[0].url]) as coord:
             with pytest.raises(EnumerationLimitError):
                 coord.build_catalog(dfg, 5, config=cfg)
+        assert servers[0].service.stats.shard_tasks > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -835,7 +845,8 @@ class TestClaimBatching:
     def test_batched_failures_keep_lowest_index_error(self):
         # With batching on, the coordinator still re-raises the error of
         # the lowest-index failing partition.
-        cfg = SelectionConfig(span_limit=2, max_antichains=50,
+        # Cap above the level-width floor (500), below the count (1962).
+        cfg = SelectionConfig(span_limit=2, max_antichains=1000,
                               adaptive_span=False)
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
         server = ServiceServer(port=0)
@@ -844,6 +855,7 @@ class TestClaimBatching:
             with ShardCoordinator([server.url], claim_batch=4) as coord:
                 with pytest.raises(EnumerationLimitError):
                     coord.build_catalog(dfg, 5, config=cfg)
+            assert server.service.stats.shard_tasks > 0
         finally:
             server.shutdown()
             server.server_close()
