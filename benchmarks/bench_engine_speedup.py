@@ -46,7 +46,7 @@ def _time(fn):
 
 def test_engine_classification_fft16(benchmark, fft16):
     ref_s, ref = _time(
-        lambda: classify_antichains(fft16, 3, 1, engine="reference")
+        lambda: classify_antichains(fft16, 3, 1, backend="serial")
     )
     fast = benchmark.pedantic(
         classify_antichains, args=(fft16, 3, 1), rounds=2, iterations=1
@@ -103,11 +103,11 @@ def test_engine_selection_fft16(benchmark, fft16):
     )
     catalog = selector.build_catalog(fft16)
     ref_s, ref = _time(
-        lambda: selector.select(fft16, 5, catalog=catalog, engine="reference")
+        lambda: selector.select(fft16, 5, catalog=catalog, backend="serial")
     )
     fast = benchmark.pedantic(
         selector.select, args=(fft16, 5),
-        kwargs={"catalog": catalog, "engine": "fast"}, rounds=3, iterations=1
+        kwargs={"catalog": catalog, "backend": "fused"}, rounds=3, iterations=1
     )
     assert fast.library == ref.library
     for fr, rr in zip(fast.rounds, ref.rounds):
@@ -125,9 +125,9 @@ def test_engine_scheduling_fft64(benchmark, fft64):
     )
     library = selector.select(fft64, 5).library
     scheduler = MultiPatternScheduler(library)
-    ref_s, ref = _time(lambda: scheduler.schedule(fft64, engine="reference"))
+    ref_s, ref = _time(lambda: scheduler.schedule(fft64, backend="serial"))
     fast = benchmark.pedantic(
-        scheduler.schedule, args=(fft64,), kwargs={"engine": "fast"},
+        scheduler.schedule, args=(fft64,), kwargs={"backend": "fused"},
         rounds=3, iterations=1
     )
     assert fast.cycles == ref.cycles
@@ -150,22 +150,17 @@ def test_engine_pipeline_fft64(benchmark, fft64):
         span_limit=1, max_pattern_size=2, widen_to_capacity=True
     )
 
-    def pipeline(engine):
+    def pipeline(backend):
         selector = PatternSelector(5, config)
-        catalog = classify_antichains(
-            fft64, 2, 1, engine=engine
-        )
-        result = selector.select(
-            fft64, 5, catalog=catalog,
-            engine="fast" if engine == "fast" else "reference",
-        )
+        catalog = classify_antichains(fft64, 2, 1, backend=backend)
+        result = selector.select(fft64, 5, catalog=catalog, backend=backend)
         return MultiPatternScheduler(result.library).schedule(
-            fft64, engine=engine
+            fft64, backend=backend
         )
 
-    ref_s, ref = _time(lambda: pipeline("reference"))
+    ref_s, ref = _time(lambda: pipeline("serial"))
     fast = benchmark.pedantic(
-        pipeline, args=("fast",), rounds=2, iterations=1
+        pipeline, args=("fused",), rounds=2, iterations=1
     )
     assert fast.cycles == ref.cycles
     fast_s = benchmark.stats.stats.min

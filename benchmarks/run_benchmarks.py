@@ -17,7 +17,7 @@ and its enumeration+classify speedup over the fused single-threaded
 engine is recorded.  With ``--shards N`` the sharded-enumeration path is
 timed too: N real ``repro serve`` subprocesses are spawned and a
 :class:`~repro.service.shard.ShardCoordinator` fans the catalog build
-out over them via ``POST /v1/catalog:shard``, verifying the merged
+out over them via ``POST /v1/catalog:shard:stream``, verifying the merged
 catalog bit-identical to the fused one — a cold row (every cache level
 cleared per repeat) plus a ``shard catalog warm`` row measuring the
 content-addressed shard-partial caches (coordinator-side and

@@ -1,32 +1,32 @@
 #!/usr/bin/env python
 """End-to-end HTTP smoke test of the scheduling service (CI gate).
 
-Starts a real ``ServiceServer`` on an ephemeral port, drives it through
-the thin :class:`~repro.service.ServiceClient` exactly like a remote
-caller would, and checks the service contract:
+Starts a real ``AsyncServiceServer`` (the ``repro serve`` core) on an
+ephemeral port, drives it through the :class:`~repro.service.ServiceClient`
+exactly like a remote caller would, and checks the service contract:
 
 1. ``/healthz`` answers;
 2. a cold job submit returns a valid, verifiable schedule;
 3. re-submitting the same job is served from the result cache
-   (``X-Repro-Cache: result``) and is bit-identical on the wire;
+   (``X-Repro-Cache: result``), is bit-identical on the wire, and rides
+   the same persistent keep-alive connection;
 4. a batch ``pdef`` sweep dedups and shares one catalog;
 5. a malformed request comes back as a typed HTTP 400, not a stack trace;
 6. the server can act as a remote shard: a catalog built through
-   ``POST /v1/catalog:shard`` partitions merges bit-identical to the
-   in-process fused catalog;
-7. shard partials are content-addressed: repeating a shard task is
-   answered ``X-Repro-Cache: shard`` with identical buckets, and a fresh
-   coordinator over the warm server rebuilds the catalog bit-identically
-   with zero server-side DFS;
+   ``POST /v1/catalog:shard:stream`` partitions merges bit-identical to
+   the in-process fused catalog;
+7. streamed shard slots carry exactly the in-process rows, and shard
+   partials are content-addressed: re-streaming a task is answered from
+   the partial cache (cache level ``shard``) with identical rows, and a
+   fresh coordinator over the warm server rebuilds the catalog
+   bit-identically with zero server-side DFS;
 8. graph edits are incremental: recoloring one node of a submitted job
    through ``POST /v1/jobs:edit`` is answered ``X-Repro-Cache: edit``
    (only dirty partitions re-enumerated) and the answer is bit-identical
    to a fresh server cold-rebuilding the edited graph;
-9. the asyncio core (``AsyncServiceServer``) speaks the same wire
-   protocol: warm submits over one persistent keep-alive connection,
-   streamed shard slots bit-identical to the batched route, per-client
-   quota 429 with ``Retry-After``, and graceful drain (503 for new work,
-   reads keep serving);
+9. per-client quotas answer 429 with ``Retry-After`` while other clients
+   proceed, and a graceful drain answers 503 for new work while reads
+   keep serving;
 10. the fleet survives losing a shard: with three real ``repro serve``
    subprocesses, SIGKILLing one mid-job must open its circuit breaker,
    fail its partitions over to the survivors, and still merge a catalog
@@ -42,11 +42,11 @@ from __future__ import annotations
 import errno
 import sys
 
-from repro.service import JobRequest, ServiceClient, ServiceServer
+from repro.service import AsyncServiceServer, JobRequest, ServiceClient
 
 
-def start_server(**kwargs) -> ServiceServer:
-    """A server on an OS-assigned free port (never a fixed one).
+def start_server(**kwargs) -> AsyncServiceServer:
+    """A started server on an OS-assigned free port (never a fixed one).
 
     ``port=0`` asks the kernel for a free ephemeral port, so the smoke
     test cannot collide with another service on a busy CI runner.  A
@@ -54,17 +54,20 @@ def start_server(**kwargs) -> ServiceServer:
     some platforms (the kernel handing out a port another process grabs
     between selection and bind).
     """
+    server = AsyncServiceServer(port=0, **kwargs)
     try:
-        return ServiceServer(port=0, **kwargs)
+        server.start_background()
     except OSError as exc:
+        server.shutdown()
         if exc.errno != errno.EADDRINUSE:
             raise
-        return ServiceServer(port=0, **kwargs)
+        server = AsyncServiceServer(port=0, **kwargs)
+        server.start_background()
+    return server
 
 
 def main() -> int:
     server = start_server()
-    server.start_background()
     client = ServiceClient(server.url, timeout=30)
     try:
         health = client.health()
@@ -81,7 +84,11 @@ def main() -> int:
         assert client.last_cache == "result", client.last_cache
         assert warm == cold, "warm HTTP result is not bit-identical"
         assert warm.to_json() == cold.to_json()
-        print("warm submit ok: bit-identical, served from the result cache")
+        # Health check and both submits rode one pooled keep-alive
+        # connection.
+        assert len(client._conns) == 1, len(client._conns)
+        print("warm submit ok: bit-identical, served from the result cache "
+              "over one persistent connection")
 
         sweep = client.submit_many(
             [
@@ -139,22 +146,35 @@ def main() -> int:
         ), "remote shard catalog is not bit-identical"
         print("remote shard ok: merged catalog bit-identical to fused")
 
-        # Warm shard partials: repeating a shard task must be answered
-        # from the server's content-addressed partial cache
-        # (X-Repro-Cache: shard) with byte-identical buckets.
-        from repro.service import ShardTask
+        # Streamed shard slots carry exactly the in-process rows, and
+        # re-streaming a task is answered from the server's
+        # content-addressed partial cache (cache level "shard").
+        from repro.exec.process import plan_seed_partitions
+        from repro.service import SchedulerService, ShardTask
 
-        task = ShardTask(
-            size=2, span_limit=1, max_count=None, seeds=(0, 1, 2),
-            workload="3dft",
+        tasks = [
+            ShardTask(
+                size=2, span_limit=1, max_count=None, seeds=tuple(part),
+                workload="3dft",
+            )
+            for part in plan_seed_partitions(dfg, 3)
+        ]
+        streamed = {
+            slot: rows
+            for slot, rows, _cache in client.classify_shard_stream(tasks)
+        }
+        with SchedulerService() as local:
+            in_process = [local.classify_shard(task) for task in tasks]
+        assert [streamed[i] for i in range(len(tasks))] == in_process, (
+            "streamed shard rows differ from in-process classification"
         )
-        first_buckets = client.classify_shard(task)
-        cold_level = client.last_cache
-        warm_buckets = client.classify_shard(task)
-        assert client.last_cache == "shard", (cold_level, client.last_cache)
-        assert warm_buckets == first_buckets, "cached partial differs"
+        [(_, warm_rows, warm_cache)] = client.classify_shard_stream(tasks[:1])
+        assert warm_cache == "shard", warm_cache
+        assert warm_rows == in_process[0], "cached partial differs"
         stats = client.stats()["stats"]
         assert stats["shard_hits"] >= 1, stats
+        print(f"shard stream ok: {len(tasks)} streamed slots equal the "
+              f"in-process rows; a repeat is a partial-cache hit")
 
         # A fresh coordinator over the warm server: bit-identical catalog,
         # every dispatched partition a remote partial hit, zero new DFS.
@@ -174,7 +194,7 @@ def main() -> int:
         )
         print(
             f"warm shard ok: {coord_stats.dispatched} partitions served "
-            f"from the partial cache (X-Repro-Cache: shard), zero DFS"
+            f"from the partial cache (cache level shard), zero DFS"
         )
 
         # Edit path: recolor one node of an already-submitted job.  The
@@ -208,7 +228,6 @@ def main() -> int:
         edited_result.schedule.verify()
 
         fresh = start_server()
-        fresh.start_background()
         try:
             fresh_client = ServiceClient(fresh.url, timeout=30)
             edited_dfg = apply_edits(fft8, [edit_op])
@@ -218,7 +237,6 @@ def main() -> int:
             assert fresh_client.last_cache == "none", fresh_client.last_cache
         finally:
             fresh.shutdown()
-            fresh.server_close()
         assert (
             edited_result.answer_dict() == cold_edited.answer_dict()
         ), "incremental edit result differs from a cold rebuild"
@@ -228,66 +246,22 @@ def main() -> int:
         )
     finally:
         server.shutdown()
-        server.server_close()
-    async_leg()
+    quota_and_drain_leg()
     fault_leg()
     print("http smoke OK")
     return 0
 
 
-def async_leg() -> None:
-    """The same wire contract against the asyncio core, plus what only
-    it offers: persistent-connection reuse, server-push shard streaming,
-    per-client quotas (429 + Retry-After) and graceful drain."""
-    from repro.core.config import SelectionConfig
+def quota_and_drain_leg() -> None:
+    """Per-client quotas (429 + Retry-After) and graceful drain."""
     from repro.exceptions import ServiceOverloadedError, ServiceUnavailableError
-    from repro.exec.process import plan_seed_partitions
-    from repro.service import AsyncServiceServer, ShardTask
-    from repro.workloads import three_point_dft_paper
 
-    server = AsyncServiceServer(port=0, quota_rps=0.1, quota_burst=4)
-    server.start_background()
+    server = start_server(quota_rps=0.1, quota_burst=4)
     try:
         client = ServiceClient(server.url, timeout=30, client_id="smoke")
         with client:
-            health = client.health()
-            assert health["status"] == "ok", health
-            print(f"async healthz ok ({health['backend']}) at {server.url}")
-
             request = JobRequest(capacity=5, pdef=4, workload="3dft")
-            cold = client.submit(request)
-            cold.schedule.verify()
-            warm = client.submit(request)
-            assert client.last_cache == "result", client.last_cache
-            assert warm == cold
-            # Both submits (and the health check) rode one pooled
-            # keep-alive connection.
-            assert len(client._conns) == 1, len(client._conns)
-            print("async submit ok: warm result bit-identical over one "
-                  "persistent connection")
-
-            # Streamed shard frames carry the same rows as the batched
-            # route, slot for slot.
-            cfg = SelectionConfig(span_limit=1)
-            dfg = three_point_dft_paper()
-            tasks = [
-                ShardTask(
-                    size=5, span_limit=cfg.span_limit, max_count=None,
-                    seeds=tuple(part), workload="3dft",
-                )
-                for part in plan_seed_partitions(dfg, 3)
-            ]
-            batched = client.classify_shard_many(tasks)
-            streamed = {
-                slot: rows
-                for slot, rows, _cache in client.classify_shard_stream(tasks)
-            }
-            assert sorted(streamed) == list(range(len(tasks)))
-            for slot, outcome in enumerate(batched):
-                rows, _cache = outcome
-                assert streamed[slot] == rows, f"slot {slot} differs"
-            print(f"async stream ok: {len(tasks)} streamed slots "
-                  f"bit-identical to the batched route")
+            client.submit(request)
 
             # Burst exhausted → typed 429 with a retry hint; another
             # client id still gets through.
@@ -305,7 +279,7 @@ def async_leg() -> None:
             with ServiceClient(server.url, timeout=30,
                                client_id="other") as other:
                 other.submit(JobRequest(capacity=5, pdef=3, workload="3dft"))
-            print(f"async quota ok: 429 after burst "
+            print(f"quota ok: 429 after burst "
                   f"(Retry-After {overloaded.retry_after}s), other clients "
                   f"unaffected")
 
@@ -320,7 +294,7 @@ def async_leg() -> None:
             else:
                 raise AssertionError("drained server accepted work")
             assert client.health()["status"] == "draining"
-            print(f"async drain ok: flushed {info['flushed']}, new work "
+            print(f"drain ok: flushed {info['flushed']}, new work "
                   f"answers 503, reads still served")
     finally:
         server.shutdown()

@@ -298,7 +298,9 @@ def _parse_bytes(text: str) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    kwargs = dict(
+    from repro.service.aio import serve
+
+    serve(
         host=args.host,
         port=args.port,
         backend=args.backend,
@@ -311,22 +313,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         ),
         max_pending=args.max_pending,
         policy=args.policy,
+        quota_rps=args.quota_rps,
+        quota_burst=args.quota_burst,
     )
-    if args.threaded:
-        if args.quota_rps is not None or args.quota_burst is not None:
-            raise ReproError(
-                "per-client quotas (--quota-rps/--quota-burst) need the "
-                "async core; drop --threaded"
-            )
-        from repro.service.http import serve
-
-        serve(**kwargs)
-    else:
-        from repro.service.aio import serve as serve_async
-
-        serve_async(
-            quota_rps=args.quota_rps, quota_burst=args.quota_burst, **kwargs
-        )
 
 
 def _cmd_drain(args: argparse.Namespace) -> None:
@@ -638,14 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default scheduling policy for submitted jobs "
                         "(see 'repro policy'); per-request backend/policy "
                         "fields still win")
-    p.add_argument("--threaded", action="store_true",
-                   help="use the thread-per-connection core instead of the "
-                        "default asyncio core (no per-client quotas or "
-                        "priority scheduling)")
     p.add_argument("--quota-rps", type=float, default=None,
                    help="per-client token-bucket rate for work routes "
                         "(requests/second, keyed by X-Repro-Client or peer "
-                        "address); async core only")
+                        "address)")
     p.add_argument("--quota-burst", type=float, default=None,
                    help="per-client burst size (defaults to 2x --quota-rps)")
     add_backend_args(p)

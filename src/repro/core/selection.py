@@ -245,7 +245,6 @@ class PatternSelector:
         pdef: int,
         *,
         catalog: PatternCatalog | None = None,
-        engine: "str | None" = None,
         backend: "object | None" = None,
     ) -> SelectionResult:
         """Run Fig. 7 and return the selected library plus diagnostics.
@@ -259,52 +258,23 @@ class PatternSelector:
             enforced via :class:`~repro.patterns.library.PatternLibrary`).
         catalog:
             Optional pre-built catalog (reused across ``pdef`` sweeps).
-        engine:
-            **Deprecated** engine-name alias (explicit ``"fast"`` /
-            ``"reference"`` emit a :class:`DeprecationWarning`; use
-            ``backend=``).  Omitted — or the legacy literal ``"auto"`` —
-            uses the incremental fast loop when the selector runs the
-            stock Eq. 8 priority and the reference loop for custom
-            ``priority_fn`` callables (whose scores may depend on global
-            pool state the incremental cache cannot track).  ``"fast"`` /
-            ``"reference"`` force a loop; both produce identical results
-            for Eq. 8 (pinned by the equivalence tests).
         backend:
             An :class:`~repro.exec.backend.ExecutionBackend` instance or
-            registered backend name; takes precedence over ``engine``.
-            Also used to build the catalog when ``catalog`` is ``None``.
+            registered backend name (default ``"fused"``: the incremental
+            loop for the stock Eq. 8 priority, the reference loop for
+            custom ``priority_fn`` callables, whose scores may depend on
+            global pool state the incremental cache cannot track).  An
+            explicit backend also builds the catalog when ``catalog`` is
+            ``None``.
         """
         from repro.exec import get_backend
 
         validate_dfg(dfg)
         if pdef < 1:
             raise SelectionError(f"pdef must be ≥ 1, got {pdef}")
-        if backend is None:
-            if engine is None:
-                engine = "auto"
-            elif engine not in ("auto", "fast", "reference"):
-                raise SelectionError(
-                    f"unknown selection engine {engine!r}; expected 'auto', "
-                    f"'fast' or 'reference'"
-                )
-            elif engine != "auto":
-                from repro.exec.registry import warn_legacy_engine_alias
-
-                warn_legacy_engine_alias(engine)
-            if engine == "auto":
-                engine = "fast" if self.priority_fn is raw_priority else "reference"
-            elif engine == "fast" and self.priority_fn is not raw_priority:
-                raise SelectionError(
-                    "the fast selection engine supports only the stock Eq. 8 "
-                    "priority; use engine='reference' with custom priority_fn"
-                )
-            exec_backend = get_backend(
-                "fused" if engine == "fast" else "serial"
-            )
-            catalog_backend = None  # preserve historical auto resolution
-        else:
-            exec_backend = get_backend(backend)  # type: ignore[arg-type]
-            catalog_backend = exec_backend
+        exec_backend = get_backend(backend if backend is not None else "fused")
+        # Without an explicit backend the catalog keeps its own default.
+        catalog_backend = exec_backend if backend is not None else None
         if catalog is None:
             catalog = self.build_catalog(dfg, backend=catalog_backend)
         config = self.config

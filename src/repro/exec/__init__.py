@@ -10,22 +10,20 @@
 Four backends ship built in, all bit-identical in output:
 
 ``serial``
-    The straightforward reference loops (alias: ``"reference"``) — the
+    The straightforward reference loops — the
     equivalence oracle, and the only backend supporting stored antichains
     and custom selection priorities natively.
 ``fused``
-    Single-threaded allocation-free fast paths (alias: ``"fast"``); the
-    default everywhere.
+    Single-threaded allocation-free fast paths; the default everywhere.
 ``bitset``
-    Vectorized single-threaded pattern generation (alias:
-    ``"vectorized"``): batched numpy kernels over packed ``uint64``
+    Vectorized single-threaded pattern generation: batched numpy
+    kernels over packed ``uint64``
     incomparability rows, with an optional compiled expansion extension;
     selection and scheduling inherit the fused paths.  Falls back to the
     fused classifier when numpy is unavailable.
 ``process``
     Seed-partitioned multiprocess pattern generation over
-    ``multiprocessing`` workers (aliases: ``"parallel"``, ``"mp"``),
-    merging per-pattern int frequency arrays elementwise; selection and
+    ``multiprocessing`` workers, merging per-pattern int frequency arrays elementwise; selection and
     scheduling inherit the fused paths.
 
 Downstream projects may :func:`register_backend` their own.
@@ -49,7 +47,7 @@ __all__ = [
     "register_backend",
 ]
 
-register_backend("serial", SerialBackend, aliases=("reference",))
-register_backend("fused", FusedBackend, aliases=("fast",))
-register_backend("bitset", BitsetBackend, aliases=("vectorized",))
-register_backend("process", ProcessBackend, aliases=("parallel", "mp"))
+register_backend("serial", SerialBackend)
+register_backend("fused", FusedBackend)
+register_backend("bitset", BitsetBackend)
+register_backend("process", ProcessBackend)

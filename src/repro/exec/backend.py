@@ -1,19 +1,14 @@
 """The execution-backend seam (`ExecutionBackend`).
 
 Every compute-heavy pipeline stage — pattern generation (enumerate →
-classify), Fig. 7 selection and Fig. 3 scheduling — used to pick its
-implementation through ad-hoc ``engine=`` string parameters threaded
-through :mod:`repro.patterns.enumeration`, :mod:`repro.core.selection` and
-:mod:`repro.scheduling.scheduler`.  An :class:`ExecutionBackend` replaces
-those branches with one dispatch object: callers resolve a backend once
-(:func:`repro.exec.get_backend`) and every stage runs through it.  The
-string names survive as registry aliases (``"reference"`` → serial,
-``"fast"`` → fused), so the historical ``engine=`` API keeps working.
+classify), Fig. 7 selection and Fig. 3 scheduling — runs through one
+dispatch object: callers resolve a backend once
+(:func:`repro.exec.get_backend`) and every stage runs through it.
 
-The contract mirrors the engine contract it replaces: **all backends
-produce bit-identical results** — identical catalogs (same patterns, same
-counts, same per-pattern Counter insertion order), identical selection
-rounds (exact float priorities) and identical schedules.  A backend is a
+The contract: **all backends produce bit-identical results** —
+identical catalogs (same patterns, same counts, same per-pattern Counter
+insertion order), identical selection rounds (exact float priorities)
+and identical schedules.  A backend is a
 strategy for *how* to compute, never *what*.
 """
 

@@ -3,10 +3,9 @@
 Wraps the in-DFS classifier (`AntichainEnumerator.classify_by_label`),
 the incremental Fig. 7 selection loop and the integer Fig. 3 scheduler
 hot loop behind the backend seam.  This is the default backend everywhere
-(the old ``engine="fast"``) and the baseline the process backend's
-speedups are measured against.
+and the baseline the process backend's speedups are measured against.
 
-Two capability notes, inherited from the fast engines it wraps:
+Two capability notes, inherited from the fast paths it wraps:
 
 * it cannot store raw antichains (the per-antichain name tuples are
   exactly what the fused classifier exists to avoid) — asking for

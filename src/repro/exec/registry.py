@@ -1,14 +1,7 @@
-"""Named backend registry — ``get_backend("process", jobs=4)``.
-
-Backends are registered by canonical name with optional aliases; the
-legacy ``engine=`` strings (``"reference"``, ``"fast"``) are aliases of
-the serial and fused backends, so every historical call site resolves
-through this registry unchanged.
-"""
+"""Named backend registry — ``get_backend("process", jobs=4)``."""
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 from repro.exceptions import BackendError
@@ -16,53 +9,15 @@ from repro.exec.backend import ExecutionBackend
 
 __all__ = [
     "available_backends",
-    "canonical_backend_name",
     "get_backend",
     "register_backend",
-    "warn_legacy_engine_alias",
 ]
 
 _FACTORIES: dict[str, Callable[..., ExecutionBackend]] = {}
-_ALIASES: dict[str, str] = {}
-
-#: The pre-registry ``engine=`` strings.  Only these draw the deprecation
-#: warning — newer aliases (``"vectorized"``) are conveniences, not
-#: holdovers.
-_LEGACY_ENGINE_NAMES = frozenset({"reference", "fast", "parallel", "mp"})
 
 
-def canonical_backend_name(name: str) -> str:
-    """The canonical name an alias resolves to (identity otherwise)."""
-    return _ALIASES.get(name, name)
-
-
-def warn_legacy_engine_alias(
-    name: str, *, param: str = "backend", stacklevel: int = 3
-) -> None:
-    """The one ``DeprecationWarning`` for legacy ``engine=`` aliases.
-
-    Every surface that still accepts the pre-registry engine strings
-    (``engine=`` keyword arguments, the ``engine`` wire field, alias
-    names through :func:`get_backend`) funnels through here, so the
-    message — pointing callers at ``backend=``/``policy=`` — stays in
-    one place.
-    """
-    canonical = canonical_backend_name(name)
-    warnings.warn(
-        f"the legacy engine alias {name!r} is deprecated; pass "
-        f"{param}={canonical!r} (or select a strategy with policy=...)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., ExecutionBackend],
-    *,
-    aliases: tuple[str, ...] = (),
-) -> None:
-    """Register a backend factory under ``name`` (plus ``aliases``).
+def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
+    """Register a backend factory under ``name``.
 
     ``factory`` is called with the keyword arguments handed to
     :func:`get_backend` (currently ``jobs``).  Re-registering a name
@@ -72,12 +27,10 @@ def register_backend(
     if not name or not isinstance(name, str):
         raise BackendError(f"backend name must be a non-empty string, got {name!r}")
     _FACTORIES[name] = factory
-    for alias in aliases:
-        _ALIASES[alias] = name
 
 
 def available_backends() -> tuple[str, ...]:
-    """Canonical registered backend names, sorted."""
+    """Registered backend names, sorted."""
     return tuple(sorted(_FACTORIES))
 
 
@@ -86,11 +39,10 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve ``spec`` to an :class:`ExecutionBackend` instance.
 
-    ``spec`` may already be a backend instance (returned as-is), a
-    canonical name (``"serial"``, ``"fused"``, ``"process"``) or a legacy
-    alias (``"reference"``, ``"fast"``, ``"parallel"``, ``"mp"``).
-    ``jobs`` is forwarded to the factory (worker count for the process
-    backend; ignored by serial/fused).
+    ``spec`` may already be a backend instance (returned as-is) or a
+    registered name (``"serial"``, ``"fused"``, ``"bitset"``,
+    ``"process"``).  ``jobs`` is forwarded to the factory (worker count
+    for the process backend; ignored by the others).
 
     Raises
     ------
@@ -113,12 +65,9 @@ def get_backend(
         raise BackendError(
             f"backend must be an ExecutionBackend or a name, got {type(spec).__name__}"
         )
-    canonical = _ALIASES.get(spec, spec)
-    if spec in _LEGACY_ENGINE_NAMES:
-        warn_legacy_engine_alias(spec, stacklevel=3)
-    factory = _FACTORIES.get(canonical)
+    factory = _FACTORIES.get(spec)
     if factory is None:
-        known = ", ".join(sorted(set(_FACTORIES) | set(_ALIASES)))
+        known = ", ".join(sorted(_FACTORIES))
         raise BackendError(
             f"unknown execution backend {spec!r}; available: {known}"
         )

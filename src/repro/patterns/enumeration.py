@@ -20,8 +20,7 @@ classifies inside the enumeration DFS via
 the serial backend materializes name tuples and classifies them
 sequentially, and the process backend fans the fused classifier out over
 seed-node partitions.  All produce equal catalogs — including per-pattern
-Counter insertion order, which Eq. 8's float summation depends on.  The
-legacy ``engine=`` strings remain as registry aliases.
+Counter insertion order, which Eq. 8's float summation depends on.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.dfg.levels import LevelAnalysis
-from repro.exceptions import PatternError
 from repro.patterns.pattern import Pattern
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,7 +116,6 @@ def classify_antichains(
     store_antichains: bool = False,
     max_count: int | None = DEFAULT_MAX_COUNT,
     restrict_to: Iterable[str] | None = None,
-    engine: "str | None" = None,
     backend: object | None = None,
 ) -> PatternCatalog:
     """Enumerate antichains of ``dfg`` and classify them into patterns.
@@ -146,20 +143,14 @@ def classify_antichains(
         classified (used by incremental re-selection experiments).  The
         restriction is pushed into the enumerator as a node bitmask, so
         excluded branches of the DFS are never visited.
-    engine:
-        **Deprecated** engine-name alias (explicit ``"fast"`` /
-        ``"reference"`` emit a :class:`DeprecationWarning`; use
-        ``backend=``).  Omitted — or the legacy literal ``"auto"`` —
-        classifies inside the enumeration DFS without materializing
-        antichains, unless ``store_antichains`` demands the sequential
-        name-tuple classifier; ``"fast"`` / ``"reference"`` /
-        ``"bitset"`` force a backend (``"fast"`` or ``"bitset"`` with
-        ``store_antichains`` is an error).  All backends produce equal
-        catalogs — the equivalence test-suite pins this.
     backend:
         An :class:`~repro.exec.backend.ExecutionBackend` instance or
-        registered backend name (e.g. ``"process"``); takes precedence
-        over ``engine``.
+        registered backend name (e.g. ``"process"``).  Omitted, the fused
+        backend classifies inside the enumeration DFS without
+        materializing antichains, unless ``store_antichains`` demands the
+        serial name-tuple classifier (only the serial backend stores
+        antichains; the others raise).  All backends produce equal
+        catalogs — the equivalence test-suite pins this.
 
     Returns
     -------
@@ -168,29 +159,8 @@ def classify_antichains(
     from repro.exec import get_backend
 
     if backend is None:
-        if engine is None:
-            engine = "auto"
-        elif engine not in ("auto", "fast", "reference", "bitset"):
-            raise PatternError(
-                f"unknown classification engine {engine!r}; expected 'auto', "
-                f"'fast', 'reference' or 'bitset'"
-            )
-        elif engine != "auto":
-            from repro.exec.registry import warn_legacy_engine_alias
-
-            warn_legacy_engine_alias(engine)
-        if engine == "fast" and store_antichains:
-            raise PatternError(
-                "the fast classification engine cannot store raw antichains; "
-                "use engine='reference' (or 'auto') with store_antichains"
-            )
-        if engine == "auto":
-            engine = "reference" if store_antichains else "fast"
-        backend = get_backend(
-            {"fast": "fused", "reference": "serial"}.get(engine, engine)
-        )
-    else:
-        backend = get_backend(backend)  # type: ignore[arg-type]
+        backend = "serial" if store_antichains else "fused"
+    backend = get_backend(backend)  # type: ignore[arg-type]
     return backend.classify(
         dfg,
         capacity,

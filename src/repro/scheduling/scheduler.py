@@ -91,7 +91,6 @@ class MultiPatternScheduler:
         dfg: "DFG",
         *,
         levels: LevelAnalysis | None = None,
-        engine: "str | None" = None,
         backend: "ExecutionBackend | str | None" = None,
     ) -> Schedule:
         """Schedule ``dfg``, returning the full :class:`Schedule` trace.
@@ -102,19 +101,14 @@ class MultiPatternScheduler:
             The graph to schedule.
         levels:
             Optional precomputed level analysis.
-        engine:
-            **Deprecated** engine-name alias (passing it explicitly emits
-            a :class:`DeprecationWarning`; use ``backend=``): ``"fast"``
-            maps to the fused backend's integer hot loop — color-id
-            arrays, slot-count vectors, an incrementally sorted candidate
-            queue; ``"reference"`` to the serial backend's
-            straightforward name-based loop.  Both produce identical
-            schedules (pinned by the equivalence tests); omitting both
-            ``engine`` and ``backend`` runs the fused loop.
         backend:
             An :class:`~repro.exec.backend.ExecutionBackend` instance or
             registered backend name (see :func:`repro.exec.get_backend`).
-            Takes precedence over ``engine``.
+            The default ``"fused"`` runs the integer hot loop — color-id
+            arrays, slot-count vectors, an incrementally sorted candidate
+            queue; ``"serial"`` runs the straightforward name-based loop.
+            Both produce identical schedules (pinned by the equivalence
+            tests).
 
         Raises
         ------
@@ -123,21 +117,8 @@ class MultiPatternScheduler:
             do not cover the graph's colors).
         """
         from repro.exec import get_backend
-        from repro.exec.registry import warn_legacy_engine_alias
 
-        if backend is None:
-            if engine is None:
-                engine = "fast"
-            else:
-                if engine not in ("fast", "reference"):
-                    raise SchedulingError(
-                        f"unknown scheduling engine {engine!r}; expected "
-                        f"'fast' or 'reference'"
-                    )
-                warn_legacy_engine_alias(engine)
-            backend = get_backend("fused" if engine == "fast" else "serial")
-        else:
-            backend = get_backend(backend)
+        backend = get_backend(backend if backend is not None else "fused")
         validate_dfg(dfg)
         missing = set(dfg.colors()) - self.library.color_set()
         if missing:

@@ -20,18 +20,16 @@ with :class:`~repro.dfg.edit.DfgEdit` operations, and
 subgraph digest the edit actually changed (cache level ``edit``).
 
 Over the wire the same API is ``repro serve`` + :class:`ServiceClient`
-(``docs/WIRE_PROTOCOL.md`` is the normative wire description).  Two
-server cores speak it: the default asyncio core
-(:class:`AsyncServiceServer`, :mod:`repro.service.aio` — persistent
-keep-alive connections, priority scheduling, per-client token-bucket
-quotas, graceful drain, streamed shard responses with heartbeats) and
-the thread-per-connection core (:class:`ServiceServer`,
-:mod:`repro.service.http`).  :class:`ServiceClient` (sync, pooled
-keep-alive connections) and :class:`AsyncServiceClient` (asyncio) are
-interchangeable against either.  Requests and results round-trip
-losslessly through JSON; every failure crosses as the unified error
-envelope (:mod:`repro.service.errors`) and re-raises as its own typed
-exception.
+(``docs/WIRE_PROTOCOL.md`` is the normative wire description).  The
+server is the asyncio core (:class:`AsyncServiceServer`,
+:mod:`repro.service.aio` — persistent keep-alive connections, priority
+scheduling, per-client token-bucket quotas, graceful drain, streamed
+shard responses with heartbeats); :func:`serve` is its blocking entry
+point.  :class:`ServiceClient` (:mod:`repro.service.http`) is the one
+client: sync, with pooled keep-alive connections.  Requests and results
+round-trip losslessly through JSON; every failure crosses as the
+unified error envelope (:mod:`repro.service.errors`) and re-raises as
+its own typed exception.
 
 Scaling seams layered on top:
 
@@ -56,7 +54,7 @@ Scaling seams layered on top:
   above deterministically.
 """
 
-from repro.service.aio import AsyncServiceClient, AsyncServiceServer
+from repro.service.aio import AsyncServiceServer, serve
 from repro.service.errors import (
     error_envelope,
     error_from_envelope,
@@ -64,7 +62,7 @@ from repro.service.errors import (
     retry_after_of,
 )
 from repro.service.faults import ChaosProxy, FaultPlan, FaultSpec
-from repro.service.http import ServiceClient, ServiceServer, serve
+from repro.service.http import ServiceClient
 from repro.service.jobs import EditRequest, JobRequest, JobResult
 from repro.service.resolve import ExecutionResolution, resolve_execution
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
@@ -91,8 +89,6 @@ __all__ = [
     "ServiceStats",
     "SubmitOutcome",
     "ServiceClient",
-    "ServiceServer",
-    "AsyncServiceClient",
     "AsyncServiceServer",
     "serve",
     "ExecutionResolution",

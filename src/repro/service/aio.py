@@ -1,13 +1,11 @@
-"""Asyncio service core: ``repro serve``'s default front-end.
+"""The asyncio service core: ``repro serve``'s front-end.
 
-Same ``/v1`` wire protocol as the threaded core
-(:mod:`repro.service.http`; ``docs/WIRE_PROTOCOL.md`` is normative),
-rebuilt on ``asyncio.start_server`` in the spirit of Uberun's
-master↔daemon link: many persistent keep-alive connections multiplexed
-onto one event loop, compute pushed off-loop so the reactor never
-blocks behind a DFS.
-
-What this core adds over the threaded one:
+Serves the ``/v1`` wire protocol (the route table is in
+:mod:`repro.service.http`, which also holds the :class:`ServiceClient`;
+``docs/WIRE_PROTOCOL.md`` is normative) on ``asyncio.start_server``, in
+the spirit of Uberun's master↔daemon link: many persistent keep-alive
+connections multiplexed onto one event loop, compute pushed off-loop so
+the reactor never blocks behind a DFS.
 
 **Priority scheduling.**  Compute runs on a small thread pool fed by a
 priority queue.  Interactive edits (``/v1/jobs:edit``) and cache-warm
@@ -37,14 +35,13 @@ not slot order.  While nothing completes, a ``{"heartbeat": ...}``
 frame goes out every ``heartbeat_interval`` seconds so the
 coordinator's long-lived connection is provably alive, not silently
 wedged.  Slot indices restore task order downstream; merged catalogs
-stay bit-identical to the batched route.
+stay bit-identical to an in-process build.
 
-:class:`AsyncServiceClient` is the asyncio twin of
-:class:`~repro.service.http.ServiceClient`: one persistent connection,
-an async context manager, the same typed-error re-raise through the
-unified envelope, and an async-generator ``classify_shard_stream``.
-The sync client works against this server unchanged — the wire format
-is identical.
+**Request framing.**  A request head longer than
+:data:`MAX_HEAD_BYTES`, or a ``Content-Length`` that is not a non-negative
+integer or exceeds :data:`MAX_BODY_BYTES`, is answered with a 400
+:class:`~repro.exceptions.JobValidationError` envelope and
+``Connection: close`` — the connection cannot be parsed past it.
 """
 
 from __future__ import annotations
@@ -56,41 +53,26 @@ import os
 import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Any, AsyncIterator, Callable
+from typing import Any, Callable
 
 from repro.exceptions import (
     JobValidationError,
     ReproError,
-    ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
-    ShardTimeoutError,
-    ShardTransportError,
 )
-from repro.service.errors import (
-    error_envelope,
-    error_from_envelope,
-    http_status,
-    retry_after_of,
-)
-from repro.service.http import (
-    CLIENT_HEADER,
-    MAX_BODY_BYTES,
-    _retry_after_header,
-    shard_rows_from_wire,
-    shard_rows_to_wire,
-)
-from repro.service.jobs import EditRequest, JobRequest, JobResult, results_json
+from repro.service.errors import error_envelope, http_status, retry_after_of
+from repro.service.http import CLIENT_HEADER, shard_rows_to_wire
+from repro.service.jobs import EditRequest, JobRequest, results_json
 from repro.service.service import SchedulerService, SubmitOutcome
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.shard import ShardTask
+__all__ = ["AsyncServiceServer", "serve"]
 
-__all__ = [
-    "AsyncServiceClient",
-    "AsyncServiceServer",
-    "serve",
-]
+#: Maximum accepted request body (64 MiB) — a guard, not a quota.
+MAX_BODY_BYTES = 64 << 20
+
+#: Maximum request head (request line + headers); the stream reader's limit.
+MAX_HEAD_BYTES = 64 << 10
 
 #: Priority classes for the compute pool (lower runs first).
 PRIORITY_HIGH = 0
@@ -112,10 +94,19 @@ _WORK_ROUTES = frozenset(
         "/v1/jobs",
         "/v1/jobs:batch",
         "/v1/jobs:edit",
-        "/v1/catalog:shard",
         "/v1/catalog:shard:stream",
     }
 )
+
+
+def _retry_after_header(exc: BaseException) -> "dict[str, str]":
+    """``Retry-After`` header for errors that carry a back-off hint."""
+    hint = retry_after_of(exc)
+    if hint is None:
+        return {}
+    return {
+        "Retry-After": str(int(hint)) if float(hint).is_integer() else str(hint)
+    }
 
 
 class _TokenBucket:
@@ -232,8 +223,15 @@ class _PriorityPool:
 class AsyncServiceServer:
     """A :class:`SchedulerService` behind ``asyncio.start_server``.
 
-    Parameters mirror :class:`~repro.service.http.ServiceServer`, plus:
-
+    Parameters
+    ----------
+    service:
+        The resident service; constructed from ``backend``/``jobs``/
+        ``cache_dir``/``cache_max_bytes``/``max_pending``/``policy`` when
+        omitted (overload maps to HTTP 429; per-request
+        ``policy``/``backend`` fields still win over ``policy``).
+    host / port:
+        Bind address; port 0 picks a free port (see :attr:`port`).
     quota_rps / quota_burst:
         Per-client token-bucket rate (requests/second) and burst size
         for work routes; ``quota_rps=None`` disables metering.
@@ -316,7 +314,10 @@ class AsyncServiceServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
+            self._handle_connection,
+            self._host,
+            self._requested_port,
+            limit=MAX_HEAD_BYTES,
         )
 
     def drain(self) -> int:
@@ -480,12 +481,8 @@ class AsyncServiceServer:
                     streamed = False
                 if not keep_alive and not streamed:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # peer went away or spoke garbage; nothing to answer
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # peer went away mid-request; nothing to answer
         except asyncio.CancelledError:
             pass  # server shutdown cancelled an idle keep-alive reader
         finally:
@@ -507,20 +504,15 @@ class AsyncServiceServer:
             if not exc.partial:
                 return None
             raise
+        except asyncio.LimitOverrunError:
+            await self._reject(
+                writer, f"request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+            )
+            return None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) < 3:
-            await self._send_json(
-                writer,
-                400,
-                {
-                    "error": {
-                        "type": "JobValidationError",
-                        "message": f"malformed request line {lines[0]!r}",
-                    }
-                },
-                close=True,
-            )
+            await self._reject(writer, f"malformed request line {lines[0]!r}")
             return None
         method, path = parts[0], parts[1]
         headers: "dict[str, str]" = {}
@@ -532,33 +524,28 @@ class AsyncServiceServer:
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
-            await self._send_json(
-                writer,
-                400,
-                error_envelope(
-                    JobValidationError("Content-Length header is not an integer")
-                ),
-                close=True,
-            )
+            await self._reject(writer, "Content-Length header is not an integer")
+            return None
+        if length < 0:
+            await self._reject(writer, f"Content-Length {length} is negative")
             return None
         if length > MAX_BODY_BYTES:
-            # Same guard as the threaded core: reject without reading
-            # 64 MiB+, and drop the connection since the body bytes
-            # would poison the next request's parse.
-            await self._send_json(
+            # Reject without reading 64 MiB+, and drop the connection
+            # since the body bytes would poison the next request's parse.
+            await self._reject(
                 writer,
-                400,
-                error_envelope(
-                    JobValidationError(
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte limit"
-                    )
-                ),
-                close=True,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
             )
             return None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
+
+    async def _reject(self, writer: asyncio.StreamWriter, message: str) -> None:
+        """400 for a request that cannot be framed; the connection closes."""
+        await self._send_json(
+            writer, 400, error_envelope(JobValidationError(message)), close=True
+        )
 
     # ------------------------------------------------------------------ #
     async def _send_json(
@@ -700,49 +687,6 @@ class AsyncServiceServer:
             await self._send_json(
                 writer, 200, text, headers={"X-Repro-Cache": cache}
             )
-        elif path == "/v1/catalog:shard":
-            from repro.service.shard import ShardTask
-
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except json.JSONDecodeError as exc:
-                raise JobValidationError(
-                    f"invalid shard task JSON: {exc}"
-                ) from exc
-            if isinstance(payload, dict) and "tasks" in payload:
-                if not isinstance(payload["tasks"], list):
-                    raise JobValidationError(
-                        "batched shard payload needs a 'tasks' list",
-                        field="tasks",
-                    )
-                results = []
-                for item in payload["tasks"]:
-                    try:
-                        frame = await self._pool.submit(
-                            self._slot_runner(item)
-                        )
-                    except ReproError as exc:
-                        results.append(error_envelope(exc))
-                    else:
-                        buckets, cache = frame
-                        results.append(
-                            {
-                                "buckets": shard_rows_to_wire(buckets),
-                                "cache": cache,
-                            }
-                        )
-                await self._send_json(writer, 200, {"results": results})
-            else:
-                task = ShardTask.from_dict(payload)
-                buckets, cache = await self._pool.submit(
-                    lambda: service.classify_shard_outcome(task)
-                )
-                await self._send_json(
-                    writer,
-                    200,
-                    {"buckets": shard_rows_to_wire(buckets)},
-                    headers={"X-Repro-Cache": cache},
-                )
         elif path == "/v1/catalog:shard:stream":
             try:
                 payload = json.loads(body.decode("utf-8"))
@@ -777,7 +721,7 @@ class AsyncServiceServer:
 
     # ------------------------------------------------------------------ #
     def _slot_runner(self, item: Any) -> "Callable[[], tuple[list, str]]":
-        """Closure classifying one streamed/batched slot in a pool thread."""
+        """Closure classifying one streamed slot in a pool thread."""
         service = self.service
 
         def run() -> "tuple[list, str]":
@@ -880,8 +824,8 @@ async def _serve_async(
         pass
     print(
         f"repro service listening on {server.url} "
-        f"(backend {server.service.backend.describe()}{banner_extras}; "
-        f"async core); Ctrl-C to stop",
+        f"(backend {server.service.backend.describe()}{banner_extras}); "
+        f"Ctrl-C to stop",
         flush=True,
     )
     try:
@@ -904,7 +848,7 @@ def serve(
     quota_burst: "float | None" = None,
     verbose: bool = True,
 ) -> None:
-    """Blocking entry point behind ``repro serve`` (the default core).
+    """Blocking entry point behind ``repro serve``.
 
     ``SIGTERM`` drains gracefully — in-flight requests finish, profile
     state flushes — before the loop stops; ``Ctrl-C`` stops promptly
@@ -936,431 +880,3 @@ def serve(
         asyncio.run(_serve_async(server, banner_extras=extras))
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
-
-
-class AsyncServiceClient:
-    """Asyncio twin of :class:`~repro.service.http.ServiceClient`.
-
-    >>> async with AsyncServiceClient(url) as client:      # doctest: +SKIP
-    ...     result = await client.submit(request)
-
-    One persistent keep-alive connection (asyncio streams), lazily
-    opened, retried once when the server dropped it between requests —
-    safe because every route is idempotent.  Server-side failures
-    re-raise as their own types through the unified envelope, with the
-    HTTP status on ``exc.http_status``.  ``client_id`` fills the
-    ``X-Repro-Client`` quota header.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        *,
-        timeout: float = 60.0,
-        connect_timeout: "float | None" = None,
-        client_id: "str | None" = None,
-        retry_after_cap: "float | None" = None,
-    ) -> None:
-        from urllib.parse import urlsplit
-
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        #: Seconds to establish the TCP connection (default
-        #: ``min(timeout, 5.0)``); ``timeout`` bounds each read.
-        self.connect_timeout = (
-            connect_timeout if connect_timeout is not None
-            else min(timeout, 5.0)
-        )
-        #: With a cap set, one polite capped wait honors a 429/503
-        #: ``Retry-After`` hint before the error reaches the caller.
-        self.retry_after_cap = retry_after_cap
-        self.client_id = client_id
-        self.last_cache: "str | None" = None
-        split = urlsplit(self.base_url)
-        if split.scheme not in ("http", ""):
-            raise ServiceError(
-                f"unsupported service URL scheme {split.scheme!r}; expected http"
-            )
-        self._host = split.hostname or "127.0.0.1"
-        self._port = split.port or 80
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.aclose()
-
-    async def aclose(self) -> None:
-        """Close the pooled connection (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        await self._drop_connection()
-
-    async def _drop_connection(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _connection(
-        self,
-    ) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
-        if self._closed:
-            raise ServiceError("AsyncServiceClient is closed")
-        if self._reader is None or self._writer is None:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self._host, self._port),
-                timeout=self.connect_timeout,
-            )
-        return self._reader, self._writer
-
-    def _head(self, method: str, path: str, body: "bytes | None") -> bytes:
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self._host}:{self._port}",
-        ]
-        if body is not None:
-            lines.append("Content-Type: application/json")
-        lines.append(f"Content-Length: {len(body) if body else 0}")
-        if self.client_id is not None:
-            lines.append(f"{CLIENT_HEADER}: {self.client_id}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-    async def _open(
-        self, path: str, body: "bytes | None"
-    ) -> "tuple[int, dict[str, str], asyncio.StreamReader]":
-        """Send one request, parse the status line + headers (retry once)."""
-        method = "POST" if body is not None else "GET"
-        payload = self._head(method, path, body) + (body or b"")
-        last_exc: "Exception | None" = None
-        for _attempt in range(2):
-            try:
-                reader, writer = await self._connection()
-                writer.write(payload)
-                await writer.drain()
-                status_line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.timeout
-                )
-                if not status_line:
-                    raise ConnectionResetError("server closed the connection")
-                parts = status_line.decode("latin-1").split(" ", 2)
-                status = int(parts[1])
-                headers: "dict[str, str]" = {}
-                while True:
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.timeout
-                    )
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                return status, headers, reader
-            except (OSError, ConnectionError, ValueError, IndexError) as exc:
-                await self._drop_connection()
-                last_exc = exc
-        if isinstance(last_exc, (asyncio.TimeoutError, TimeoutError)):
-            raise ShardTimeoutError(
-                f"cannot reach service at {self.base_url}: timed out"
-            ) from last_exc
-        raise ShardTransportError(
-            f"cannot reach service at {self.base_url}: {last_exc}"
-        ) from last_exc
-
-    async def _read_body(
-        self, headers: "dict[str, str]", reader: asyncio.StreamReader
-    ) -> bytes:
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            chunks = []
-            while True:
-                chunk = await self._read_chunk(reader)
-                if chunk is None:
-                    break
-                chunks.append(chunk)
-            return b"".join(chunks)
-        length = int(headers.get("content-length") or 0)
-        if length == 0:
-            return b""
-        return await asyncio.wait_for(
-            reader.readexactly(length), timeout=self.timeout
-        )
-
-    async def _read_chunk(self, reader: asyncio.StreamReader) -> "bytes | None":
-        """One chunked-transfer chunk; None on the terminal chunk."""
-        size_line = await asyncio.wait_for(
-            reader.readline(), timeout=self.timeout
-        )
-        size = int(size_line.strip() or b"0", 16)
-        if size == 0:
-            await asyncio.wait_for(reader.readline(), timeout=self.timeout)
-            return None
-        data = await asyncio.wait_for(
-            reader.readexactly(size), timeout=self.timeout
-        )
-        await asyncio.wait_for(reader.readexactly(2), timeout=self.timeout)
-        return data
-
-    def _error_for(self, status: int, data: bytes) -> ReproError:
-        try:
-            payload: Any = json.loads(data.decode("utf-8"))
-        except Exception:
-            payload = None
-        exc = error_from_envelope(
-            payload, default_message=f"service returned HTTP {status}"
-        )
-        exc.http_status = status  # type: ignore[attr-defined]
-        return exc
-
-    async def _request(
-        self, path: str, body: "bytes | None" = None
-    ) -> "tuple[str, dict[str, str]]":
-        polite_waits = 0
-        while True:
-            status, headers, reader = await self._open(path, body)
-            try:
-                data = await self._read_body(headers, reader)
-            except (
-                OSError,
-                ConnectionError,
-                asyncio.IncompleteReadError,
-            ) as exc:
-                await self._drop_connection()
-                if isinstance(exc, (asyncio.TimeoutError, TimeoutError)):
-                    raise ShardTimeoutError(
-                        f"read from {self.base_url} timed out after "
-                        f"{self.timeout}s"
-                    ) from exc
-                raise ShardTransportError(
-                    f"connection to {self.base_url} died mid-response: {exc}"
-                ) from exc
-            if headers.get("connection", "").lower() == "close":
-                await self._drop_connection()
-            if status >= 400:
-                exc = self._error_for(status, data)
-                hint = retry_after_of(exc)
-                if (
-                    status in (429, 503)
-                    and hint is not None
-                    and self.retry_after_cap is not None
-                    and polite_waits < 1
-                ):
-                    polite_waits += 1
-                    await asyncio.sleep(min(hint, self.retry_after_cap))
-                    continue
-                raise exc
-            return data.decode("utf-8"), headers
-
-    # ------------------------------------------------------------------ #
-    async def submit(self, request: JobRequest) -> JobResult:
-        """Submit one job; ``self.last_cache`` records the cache level."""
-        body, headers = await self._request(
-            "/v1/jobs", request.to_json().encode("utf-8")
-        )
-        self.last_cache = headers.get("x-repro-cache")
-        return JobResult.from_json(body)
-
-    async def submit_edit(self, request: "EditRequest") -> JobResult:
-        """Submit an edit of a known job (``POST /v1/jobs:edit``)."""
-        body, headers = await self._request(
-            "/v1/jobs:edit", request.to_json().encode("utf-8")
-        )
-        self.last_cache = headers.get("x-repro-cache")
-        return JobResult.from_json(body)
-
-    async def submit_many(
-        self, requests: "list[JobRequest]"
-    ) -> "list[JobResult]":
-        """Submit a batch (service-side dedup applies)."""
-        payload = json.dumps({"jobs": [r.to_dict() for r in requests]})
-        body, _ = await self._request(
-            "/v1/jobs:batch", payload.encode("utf-8")
-        )
-        return [
-            JobResult.from_dict(r) for r in json.loads(body)["results"]
-        ]
-
-    async def classify_shard(self, task: "ShardTask") -> "list[tuple]":
-        """Run one shard task remotely (``POST /v1/catalog:shard``)."""
-        body, headers = await self._request(
-            "/v1/catalog:shard", task.to_json().encode("utf-8")
-        )
-        self.last_cache = headers.get("x-repro-cache")
-        parsed = json.loads(body)
-        if not isinstance(parsed, dict) or not isinstance(
-            parsed.get("buckets"), list
-        ):
-            raise ServiceError(
-                "malformed shard response: expected an object with a "
-                "'buckets' list"
-            )
-        return shard_rows_from_wire(parsed["buckets"])
-
-    async def classify_shard_many(
-        self, tasks: "list[ShardTask]"
-    ) -> "list[tuple[list[tuple], str | None] | ReproError]":
-        """Run a claimed batch in one trip; errors stay slot-local."""
-        payload = json.dumps({"tasks": [t.to_dict() for t in tasks]})
-        body, _ = await self._request(
-            "/v1/catalog:shard", payload.encode("utf-8")
-        )
-        parsed = json.loads(body)
-        if not isinstance(parsed, dict) or not isinstance(
-            parsed.get("results"), list
-        ):
-            raise ServiceError(
-                "malformed batched shard response: expected an object "
-                "with a 'results' list"
-            )
-        out: "list[tuple[list[tuple], str | None] | ReproError]" = []
-        for item in parsed["results"]:
-            if not isinstance(item, dict):
-                raise ServiceError(
-                    "malformed batched shard response: each result must "
-                    "be an object"
-                )
-            if "error" in item:
-                out.append(
-                    error_from_envelope(item, default_message="shard task failed")
-                )
-                continue
-            if not isinstance(item.get("buckets"), list):
-                raise ServiceError(
-                    "malformed batched shard response: result needs a "
-                    "'buckets' list or an 'error'"
-                )
-            out.append(
-                (shard_rows_from_wire(item["buckets"]), item.get("cache"))
-            )
-        return out
-
-    async def classify_shard_stream(
-        self, tasks: "list[ShardTask]", *, idle_timeout: "float | None" = None
-    ) -> "AsyncIterator[tuple[int, list[tuple] | ReproError, str | None]]":
-        """Stream a claimed batch; yields frames in completion order.
-
-        Async-generator mirror of the sync client's
-        ``classify_shard_stream``: ``(slot, rows_or_error, cache)`` per
-        frame; heartbeats consumed silently unless ``idle_timeout``
-        seconds pass without a slot frame
-        (:class:`~repro.exceptions.ShardTimeoutError`); truncation —
-        no terminal ``{"done": true}`` — raises
-        :class:`~repro.exceptions.ShardTransportError`, a retryable
-        transport failure, never a short result.
-        """
-        payload = json.dumps({"tasks": [t.to_dict() for t in tasks]})
-        status, headers, reader = await self._open(
-            "/v1/catalog:shard:stream", payload.encode("utf-8")
-        )
-        if status >= 400:
-            try:
-                data = await self._read_body(headers, reader)
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
-                data = b""
-                await self._drop_connection()
-            raise self._error_for(status, data)
-        done = False
-        buffer = b""
-        last_progress = time.monotonic()
-        try:
-            while True:
-                try:
-                    chunk = await self._read_chunk(reader)
-                except (
-                    OSError,
-                    ConnectionError,
-                    asyncio.IncompleteReadError,
-                ) as exc:
-                    if isinstance(exc, (asyncio.TimeoutError, TimeoutError)):
-                        raise ShardTimeoutError(
-                            f"shard stream from {self.base_url} timed out "
-                            f"after {self.timeout}s without a frame"
-                        ) from exc
-                    raise ShardTransportError(
-                        f"shard stream from {self.base_url} died: {exc}"
-                    ) from exc
-                if chunk is None:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        frame = json.loads(line.decode("utf-8"))
-                    except Exception as exc:
-                        raise ShardTransportError(
-                            f"malformed shard stream frame: {line[:200]!r}"
-                        ) from exc
-                    if not isinstance(frame, dict):
-                        raise ShardTransportError(
-                            "malformed shard stream frame: expected an object"
-                        )
-                    if "heartbeat" in frame:
-                        if (
-                            idle_timeout is not None
-                            and time.monotonic() - last_progress > idle_timeout
-                        ):
-                            raise ShardTimeoutError(
-                                f"shard stream from {self.base_url} "
-                                f"stalled: heartbeats but no slot frame "
-                                f"for {idle_timeout}s"
-                            )
-                        continue
-                    if frame.get("done"):
-                        done = True
-                        continue
-                    slot = frame.get("slot")
-                    if not isinstance(slot, int):
-                        raise ShardTransportError(
-                            "malformed shard stream frame: missing slot index"
-                        )
-                    last_progress = time.monotonic()
-                    if "error" in frame:
-                        yield slot, error_from_envelope(
-                            frame, default_message="shard task failed"
-                        ), None
-                        continue
-                    if not isinstance(frame.get("buckets"), list):
-                        raise ShardTransportError(
-                            "malformed shard stream frame: needs 'buckets' "
-                            "or 'error'"
-                        )
-                    yield slot, shard_rows_from_wire(
-                        frame["buckets"]
-                    ), frame.get("cache")
-            if not done:
-                raise ShardTransportError(
-                    "shard stream ended without a terminal frame"
-                )
-        finally:
-            if not done:
-                await self._drop_connection()
-
-    async def clear_caches(self) -> None:
-        """Drop every server-side cache level (``POST /v1/caches:clear``)."""
-        await self._request("/v1/caches:clear", b"{}")
-
-    async def drain(self) -> "dict[str, Any]":
-        """Start a graceful drain (``POST /v1/admin:drain``)."""
-        body, _ = await self._request("/v1/admin:drain", b"{}")
-        return json.loads(body)
-
-    async def health(self) -> "dict[str, Any]":
-        body, _ = await self._request("/healthz")
-        return json.loads(body)
-
-    async def stats(self) -> "dict[str, Any]":
-        body, _ = await self._request("/stats")
-        return json.loads(body)
-
-    async def workloads(self) -> "list[str]":
-        body, _ = await self._request("/workloads")
-        return json.loads(body)["workloads"]

@@ -15,10 +15,10 @@ This module replaces all of that with a single envelope::
 and a single registry mapping the ``type`` field back to the library's
 exception hierarchy, so *every* typed error — validation, admission,
 drain, policy, enumeration limits, shard slot failures — crosses the
-wire and re-raises as itself on both the sync and async clients.  The
-same envelope object is used for whole-response errors (non-2xx bodies),
-slot-local errors inside batched shard responses, and error frames on
-the streaming shard protocol (see ``docs/WIRE_PROTOCOL.md``).
+wire and re-raises as itself on the client.  The same envelope object
+is used for whole-response errors (non-2xx bodies) and for the
+slot-local error frames of the streaming shard protocol (see
+``docs/WIRE_PROTOCOL.md``).
 
 The registry is built from :mod:`repro.exceptions` by introspection:
 any :class:`~repro.exceptions.ReproError` subclass round-trips by name.

@@ -10,7 +10,7 @@ connection according to the next :class:`FaultSpec` popped from a
 
 .. code-block:: text
 
-    ServiceClient ──TCP──> ChaosProxy ──TCP──> ServiceServer
+    ServiceClient ──TCP──> ChaosProxy ──TCP──> AsyncServiceServer
                               │
                         FaultPlan (seeded):
                         [refuse, corrupt@2, pass, disconnect@1, ...]

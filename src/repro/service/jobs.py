@@ -250,31 +250,6 @@ class JobRequest:
                 f"malformed job request: expected an object, "
                 f"got {type(payload).__name__}"
             )
-        if "engine" in payload:
-            # The pre-registry wire field: accept once more with a
-            # deprecation pointer at backend=/policy=, mapped through the
-            # legacy alias table so "fast"/"reference" land on their
-            # canonical backends.
-            from repro.service.resolve import (
-                LEGACY_ENGINE_ALIASES,
-                warn_legacy_engine_alias,
-            )
-
-            if payload.get("backend") is not None:
-                raise JobValidationError(
-                    "'engine' is a deprecated alias of 'backend'; "
-                    "do not send both",
-                    field="engine",
-                )
-            payload = dict(payload)
-            engine = payload.pop("engine")
-            if not isinstance(engine, str):
-                raise JobValidationError(
-                    f"engine must be a backend name string, got {engine!r}",
-                    field="engine",
-                )
-            warn_legacy_engine_alias(engine, param="backend")
-            payload["backend"] = LEGACY_ENGINE_ALIASES.get(engine, engine)
         unknown = set(payload) - _REQUEST_FIELDS
         if unknown:
             raise JobValidationError(

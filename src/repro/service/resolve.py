@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.exec.registry import warn_legacy_engine_alias
 from repro.policy.registry import get_policy, policy_for_backend
 from repro.policy.signature import WorkloadSignature
 
@@ -52,22 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.exec import ExecutionBackend
     from repro.policy.registry import PolicyDecision
 
-__all__ = [
-    "ExecutionResolution",
-    "resolve_execution",
-    "warn_legacy_engine_alias",
-]
-
-#: Legacy ``engine=`` strings → canonical backend names.  These predate
-#: the backend registry; they still resolve (via registry aliases, each
-#: use drawing one :func:`warn_legacy_engine_alias` DeprecationWarning)
-#: but new code should name backends canonically or use a policy.
-LEGACY_ENGINE_ALIASES: dict[str, str] = {
-    "reference": "serial",
-    "fast": "fused",
-    "parallel": "process",
-    "mp": "process",
-}
+__all__ = ["ExecutionResolution", "resolve_execution"]
 
 
 @dataclass(frozen=True)

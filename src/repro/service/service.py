@@ -827,7 +827,7 @@ class SchedulerService:
         edits outside the partition's support) already held the result,
         so the DFS did not run at all, or ``"none"`` when this call
         computed (and cached) it.  Over HTTP the level travels as
-        the ``X-Repro-Cache`` header.  Merging partitions in
+        the stream frame's ``cache`` field.  Merging partitions in
         ascending-seed order
         (:func:`repro.exec.process.merge_classified_parts`) reproduces the
         single-instance fused catalog bit for bit — a cached partial is

@@ -24,8 +24,8 @@ partitions out beyond one machine:
                                │   idle shard takes next range)
                       /        |           \\
             LocalShard   RemoteShard   RemoteShard
-        (SchedulerService) (HTTP /v1/catalog:shard,
-                            X-Repro-Cache: shard on a warm partial)
+        (SchedulerService) (HTTP /v1/catalog:shard:stream,
+                            cache "shard" on a warm partial)
                       \\        |           /
            results land by partition index; every fresh
            partial written back through the cache seam
@@ -39,7 +39,7 @@ A *shard* is anything that can classify one seed partition: a local
 in-process :class:`~repro.service.service.SchedulerService`
 (:class:`LocalShard`) or a remote ``repro serve`` instance reached
 through :class:`~repro.service.http.ServiceClient`
-(:class:`RemoteShard`, ``POST /v1/catalog:shard``).  The coordinator
+(:class:`RemoteShard`, ``POST /v1/catalog:shard:stream``).  The coordinator
 plans the same contiguous ascending partitions the process backend uses
 (:func:`repro.exec.process.plan_seed_partitions`) — weight-balanced
 against the per-seed subtree cost model and cut
@@ -51,7 +51,7 @@ enumeration bounds; see
 graph edits outside a partition's support and only dirty partitions are
 ever dispatched), hands the misses to whichever shard frees up first
 (work stealing; remote shards claim up to ``claim_batch`` unclaimed
-ranges per HTTP round trip), merges the per-shard int frequency
+ranges per streamed HTTP round trip), merges the per-shard int frequency
 arrays in ascending-seed order
 (:func:`repro.exec.process.merge_classified_parts`) and completes
 selection + scheduling through a local *completion service*, priming its
@@ -59,7 +59,7 @@ catalog cache with the merged catalog — so every downstream cache level
 (and the disk :class:`~repro.service.store.CacheStore`, when configured)
 behaves exactly as if the catalog had been built in-process.  Shard
 *servers* cache the same partials under the same keys on their side, so
-a repeated partition answers ``X-Repro-Cache: shard`` with zero DFS —
+a repeated partition answers with cache level ``shard`` and zero DFS —
 and with a shared ``--cache-dir``, partials computed by any instance
 answer every instance, restarts included.
 
@@ -79,7 +79,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
@@ -226,9 +226,10 @@ class ShardTask:
         Delegates to :func:`repro.service.service.shard_partial_key`:
         ``(partition subgraph digest, seed range, capacity, enumeration
         bounds)`` — the same structured key on the coordinator and on the
-        ``/v1/catalog:shard`` server side, so a partial computed anywhere
-        (and persisted through a :class:`~repro.service.store.CacheStore`)
-        answers the identical task everywhere,
+        ``/v1/catalog:shard:stream`` server side, so a partial computed
+        anywhere (and persisted through a
+        :class:`~repro.service.store.CacheStore`) answers the identical
+        task everywhere,
         :func:`repro.dfg.io.stable_key_digest`-addressable on disk.  The
         digest covers only the facts this task's DFS subtrees can observe
         (:func:`repro.dfg.io.subgraph_digest`), so a graph edit outside
@@ -297,22 +298,22 @@ class LocalShard:
     def classify(self, task: ShardTask) -> list[tuple]:
         return self.service.classify_shard(task)
 
-    def classify_many(
+    def classify_stream(
         self, tasks: "Sequence[ShardTask]"
-    ) -> "list[tuple[list[tuple], str | None] | BaseException]":
-        """Classify a claimed batch, one ``(rows, cache)`` or error per task.
+    ) -> "Iterator[tuple[int, list[tuple] | BaseException, str | None]]":
+        """Yield ``(slot, rows_or_error, None)`` per task, in task order.
 
         Routes through :meth:`classify` so subclasses (test shims) keep
         their per-task behaviour; a per-task failure becomes that slot's
-        exception instead of aborting the rest of the batch.
+        exception instead of aborting the rest of the claim.
         """
-        out: "list[tuple[list[tuple], str | None] | BaseException]" = []
-        for task in tasks:
+        for slot, task in enumerate(tasks):
             try:
-                out.append((self.classify(task), None))
+                rows = self.classify(task)
             except Exception as exc:  # noqa: BLE001 — slot-local failure
-                out.append(exc)
-        return out
+                yield slot, exc, None
+            else:
+                yield slot, rows, None
 
     def describe(self) -> str:
         return f"local({self.service.backend.describe()})"
@@ -325,13 +326,13 @@ class LocalShard:
 class RemoteShard:
     """A remote ``repro serve`` instance acting as one shard.
 
-    Every call — batched and streamed — runs under the shard's
-    :class:`~repro.service.retry.RetryPolicy`: transport failures
-    (connection refusals and resets, timeouts, truncated or garbled
-    streams, blind 5xx answers) are retried up to ``retry.retries``
-    times with exponential backoff and deterministic jitter, while
-    deterministic typed failures (validation, enumeration limits)
-    propagate immediately.  A retried *stream* resumes: slots whose
+    Every claim is one streamed ``POST /v1/catalog:shard:stream`` under
+    the shard's :class:`~repro.service.retry.RetryPolicy`: transport
+    failures (connection refusals and resets, timeouts, truncated or
+    garbled streams, blind 5xx answers) are retried up to
+    ``retry.retries`` times with exponential backoff and deterministic
+    jitter, while deterministic typed failures (validation, enumeration
+    limits) propagate immediately.  A retried stream resumes: slots whose
     frames already landed are never re-requested, so the coordinator
     sees each slot at most once and merged output stays bit-identical.
     """
@@ -356,13 +357,6 @@ class RemoteShard:
                 retry_after_cap=self.retry.retry_after_cap,
             )
         self.client = client
-        #: Tri-state: ``None`` until the first streamed claim answers,
-        #: then whether the server speaks ``/v1/catalog:shard:stream``.
-        #: Only a 404 on the stream route latches ``False`` — transient
-        #: transport errors leave the tri-state untouched, so a flapping
-        #: network cannot lock a streaming-capable shard onto the
-        #: batched route forever.
-        self._streaming: "bool | None" = None
         #: Transport retries this shard has performed (all calls).
         self.retries_used = 0
         #: Optional coordinator hook, called once per retry.
@@ -378,41 +372,21 @@ class RemoteShard:
         if delay > 0:
             time.sleep(delay)
 
-    def classify(self, task: ShardTask) -> list[tuple]:
-        attempt = 0
-        while True:
-            try:
-                return self.client.classify_shard(task)
-            except ReproError as exc:
-                if not is_retryable(exc) or attempt >= self.retry.retries:
-                    raise
-                attempt += 1
-                self._note_retry(attempt, exc)
-
     def classify_many(
         self, tasks: "Sequence[ShardTask]"
     ) -> "list[tuple[list[tuple], str | None] | BaseException]":
-        """Classify a claimed batch in **one** HTTP round trip.
-
-        Uses the batched ``{"tasks": [...]}`` form of
-        ``POST /v1/catalog:shard``; per-task failures come back as typed
-        exception instances in their slot
-        (:meth:`~repro.service.http.ServiceClient.classify_shard_many`).
-        Whole-call transport failures retry under the shard's policy.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self.client.classify_shard_many(list(tasks))
-            except ReproError as exc:
-                if not is_retryable(exc) or attempt >= self.retry.retries:
-                    raise
-                attempt += 1
-                self._note_retry(attempt, exc)
+        """:meth:`classify_stream` drained into task order: one
+        ``(rows, cache)`` or slot-local exception per task."""
+        out: "list[Any]" = [None] * len(tasks)
+        for slot, payload, cache in self.classify_stream(tasks):
+            out[slot] = (
+                payload if isinstance(payload, BaseException) else (payload, cache)
+            )
+        return out
 
     def classify_stream(
         self, tasks: "Sequence[ShardTask]"
-    ):
+    ) -> "Iterator[tuple[int, list[tuple] | BaseException, str | None]]":
         """Stream a claimed batch: yield each slot *as it completes*.
 
         Yields ``(slot, rows_or_error, cache)`` in server completion
@@ -426,11 +400,7 @@ class RemoteShard:
         truncation — no ``{"done": true}`` frame — corrupt frame, or a
         heartbeat-only stall past ``retry.stream_idle_timeout``) is
         retried with backoff, re-requesting **only the slots that have
-        not answered yet**; already-yielded slots are never repeated.  A
-        server that predates the stream route (the POST answers 404) is
-        remembered and every later claim falls back to the one-shot
-        batched form transparently; the yielded shape is identical
-        either way.  Only the 404 latches that fallback.
+        not answered yet**; already-yielded slots are never repeated.
         """
         tasks = list(tasks)
         answered: "set[int]" = set()
@@ -441,43 +411,21 @@ class RemoteShard:
                 return
             sub = [tasks[i] for i in remaining]
             try:
-                if self._streaming is False:
-                    for slot, item in enumerate(
-                        self.client.classify_shard_many(sub)
-                    ):
-                        index = remaining[slot]
-                        answered.add(index)
-                        if isinstance(item, BaseException):
-                            yield index, item, None
-                        else:
-                            yield index, item[0], item[1]
-                    return
-                stream = self.client.classify_shard_stream(
+                for slot, payload, cache in self.client.classify_shard_stream(
                     sub, idle_timeout=self.retry.stream_idle_timeout
-                )
-                try:
-                    for slot, payload, cache in stream:
-                        if not (0 <= slot < len(sub)):
-                            raise ShardTransportError(
-                                f"shard stream answered invalid slot "
-                                f"{slot} for a {len(sub)}-task claim"
-                            )
-                        self._streaming = True
-                        index = remaining[slot]
-                        if index in answered:
-                            raise ShardTransportError(
-                                f"shard stream answered slot {slot} twice"
-                            )
-                        answered.add(index)
-                        yield index, payload, cache
-                except ReproError as exc:
-                    if getattr(exc, "http_status", None) == 404:
-                        # A pre-stream server: remember, fall back to the
-                        # batched route — no retry charged, nothing lost.
-                        self._streaming = False
-                        continue
-                    raise
-                self._streaming = True
+                ):
+                    if not (0 <= slot < len(sub)):
+                        raise ShardTransportError(
+                            f"shard stream answered invalid slot "
+                            f"{slot} for a {len(sub)}-task claim"
+                        )
+                    index = remaining[slot]
+                    if index in answered:
+                        raise ShardTransportError(
+                            f"shard stream answered slot {slot} twice"
+                        )
+                    answered.add(index)
+                    yield index, payload, cache
                 if any(i not in answered for i in remaining):
                     # A terminal frame before every slot answered is as
                     # truncated as no terminal frame at all.
@@ -533,7 +481,7 @@ class CoordinatorStats:
     any shard traffic, and the remaining ``partial_misses`` were
     ``dispatched`` to whichever shard freed up first.
     ``remote_partial_hits`` counts dispatched tasks a *remote* shard
-    answered from its own partial cache (``X-Repro-Cache: shard`` — no
+    answered from its own partial cache (stream cache level ``shard`` — no
     DFS ran anywhere).  ``claim_rounds`` counts steal-loop claim trips:
     a remote shard claims up to ``claim_batch`` unclaimed ranges per
     round trip, so ``dispatched / claim_rounds`` is the realised batch
@@ -920,26 +868,6 @@ class ShardCoordinator:
             claim_batch=self.claim_batch,
         )
 
-    @staticmethod
-    def _results_iter(
-        shard: "LocalShard | RemoteShard", claimed_tasks: "list[ShardTask]"
-    ):
-        """Uniform ``(slot, rows_or_error, cache)`` frames for one claim.
-
-        Remote shards stream (frames arrive in completion order, each
-        landed immediately); local shards answer the whole claim at once
-        — their claims are single-partition anyway (``batch_limit=1``),
-        so there is nothing to overlap.
-        """
-        if isinstance(shard, RemoteShard):
-            yield from shard.classify_stream(claimed_tasks)
-            return
-        for slot, item in enumerate(shard.classify_many(claimed_tasks)):
-            if isinstance(item, BaseException):
-                yield slot, item, None
-            else:
-                yield slot, item[0], item[1]
-
     def _dispatch(
         self,
         tasks: list[ShardTask],
@@ -964,10 +892,9 @@ class ShardCoordinator:
         (:meth:`RemoteShard.classify_stream`) — each slot's partial
         lands, and writes back through the cache seam, the moment the
         server finishes it, overlapping the merge-side bookkeeping with
-        the partitions still classifying in flight.  Servers without the
-        stream route degrade to the one-shot batched form.  Local shards
-        keep claiming one at a time — there is no trip to amortise and
-        single claims keep stealing at its finest granularity.
+        the partitions still classifying in flight.  Local shards keep
+        claiming one at a time — there is no trip to amortise and single
+        claims keep stealing at its finest granularity.
 
         Error behaviour is deterministic regardless of thread timing:
         after a failure, workers keep claiming only partitions *below*
@@ -1086,8 +1013,8 @@ class ShardCoordinator:
                 stop = False
                 try:
                     try:
-                        for slot, payload, cache in self._results_iter(
-                            shard, [tasks[i] for i in claimed]
+                        for slot, payload, cache in shard.classify_stream(
+                            [tasks[i] for i in claimed]
                         ):
                             if (
                                 not (0 <= slot < len(claimed))
@@ -1130,10 +1057,7 @@ class ShardCoordinator:
                                     failures.append((i, exc))
                                 failed_here = True
                                 continue
-                            if (
-                                isinstance(shard, RemoteShard)
-                                and cache == "shard"
-                            ):
+                            if cache == "shard":
                                 remote_hits += 1
                         if len(answered) != len(claimed):
                             raise ShardTransportError(

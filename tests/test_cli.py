@@ -88,11 +88,10 @@ class TestPipeline:
                      "--backend", "serial"]) == 0
         assert "selected patterns" in capsys.readouterr().out
 
-    def test_select_legacy_alias_warns(self, capsys):
-        with pytest.deprecated_call():
-            assert main(["select", "3dft", "--pdef", "3",
-                         "--backend", "reference"]) == 0
-        assert "selected patterns" in capsys.readouterr().out
+    def test_select_legacy_alias_is_rejected(self, capsys):
+        assert main(["select", "3dft", "--pdef", "3",
+                     "--backend", "reference"]) == 1
+        assert "unknown execution backend 'reference'" in capsys.readouterr().err
 
     def test_unknown_backend_is_clean_error(self, capsys):
         assert main(["select", "3dft", "--backend", "warp"]) == 1

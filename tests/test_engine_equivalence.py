@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
-from repro.exceptions import SchedulingError, SelectionError
+from repro.exceptions import BackendError
 from repro.patterns.enumeration import classify_antichains
 from repro.scheduling.scheduler import MultiPatternScheduler
 from repro.workloads import five_point_dft, small_example, three_point_dft_paper
@@ -221,17 +221,16 @@ def test_selection_auto_uses_reference_for_custom_priority():
     result = selector.select(dfg, 2)  # auto → reference loop; must not raise
     assert result.patterns
     # The fused backend falls back to the reference loop for custom
-    # priorities instead of refusing; only the legacy engine= path raises.
+    # priorities instead of refusing.
     via_backend = selector.select(dfg, 2, backend="fused")
     assert_selections_identical(via_backend, result)
-    with pytest.deprecated_call():
-        with pytest.raises(SelectionError, match="fast selection engine"):
-            selector.select(dfg, 2, engine="fast")
+    via_serial = selector.select(dfg, 2, backend="serial")
+    assert_selections_identical(via_serial, result)
 
 
 def test_selection_rejects_unknown_engine():
-    with pytest.raises(SelectionError, match="unknown selection engine"):
-        PatternSelector(2).select(small_example(), 2, engine="bogus")
+    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+        PatternSelector(2).select(small_example(), 2, backend="bogus")
 
 
 @pytest.mark.parametrize(
@@ -313,8 +312,8 @@ def test_scheduling_equivalence_paper_graphs(priority):
 
 def test_scheduler_rejects_unknown_engine():
     scheduler = MultiPatternScheduler(["aa"], capacity=2)
-    with pytest.raises(SchedulingError, match="unknown scheduling engine"):
-        scheduler.schedule(small_example(), engine="bogus")
+    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+        scheduler.schedule(small_example(), backend="bogus")
 
 
 # --------------------------------------------------------------------------- #
@@ -366,10 +365,8 @@ def test_from_counts_fast_path_matches_init():
 
 
 def test_classify_rejects_unknown_engine():
-    from repro.exceptions import PatternError
-
-    with pytest.raises(PatternError, match="unknown classification engine"):
-        classify_antichains(small_example(), 2, engine="bogus")
+    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+        classify_antichains(small_example(), 2, backend="bogus")
 
 
 def test_classify_rejects_explicit_fast_with_stored_antichains():

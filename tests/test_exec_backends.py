@@ -69,23 +69,20 @@ def test_available_backends_lists_builtins():
     "name, cls",
     [
         ("serial", SerialBackend),
-        ("reference", SerialBackend),  # legacy engine alias
         ("fused", FusedBackend),
-        ("fast", FusedBackend),        # legacy engine alias
         ("process", ProcessBackend),
-        ("parallel", ProcessBackend),
-        ("mp", ProcessBackend),
     ],
 )
 def test_get_backend_resolves_names_and_aliases(name, cls):
-    from repro.service.resolve import LEGACY_ENGINE_ALIASES
+    assert type(get_backend(name)) is cls
 
-    if name in LEGACY_ENGINE_ALIASES:
-        with pytest.deprecated_call():
-            backend = get_backend(name)
-    else:
-        backend = get_backend(name)
-    assert type(backend) is cls
+
+@pytest.mark.parametrize(
+    "name", ["reference", "fast", "parallel", "mp", "vectorized"]
+)
+def test_get_backend_rejects_removed_aliases(name):
+    with pytest.raises(BackendError, match=f"unknown execution backend '{name}'"):
+        get_backend(name)
 
 
 def test_get_backend_unknown_name_raises():
@@ -121,16 +118,14 @@ def test_register_backend_custom_and_replace():
     class Dummy(SerialBackend):
         name = "dummy-backend"
 
-    register_backend("dummy-backend", Dummy, aliases=("dummy-alias",))
+    register_backend("dummy-backend", Dummy)
     try:
         assert type(get_backend("dummy-backend")) is Dummy
-        assert type(get_backend("dummy-alias")) is Dummy
         assert "dummy-backend" in available_backends()
     finally:
         from repro.exec import registry
 
         registry._FACTORIES.pop("dummy-backend", None)
-        registry._ALIASES.pop("dummy-alias", None)
 
 
 def test_register_backend_rejects_bad_name():

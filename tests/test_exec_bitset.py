@@ -77,23 +77,21 @@ def _check_graph(dfg, size, span, **kw):
 # --------------------------------------------------------------------------- #
 
 
-def test_bitset_registered_with_alias():
+def test_bitset_registered():
     assert "bitset" in available_backends()
     assert type(get_backend("bitset")) is BitsetBackend
-    assert type(get_backend("vectorized")) is BitsetBackend
 
 
 def test_bitset_engine_string_accepted():
     dfg = small_example()
     ref = classify_antichains(dfg, 2, None, backend="fused")
-    with pytest.deprecated_call():
-        got = classify_antichains(dfg, 2, None, engine="bitset")
+    got = classify_antichains(dfg, 2, None, backend="bitset")
     assert_catalogs_identical(got, ref)
 
 
 def test_unknown_engine_error_lists_bitset():
-    with pytest.raises(PatternError, match="'bitset'"):
-        classify_antichains(small_example(), 2, engine="bogus")
+    with pytest.raises(BackendError, match="available: bitset"):
+        classify_antichains(small_example(), 2, backend="bogus")
 
 
 def test_availability_reports_numpy_and_native_state(monkeypatch):

@@ -21,11 +21,11 @@ from repro.core.config import SelectionConfig
 from repro.dfg.io import dfg_digest
 from repro.exceptions import JobValidationError, ServiceError
 from repro.service import (
+    AsyncServiceServer,
     JobRequest,
     JobResult,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
 )
 from repro.service.serialize import (
     schedule_from_dict,
@@ -290,11 +290,10 @@ class TestResultRoundTrip:
 class TestHTTP:
     @pytest.fixture()
     def server(self):
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         yield server
         server.shutdown()
-        server.server_close()
 
     def test_smoke_round_trip(self, server):
         client = ServiceClient(server.url, timeout=30)
@@ -412,9 +411,9 @@ class TestHTTPKeepAliveSafety:
     def test_oversize_body_rejected_without_poisoning_the_connection(self):
         import http.client
 
-        from repro.service.http import MAX_BODY_BYTES
+        from repro.service.aio import MAX_BODY_BYTES
 
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             conn = http.client.HTTPConnection(
@@ -437,7 +436,57 @@ class TestHTTPKeepAliveSafety:
             assert client.health()["status"] == "ok"
         finally:
             server.shutdown()
-            server.server_close()
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            (
+                "Content-Length: twelve\r\n",
+                "Content-Length header is not an integer",
+            ),
+            ("Content-Length: -5\r\n", "Content-Length -5 is negative"),
+            (
+                f"Content-Length: {(64 << 20) + 1}\r\n",
+                f"request body of {(64 << 20) + 1} bytes exceeds the "
+                f"{64 << 20}-byte limit",
+            ),
+            (
+                "X-Pad: " + "a" * (70 << 10) + "\r\n",
+                f"request head exceeds the {64 << 10}-byte limit",
+            ),
+        ],
+        ids=["non-integer", "negative", "over-64-MiB", "head-over-64-KiB"],
+    )
+    def test_unframeable_request_is_a_400_that_closes(self, head, message):
+        import socket
+
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n{head}\r\n".encode(
+                        "latin-1"
+                    )
+                    + b'{"x":1}'
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk  # the server closes: EOF ends the loop
+            raw_head, _, body = reply.partition(b"\r\n\r\n")
+            lines = raw_head.decode("latin-1").split("\r\n")
+            assert lines[0] == "HTTP/1.1 400 Bad Request"
+            assert "Connection: close" in lines[1:]
+            assert json.loads(body) == {
+                "error": {"type": "JobValidationError", "message": message}
+            }
+            # The server survives: a fresh connection is served normally.
+            with ServiceClient(server.url, timeout=30) as client:
+                assert client.health()["status"] == "ok"
+        finally:
+            server.shutdown()
 
 
 # --------------------------------------------------------------------------- #
@@ -484,7 +533,7 @@ class TestAdmissionControl:
     def test_overload_maps_to_http_429(self):
         from repro.exceptions import ServiceOverloadedError
 
-        server = ServiceServer(port=0, max_pending=1)
+        server = AsyncServiceServer(port=0, max_pending=1)
         server.start_background()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -516,7 +565,6 @@ class TestAdmissionControl:
             result.schedule.verify()
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_shard_tasks_take_admission_slots(self):
         from repro.exceptions import ServiceOverloadedError

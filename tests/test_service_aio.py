@@ -1,24 +1,20 @@
-"""Async service core tests (ISSUE 9).
+"""Asyncio service core tests.
 
 The contract under test: the asyncio core (:mod:`repro.service.aio`)
-speaks the exact ``/v1`` wire protocol of the threaded core — both the
-sync :class:`ServiceClient` and the :class:`AsyncServiceClient` work
-against it unchanged — and layers on what a single-connection-per-thread
-core cannot offer:
+speaks the ``/v1`` wire protocol to the :class:`ServiceClient` and
+offers:
 
 * per-client token-bucket quotas → HTTP 429 with a ``Retry-After``
   hint, scoped to the offending client while other clients proceed;
 * graceful drain: in-flight work finishes, profile state flushes, new
   work answers 503 with a retry hint, reads keep serving;
 * server-push shard streaming with heartbeats on silent stretches,
-  bit-identical to the batched route under jittered latencies
-  (hypothesis-pinned), and the coordinator's 404 fallback for servers
-  that predate the stream route.
+  frame for frame equal to in-process classification and bit-identical
+  to a fused build under jittered latencies (hypothesis-pinned).
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -40,11 +36,10 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.service import (
-    AsyncServiceClient,
     AsyncServiceServer,
     JobRequest,
+    SchedulerService,
     ServiceClient,
-    ServiceServer,
     ShardCoordinator,
     ShardTask,
 )
@@ -91,7 +86,7 @@ def server():
 
 
 # --------------------------------------------------------------------------- #
-# the wire protocol, async core, both clients
+# the wire protocol
 # --------------------------------------------------------------------------- #
 class TestAsyncCoreRoundTrip:
     def test_sync_client_round_trip(self, server):
@@ -105,22 +100,6 @@ class TestAsyncCoreRoundTrip:
             assert client.last_cache == "result"
             assert warm == cold
             assert client.stats()["stats"]["result_hits"] == 1
-
-    def test_async_client_round_trip(self, server):
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                assert (await client.health())["status"] == "ok"
-                assert "3dft" in await client.workloads()
-                cold = await client.submit(_job())
-                first_cache = client.last_cache
-                warm = await client.submit(_job())
-                return cold, first_cache, warm, client.last_cache
-
-        cold, first_cache, warm, warm_cache = asyncio.run(run())
-        assert first_cache == "none"
-        assert warm_cache == "result"
-        assert warm == cold
-        cold.schedule.verify()
 
     def test_keep_alive_reuses_one_connection(self, server):
         with ServiceClient(server.url, timeout=30) as client:
@@ -138,14 +117,6 @@ class TestAsyncCoreRoundTrip:
             with pytest.raises(JobValidationError) as exc:
                 client.submit(_job(workload="no-such-workload"))
             assert exc.value.http_status == 400
-
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                with pytest.raises(JobValidationError) as exc:
-                    await client.submit(_job(workload="no-such-workload"))
-                return exc.value.http_status
-
-        assert asyncio.run(run()) == 400
 
     def test_doomed_job_fails_fast_with_the_same_envelope(self, server):
         # fft16 cannot fit 100k antichains at any span; the level-width
@@ -192,27 +163,12 @@ class TestAsyncCoreRoundTrip:
         with pytest.raises(ServiceError, match="closed"):
             client.health()
 
-        async def run():
-            client = AsyncServiceClient(server.url, timeout=30)
-            await client.health()
-            await client.aclose()
-            await client.aclose()
-            with pytest.raises(ServiceError, match="closed"):
-                await client.health()
-
-        asyncio.run(run())
-
 
 # --------------------------------------------------------------------------- #
 # warm bodies are the first encoding, byte for byte
 # --------------------------------------------------------------------------- #
 class TestWarmBodies:
-    @pytest.mark.parametrize("core", ["async", "threaded"])
-    def test_warm_bodies_match_the_cold_one(self, core):
-        server = (
-            AsyncServiceServer(port=0) if core == "async" else ServiceServer(port=0)
-        )
-        server.start_background()
+    def test_warm_bodies_match_the_cold_one(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         body = _job().to_json().encode("utf-8")
         replies = []
@@ -229,9 +185,6 @@ class TestWarmBodies:
                 replies.append((resp.getheader("X-Repro-Cache"), resp.read()))
         finally:
             conn.close()
-            server.shutdown()
-            if core == "threaded":
-                server.server_close()
         caches = [cache for cache, _ in replies]
         assert caches == ["none", "result", "result"]
         cold, warm, again = (raw for _, raw in replies)
@@ -262,21 +215,6 @@ class TestQuota:
             assert exc.value.http_status == 429
             assert exc.value.retry_after is not None
             assert exc.value.retry_after > 0
-
-    def test_quota_429_with_retry_after_async(self, quota_server):
-        async def run():
-            async with AsyncServiceClient(
-                quota_server.url, timeout=30, client_id="greedy-aio"
-            ) as client:
-                await client.submit(_job())
-                await client.submit(_job())
-                with pytest.raises(ServiceOverloadedError) as exc:
-                    await client.submit(_job())
-                return exc.value.http_status, exc.value.retry_after
-
-        status, retry_after = asyncio.run(run())
-        assert status == 429
-        assert retry_after is not None and retry_after > 0
 
     def test_retry_after_is_an_http_header_too(self, quota_server):
         body = _job().to_json().encode("utf-8")
@@ -364,19 +302,6 @@ class TestDrain:
             assert health["status"] == "draining"
             client.stats()
 
-    def test_drain_async_client(self, server):
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                await client.submit(_job())
-                info = await client.drain()
-                with pytest.raises(ServiceUnavailableError) as exc:
-                    await client.submit(_job(pdef=3))
-                return info, exc.value.http_status
-
-        info, status = asyncio.run(run())
-        assert info["draining"] is True
-        assert status == 503
-
     def test_inflight_work_finishes_during_drain(self, server):
         started = threading.Event()
         release = threading.Event()
@@ -438,40 +363,32 @@ def _shard_tasks(dfg, capacity: int, pieces: int) -> list[ShardTask]:
     ]
 
 
+def _in_process_rows(tasks: "list[ShardTask]") -> "list[list[tuple]]":
+    with SchedulerService() as service:
+        return [service.classify_shard(task) for task in tasks]
+
+
 class TestStreamedShard:
-    def test_stream_matches_batched_sync(self, server):
-        dfg = three_point_dft_paper()
+    @staticmethod
+    def _assert_stream_matches_in_process(server, dfg) -> None:
         tasks = _shard_tasks(dfg, 4, 3)
         with ServiceClient(server.url, timeout=30) as client:
-            batched = client.classify_shard_many(tasks)
-            streamed: dict[int, list] = {}
-            for slot, payload, _cache in client.classify_shard_stream(tasks):
-                assert isinstance(payload, list)
-                streamed[slot] = payload
+            streamed = {
+                slot: payload
+                for slot, payload, _cache in client.classify_shard_stream(tasks)
+            }
         assert sorted(streamed) == list(range(len(tasks)))
-        for slot, outcome in enumerate(batched):
-            rows, _cache = outcome
-            assert streamed[slot] == rows
+        assert [streamed[slot] for slot in sorted(streamed)] == _in_process_rows(
+            tasks
+        )
+
+    def test_stream_matches_batched_sync(self, server):
+        self._assert_stream_matches_in_process(server, three_point_dft_paper())
 
     def test_stream_matches_batched_async(self, server):
-        dfg = layered_dag(7, layers=3, width=3)
-        tasks = _shard_tasks(dfg, 4, 3)
-
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                batched = await client.classify_shard_many(tasks)
-                streamed = {}
-                async for slot, payload, _cache in client.classify_shard_stream(
-                    tasks
-                ):
-                    streamed[slot] = payload
-                return batched, streamed
-
-        batched, streamed = asyncio.run(run())
-        assert sorted(streamed) == list(range(len(tasks)))
-        for slot, outcome in enumerate(batched):
-            rows, _cache = outcome
-            assert streamed[slot] == rows
+        self._assert_stream_matches_in_process(
+            server, layered_dag(7, layers=3, width=3)
+        )
 
     def test_slot_error_is_slot_local(self, server):
         dfg = layered_dag(5, layers=3, width=4)
@@ -587,7 +504,7 @@ class TestStreamedCoordinator:
             built = coord.build_catalog(dfg, 4, config=CFG)
         assert catalog_bits(built) == reference
 
-    def test_remote_shards_use_streaming(self, jittered):
+    def test_remote_shards_use_the_stream_route(self, jittered):
         servers, _control = jittered
         dfg = three_point_dft_paper()
         reference = catalog_bits(
@@ -596,28 +513,11 @@ class TestStreamedCoordinator:
         with ShardCoordinator([s.url for s in servers]) as coord:
             built = coord.build_catalog(dfg, 5, config=CFG, workload="3dft")
             shards = [s for s in coord.shards if isinstance(s, RemoteShard)]
-            assert shards and all(s._streaming is True for s in shards)
-        assert catalog_bits(built) == reference
-
-    def test_stream_404_falls_back_to_batched(self, server):
-        dfg = three_point_dft_paper()
-        reference = catalog_bits(
-            PatternSelector(5, config=CFG).build_catalog(dfg)
+            assert len(shards) == 2
+            assert coord.stats.dispatched == coord.stats.planned
+            assert sum(s.retries_used for s in shards) == 0
+        # Every dispatched slot reached a server through the stream route.
+        assert sum(s.service.stats.shard_tasks for s in servers) == (
+            coord.stats.dispatched
         )
-        with ShardCoordinator([server.url]) as coord:
-            shard = next(
-                s for s in coord.shards if isinstance(s, RemoteShard)
-            )
-
-            def gone(tasks, **kwargs):
-                exc = ServiceError("no route '/v1/catalog:shard:stream'")
-                exc.http_status = 404
-                raise exc
-                yield  # pragma: no cover - generator shape
-
-            shard.client.classify_shard_stream = gone
-            built = coord.build_catalog(dfg, 5, config=CFG)
-            # The 404 is remembered: this shard stays on the batched
-            # route for the rest of its life.
-            assert shard._streaming is False
         assert catalog_bits(built) == reference

@@ -18,7 +18,6 @@ Pins the :class:`~repro.service.jobs.JobResult` codec contract:
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import http.client
 import json
@@ -33,13 +32,11 @@ from repro.core.config import SelectionConfig
 from repro.dfg.edit import DfgEdit
 from repro.exceptions import JobValidationError
 from repro.service import (
-    AsyncServiceClient,
     AsyncServiceServer,
     EditRequest,
     JobRequest,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
 )
 from repro.service.jobs import JobResult, results_json
 from repro.service.serialize import pattern_from_list
@@ -291,17 +288,13 @@ def _batch(server_url: str) -> "tuple[list[JobResult], bytes]":
 
 
 class TestSubmitMany:
-    @pytest.mark.parametrize("core", ["async", "threaded"])
-    def test_batch_decodes_interned(self, core):
-        server_class = AsyncServiceServer if core == "async" else ServiceServer
-        server = server_class(port=0)
+    def test_batch_decodes_interned(self):
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             results, raw = _batch(server.url)
         finally:
             server.shutdown()
-            if core == "threaded":
-                server.server_close()
         assert results[0] == results[2] and results[0] != results[1]
         for result in results:
             _assert_round_trip(result)
@@ -310,18 +303,3 @@ class TestSubmitMany:
         decoded = [JobResult.from_dict(e) for e in json.loads(raw)["results"]]
         assert decoded == results
         assert raw.decode("utf-8") == results_json(decoded)
-
-    def test_async_client_batch(self):
-        server = AsyncServiceServer(port=0)
-        server.start_background()
-
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                return await client.submit_many([_job(pdef=2), _job(pdef=2)])
-
-        try:
-            results = asyncio.run(run())
-        finally:
-            server.shutdown()
-        assert results[0] == results[1]
-        _assert_round_trip(results[0])

@@ -30,11 +30,11 @@ from repro.exceptions import JobValidationError
 from repro.exec import get_backend
 from repro.exec.process import plan_seed_partitions
 from repro.service import (
+    AsyncServiceServer,
     EditRequest,
     JobRequest,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
 )
 from repro.service.serialize import catalog_to_dict
 from repro.service.service import EDIT_PARTITIONS
@@ -323,7 +323,7 @@ class TestEditOverHttp:
         job = JobRequest(capacity=4, pdef=3, workload="fft8", config=CFG)
         request = EditRequest(job=job, edits=(edit_op,))
 
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             client = ServiceClient(server.url)
@@ -332,9 +332,8 @@ class TestEditOverHttp:
             assert client.last_cache == "edit"
         finally:
             server.shutdown()
-            server.server_close()
 
-        fresh = ServiceServer(port=0)
+        fresh = AsyncServiceServer(port=0)
         fresh.start_background()
         try:
             cold_client = ServiceClient(fresh.url)
@@ -344,11 +343,10 @@ class TestEditOverHttp:
             )
         finally:
             fresh.shutdown()
-            fresh.server_close()
         assert warm.answer_dict() == cold.answer_dict()
 
     def test_invalid_edit_is_http_400_with_field(self):
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             client = ServiceClient(server.url)
@@ -373,4 +371,3 @@ class TestEditOverHttp:
                     ) from exc
         finally:
             server.shutdown()
-            server.server_close()

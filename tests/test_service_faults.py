@@ -35,6 +35,7 @@ from repro.exceptions import (
     ShardTransportError,
 )
 from repro.service import (
+    AsyncServiceServer,
     ChaosProxy,
     CircuitBreaker,
     FaultPlan,
@@ -42,7 +43,6 @@ from repro.service import (
     RetryPolicy,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
     ShardCoordinator,
     ShardTask,
     is_retryable,
@@ -101,11 +101,10 @@ def _shard_tasks(dfg, n, size=4):
 
 @pytest.fixture(scope="module")
 def server():
-    srv = ServiceServer(port=0)
+    srv = AsyncServiceServer(port=0)
     srv.start_background()
     yield srv
     srv.shutdown()
-    srv.server_close()
 
 
 # --------------------------------------------------------------------------- #
@@ -307,20 +306,6 @@ class TestRemoteShardRetry:
         assert sorted(got) == sorted(want)
         assert all(got[s] == want[s] for s in want)
 
-    def test_transient_fault_does_not_latch_batched_fallback(self, server):
-        # Only a 404 on the stream route may latch the batched
-        # fallback; a flapping network must leave the tri-state alone.
-        dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 4)
-        plan = FaultPlan([FaultSpec("disconnect", after_frames=1)])
-        with ChaosProxy(server.url, plan) as proxy:
-            shard = RemoteShard(proxy.url, retry=FAST)
-            try:
-                list(shard.classify_stream(tasks))
-            finally:
-                shard.client.close()
-        assert shard._streaming is True
-
     def test_blind_500s_are_retried_and_counted_exactly(self, server):
         # Two injected 500s, then the plan runs dry: the call succeeds
         # and the retry accounting equals the injected fault count.
@@ -330,9 +315,10 @@ class TestRemoteShardRetry:
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                rows = shard.classify(task)
+                [(slot, rows, _cache)] = shard.classify_stream([task])
             finally:
                 shard.client.close()
+        assert slot == 0 and isinstance(rows, list)
         assert rows  # classified for real after the faults
         assert shard.retries_used == 2 == plan.faults_injected()
 
@@ -343,10 +329,11 @@ class TestRemoteShardRetry:
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                assert shard.classify(task)
+                [(_slot, rows, _cache)] = shard.classify_stream([task])
             finally:
                 shard.client.close()
-        assert shard.retries_used == 1
+        assert isinstance(rows, list) and rows
+        assert shard.retries_used == 1 == plan.faults_injected()
 
     def test_retry_budget_exhaustion_raises_the_transport_error(self):
         shard = RemoteShard(
@@ -360,7 +347,7 @@ class TestRemoteShardRetry:
         task = _shard_tasks(dfg, 1)[0]
         try:
             with pytest.raises(ShardTransportError):
-                shard.classify(task)
+                list(shard.classify_stream([task]))
         finally:
             shard.client.close()
         assert shard.retries_used == 1
@@ -374,10 +361,11 @@ class TestRemoteShardRetry:
         )
         shard = RemoteShard(server.url, retry=FAST)
         try:
-            with pytest.raises(EnumerationLimitError):
-                shard.classify(doomed)
+            [(slot, error, cache)] = shard.classify_stream([doomed])
         finally:
             shard.client.close()
+        assert slot == 0 and cache is None
+        assert isinstance(error, EnumerationLimitError)
         assert shard.retries_used == 0
 
 

@@ -5,14 +5,14 @@ chain — ``request.backend > request.policy > host.policy > host.backend``
 — that the service, the pipeline and the shard coordinator all consult.
 Pinned here: every rung of the chain, override caching through
 ``host.execution_overrides``, the ``materialize=False`` form the
-coordinator uses, and the DeprecationWarning contract for legacy
-``engine=`` aliases (each explicit use warns once; default paths never
-warn).
+coordinator uses, and the removal of the legacy ``engine=`` aliases
+(the keyword and the wire field are rejected; nothing warns).
 
 :mod:`repro.service.errors` is the single wire error shape.  Pinned
-here: envelope → exception round-trips for every registered type, the
-HTTP status mapping shared by both server cores, retry-hint defaults,
-and graceful degradation for unknown types and legacy flat payloads.
+here: envelope → exception round-trips for every registered type, in
+process and over the wire, the HTTP status mapping, retry-hint
+defaults, and graceful degradation for unknown types and legacy flat
+payloads.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ from repro.exceptions import (
 )
 from repro.exec import get_backend
 from repro.pipeline import Pipeline
-from repro.service import SchedulerService
+from repro.service import (
+    AsyncServiceServer,
+    JobRequest,
+    SchedulerService,
+    ServiceClient,
+)
 from repro.service.errors import (
     ERROR_TYPES,
     error_envelope,
@@ -40,11 +45,7 @@ from repro.service.errors import (
     http_status,
     retry_after_of,
 )
-from repro.service.resolve import (
-    LEGACY_ENGINE_ALIASES,
-    ExecutionResolution,
-    resolve_execution,
-)
+from repro.service.resolve import ExecutionResolution, resolve_execution
 from repro.workloads import three_point_dft_paper
 
 
@@ -133,28 +134,37 @@ class TestResolveExecution:
 
 
 # --------------------------------------------------------------------------- #
-# legacy engine aliases: one DeprecationWarning per explicit use
+# legacy engine aliases: removed, not deprecated
 # --------------------------------------------------------------------------- #
 class TestLegacyEngineAliases:
-    def test_alias_table_matches_registry(self):
-        for legacy, canonical in LEGACY_ENGINE_ALIASES.items():
-            with pytest.deprecated_call():
-                backend = get_backend(legacy)
-            assert backend.name == canonical
-            backend.close()
-
     def test_canonical_names_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             for name in ("serial", "fused", "bitset"):
                 get_backend(name).close()
 
-    def test_explicit_engine_param_warns(self):
+    def test_engine_keyword_is_gone(self):
+        from repro.core.selection import PatternSelector
         from repro.patterns.enumeration import classify_antichains
+        from repro.scheduling.scheduler import MultiPatternScheduler
 
         dfg = three_point_dft_paper()
-        with pytest.deprecated_call():
+        with pytest.raises(TypeError, match="engine"):
             classify_antichains(dfg, 4, engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            PatternSelector(4).select(dfg, 5, engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            MultiPatternScheduler(["aabbc"], capacity=5).schedule(
+                dfg, engine="fast"
+            )
+
+    def test_engine_wire_field_is_an_unknown_field(self):
+        payload = JobRequest(capacity=5, pdef=4, workload="3dft").to_dict()
+        payload["engine"] = "fast"
+        with pytest.raises(JobValidationError, match="unknown") as exc:
+            JobRequest.from_dict(payload)
+        assert exc.value.field == "engine"
+        assert http_status(exc.value) == 400
 
     def test_default_paths_are_warning_free(self):
         from repro.patterns.enumeration import classify_antichains
@@ -219,7 +229,7 @@ class TestErrorEnvelope:
         for name, cls in ERROR_TYPES.items():
             envelope = {"error": {"type": name, "message": "boom"}}
             back = error_from_envelope(envelope)
-            assert type(back) is cls or isinstance(back, ServiceError)
+            assert type(back) is cls
             assert "boom" in str(back)
 
     def test_retry_after_defaults(self):
@@ -252,3 +262,47 @@ class TestErrorEnvelope:
         assert "fallback" in str(back)
         back = error_from_envelope([1, 2, 3], default_message="fallback")
         assert type(back) is ServiceError
+
+
+# --------------------------------------------------------------------------- #
+# every registered error type over the wire
+# --------------------------------------------------------------------------- #
+def _raised(cls: type) -> ReproError:
+    """An instance of ``cls`` carrying every detail its envelope can hold."""
+    if issubclass(cls, JobValidationError):
+        return cls("boom", field="capacity")
+    if issubclass(cls, ServiceOverloadedError):
+        return cls("boom", pending=2, max_pending=2, retry_after=0.5)
+    if issubclass(cls, ServiceUnavailableError):
+        return cls("boom", retry_after=0.25)
+    return cls("boom")
+
+
+class TestErrorEnvelopeOverTheWire:
+    @pytest.fixture(scope="class")
+    def server(self):
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        yield server
+        server.shutdown()
+
+    @pytest.mark.parametrize("name", sorted(ERROR_TYPES))
+    def test_every_registered_type_round_trips(self, server, name):
+        exc = _raised(ERROR_TYPES[name])
+
+        def fail(request):
+            raise exc
+
+        server.service.submit_outcome = fail
+        try:
+            with ServiceClient(server.url, timeout=30) as client:
+                with pytest.raises(ReproError) as caught:
+                    client.submit(JobRequest(capacity=5, pdef=4, workload="3dft"))
+        finally:
+            del server.service.submit_outcome
+        back = caught.value
+        assert type(back) is type(exc)
+        assert back.http_status == http_status(exc)
+        assert "boom" in str(back)
+        assert getattr(back, "field", None) == getattr(exc, "field", None)
+        assert retry_after_of(back) == retry_after_of(exc)

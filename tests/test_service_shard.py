@@ -12,7 +12,7 @@ Layered on top (ISSUE 5): skew-aware weight-balanced partition planning
 (coverage/contiguity properties plus the max/mean weight-ratio reduction
 vs even-seed splits), content-addressed shard partials (warm rebuilds run
 zero shard-side DFS, locally, from disk across restarts, and remotely
-with ``X-Repro-Cache: shard``), and the dynamic steal loop (out-of-order
+with the stream cache level ``shard``), and the dynamic steal loop (out-of-order
 and stolen completions stay bit-identical under the hypothesis suite).
 """
 
@@ -40,10 +40,10 @@ from repro.exec.process import (
     plan_seed_partitions,
 )
 from repro.service import (
+    AsyncServiceServer,
     JobRequest,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
     ShardCoordinator,
     ShardTask,
 )
@@ -313,13 +313,12 @@ class TestRemoteShards:
     def servers(self):
         started = []
         for _ in range(2):
-            server = ServiceServer(port=0)
+            server = AsyncServiceServer(port=0)
             server.start_background()
             started.append(server)
         yield started
         for server in started:
             server.shutdown()
-            server.server_close()
 
     def test_remote_catalog_bit_identical_by_name(self, servers):
         dfg = three_point_dft_paper()
@@ -797,7 +796,7 @@ class TestClaimBatching:
         dfg = radix2_fft(16)
         cfg = SelectionConfig(span_limit=1, max_pattern_size=3)
         reference = catalog_bits(fused_catalog(dfg, 5, cfg))
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             with ShardCoordinator([server.url], claim_batch=3) as coord:
@@ -814,12 +813,11 @@ class TestClaimBatching:
             assert stats.to_dict()["claim_rounds"] == stats.claim_rounds
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_batched_endpoint_keeps_failures_slot_local(self):
-        # One oversized partition fails its own slot with the typed
-        # error; its batch-mate still classifies.
-        server = ServiceServer(port=0)
+        # One oversized partition fails its own slot of the streamed
+        # claim with the typed error; its batch-mates still classify.
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             client = ServiceClient(server.url)
@@ -831,16 +829,23 @@ class TestClaimBatching:
                 size=5, span_limit=4, max_count=1, seeds=(0, 1, 2, 3),
                 workload="3dft",
             )
-            results = client.classify_shard_many([good, doomed, good])
-            assert len(results) == 3
-            rows, cache = results[0]
+            frames = {
+                slot: (payload, cache)
+                for slot, payload, cache in client.classify_shard_stream(
+                    [good, doomed, good]
+                )
+            }
+            assert sorted(frames) == [0, 1, 2]
+            rows, cache = frames[0]
             assert rows and cache in ("none", "shard")
-            assert isinstance(results[1], EnumerationLimitError)
-            rows2, cache2 = results[2]
-            assert rows2 == rows and cache2 == "shard"  # partial cache hit
+            assert isinstance(frames[1][0], EnumerationLimitError)
+            assert frames[1][1] is None
+            assert frames[2][0] == rows
+            # Slots classify concurrently; a later claim hits the partial.
+            [(_, again, cache)] = client.classify_shard_stream([good])
+            assert again == rows and cache == "shard"
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_batched_failures_keep_lowest_index_error(self):
         # With batching on, the coordinator still re-raises the error of
@@ -849,7 +854,7 @@ class TestClaimBatching:
         cfg = SelectionConfig(span_limit=2, max_antichains=1000,
                               adaptive_span=False)
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             with ShardCoordinator([server.url], claim_batch=4) as coord:
@@ -858,7 +863,6 @@ class TestClaimBatching:
             assert server.service.stats.shard_tasks > 0
         finally:
             server.shutdown()
-            server.server_close()
 
     @COMMON
     @given(

@@ -27,10 +27,10 @@ import pytest
 from repro.core.config import SelectionConfig
 from repro.exceptions import ServiceError
 from repro.service import (
+    AsyncServiceServer,
     JobRequest,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
 )
 from repro.service.jobs import JobResult
 from repro.service.store import (
@@ -390,7 +390,7 @@ class TestServiceWithDiskCache:
 # --------------------------------------------------------------------------- #
 class TestHTTPRestartWarm:
     def test_restarted_server_serves_cache_hit(self, tmp_path):
-        server = ServiceServer(port=0, cache_dir=tmp_path)
+        server = AsyncServiceServer(port=0, cache_dir=tmp_path)
         server.start_background()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -398,10 +398,9 @@ class TestHTTPRestartWarm:
             assert client.last_cache == "none"
         finally:
             server.shutdown()
-            server.server_close()
 
         # A brand-new server process-equivalent on the same cache dir.
-        server = ServiceServer(port=0, cache_dir=tmp_path)
+        server = AsyncServiceServer(port=0, cache_dir=tmp_path)
         server.start_background()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -412,7 +411,6 @@ class TestHTTPRestartWarm:
             assert stats["stats"]["catalog_misses"] == 0
         finally:
             server.shutdown()
-            server.server_close()
 
 
 # --------------------------------------------------------------------------- #
