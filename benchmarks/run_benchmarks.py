@@ -579,105 +579,6 @@ def bench_edit(workloads, repeats_override=None):
     return rows
 
 
-def bench_policy(workloads, repeats_override=None):
-    """Warm ``auto`` policy vs the fixed backends it chooses between.
-
-    For each workload: run the pipeline once per :data:`AUTO_CANDIDATES`
-    fixed policy with a shared *disk* profile store (seeding it with real
-    observed stage timings), then reopen a **fresh** store over the same
-    directory — a process restart — and run the pipeline under
-    ``--policy auto``.  The warm auto run must exploit the stored
-    profiles: its selection has to match the store's own
-    explore-free choice, and its end-to-end time is recorded against the
-    best fixed candidate as a ``policy auto`` row.
-    ``scripts/diff_bench.py --policy-floor`` gates
-    ``auto ≥ 0.9x best-fixed`` on full reports — machine-independent:
-    both sides ran on the same core moments apart, so a warm auto run
-    that pays more than ~10% overhead over the best fixed backend means
-    the decision plumbing (signature, store read, dispatch) regressed.
-
-    Every policy's output is checked bit-identical to the first
-    candidate's before any number is reported.
-    """
-    import tempfile
-
-    from repro.policy import AUTO_CANDIDATES, ProfileStore, WorkloadSignature
-
-    rows = []
-    with tempfile.TemporaryDirectory(prefix="repro-policy-bench-") as cache:
-
-        def timed_pipeline(policy, store, dfg, config, capacity, pdef, reps):
-            pipe = Pipeline(
-                capacity, pdef, config=config, policy=policy,
-                profiles=store, collect_metrics=False,
-            )
-            best, result = float("inf"), None
-            for _ in range(reps):
-                gc.collect()
-                result = pipe.run(dfg)
-                best = min(best, result.total_seconds())
-            return best, result
-
-        for name, dfg, config, capacity, pdef, repeats in workloads:
-            repeats = repeats_override or repeats
-            reps = max(2, repeats)
-            seed_store = ProfileStore.open(cache)
-            fixed: dict[str, float] = {}
-            reference = None
-            for policy in AUTO_CANDIDATES:
-                fixed[policy], result = timed_pipeline(
-                    policy, seed_store, dfg, config, capacity, pdef, reps
-                )
-                if reference is None:
-                    reference = result
-                else:
-                    _assert_equivalent(
-                        reference, result, f"{policy} vs {AUTO_CANDIDATES[0]}"
-                    )
-
-            # Restart: a fresh store instance over the same directory must
-            # see the seeded observations and pick without exploring.
-            warm_store = ProfileStore.open(cache)
-            sig = WorkloadSignature.of(dfg)
-            expected = warm_store.choose(
-                sig.key(), AUTO_CANDIDATES, explore=False
-            )
-            auto_s, auto_result = timed_pipeline(
-                "auto", warm_store, dfg, config, capacity, pdef, reps
-            )
-            _assert_equivalent(reference, auto_result, "auto vs fixed")
-            _check(
-                expected is not None,
-                f"profile store lost its seeded observations ({name})",
-            )
-            _check(
-                auto_result.policy == expected,
-                f"warm auto selected {auto_result.policy!r}, but the "
-                f"stored profiles say {expected!r} ({name})",
-            )
-
-            best_fixed_s = min(fixed.values())
-            speedup = round(best_fixed_s / auto_s, 2) if auto_s > 0 else None
-            rows.append(
-                {
-                    "workload": name,
-                    "stage": "policy auto",
-                    "reference_s": round(best_fixed_s, 6),
-                    "fast_s": round(auto_s, 6),
-                    "speedup": speedup,
-                    "selected": auto_result.policy,
-                    "fixed": {p: round(s, 6) for p, s in fixed.items()},
-                }
-            )
-            print(
-                f"  {name:>8} {'policy auto':<24} "
-                f"best-fixed {best_fixed_s:8.4f}s   "
-                f"auto {auto_s:8.4f}s   {speedup:6.2f}x "
-                f"(selected {auto_result.policy})"
-            )
-    return rows
-
-
 def bench_service(warm_repeats: int = 3) -> dict:
     """Cold vs warm submit of one FFT-64 job through the service.
 
@@ -1059,12 +960,6 @@ def main(argv=None) -> int:
     )
     rows.extend(bench_edit(workloads))
 
-    print(
-        "policy benchmark: warm auto (disk profile store) vs the fixed "
-        "backends it chooses between"
-    )
-    rows.extend(bench_policy(workloads))
-
     print("service benchmark: cold vs warm submit (content-addressed caches)")
     service_section = bench_service()
 
@@ -1080,7 +975,7 @@ def main(argv=None) -> int:
     for row in rows:
         if (
             row["stage"].startswith("shard catalog")
-            or row["stage"] in ("warm edit rebuild", "policy auto")
+            or row["stage"] == "warm edit rebuild"
         ):
             continue  # an alternative strategy, not a pipeline stage sum
         agg = pipeline.setdefault(

@@ -68,29 +68,6 @@ echo "== bitset equivalence without the compiled extension =="
 # compiled and the pure numpy expansion paths stay pinned bit-identical.
 REPRO_NO_NATIVE=1 python -m pytest tests/test_exec_bitset.py -x -q
 
-echo "== policy suite with a seeded disk profile store =="
-# Seed a disk-backed profile store the way production traffic would (one
-# observation per auto candidate), then run the policy suite with
-# REPRO_CI_PROFILE_DIR pointing at it: the warm-auto tests must exploit
-# observations written by a *different* process.
-PROFILE_DIR=$(mktemp -d /tmp/repro-ci-profiles.XXXXXX)
-python - "$PROFILE_DIR" <<'EOF'
-import sys
-
-from repro.core.config import SelectionConfig
-from repro.pipeline import Pipeline
-from repro.policy import AUTO_CANDIDATES, ProfileStore
-from repro.workloads.fft import radix2_fft
-
-store = ProfileStore.open(sys.argv[1])
-cfg = SelectionConfig(span_limit=1, max_pattern_size=3)
-for policy in AUTO_CANDIDATES:
-    Pipeline(5, 4, config=cfg, policy=policy, profiles=store).run(radix2_fft(16))
-print(f"  seeded {len(store.entries())} profile entries in {sys.argv[1]}")
-EOF
-REPRO_CI_PROFILE_DIR="$PROFILE_DIR" python -m pytest tests/test_policy.py -x -q
-rm -rf "$PROFILE_DIR"
-
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff (matches the CI lint job) =="
     ruff check .
@@ -120,9 +97,9 @@ if [[ "${1:-}" != "--fast" ]]; then
     # (digests + selection + scheduling) on both sides.  The semantic
     # checks — cache level "edit", partition reuse, bit-identity — are
     # asserted inside run_benchmarks.py itself.
-    echo "== committed full-report gate (warm edit >= 1x, bitset >= 2x, policy auto >= 0.9x, fault overhead <= 3x) =="
+    echo "== committed full-report gate (warm edit >= 1x, bitset >= 2x, fault overhead <= 3x) =="
     python scripts/diff_bench.py BENCH_engine.json \
-        --warm-edit-floor 1.0 --bitset-floor 2.0 --policy-floor 0.9 \
+        --warm-edit-floor 1.0 --bitset-floor 2.0 \
         --fault-overhead-ceiling 3.0
 
     mkdir -p "$BASELINE_DIR"

@@ -53,13 +53,6 @@ floor:
   would measure that fixed cost, not partition reuse.  The semantic
   reuse checks (cache level ``edit``, partition hits > 0,
   bit-identical results) are asserted inside ``run_benchmarks.py``;
-* policy gate — ``policy auto`` rows (the pipeline under ``--policy
-  auto`` with a warm disk profile store vs the best fixed backend it
-  chooses between) must keep a speedup ≥ ``--policy-floor`` (default
-  0.9x) on full reports.  Both sides ran on the same core moments
-  apart, so the gate is machine-independent; it bounds the overhead of
-  the decision plumbing (signature, store read, dispatch), not raw
-  engine speed.  ``--quick`` smoke rows are printed, never gated;
 * serve gate — the report's ``serve`` section (concurrent warm submits
   through one live ``repro serve`` subprocess on the asyncio core, warm
   p50/p99 latency + requests/sec) must keep ≥ ``--serve-floor`` (default
@@ -166,15 +159,6 @@ def main(argv=None) -> int:
         "sides fixed-cost bound on size-2 workloads)",
     )
     parser.add_argument(
-        "--policy-floor", type=float, default=0.9,
-        help="minimum warm-auto-vs-best-fixed-backend speedup, gated on "
-        "any machine whenever a full (non --quick) report carries "
-        "'policy auto' rows (default 0.9: a warm auto run reads the "
-        "profile store and dispatches to the stored winner, so more "
-        "than ~10%% overhead over that winner means the decision "
-        "plumbing regressed)",
-    )
-    parser.add_argument(
         "--fault-overhead-ceiling", type=float, default=3.0,
         help="maximum degraded/healthy wall-time ratio for the sharded "
         "build with 1-of-4 shards dead (the report's 'faults' section), "
@@ -260,28 +244,6 @@ def main(argv=None) -> int:
                     f"cold {row.get('reference_s', 0):8.4f}s   "
                     f"warm {row.get('fast_s', 0):8.4f}s   "
                     f"{edit_speedup:6.2f}x"
-                )
-        if stage == "policy auto":
-            auto_speedup = row.get("speedup") or 0
-            if new.get("quick"):
-                print(
-                    f"  {workload:>8} {stage} {auto_speedup}x — quick "
-                    f"smoke workload (fixed-cost bound); not gated"
-                )
-            elif auto_speedup < args.policy_floor:
-                failures.append(
-                    f"{workload}/{stage}: warm auto speedup {auto_speedup}x "
-                    f"vs the best fixed backend below the "
-                    f"{args.policy_floor}x floor "
-                    f"(selected {row.get('selected')})"
-                )
-            else:
-                print(
-                    f"  {workload:>8} {stage:<24} "
-                    f"best-fixed {row.get('reference_s', 0):8.4f}s   "
-                    f"auto {row.get('fast_s', 0):8.4f}s   "
-                    f"{auto_speedup:6.2f}x "
-                    f"(selected {row.get('selected')})"
                 )
         if stage == "shard catalog warm":
             warm_speedup = row.get("speedup") or 0
@@ -391,12 +353,12 @@ def main(argv=None) -> int:
                 print(f"  skipped (needs multi-core both sides): "
                       f"{key[0]}/{key[1]}")
                 continue
-            if key[1] in ("warm edit rebuild", "policy auto") and (
+            if key[1] == "warm edit rebuild" and (
                 new.get("quick") or baseline.get("quick")
             ):
-                # Quick edit/policy rows are fixed-cost bound (tiny
-                # workloads), so their ratio moves with unrelated changes
-                # to the other path — same reason the floors skip them.
+                # Quick edit rows are fixed-cost bound (tiny workloads),
+                # so their ratio moves with unrelated changes to the
+                # other path — same reason the floor skips them.
                 print(f"  skipped (quick rows are fixed-cost "
                       f"bound): {key[0]}/{key[1]}")
                 continue

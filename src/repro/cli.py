@@ -18,12 +18,9 @@
     repro compile examples.prog --pdef 3
     repro workloads              # list built-in workloads
     repro backends               # list execution backends
-    repro policy                 # list scheduling policies
-    repro policy --cache-dir /var/cache/repro           # + stored profiles
-    repro pipeline fft64 --policy auto --cache-dir ~/.cache/repro
 
 Compute-heavy commands accept ``--backend`` (``serial``/``fused``/
-``process``; default ``fused``) and ``--jobs`` (worker count for the
+``bitset``/``process``; default ``fused``) and ``--jobs`` (worker count for the
 process backend).  ``pipeline`` submits its job through an (ephemeral,
 per-command) :class:`~repro.service.SchedulerService`; for warm caches
 across requests run the *resident* service — ``serve`` — and submit to
@@ -210,8 +207,6 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
 
 def _print_job_result(result, cache: str, *, timings: bool) -> None:
     print(f"  library: {' '.join(result.selection.library.as_strings())}")
-    if getattr(result, "policy", None) is not None:
-        print(f"  policy:  {result.policy}")
     print(f"  cycles:  {result.schedule.length}  "
           f"(lower bound {result.metrics['lower_bound']}, "
           f"gap {result.metrics['optimality_gap']})")
@@ -246,7 +241,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
         backend=args.backend,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        policy=args.policy,
     )
     if args.shards is not None:
         from repro.service.retry import RetryPolicy
@@ -265,7 +259,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
             service=service,
             claim_batch=args.claim_batch,
             cache_dir=args.cache_dir,
-            policy=args.policy,
             retry=retry,
             failover=not getattr(args, "no_failover", False),
         ) as coord, service:
@@ -312,7 +305,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             else None
         ),
         max_pending=args.max_pending,
-        policy=args.policy,
         quota_rps=args.quota_rps,
         quota_burst=args.quota_burst,
     )
@@ -322,13 +314,8 @@ def _cmd_drain(args: argparse.Namespace) -> None:
     from repro.service import ServiceClient
 
     with ServiceClient(args.url, timeout=args.timeout) as client:
-        info = client.drain()
-    print(
-        f"service at {args.url} is draining "
-        f"(flushed {info.get('flushed', 0)} profile entr"
-        f"{'y' if info.get('flushed', 0) == 1 else 'ies'}); "
-        f"new work now answers 503"
-    )
+        client.drain()
+    print(f"service at {args.url} is draining; new work now answers 503")
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> None:
@@ -361,7 +348,6 @@ def _cmd_submit(args: argparse.Namespace) -> None:
         workload=args.workload,
         config=cfg,
         priority=args.priority,
-        policy=args.policy,
     )
     with ServiceClient(args.url, timeout=args.timeout) as client:
         result = client.submit(request)
@@ -435,56 +421,13 @@ def _cmd_edit(args: argparse.Namespace) -> None:
 
 
 def _cmd_backends(args: argparse.Namespace) -> None:
-    from repro.policy import WorkloadSignature, decide
-
-    # Which named workloads a *cold* `auto` policy (no profile store)
-    # would route to each backend — the selected-by-auto column.
-    routed: dict[str, list[str]] = {}
-    for wl in sorted(WORKLOADS):
-        decision = decide("auto", WorkloadSignature.of(WORKLOADS[wl]()))
-        if decision.backend is not None:
-            routed.setdefault(decision.backend, []).append(wl)
     rows = []
     for name in available_backends():
         backend = get_backend(name, jobs=args.jobs)
-        rows.append(
-            (name, backend.describe(), backend.availability(),
-             " ".join(routed.get(name, ())) or "-")
-        )
+        rows.append((name, backend.describe(), backend.availability()))
     print(render_table(
-        ["name", "description", "availability", "selected by auto (cold)"],
+        ["name", "description", "availability"],
         rows, title="registered execution backends",
-    ))
-
-
-def _cmd_policy(args: argparse.Namespace) -> None:
-    from repro.policy import ProfileStore, available_policies, get_policy
-
-    rows = [(name, get_policy(name).description)
-            for name in available_policies()]
-    print(render_table(["name", "description"], rows,
-                       title="registered scheduling policies"))
-    if args.cache_dir is None:
-        if args.clear:
-            raise ReproError("--clear requires --cache-dir")
-        return
-    store = ProfileStore.open(args.cache_dir)
-    if args.clear:
-        removed = store.clear()
-        print(f"\ncleared {removed} stored profile(s) from {args.cache_dir}")
-        return
-    entries = store.entries()
-    if not entries:
-        print(f"\nno stored profiles in {args.cache_dir}")
-        return
-    prof_rows = [
-        (" ".join(str(part) for part in sig_key[1:]), policy,
-         entry.get("count", 0), f"{entry.get('mean_s', 0.0) * 1000:.2f}")
-        for sig_key, policy, entry in entries
-    ]
-    print(render_table(
-        ["signature", "policy", "count", "mean ms"],
-        prof_rows, title=f"stored profiles ({args.cache_dir})",
     ))
 
 
@@ -596,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="disk-backed cache directory: catalogs/selections/"
                         "results persist across invocations")
-    p.add_argument("--policy", default=None,
-                   help="scheduling policy (see 'repro policy'); 'auto' "
-                        "picks per workload from stored profiles")
     add_backend_args(p)
     p.set_defaults(fn=_cmd_pipeline)
 
@@ -623,10 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending", type=int, default=None,
                    help="admission bound: reject (HTTP 429) when this many "
                         "submissions are already pending")
-    p.add_argument("--policy", default=None,
-                   help="default scheduling policy for submitted jobs "
-                        "(see 'repro policy'); per-request backend/policy "
-                        "fields still win")
     p.add_argument("--quota-rps", type=float, default=None,
                    help="per-client token-bucket rate for work routes "
                         "(requests/second, keyed by X-Repro-Client or peer "
@@ -639,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "drain",
         help="gracefully drain a running 'repro serve': stop accepting "
-             "new work, finish in-flight jobs, flush profile state",
+             "new work, finish in-flight jobs",
     )
     p.add_argument("--url", default="http://127.0.0.1:8350",
                    help="base URL of the service")
@@ -670,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pattern-size", type=int, default=None)
     p.add_argument("--widen", action="store_true")
     p.add_argument("--priority", default="f2", choices=["f1", "f2"])
-    p.add_argument("--policy", default=None,
-                   help="scheduling policy applied by the service "
-                        "(see 'repro policy')")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--timings", action="store_true",
                    help="print per-stage wall-clock timings")
@@ -715,16 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workloads", help="list built-in workloads")
     p.set_defaults(fn=_cmd_workloads)
-
-    p = sub.add_parser(
-        "policy",
-        help="list scheduling policies and inspect stored profiles",
-    )
-    p.add_argument("--cache-dir", default=None,
-                   help="show profiles stored under this cache directory")
-    p.add_argument("--clear", action="store_true",
-                   help="with --cache-dir: drop all stored profiles")
-    p.set_defaults(fn=_cmd_policy)
     return parser
 
 

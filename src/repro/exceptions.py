@@ -23,7 +23,6 @@ __all__ = [
     "SelectionError",
     "EnumerationLimitError",
     "BackendError",
-    "PolicyError",
     "FrontendError",
     "AllocationError",
     "ServiceError",
@@ -97,10 +96,6 @@ class EnumerationLimitError(ReproError):
 
 class BackendError(ReproError):
     """An execution backend was unknown or configured inconsistently."""
-
-
-class PolicyError(ReproError):
-    """A scheduling policy was unknown or configured inconsistently."""
 
 
 class FrontendError(ReproError):

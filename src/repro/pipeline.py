@@ -80,9 +80,6 @@ class PipelineResult:
         stage skipped (prebuilt catalog, disabled metrics) is absent.
     backend:
         Name of the backend that executed the run.
-    policy:
-        Name of the concrete policy whose decision drove the run, or
-        ``None`` when the pipeline was constructed without one.
     """
 
     dfg: "DFG"
@@ -92,7 +89,6 @@ class PipelineResult:
     metrics: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     backend: str = "?"
-    policy: "str | None" = None
 
     @property
     def length(self) -> int:
@@ -144,19 +140,6 @@ class Pipeline:
     on_stage:
         Optional hook called as ``on_stage(stage_name, seconds)`` right
         after each stage completes.
-    policy:
-        Optional scheduling-policy name (:mod:`repro.policy.registry`,
-        e.g. ``"auto"``).  When set, each :meth:`run` resolves the
-        graph's :class:`~repro.policy.WorkloadSignature` through the
-        policy and executes on the decision's backend instead of the
-        constructor ``backend`` (which remains the fallback when the
-        decision leaves the backend unset).  Pure strategy — output bits
-        are identical under every policy.
-    profiles:
-        Optional :class:`~repro.policy.ProfileStore`.  With ``policy``
-        set, every run that computed a catalog records its stage timings
-        under ``(signature, decided policy)`` — the store the ``auto``
-        policy then exploits.
     timer:
         Clock used for stage timing (injectable for tests).
     """
@@ -174,8 +157,6 @@ class Pipeline:
         collect_metrics: bool = True,
         catalog_builder: "Callable[[DFG], PatternCatalog] | None" = None,
         on_stage: Callable[[str, float], None] | None = None,
-        policy: str | None = None,
-        profiles: "Any | None" = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.backend: ExecutionBackend = get_backend(backend, jobs=jobs)
@@ -188,25 +169,12 @@ class Pipeline:
         self.collect_metrics = collect_metrics
         self.catalog_builder = catalog_builder
         self.on_stage = on_stage
-        if policy is not None:
-            from repro.policy.registry import get_policy
-
-            get_policy(policy)  # fail fast on unknown names
-        self.policy = policy
-        self.profiles = profiles
-        self._policy_backends: dict[str, ExecutionBackend] = {}
         self.timer = timer
 
     @property
     def config(self) -> SelectionConfig:
         """The selection configuration in effect."""
         return self.selector.config
-
-    @property
-    def execution_overrides(self) -> dict[str, ExecutionBackend]:
-        """Name → instance cache of policy-decided backends (the
-        :func:`repro.service.resolve.resolve_execution` override slot)."""
-        return self._policy_backends
 
     # ------------------------------------------------------------------ #
     def _timed(self, stage: str, timings: dict[str, float], fn: Callable[[], Any]):
@@ -230,21 +198,6 @@ class Pipeline:
         """
         timings: dict[str, float] = {}
         backend = self.backend
-        policy_label: "str | None" = None
-        signature = None
-        if self.policy is not None:
-            # The same request.backend > request.policy > host policy >
-            # resident backend chain the service and the shard
-            # coordinator use (there is no per-run request here, so only
-            # the host half of the chain applies).
-            from repro.service.resolve import resolve_execution
-
-            resolution = resolve_execution(None, self, dfg)
-            policy_label = resolution.policy_label
-            backend = resolution.backend or backend
-            from repro.policy.signature import WorkloadSignature
-
-            signature = WorkloadSignature.of(dfg)
         if catalog is None:
             build = (
                 self.catalog_builder
@@ -270,15 +223,6 @@ class Pipeline:
             metrics = self._timed(
                 "metrics", timings, lambda: schedule_stats(schedule)
             )
-        if (
-            self.profiles is not None
-            and policy_label is not None
-            and signature is not None
-            and "catalog" in timings
-        ):
-            # Only full cold runs feed the store — a prebuilt catalog
-            # would make the timing incomparable across policies.
-            self.profiles.record(signature.key(), policy_label, timings)
         return PipelineResult(
             dfg=dfg,
             catalog=catalog,
@@ -287,5 +231,4 @@ class Pipeline:
             metrics=metrics,
             timings=timings,
             backend=backend.name,
-            policy=policy_label,
         )

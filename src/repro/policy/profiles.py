@@ -1,324 +1,6 @@
-"""The self-tuning profile store behind the ``auto`` policy.
-
-A :class:`ProfileStore` remembers observed per-stage timings keyed by
-``(workload signature key, policy name)`` so the ``auto`` policy
-(:mod:`repro.policy.registry`) can exploit measurements instead of
-guessing.  Storage rides the service's existing
-:class:`~repro.service.store.CacheStore` seam: in-memory by default, and
-a :class:`~repro.service.store.DiskCacheStore` namespace (``"profile"``)
-when opened with a cache directory — so profiles survive restarts, are
-shared by every instance pointed at the same ``--cache-dir``, and
-inherit the disk store's corrupt-file-as-miss behaviour (a damaged or
-deleted profile file is simply a cold observation, never an error).
-
-Observations are exponentially-weighted means: each new timing folds in
-with weight :data:`PROFILE_ALPHA`, so stale measurements decay
-geometrically as fresh ones arrive, and :meth:`ProfileStore.decay`
-additionally ages *unrefreshed* entries out (halving their observation
-count) for workloads that stopped arriving.  The explore/exploit rule is
-:meth:`ProfileStore.choose`: cold signature → ``None`` (the caller falls
-back to its static heuristic), partially observed → the first unmeasured
-candidate (each policy gets measured once, deterministically), fully
-observed → the candidate with the lowest mean seconds.
-
-Profiles are *advice*, never answers: nothing in this module touches the
-bit-identity contract, because a policy only ever changes which backend
-or partitioning runs — see :mod:`repro.policy.registry`.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
-
-from repro.exceptions import PolicyError, ServiceError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.store import CacheStore
-
-# NOTE: repro.service.store is imported lazily inside the constructors.
-# The service layer imports this module at load time (SchedulerService
-# owns a ProfileStore), so a module-level import back into the service
-# package would be circular.
-
-__all__ = ["ProfileStore", "PROFILE_ALPHA"]
-
-#: EWMA weight of the newest observation; older measurements decay by
-#: ``(1 - PROFILE_ALPHA)`` per new sample.
-PROFILE_ALPHA = 0.5
-
-#: Store key of the enumeration index (the one non-observation entry —
-#: :class:`~repro.service.store.CacheStore` has no key listing, so the
-#: store indexes itself through the same seam it stores through).
-_INDEX_KEY = ("policy-profile", "index")
-
-
-def _entry_key(sig_key: tuple, policy: str) -> tuple:
-    return ("policy-profile", tuple(sig_key), policy)
+"""Tracer anchor for the ``policy.record`` row (see :mod:`repro.policy`)."""
 
 
 class ProfileStore:
-    """Observed per-stage timings keyed by ``(signature, policy)``.
-
-    Parameters
-    ----------
-    store:
-        The backing :class:`~repro.service.store.CacheStore`; a private
-        :class:`~repro.service.store.MemoryCacheStore` when omitted.
-        Use :meth:`open` for the standard memory-or-disk construction.
-    alpha:
-        EWMA weight of each new observation (default
-        :data:`PROFILE_ALPHA`).
-    """
-
-    def __init__(
-        self, store: "CacheStore | None" = None, *, alpha: float = PROFILE_ALPHA
-    ) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise PolicyError(f"alpha must be in (0, 1], got {alpha!r}")
-        if store is None:
-            from repro.service.store import MemoryCacheStore
-
-            store = MemoryCacheStore(512)
-        self._store = store
-        self.alpha = alpha
-
-    def _put(self, key: tuple, value: dict) -> None:
-        """Best-effort write: profiles are advice, never answers.
-
-        A vanished cache directory (operator ``rm -rf`` mid-run), a full
-        disk or a permission flip degrade the store to memory-of-nothing;
-        they must never fail the submit that was merely *reporting* a
-        timing.
-        """
-        try:
-            self._store.put(key, value)
-        except ServiceError:
-            pass
-
-    @classmethod
-    def open(
-        cls,
-        cache_dir: "str | os.PathLike[str] | None" = None,
-        *,
-        size: int = 512,
-        max_bytes: int | None = None,
-        alpha: float = PROFILE_ALPHA,
-    ) -> "ProfileStore":
-        """The standard store: memory-only, or disk-backed under ``cache_dir``.
-
-        With ``cache_dir`` the profiles live in the ``profile`` namespace
-        next to the service's catalog/selection/result/shard namespaces —
-        same atomic writes, same corrupt-file-as-miss reads, same
-        ``repro cache-gc`` coverage.
-        """
-        from repro.service.store import DiskCacheStore, MemoryCacheStore
-
-        if cache_dir is None:
-            return cls(MemoryCacheStore(size), alpha=alpha)
-        return cls(
-            DiskCacheStore(
-                cache_dir,
-                "profile",
-                encode=dict,
-                decode=dict,
-                memory_size=size,
-                max_bytes=max_bytes,
-            ),
-            alpha=alpha,
-        )
-
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def record(
-        self,
-        sig_key: tuple,
-        policy: str,
-        timings: Mapping[str, float],
-    ) -> dict[str, Any]:
-        """Fold one run's stage timings into ``(sig_key, policy)``.
-
-        ``timings`` is the per-stage seconds dict the service and the
-        pipeline already produce; the entry keeps an EWMA per stage and
-        of the total.  Returns the updated entry.
-        """
-        if not timings:
-            raise PolicyError("cannot record an empty timings dict")
-        total = float(sum(timings.values()))
-        entry = self.observed(sig_key, policy)
-        if entry is None:
-            entry = {
-                "count": 1,
-                "mean_s": total,
-                "stages": {str(k): float(v) for k, v in timings.items()},
-            }
-        else:
-            a = self.alpha
-            stages = dict(entry["stages"])
-            for stage, seconds in timings.items():
-                old = stages.get(str(stage))
-                stages[str(stage)] = (
-                    float(seconds)
-                    if old is None
-                    else (1 - a) * old + a * float(seconds)
-                )
-            entry = {
-                "count": int(entry["count"]) + 1,
-                "mean_s": (1 - a) * float(entry["mean_s"]) + a * total,
-                "stages": stages,
-            }
-        self._put(_entry_key(sig_key, policy), entry)
-        self._index_add(sig_key, policy)
-        return entry
-
-    # ------------------------------------------------------------------ #
-    # reading
-    # ------------------------------------------------------------------ #
-    def observed(self, sig_key: tuple, policy: str) -> "dict[str, Any] | None":
-        """The stored entry, or ``None`` when cold (or decayed to zero).
-
-        Malformed entries (hand-edited files, partial writes that slipped
-        past the store's own guards) read as ``None`` — a profile can
-        only ever degrade to "unobserved", never break a submit.
-        """
-        entry = self._store.get(_entry_key(tuple(sig_key), policy))
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("count"), int)
-            or entry["count"] < 1
-            or not isinstance(entry.get("mean_s"), (int, float))
-        ):
-            return None
-        return entry
-
-    def choose(
-        self,
-        sig_key: tuple,
-        candidates: "Iterable[str]",
-        *,
-        explore: bool = True,
-    ) -> "str | None":
-        """Explore/exploit over ``candidates`` for this signature.
-
-        * every candidate cold → ``None`` (caller applies its static
-          heuristic);
-        * some candidates unmeasured (and ``explore``) → the first
-          unmeasured one in ``candidates`` order, so each policy gets
-          observed exactly once per signature, deterministically;
-        * otherwise → the candidate with the lowest observed mean
-          seconds (ties break in ``candidates`` order).
-        """
-        pairs = [(name, self.observed(sig_key, name)) for name in candidates]
-        seen = [(name, entry) for name, entry in pairs if entry is not None]
-        if not seen:
-            return None
-        if explore:
-            for name, entry in pairs:
-                if entry is None:
-                    return name
-        return min(seen, key=lambda pair: pair[1]["mean_s"])[0]
-
-    def entries(self) -> list[tuple[tuple, str, dict[str, Any]]]:
-        """Every live ``(sig_key, policy, entry)`` triple (CLI/describe)."""
-        out = []
-        for sig_key, policy in self._index():
-            entry = self.observed(sig_key, policy)
-            if entry is not None:
-                out.append((sig_key, policy, entry))
-        return out
-
-    # ------------------------------------------------------------------ #
-    # aging
-    # ------------------------------------------------------------------ #
-    def decay(self, factor: float = 0.5) -> int:
-        """Age every entry's observation count by ``factor``.
-
-        Entries whose count reaches zero drop out entirely (their next
-        :meth:`observed` is ``None``, so ``auto`` re-explores them).
-        Returns how many entries were dropped.  Means are left intact:
-        decay models *staleness of confidence*, not a change in the
-        measurement itself.
-        """
-        if not (0.0 <= factor < 1.0):
-            raise PolicyError(f"decay factor must be in [0, 1), got {factor!r}")
-        dropped = 0
-        kept: list[tuple[tuple, str]] = []
-        for sig_key, policy in self._index():
-            entry = self.observed(sig_key, policy)
-            if entry is None:
-                dropped += 1
-                continue
-            count = int(int(entry["count"]) * factor)
-            if count < 1:
-                self._put(
-                    _entry_key(sig_key, policy), {"count": 0, "dropped": True}
-                )
-                dropped += 1
-                continue
-            self._put(
-                _entry_key(sig_key, policy), {**entry, "count": count}
-            )
-            kept.append((sig_key, policy))
-        self._put(_INDEX_KEY, {"keys": [[list(k), p] for k, p in kept]})
-        return dropped
-
-    def flush(self) -> int:
-        """Re-persist every live entry (and the index) through the store.
-
-        Writes during normal operation are best-effort by design
-        (:meth:`_put` swallows store failures so a full disk cannot fail
-        the submit that was merely reporting a timing) — which means a
-        transiently failing store can leave the on-disk profiles behind
-        the in-memory front.  Graceful drain calls this to give every
-        live entry one last write-through before the process exits.
-        Returns the number of entries re-written.
-        """
-        entries = self.entries()
-        for sig_key, policy, entry in entries:
-            self._put(_entry_key(sig_key, policy), entry)
-        self._put(
-            _INDEX_KEY,
-            {"keys": [[list(k), p] for k, p, _ in entries]},
-        )
-        return len(entries)
-
-    def clear(self) -> int:
-        """Forget every observation (the backing namespace is cleared).
-
-        Returns how many live entries were forgotten.
-        """
-        forgotten = len(self.entries())
-        self._store.clear()
-        return forgotten
-
-    # ------------------------------------------------------------------ #
-    def describe(self) -> dict[str, Any]:
-        return {"entries": len(self._index()), "store": self._store.describe()}
-
-    # ------------------------------------------------------------------ #
-    # the self-index
-    # ------------------------------------------------------------------ #
-    def _index(self) -> list[tuple[tuple, str]]:
-        payload = self._store.get(_INDEX_KEY)
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("keys"), list
-        ):
-            return []
-        out = []
-        for item in payload["keys"]:
-            try:
-                sig_key, policy = item
-                out.append((tuple(sig_key), str(policy)))
-            except (TypeError, ValueError):
-                continue
-        return out
-
-    def _index_add(self, sig_key: tuple, policy: str) -> None:
-        keys = self._index()
-        pair = (tuple(sig_key), str(policy))
-        if pair not in keys:
-            keys.append(pair)
-            self._put(
-                _INDEX_KEY, {"keys": [[list(k), p] for k, p in keys]}
-            )
+    def record(self, *args: object) -> None:
+        raise NotImplementedError("the adaptive policy layer was removed")

@@ -1,133 +1,7 @@
-"""Cheap deterministic workload signatures for policy selection.
-
-A :class:`WorkloadSignature` condenses a DFG into the handful of facts
-that predict which execution strategy wins on it: node count, level
-width, color diversity, DAG depth and the measured partition-weight skew
-of an *even* contiguous seed split (the imbalance skew-aware planning
-exists to fix).  Every input is either already memoized on the graph's
-analysis cache (:class:`~repro.dfg.levels.LevelAnalysis`, the
-comparability masks behind
-:func:`~repro.exec.process.estimate_seed_weights`) or O(V), so signing a
-graph costs far less than any stage it helps route — and the signature
-itself is memoized on the same cache, cleared on mutation like every
-other derived analysis.
-
-The signature's :meth:`~WorkloadSignature.key` is what the profile store
-(:mod:`repro.policy.profiles`) files observations under.  It buckets the
-raw measurements (log2 for counts, halves for skew) so structurally
-similar workloads — an FFT-64 and its lightly edited successor — share
-one profile row instead of fragmenting the store into singletons.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dfg.graph import DFG
-
-__all__ = ["WorkloadSignature", "SIGNATURE_PARTITIONS"]
-
-#: Even-split partition count used for the skew measurement — matches the
-#: service's incremental-build granularity
-#: (:data:`repro.service.service.EDIT_PARTITIONS`) so the measured skew
-#: describes the partitioning the planner actually faces.
-SIGNATURE_PARTITIONS = 16
+"""Tracer anchor for the ``policy.signature`` row (see :mod:`repro.policy`)."""
 
 
-def _log2_bucket(value: int) -> int:
-    """The bucket index ``floor(log2(value))`` with 0 for empty inputs."""
-    return max(0, value).bit_length() - 1 if value > 0 else 0
-
-
-@dataclass(frozen=True)
 class WorkloadSignature:
-    """The strategy-relevant shape of one workload.
-
-    Attributes
-    ----------
-    n_nodes:
-        Node count.
-    width:
-        Maximum number of nodes sharing one ASAP level — the antichain
-        width the enumeration DFS actually branches over.
-    depth:
-        DAG depth in levels (``asap_max + 1``; 0 for the empty graph).
-    colors:
-        Distinct color count (pattern alphabet size).
-    skew:
-        ``max/mean`` partition weight of an even contiguous
-        :data:`SIGNATURE_PARTITIONS`-way seed split under the subtree
-        cost model (:func:`~repro.exec.process.estimate_seed_weights`),
-        rounded to 2 decimals; 1.0 means perfectly balanced.
-    """
-
-    n_nodes: int
-    width: int
-    depth: int
-    colors: int
-    skew: float
-
     @classmethod
-    def of(cls, dfg: "DFG") -> "WorkloadSignature":
-        """The signature of ``dfg``, memoized on its analysis cache."""
-        cache = getattr(dfg, "_analysis_cache", None)
-        if cache is not None and "workload_signature" in cache:
-            return cache["workload_signature"]
-        from repro.dfg.levels import LevelAnalysis
-        from repro.exec.process import _split_contiguous, estimate_seed_weights
-
-        n = dfg.n_nodes
-        if n == 0:
-            sig = cls(n_nodes=0, width=0, depth=0, colors=0, skew=1.0)
-        else:
-            levels = LevelAnalysis.of(dfg)
-            occupancy: dict[int, int] = {}
-            for level in levels.asap.values():
-                occupancy[level] = occupancy.get(level, 0) + 1
-            weights = estimate_seed_weights(dfg, list(range(n)))
-            groups = _split_contiguous(list(range(n)), SIGNATURE_PARTITIONS)
-            totals = [sum(weights[s] for s in group) for group in groups]
-            mean = sum(totals) / len(totals)
-            skew = (max(totals) / mean) if mean > 0 else 1.0
-            sig = cls(
-                n_nodes=n,
-                width=max(occupancy.values()),
-                depth=levels.asap_max + 1,
-                colors=len(dfg.colors()),
-                skew=round(skew, 2),
-            )
-        if cache is not None:
-            cache["workload_signature"] = sig
-        return sig
-
-    # ------------------------------------------------------------------ #
-    def key(self) -> tuple:
-        """The bucketed profile-store key this signature files under.
-
-        All-int tuple (hashable, and stable on disk through
-        :func:`repro.dfg.io.stable_key_digest`): log2 buckets for node
-        count / width / depth, the raw color count, and the skew rounded
-        to the nearest half (capped at 8.0, stored as ``int(2 * skew)``).
-        Two graphs mapping to the same key are "the same workload" as far
-        as profile reuse is concerned.
-        """
-        return (
-            "policy-sig",
-            _log2_bucket(self.n_nodes),
-            _log2_bucket(self.width),
-            _log2_bucket(self.depth),
-            self.colors,
-            min(16, round(self.skew * 2)),
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe form for introspection surfaces (CLI, ``/stats``)."""
-        return {
-            "n_nodes": self.n_nodes,
-            "width": self.width,
-            "depth": self.depth,
-            "colors": self.colors,
-            "skew": self.skew,
-        }
+    def of(cls, dfg: object) -> None:
+        raise NotImplementedError("the adaptive policy layer was removed")

@@ -41,8 +41,9 @@ Scaling seams layered on top:
   disk across restarts and instances;
 * ``max_pending=...`` bounds admission
   (:class:`~repro.exceptions.ServiceOverloadedError` → HTTP 429);
-* :func:`resolve_execution` (:mod:`repro.service.resolve`) is the one
-  seam deciding what backend/policy runs any given job;
+* a job runs on its request's ``backend`` when set, else on the
+  service's resident backend; every backend is bit-identical, so the
+  choice never enters a cache key;
 * :class:`RetryPolicy` + :class:`CircuitBreaker`
   (:mod:`repro.service.retry`) make the shard fleet fault-tolerant:
   per-attempt timeouts, same-shard retries with deterministic-jitter
@@ -64,7 +65,6 @@ from repro.service.errors import (
 from repro.service.faults import ChaosProxy, FaultPlan, FaultSpec
 from repro.service.http import ServiceClient
 from repro.service.jobs import EditRequest, JobRequest, JobResult
-from repro.service.resolve import ExecutionResolution, resolve_execution
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
 from repro.service.service import SchedulerService, ServiceStats, SubmitOutcome
 from repro.service.shard import (
@@ -91,8 +91,6 @@ __all__ = [
     "ServiceClient",
     "AsyncServiceServer",
     "serve",
-    "ExecutionResolution",
-    "resolve_execution",
     "error_envelope",
     "error_from_envelope",
     "http_status",

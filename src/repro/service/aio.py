@@ -23,9 +23,9 @@ exhausts its bucket, not the server.
 
 **Graceful drain.**  ``POST /v1/admin:drain`` — or ``SIGTERM`` under
 :func:`serve` — stops accepting new work (503 envelopes with a retry
-hint), lets every in-flight request finish, and flushes best-effort
-state (profile observations) to disk.  Reads keep answering during the
-drain so load balancers can watch ``/healthz`` flip to ``draining``.
+hint) and lets every in-flight request finish.  Reads keep answering
+during the drain so load balancers can watch ``/healthz`` flip to
+``draining``.
 
 **Server-push shard streaming with heartbeats.**  The
 ``/v1/catalog:shard:stream`` route classifies every slot of a claimed
@@ -227,9 +227,9 @@ class AsyncServiceServer:
     ----------
     service:
         The resident service; constructed from ``backend``/``jobs``/
-        ``cache_dir``/``cache_max_bytes``/``max_pending``/``policy`` when
-        omitted (overload maps to HTTP 429; per-request
-        ``policy``/``backend`` fields still win over ``policy``).
+        ``cache_dir``/``cache_max_bytes``/``max_pending`` when omitted
+        (overload maps to HTTP 429; a request's ``backend`` field still
+        wins over ``backend``).
     host / port:
         Bind address; port 0 picks a free port (see :attr:`port`).
     quota_rps / quota_burst:
@@ -256,12 +256,10 @@ class AsyncServiceServer:
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_max_bytes: "int | None" = None,
         max_pending: "int | None" = None,
-        policy: "str | None" = None,
         quota_rps: "float | None" = None,
         quota_burst: "float | None" = None,
         workers: int = 4,
         heartbeat_interval: float = 10.0,
-        verbose: bool = False,
     ) -> None:
         if service is None:
             service = SchedulerService(
@@ -270,10 +268,8 @@ class AsyncServiceServer:
                 cache_dir=cache_dir,
                 cache_max_bytes=cache_max_bytes,
                 max_pending=max_pending,
-                policy=policy,
             )
         self.service = service
-        self.verbose = verbose
         self.draining = False
         self.heartbeat_interval = heartbeat_interval
         self.quota_rps = quota_rps
@@ -320,24 +316,21 @@ class AsyncServiceServer:
             limit=MAX_HEAD_BYTES,
         )
 
-    def drain(self) -> int:
-        """Stop accepting new work; flush best-effort state.
+    def drain(self) -> None:
+        """Stop accepting new work.
 
         In-flight requests finish normally; every later submission gets
-        a 503 envelope with a retry hint.  Returns the number of profile
-        entries the flush re-persisted.
+        a 503 envelope with a retry hint.
         """
         self.draining = True
-        return self.service.flush()
 
-    async def drain_and_wait(self) -> int:
+    async def drain_and_wait(self) -> None:
         """:meth:`drain`, then wait for in-flight work to finish."""
-        flushed = self.drain()
+        self.drain()
         assert self._idle is not None
         if self._inflight:
             self._idle.clear()
         await self._idle.wait()
-        return flushed
 
     async def aclose(self) -> None:
         """Graceful stop: drain, finish in-flight, release everything."""
@@ -413,10 +406,6 @@ class AsyncServiceServer:
                 self.service.close()
 
     # ------------------------------------------------------------------ #
-    def _log(self, message: str) -> None:
-        if self.verbose:  # pragma: no cover - debug aid
-            print(f"[repro-aio] {message}", flush=True)
-
     def _client_key(self, headers: "dict[str, str]", peer: str) -> str:
         return headers.get(CLIENT_HEADER.lower()) or peer
 
@@ -707,10 +696,8 @@ class AsyncServiceServer:
             await self._pool.submit(service.clear_caches)
             await self._send_json(writer, 200, {"cleared": True})
         elif path == "/v1/admin:drain":
-            flushed = self.drain()
-            await self._send_json(
-                writer, 200, {"draining": True, "flushed": flushed}
-            )
+            self.drain()
+            await self._send_json(writer, 200, {"draining": True})
         else:
             await self._send_json(
                 writer,
@@ -843,16 +830,14 @@ def serve(
     cache_dir: "str | os.PathLike[str] | None" = None,
     cache_max_bytes: "int | None" = None,
     max_pending: "int | None" = None,
-    policy: "str | None" = None,
     quota_rps: "float | None" = None,
     quota_burst: "float | None" = None,
-    verbose: bool = True,
 ) -> None:
     """Blocking entry point behind ``repro serve``.
 
-    ``SIGTERM`` drains gracefully — in-flight requests finish, profile
-    state flushes — before the loop stops; ``Ctrl-C`` stops promptly
-    (still closing the service cleanly).
+    ``SIGTERM`` drains gracefully — in-flight requests finish — before
+    the loop stops; ``Ctrl-C`` stops promptly (still closing the service
+    cleanly).
     """
     server = AsyncServiceServer(
         host=host,
@@ -862,18 +847,14 @@ def serve(
         cache_dir=cache_dir,
         cache_max_bytes=cache_max_bytes,
         max_pending=max_pending,
-        policy=policy,
         quota_rps=quota_rps,
         quota_burst=quota_burst,
-        verbose=verbose,
     )
     extras = ""
     if cache_dir is not None:
         extras += f", cache_dir={cache_dir}"
     if max_pending is not None:
         extras += f", max_pending={max_pending}"
-    if policy is not None:
-        extras += f", policy={policy}"
     if quota_rps is not None:
         extras += f", quota_rps={quota_rps:g}"
     try:

@@ -14,7 +14,7 @@ This module replaces all of that with a single envelope::
 
 and a single registry mapping the ``type`` field back to the library's
 exception hierarchy, so *every* typed error — validation, admission,
-drain, policy, enumeration limits, shard slot failures — crosses the
+drain, enumeration limits, shard slot failures — crosses the
 wire and re-raises as itself on the client.  The same envelope object
 is used for whole-response errors (non-2xx bodies) and for the
 slot-local error frames of the streaming shard protocol (see

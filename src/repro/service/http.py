@@ -17,8 +17,7 @@ method     path                         body → response
                                         NDJSON, one frame per slot as it
                                         completes
 ``POST``   ``/v1/caches:clear``         (empty body) → ``{"cleared": true}``
-``POST``   ``/v1/admin:drain``          (empty body) → ``{"draining": true,
-                                        "flushed": n}``
+``POST``   ``/v1/admin:drain``          (empty body) → ``{"draining": true}``
 ``GET``    ``/healthz``                 liveness + backend + drain state
 ``GET``    ``/stats``                   :meth:`SchedulerService.describe`
 ``GET``    ``/workloads``               available workload names
@@ -59,10 +58,8 @@ results are bit-identical to an in-process build.
 ``/v1/admin:drain`` (or ``SIGTERM`` under ``repro serve``) starts a
 graceful drain: the server keeps serving reads but answers every new
 work submission with a 503
-:class:`~repro.exceptions.ServiceUnavailableError` envelope, finishes
-requests already in flight, and flushes best-effort state
-(:meth:`SchedulerService.flush`) so profile observations survive the
-restart.  ``/v1/caches:clear`` drops every server-side cache level (an
+:class:`~repro.exceptions.ServiceUnavailableError` envelope and finishes
+requests already in flight.  ``/v1/caches:clear`` drops every server-side cache level (an
 operational reset; the cold-path benchmark uses it to measure honestly).
 """
 

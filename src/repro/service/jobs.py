@@ -50,7 +50,6 @@ _REQUEST_FIELDS = {
     "config",
     "priority",
     "backend",
-    "policy",
 }
 
 
@@ -62,12 +61,7 @@ class JobRequest:
     :data:`repro.workloads.WORKLOADS`) and ``dfg`` (an inline graph) names
     the input.  ``backend`` optionally overrides the service's resident
     backend for this job — results are backend-independent by the
-    bit-identity contract, so the cache key ignores it.  ``policy``
-    optionally names a registered scheduling policy
-    (:mod:`repro.policy.registry`) that picks the backend from the
-    workload's signature and profile history; like ``backend`` it is a
-    pure strategy and never enters any cache key (an explicit
-    ``backend`` wins over ``policy`` when both are set).
+    bit-identity contract, so the cache key ignores it.
 
     Attributes
     ----------
@@ -85,10 +79,6 @@ class JobRequest:
         Scheduler pattern priority, ``"f2"`` (default) or ``"f1"``.
     backend:
         Optional backend-name override for this job only.
-    policy:
-        Optional policy-name override for this job only (resolved by the
-        service against the default registry; ``auto`` selects from
-        profiles).
     """
 
     capacity: int
@@ -98,7 +88,6 @@ class JobRequest:
     config: SelectionConfig = field(default_factory=SelectionConfig)
     priority: str = "f2"
     backend: str | None = None
-    policy: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.capacity, int) or self.capacity < 1:
@@ -145,12 +134,6 @@ class JobRequest:
                 f"backend must be a registered backend name, "
                 f"got {self.backend!r}",
                 field="backend",
-            )
-        if self.policy is not None and not isinstance(self.policy, str):
-            raise JobValidationError(
-                f"policy must be a registered policy name, "
-                f"got {self.policy!r}",
-                field="policy",
             )
 
     # ------------------------------------------------------------------ #
@@ -235,8 +218,6 @@ class JobRequest:
             out["dfg"] = to_payload(self.dfg)
         if self.backend is not None:
             out["backend"] = self.backend
-        if self.policy is not None:
-            out["policy"] = self.policy
         return out
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -284,7 +265,6 @@ class JobRequest:
             config=config,
             priority=payload.get("priority", "f2"),
             backend=payload.get("backend"),
-            policy=payload.get("policy"),
         )
 
     @classmethod
@@ -428,12 +408,6 @@ class JobResult:
         cache are absent, so cache hits show up directly in the timings.
     backend:
         Name of the backend that executed the computed stages.
-    policy:
-        Name of the concrete policy whose decision drove the computed
-        stages (``fixed-bitset`` when ``auto`` picked the bitset
-        backend, ...), or ``None`` when no policy was in play.  An echo
-        field like ``timings``/``backend``: describes the submit that
-        computed the result, never the answer.
     """
 
     job_key: str
@@ -448,7 +422,6 @@ class JobResult:
     metrics: dict[str, Any]
     timings: dict[str, float]
     backend: str
-    policy: str | None = None
 
     @property
     def length(self) -> int:
@@ -469,7 +442,6 @@ class JobResult:
             "metrics": dict(self.metrics),
             "timings": dict(self.timings),
             "backend": self.backend,
-            "policy": self.policy,
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -491,17 +463,15 @@ class JobResult:
     def answer_dict(self) -> dict[str, Any]:
         """:meth:`to_dict` minus the per-submit echo fields.
 
-        ``timings``, ``backend`` and ``policy`` describe the submit that
-        *computed* a result, not its answer — two bit-identical answers
-        computed on different runs (or backends, or policies) differ in
-        exactly these fields.  Cross-run bit-identity checks (the
+        ``timings`` and ``backend`` describe the submit that *computed* a
+        result, not its answer — two bit-identical answers computed on
+        different runs (or backends) differ in exactly these fields.  Cross-run bit-identity checks (the
         edit-path benchmark, smoke and property tests) therefore compare
         this form.
         """
         out = self.to_dict()
         del out["timings"]
         del out["backend"]
-        del out["policy"]
         return out
 
     @classmethod
@@ -537,9 +507,6 @@ class JobResult:
                     str(k): float(v) for k, v in payload["timings"].items()
                 },
                 backend=payload["backend"],
-                # .get: results persisted before the policy field existed
-                # (older disk caches) must stay readable.
-                policy=payload.get("policy"),
             )
         except JobValidationError:
             raise

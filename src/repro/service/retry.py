@@ -5,9 +5,9 @@ knob lives in one frozen :class:`RetryPolicy` value that travels from
 the CLI (``--shard-timeout``, ``--shard-retries``) through
 :class:`~repro.service.shard.RemoteShard` and
 :class:`~repro.service.shard.ShardCoordinator` down to the HTTP
-clients — so the policy registry (or a test) can tune recovery behaviour
-the same way it already tunes fan-out knobs, and a fault-injection test
-can shrink every delay to microseconds without monkeypatching.
+clients — so a caller (or a test) can tune recovery behaviour in one
+place, and a fault-injection test can shrink every delay to
+microseconds without monkeypatching.
 
 Three pieces:
 

@@ -76,19 +76,15 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.exec import ExecutionBackend, get_backend
+from repro.exec import ExecutionBackend, available_backends, get_backend
 from repro.exec.process import (
     ProcessBackend,
     classify_partition_rows,
     merge_classified_parts,
     plan_seed_partitions,
 )
-from repro.policy.profiles import ProfileStore
-from repro.policy.registry import get_policy
-from repro.policy.signature import WorkloadSignature
 from repro.scheduling.scheduler import MultiPatternScheduler
 from repro.service.jobs import EditRequest, JobRequest, JobResult
-from repro.service.resolve import resolve_execution
 from repro.service.store import MemoryCacheStore, open_cache_stores
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,9 +159,7 @@ class ServiceStats:
     wall-clock of every *computed* stage (the same numbers each
     :class:`~repro.service.jobs.JobResult` carries per submit) — cache
     hits contribute nothing, so the ``X-Repro-Cache`` miss path is
-    directly observable in ``GET /stats``.  ``policy_decisions`` counts
-    submits per concrete policy that drove them (``auto`` resolves to
-    its selected candidate before counting).
+    directly observable in ``GET /stats``.
     """
 
     submitted: int = 0
@@ -185,7 +179,6 @@ class ServiceStats:
     catalog_misses: int = 0
     stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     stage_counts: dict[str, int] = dataclasses.field(default_factory=dict)
-    policy_decisions: dict[str, int] = dataclasses.field(default_factory=dict)
 
     def record_stages(self, timings: "dict[str, float]") -> None:
         """Fold one submit's computed-stage timings into the aggregates."""
@@ -214,7 +207,6 @@ class ServiceStats:
             "catalog_misses": self.catalog_misses,
             "stage_seconds": dict(self.stage_seconds),
             "stage_counts": dict(self.stage_counts),
-            "policy_decisions": dict(self.policy_decisions),
         }
 
 
@@ -275,14 +267,6 @@ class SchedulerService:
         included); the next one is rejected with
         :class:`~repro.exceptions.ServiceOverloadedError`.  ``None``
         (default) admits everything.
-    policy:
-        Optional default scheduling policy name
-        (:mod:`repro.policy.registry`; e.g. ``"auto"``): jobs without an
-        explicit ``backend``/``policy`` of their own have their backend
-        picked per workload signature by this policy.  Policies are pure
-        strategy — they never enter a cache key and cannot change output
-        bits.  ``None`` (default) keeps the resident backend for every
-        job.
     timer:
         Stage clock (injectable for tests).
     """
@@ -300,7 +284,6 @@ class SchedulerService:
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_max_bytes: int | None = None,
         max_pending: int | None = None,
-        policy: str | None = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
         owns = isinstance(backend, str)
@@ -338,14 +321,6 @@ class SchedulerService:
         self._graphs = MemoryCacheStore(catalog_cache)
         self._named_graphs: dict[str, DFG] = {}
         self._overrides: dict[str, ExecutionBackend] = {}
-        if policy is not None:
-            get_policy(policy)  # fail fast on unknown names
-        self.policy = policy
-        # Observed stage timings keyed by (workload signature, policy) —
-        # the 'auto' policy's memory.  Shares the service's cache
-        # directory (namespace "profile"), so profiles survive restarts
-        # and are shared across instances exactly like the other levels.
-        self.profiles = ProfileStore.open(cache_dir, max_bytes=cache_max_bytes)
         self.stats = ServiceStats()
         self.timer = timer
         self._lock = threading.RLock()
@@ -400,21 +375,10 @@ class SchedulerService:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the resident backend's retained resources."""
+        """Release the resident and per-request backends' resources."""
         self.backend.close()
         for b in self._overrides.values():
             b.close()
-
-    def flush(self) -> int:
-        """Give buffered state one last write-through (graceful drain).
-
-        The disk cache stores write through atomically on every ``put``,
-        so the only state that can lag its store is the profile store's
-        best-effort writes (:meth:`~repro.policy.ProfileStore.flush`).
-        Safe to call at any time; drain calls it after the last in-flight
-        job finishes.  Returns the number of profile entries re-persisted.
-        """
-        return self.profiles.flush()
 
     def probe_result(self, request: JobRequest) -> bool:
         """Best-effort: would the result cache answer this request?
@@ -503,39 +467,35 @@ class SchedulerService:
             seen = dfg
         return seen, digest
 
-    @property
-    def execution_overrides(self) -> "dict[str, ExecutionBackend]":
-        """Name → instance cache of non-resident backends this service ran.
+    def _check_backend_name(self, request: JobRequest) -> None:
+        """Reject an unknown ``request.backend`` without creating a backend.
 
-        The override slot of the :func:`repro.service.resolve` seam; the
-        instances are owned by — and closed with — the service.
+        The backend never enters the job key, so without this check a
+        warm result hit (or a deduplicated batch member) would answer a
+        name that a cold submit rejects.
         """
-        return self._overrides
+        name = request.backend
+        if (
+            name is not None
+            and name != self.backend.name
+            and name not in available_backends()
+        ):
+            get_backend(name)  # raises the registry's BackendError
 
-    def _backend_for(
-        self, request: JobRequest, dfg: DFG
-    ) -> "tuple[ExecutionBackend, str | None]":
-        """The backend this job runs on, plus the policy label to file
-        profile observations under.
+    def _backend_for(self, request: JobRequest) -> ExecutionBackend:
+        """The backend this job runs on: ``request.backend`` when set,
+        else the resident one.
 
-        Delegates the ``request.backend > request.policy > service policy
-        > resident backend`` precedence to
-        :func:`repro.service.resolve.resolve_execution` — the one seam
-        shared with :class:`~repro.pipeline.Pipeline` and
-        :class:`~repro.service.shard.ShardCoordinator`.  The label is
-        always the *concrete* policy (``auto`` resolves to its selected
-        candidate first; a bare backend maps to its ``fixed-*`` twin when
-        one exists), so the profile store accrues observations to what
-        actually ran.
+        A non-resident backend is created on first use and kept for
+        later jobs; the service owns and closes it.
         """
-        resolution = resolve_execution(request, self, dfg)
-        if resolution.decision is not None:
-            label = resolution.policy_label
-            self.stats.policy_decisions[label] = (
-                self.stats.policy_decisions.get(label, 0) + 1
-            )
-        assert resolution.backend is not None  # materialized resolution
-        return resolution.backend, resolution.policy_label
+        name = request.backend
+        if name is None or name == self.backend.name:
+            return self.backend
+        backend = self._overrides.get(name)
+        if backend is None:
+            backend = self._overrides[name] = get_backend(name)
+        return backend
 
     # ------------------------------------------------------------------ #
     # submission
@@ -557,12 +517,7 @@ class SchedulerService:
         """:meth:`submit_outcome` inside an already-held admission slot."""
         with self._lock:
             self.stats.submitted += 1
-            if request.policy is not None:
-                # Fail fast on unknown names even when the answer is
-                # cached — policies never enter the job key, so without
-                # this a warm hit would silently accept a typo that a
-                # cold submit rejects.
-                get_policy(request.policy)
+            self._check_backend_name(request)
             dfg, digest = self._resolve_graph(request)
             job_key = request.job_key(digest)
 
@@ -572,7 +527,7 @@ class SchedulerService:
                 return SubmitOutcome(result=cached, cache="result")
             self.stats.result_misses += 1
 
-            backend, policy_label = self._backend_for(request, dfg)
+            backend = self._backend_for(request)
             timings: dict[str, float] = {}
             config = request.config
             selector = PatternSelector(request.capacity, config=config)
@@ -621,14 +576,6 @@ class SchedulerService:
             timings["metrics"] = self.timer() - t0
 
             self.stats.record_stages(timings)
-            if policy_label is not None and "catalog" in timings:
-                # Every cold build feeds the profile store — ordinary
-                # traffic warms 'auto' without anyone opting in.  Warm
-                # submits are skipped: their timings describe cache
-                # plumbing, not the strategy under measurement.
-                self.profiles.record(
-                    WorkloadSignature.of(dfg).key(), policy_label, timings
-                )
 
             result = JobResult(
                 job_key=job_key,
@@ -643,7 +590,6 @@ class SchedulerService:
                 metrics=metrics,
                 timings=timings,
                 backend=backend.name,
-                policy=policy_label,
             )
             self._results.put(job_key, result)
             return SubmitOutcome(result=result, cache=cache_level)
@@ -789,6 +735,7 @@ class SchedulerService:
                     raise JobValidationError(
                         f"expected a JobRequest, got {type(request).__name__}"
                     )
+                self._check_backend_name(request)
                 _, digest = self._resolve_graph(request)
                 keyed.append((request.job_key(digest), request))
             computed: dict[str, JobResult] = {}
@@ -941,10 +888,6 @@ class SchedulerService:
                 "max_pending": self.max_pending,
                 "pending": self.pending,
             },
-            "policy": {
-                "default": self.policy,
-                "profiles": self.profiles.describe(),
-            },
             "stats": self.stats.to_dict(),
             "sources": sources,
             "workloads": sorted(self._workloads),
@@ -979,7 +922,7 @@ class SchedulerService:
         """Convenience: build a request from loose arguments and submit it.
 
         ``kwargs`` are the optional :class:`JobRequest` fields
-        (``config``, ``priority``, ``backend``, ``policy``).
+        (``config``, ``priority``, ``backend``).
         """
         if isinstance(workload_or_dfg, str):
             request = JobRequest(

@@ -92,9 +92,7 @@ from repro.exceptions import (
     ServiceError,
     ShardTransportError,
 )
-from repro.policy.registry import PolicyDecision, get_policy
 from repro.service.http import ServiceClient
-from repro.service.resolve import resolve_execution
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
 from repro.service.jobs import EditRequest, JobRequest, JobResult
 from repro.service.service import (
@@ -560,15 +558,8 @@ class ShardCoordinator:
         private one is created — and closed with the coordinator — when
         omitted.
     claim_batch:
-        Default unclaimed partitions a remote shard may claim per
-        steal-loop round trip (overridable per workload by ``policy``).
-    policy:
-        Optional scheduling-policy name (:mod:`repro.policy.registry`).
-        When set, each catalog build takes its fan-out knobs — partition
-        multiplier, claim batch and skew-aware planning — from the
-        policy's :class:`~repro.policy.PolicyDecision` for the graph's
-        signature instead of the constructor defaults.  Fan-out knobs are
-        pure strategy: any setting merges bit-identically.
+        Unclaimed partitions a remote shard may claim per steal-loop
+        round trip.  Pure strategy: any setting merges bit-identically.
     retry:
         The :class:`~repro.service.retry.RetryPolicy` governing every
         recovery knob: per-attempt timeouts and same-shard retry budget
@@ -606,7 +597,6 @@ class ShardCoordinator:
         *,
         service: SchedulerService | None = None,
         claim_batch: int = 2,
-        policy: str | None = None,
         retry: "RetryPolicy | None" = None,
         failover: bool = True,
     ) -> None:
@@ -620,8 +610,6 @@ class ShardCoordinator:
             raise ServiceError(
                 f"retry must be a RetryPolicy, got {type(retry).__name__}"
             )
-        if policy is not None:
-            get_policy(policy)  # fail fast on unknown names
         self.retry = retry if retry is not None else RetryPolicy()
         self.failover = bool(failover)
         self.shards: list[LocalShard | RemoteShard] = [
@@ -639,7 +627,6 @@ class ShardCoordinator:
         self._owned_shards: list[SchedulerService] = []
         self.service = service if service is not None else SchedulerService()
         self.claim_batch = claim_batch
-        self.policy = policy
         self.stats = CoordinatorStats(tasks_per_shard=[0] * len(self.shards))
         # Surface dispatch + breaker accounting through the completion
         # service's describe()/``/v1/admin:stats``.
@@ -669,7 +656,6 @@ class ShardCoordinator:
         *,
         service: SchedulerService | None = None,
         claim_batch: int = 2,
-        policy: str | None = None,
         retry: "RetryPolicy | None" = None,
         failover: bool = True,
         **service_kwargs: Any,
@@ -691,12 +677,12 @@ class ShardCoordinator:
             completion = SchedulerService(**service_kwargs)
             coord = cls(
                 owned, service=completion, claim_batch=claim_batch,
-                policy=policy, retry=retry, failover=failover,
+                retry=retry, failover=failover,
             )
             coord._owns_service = True
         else:
             coord = cls(
-                owned, service=service, claim_batch=claim_batch, policy=policy,
+                owned, service=service, claim_batch=claim_batch,
                 retry=retry, failover=failover,
             )
         coord._owned_shards = owned
@@ -722,7 +708,6 @@ class ShardCoordinator:
         return {
             "shards": [s.describe() for s in self.shards],
             "service": self.service.describe()["backend"],
-            "policy": self.policy,
             "stats": self.stats.to_dict(),
             "retry": self.retry.to_dict(),
             "failover": self.failover,
@@ -777,9 +762,7 @@ class ShardCoordinator:
         """One sharded classify attempt at a concrete (size, span).
 
         Weight-balanced partitions are cut ~:data:`PARTITIONS_PER_SHARD`×
-        finer than the shard count (with ``policy`` set, the decision's
-        ``partition_multiplier``/``skew_aware``/``claim_batch`` replace
-        the defaults for this graph); each is first probed against the
+        finer than the shard count; each is first probed against the
         completion service's content-addressed partial cache (a warm
         rebuild dispatches nothing), the misses go through the dynamic
         steal loop (:meth:`_dispatch`), and every freshly computed
@@ -792,11 +775,8 @@ class ShardCoordinator:
             plan_seed_partitions,
         )
 
-        decision = self._decision_for(dfg)
         partitions = plan_seed_partitions(
-            dfg,
-            len(self.shards) * decision.partition_multiplier,
-            skew_aware=decision.skew_aware,
+            dfg, len(self.shards) * PARTITIONS_PER_SHARD
         )
         tasks = [
             ShardTask(
@@ -822,9 +802,7 @@ class ShardCoordinator:
                 pending.append(i)
                 self.stats.partial_misses += 1
         if pending:
-            self._dispatch(
-                tasks, keys, parts, pending, claim_batch=decision.claim_batch
-            )
+            self._dispatch(tasks, keys, parts, pending)
         return merge_classified_parts(
             dfg,
             parts,
@@ -833,49 +811,12 @@ class ShardCoordinator:
             max_count=max_count,
         )
 
-    @property
-    def backend(self) -> None:
-        """The coordinator executes on its shards, never locally — the
-        :func:`~repro.service.resolve.resolve_execution` host contract's
-        "no resident backend"."""
-        return None
-
-    @property
-    def profiles(self) -> Any:
-        """The completion service's profile store (policy decisions read it)."""
-        return self.service.profiles
-
-    @property
-    def execution_overrides(self) -> dict:
-        """Unused override slot (the coordinator never materializes a
-        backend; see :meth:`backend`)."""
-        return {}
-
-    def _decision_for(self, dfg: DFG) -> PolicyDecision:
-        """The fan-out knobs for this graph: policy-driven or defaults.
-
-        Routes through :func:`~repro.service.resolve.resolve_execution`
-        (``materialize=False`` — the decision's knobs are consumed here,
-        no local backend runs), the same seam the service and the
-        pipeline resolve with.
-        """
-        resolution = resolve_execution(None, self, dfg, materialize=False)
-        if resolution.decision is not None:
-            return resolution.decision
-        return PolicyDecision(
-            policy="default",
-            partition_multiplier=PARTITIONS_PER_SHARD,
-            claim_batch=self.claim_batch,
-        )
-
     def _dispatch(
         self,
         tasks: list[ShardTask],
         keys: list[tuple],
         parts: "list[list[tuple] | None]",
         pending: "deque[int]",
-        *,
-        claim_batch: "int | None" = None,
     ) -> None:
         """Run the pending tasks over the shards, stealing dynamically.
 
@@ -930,9 +871,6 @@ class ShardCoordinator:
         failures: list[tuple[int, BaseException]] = []
         attempts: dict[int, int] = {}
         inflight = 0
-        coordinator_batch = (
-            claim_batch if claim_batch is not None else self.claim_batch
-        )
         # A partition may be failed over at most once per failing round,
         # and every shard's breaker opens after breaker_threshold
         # consecutive failing rounds — so threshold × shards re-enqueues
@@ -966,7 +904,7 @@ class ShardCoordinator:
             nonlocal inflight
             shard = self.shards[shard_index]
             breaker = self.breakers[shard_index]
-            batch_limit = shard.batch_limit or coordinator_batch
+            batch_limit = shard.batch_limit or self.claim_batch
             while True:
                 # Health gate: an open breaker ejects this shard from
                 # the steal loop; half-open admits exactly one /healthz

@@ -14,10 +14,16 @@ The same contract extends to the process execution backend (seed-node
 partitioned multiprocess classification, see ``repro.exec.process``):
 its merged catalogs must equal the fused engine's bit for bit, driven
 here by a reduced-example property test (pool startup per example is
-expensive) and exhaustively in ``tests/test_exec_backends.py``.
+expensive) and exhaustively in ``tests/test_exec_backends.py``.  At job
+level, a :class:`~repro.service.SchedulerService` submit answers
+bit-identically whichever backend the request names (serial, fused,
+bitset, process), on random graphs and on fft16/fft64.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +35,7 @@ from repro.dfg.antichains import AntichainEnumerator
 from repro.exceptions import BackendError
 from repro.patterns.enumeration import classify_antichains
 from repro.scheduling.scheduler import MultiPatternScheduler
+from repro.service import JobRequest, SchedulerService
 from repro.workloads import five_point_dft, small_example, three_point_dft_paper
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
@@ -404,3 +411,59 @@ def test_allowed_mask_enumeration_prunes_in_dfs():
         if all(n in keep for n in a)
     ]
     assert masked == filtered
+
+
+# --------------------------------------------------------------------------- #
+# every backend through the service: a job's answer never depends on the
+# backend its request names
+# --------------------------------------------------------------------------- #
+SERVICE_BACKENDS = ("serial", "fused", "bitset", "process")
+
+service_graphs = st.one_of(
+    st.builds(
+        layered_dag,
+        st.integers(0, 10_000),
+        st.integers(1, 4),
+        st.integers(1, 6),
+    ),
+    st.builds(
+        random_dag,
+        st.integers(0, 10_000),
+        st.integers(2, 14),
+        st.sampled_from([0.1, 0.3, 0.5]),
+    ),
+)
+
+
+def assert_backends_agree(request):
+    """Cold-submit ``request`` once per backend; answers must be identical,
+    Counter insertion order included."""
+    answers = {}
+    with SchedulerService() as service:
+        for name in SERVICE_BACKENDS:
+            service.clear_caches()
+            result = service.submit(dataclasses.replace(request, backend=name))
+            assert result.backend == name
+            answers[name] = json.dumps(result.answer_dict())
+    for name, answer in answers.items():
+        assert answer == answers["fused"], name
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(service_graphs, st.integers(1, 4))
+def test_service_backends_agree(dfg, pdef):
+    assert_backends_agree(JobRequest(capacity=5, pdef=pdef, dfg=dfg))
+
+
+@pytest.mark.parametrize(
+    "workload, pdef, config",
+    [
+        ("fft16", 4, SelectionConfig(span_limit=1, max_pattern_size=3)),
+        ("fft64", 3, SelectionConfig(span_limit=1, max_pattern_size=2)),
+    ],
+    ids=["fft16", "fft64"],
+)
+def test_service_backends_agree_fft(workload, pdef, config):
+    assert_backends_agree(
+        JobRequest(capacity=5, pdef=pdef, workload=workload, config=config)
+    )

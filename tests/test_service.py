@@ -129,6 +129,10 @@ class TestServiceCaching:
         assert service.stats.result_hits == 1
         assert service.stats.result_misses == 1
         assert service.stats.catalog_misses == 1
+        # Stage aggregates count computed stages only: the warm hit adds none.
+        stats = service.describe()["stats"]
+        assert stats["stage_counts"]["catalog"] == 1
+        assert stats["stage_seconds"]["catalog"] > 0
 
     def test_pdef_sweep_hits_catalog_cache(self):
         with SchedulerService() as service:

@@ -6,8 +6,8 @@ offers:
 
 * per-client token-bucket quotas → HTTP 429 with a ``Retry-After``
   hint, scoped to the offending client while other clients proceed;
-* graceful drain: in-flight work finishes, profile state flushes, new
-  work answers 503 with a retry hint, reads keep serving;
+* graceful drain: in-flight work finishes, new work answers 503 with a
+  retry hint, reads keep serving;
 * server-push shard streaming with heartbeats on silent stretches,
   frame for frame equal to in-process classification and bit-identical
   to a fused build under jittered latencies (hypothesis-pinned).
@@ -289,9 +289,7 @@ class TestDrain:
     def test_drain_flushes_then_refuses_work(self, server):
         with ServiceClient(server.url, timeout=30) as client:
             client.submit(_job())
-            info = client.drain()
-            assert info["draining"] is True
-            assert isinstance(info["flushed"], int)
+            assert client.drain() == {"draining": True}
             with pytest.raises(ServiceUnavailableError) as exc:
                 client.submit(_job(pdef=3))
             assert exc.value.http_status == 503

@@ -1,12 +1,12 @@
-"""The one execution-resolution seam + the one error envelope (ISSUE 9).
+"""Which backend runs a job, plus the one error envelope.
 
-:func:`repro.service.resolve.resolve_execution` is the single precedence
-chain — ``request.backend > request.policy > host.policy > host.backend``
-— that the service, the pipeline and the shard coordinator all consult.
-Pinned here: every rung of the chain, override caching through
-``host.execution_overrides``, the ``materialize=False`` form the
-coordinator uses, and the removal of the legacy ``engine=`` aliases
-(the keyword and the wire field are rejected; nothing warns).
+A job runs on its request's ``backend`` when set and on the service's
+resident backend otherwise.  Pinned here: a non-resident backend runs the
+job, is created once, reused and closed with the service, and answers
+bit-identically to the resident one; an unknown name is rejected the same
+way on a cold submit and a warm result-cache hit, in process and over the
+wire; and the removed request fields (``engine``, ``policy``) are
+rejected as unknown fields (the legacy ``engine=`` keyword too).
 
 :mod:`repro.service.errors` is the single wire error shape.  Pinned
 here: envelope → exception round-trips for every registered type, in
@@ -17,11 +17,15 @@ payloads.
 
 from __future__ import annotations
 
+import dataclasses
+import http.client
+import json
 import warnings
 
 import pytest
 
 from repro.exceptions import (
+    BackendError,
     EnumerationLimitError,
     JobValidationError,
     ReproError,
@@ -38,6 +42,7 @@ from repro.service import (
     SchedulerService,
     ServiceClient,
 )
+from repro.service import service as service_module
 from repro.service.errors import (
     ERROR_TYPES,
     error_envelope,
@@ -45,92 +50,117 @@ from repro.service.errors import (
     http_status,
     retry_after_of,
 )
-from repro.service.resolve import ExecutionResolution, resolve_execution
 from repro.workloads import three_point_dft_paper
 
 
-class _Request:
-    """Minimal request duck: optional backend/policy strings."""
+def answer_bits(result) -> str:
+    return json.dumps(result.answer_dict())
 
-    def __init__(self, backend=None, policy=None):
-        self.backend = backend
-        self.policy = policy
+
+@pytest.fixture()
+def created(monkeypatch):
+    """Every backend the service module creates, in creation order (a
+    test clears it after constructing its service)."""
+    out = []
+
+    def spy(spec, **kwargs):
+        backend = real(spec, **kwargs)
+        out.append(backend)
+        return backend
+
+    real = service_module.get_backend
+    monkeypatch.setattr(service_module, "get_backend", spy)
+    return out
 
 
 # --------------------------------------------------------------------------- #
-# resolution precedence
+# which backend runs a job
 # --------------------------------------------------------------------------- #
 class TestResolveExecution:
-    @pytest.fixture()
-    def host(self):
+    REQUEST = JobRequest(capacity=5, pdef=4, workload="3dft")
+
+    def test_default_falls_through_to_resident_backend(self, created):
         with SchedulerService(backend="fused") as service:
-            yield service
+            created.clear()
+            result = service.submit(self.REQUEST)
+        assert result.backend == "fused"
+        assert created == []
 
-    def test_default_falls_through_to_resident_backend(self, host):
-        res = resolve_execution(None, host, three_point_dft_paper())
-        assert isinstance(res, ExecutionResolution)
-        assert res.backend is host.backend
-        assert res.backend.name == "fused"
-        assert res.decision is None
-        # A bare backend files observations under its fixed-* twin.
-        assert res.policy_label == "fixed-fused"
+    def test_request_backend_wins_outright(self):
+        with SchedulerService(backend="fused") as service:
+            resident = service.submit(self.REQUEST)
+            service.clear_caches()
+            other = service.submit(
+                dataclasses.replace(self.REQUEST, backend="serial")
+            )
+        assert (resident.backend, other.backend) == ("fused", "serial")
+        assert answer_bits(other) == answer_bits(resident)
 
-    def test_request_backend_wins_outright(self, host):
-        res = resolve_execution(
-            _Request(backend="serial", policy="auto"),
-            host,
-            three_point_dft_paper(),
-        )
-        assert res.backend.name == "serial"
-        # Explicit backend short-circuits: no policy was consulted.
-        assert res.decision is None
+    def test_resident_backend_is_not_recreated(self, created):
+        with SchedulerService(backend="fused") as service:
+            created.clear()
+            result = service.submit(
+                dataclasses.replace(self.REQUEST, backend="fused")
+            )
+        assert result.backend == "fused"
+        assert created == []
 
-    def test_request_policy_beats_host_policy(self, host):
-        res = resolve_execution(
-            _Request(policy="fixed-serial"), host, three_point_dft_paper()
-        )
-        assert res.backend.name == "serial"
-        assert res.decision is not None
-        assert res.policy_label == "fixed-serial"
+    def test_overrides_cache_non_resident_backends(self, created):
+        closed = []
+        service = SchedulerService(backend="fused")
+        created.clear()
+        try:
+            for pdef in (3, 4):
+                service.clear_caches()
+                result = service.submit(
+                    dataclasses.replace(self.REQUEST, pdef=pdef, backend="serial")
+                )
+                assert result.backend == "serial"
+            assert [b.name for b in created] == ["serial"]
+            created[0].close = lambda: closed.append(True)
+        finally:
+            service.close()
+        assert closed == [True]
 
-    def test_host_policy_is_the_default_policy(self):
-        with SchedulerService(backend="fused", policy="fixed-serial") as host:
-            res = resolve_execution(None, host, three_point_dft_paper())
-            assert res.backend.name == "serial"
-            assert res.policy_label == "fixed-serial"
 
-    def test_resident_backend_is_not_recreated(self, host):
-        res = resolve_execution(
-            _Request(backend="fused"), host, three_point_dft_paper()
-        )
-        assert res.backend is host.backend
-        assert host.execution_overrides == {}
+# --------------------------------------------------------------------------- #
+# unknown backend names: cold and warm agree
+# --------------------------------------------------------------------------- #
+class TestUnknownBackendName:
+    GOOD = JobRequest(capacity=5, pdef=3, workload="3dft")
+    BAD = dataclasses.replace(GOOD, backend="bogus")
 
-    def test_overrides_cache_non_resident_backends(self, host):
-        dfg = three_point_dft_paper()
-        first = resolve_execution(_Request(backend="serial"), host, dfg)
-        second = resolve_execution(_Request(backend="serial"), host, dfg)
-        assert first.backend is second.backend
-        assert host.execution_overrides["serial"] is first.backend
+    def test_cold_and_warm_submits_both_reject(self, created):
+        with SchedulerService() as service:
+            created.clear()
+            with pytest.raises(BackendError, match="bogus"):
+                service.submit(self.BAD)
+            service.submit(self.GOOD)
+            assert service.submit_outcome(self.GOOD).cache == "result"
+            with pytest.raises(BackendError, match="bogus"):
+                service.submit(self.BAD)
+        assert created == []
 
-    def test_materialize_false_carries_no_backend(self, host):
-        res = resolve_execution(
-            _Request(policy="auto"),
-            host,
-            three_point_dft_paper(),
-            materialize=False,
-        )
-        assert res.backend is None
-        assert res.decision is not None
-        assert host.execution_overrides == {}
+    def test_batch_duplicate_rejects(self):
+        with SchedulerService() as service:
+            with pytest.raises(BackendError, match="bogus"):
+                service.submit_many([self.GOOD, self.BAD])
 
-    def test_pipeline_and_service_resolve_identically(self, host):
-        dfg = three_point_dft_paper()
-        pipeline = Pipeline(4, 5)
-        a = resolve_execution(_Request(policy="fixed-fused"), host, dfg)
-        b = resolve_execution(_Request(policy="fixed-fused"), pipeline, dfg)
-        assert a.policy_label == b.policy_label == "fixed-fused"
-        assert a.backend.name == b.backend.name == "fused"
+    def test_cold_and_warm_submits_both_reject_over_the_wire(self):
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        try:
+            with ServiceClient(server.url, timeout=30) as client:
+                with pytest.raises(BackendError, match="bogus") as cold:
+                    client.submit(self.BAD)
+                client.submit(self.GOOD)
+                client.submit(self.GOOD)
+                assert client.last_cache == "result"
+                with pytest.raises(BackendError, match="bogus") as warm:
+                    client.submit(self.BAD)
+        finally:
+            server.shutdown()
+        assert cold.value.http_status == warm.value.http_status == 422
 
 
 # --------------------------------------------------------------------------- #
@@ -165,6 +195,25 @@ class TestLegacyEngineAliases:
             JobRequest.from_dict(payload)
         assert exc.value.field == "engine"
         assert http_status(exc.value) == 400
+
+    def test_policy_field_is_an_unknown_field_over_the_wire(self):
+        payload = JobRequest(capacity=5, pdef=4, workload="3dft").to_dict()
+        payload["policy"] = "fixed-fused"
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+            try:
+                conn.request("POST", "/v1/jobs", body=json.dumps(payload))
+                resp = conn.getresponse()
+                status, body = resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+        finally:
+            server.shutdown()
+        assert status == 400
+        assert body["error"]["type"] == "JobValidationError"
+        assert body["error"]["field"] == "policy"
 
     def test_default_paths_are_warning_free(self):
         from repro.patterns.enumeration import classify_antichains

@@ -19,6 +19,7 @@ Pins the :mod:`repro.service.store` contract:
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -354,6 +355,23 @@ class TestServiceWithDiskCache:
         assert warm.result.to_json() == cold.result.to_json()
         # Nothing was recomputed: a result hit carries no fresh timings.
         assert second.stats.catalog_misses == 0
+
+    def test_result_written_with_a_policy_field_still_answers(self, tmp_path):
+        # Results persisted before the policy layer was removed carry a
+        # "policy" echo field; they stay readable under the same
+        # DISK_FORMAT and answer identically.
+        with SchedulerService(cache_dir=tmp_path) as first:
+            cold = first.submit(_job())
+        path = _result_store(tmp_path).path_for(cold.job_key)
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        envelope["value"]["policy"] = "fixed-fused"
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        old = JobResult.from_json(json.dumps(envelope["value"]))
+        assert old.answer_dict() == cold.answer_dict()
+        with SchedulerService(cache_dir=tmp_path) as second:
+            warm = second.submit_outcome(_job())
+        assert warm.cache == "result"
+        assert warm.result.answer_dict() == cold.answer_dict()
 
     def test_restart_reuses_catalog_and_selection_levels(self, tmp_path):
         with SchedulerService(cache_dir=tmp_path) as first:
