@@ -60,6 +60,53 @@ if misses != 0:
 print(f"  rejected in {elapsed_ms:.1f} ms with partition_misses=0")
 EOF
 
+echo "== one classify pass: a cold 25-node build batches its 16 partitions =="
+# A cold build hands every missed seed partition to a single
+# classify_partition_rows call, which batches them into a few vectorized
+# BFS passes, yet still caches each partition's rows under its own key:
+# all 16 partials are stored, and an edit right after reuses the clean
+# ones (cache level "edit").  Counts only, no timing.
+python - <<'EOF'
+import repro.service.service as service_mod
+from repro.dfg.edit import DfgEdit
+from repro.service import EditRequest, JobRequest, SchedulerService
+from repro.service.service import EDIT_PARTITIONS
+from repro.workloads.synthetic import layered_dag
+
+calls = []
+classify_partition_rows = service_mod.classify_partition_rows
+
+
+def counted(*args, **kwargs):
+    calls.append(len(args[2]))
+    return classify_partition_rows(*args, **kwargs)
+
+
+service_mod.classify_partition_rows = counted
+dfg = layered_dag(7, layers=5, width=5, colors=("a", "b", "c"))
+if dfg.n_nodes != 25:
+    raise SystemExit(f"expected the fixed 25-node graph, got {dfg.n_nodes}")
+job = JobRequest(capacity=5, pdef=4, dfg=dfg)
+labels, colors = dfg.color_labels()
+recolor = DfgEdit.recolor(dfg.nodes[-1], "a" if colors[labels[-1]] != "a" else "b")
+with SchedulerService() as service:
+    cold = service.submit_outcome(job)
+    cold_calls = list(calls)
+    misses = service.stats.partition_misses
+    cached = len(service._shard_parts)
+    edit = service.submit_edit_outcome(EditRequest(job=job, edits=(recolor,)))
+if cold.cache != "none":
+    raise SystemExit(f"expected a cold submit, got cache {cold.cache!r}")
+if cold_calls != [EDIT_PARTITIONS]:
+    raise SystemExit(f"expected one call over 16 partitions, got {cold_calls}")
+if misses != EDIT_PARTITIONS or cached != EDIT_PARTITIONS:
+    raise SystemExit(f"partition_misses={misses}, cached partials={cached}")
+if edit.cache != "edit":
+    raise SystemExit(f"the edit after it answered {edit.cache!r}, not 'edit'")
+print(f"  1 classify call, partition_misses={misses}, {cached} partials cached,"
+      f" edit answered {edit.cache!r}")
+EOF
+
 echo "== perfbench unit tests =="
 python perfbench/selftest.py
 

@@ -27,7 +27,7 @@ candidate-extension set as a packed ``uint64`` bitset row.  Per depth:
   exactly the scalar recurrence ``allowed & ~comp[j] & ~(low-1) & ~low``;
 * span pruning is one vectorized compare;
 * bag transitions dedupe ``(bucket, label)`` pair codes through
-  ``np.unique`` so the Python-level transition dict runs once per *new*
+  ``np.unique`` so the Python-level bag lookup runs once per distinct
   pair, not once per antichain.
 
 Reconstructing the scalar order
@@ -51,10 +51,24 @@ The key fits ``int64`` iff ``(n_nodes + 1) ** max_size < 2**63``; larger
 problems (and numpy-less installs) transparently fall back to the scalar
 classifier, so the backend is safe to use unconditionally.
 
+Batching seed groups
+--------------------
+Seed subtrees are disjoint, so one pass can classify several seed
+groups (the service's cached seed partitions) side by side:
+:func:`classify_rows_bitset` keys each bucket by ``(group, bag)`` rather
+than ``bag`` and splits the rows per group at assembly.  The keys above
+are global, so each group's bag order and ``first_seen`` come out
+exactly as a separate call would give them, while the fixed per-depth
+numpy cost is paid once per pass instead of once per group.  The only
+shared quantity is ``max_count``, which bounds the pass's summed count —
+the same bound the merge of those groups enforces.
+
 Trade-off: the scalar DFS is O(depth) memory; the BFS materializes each
 cardinality frontier, i.e. O(live antichains) ``int64``s per depth,
 bounded by ``max_count`` (~80 MB per depth at the 5M default).  That is
 the price of vectorizing, and why ``max_count`` stays load-bearing here.
+A batched pass holds the frontiers of all its groups at once, so callers
+batch only light groups (see ``repro.exec.process._PASS_WEIGHT_BUDGET``).
 
 The optional compiled extension (``repro/exec/_bitset_native.c``, built
 best-effort by ``setup.py build_ext --inplace``) accelerates only the
@@ -104,6 +118,7 @@ __all__ = [
     "bitset_availability",
     "bitset_supported",
     "classify_by_label_bitset",
+    "classify_rows_bitset",
     "packed_incomparable_rows",
 ]
 
@@ -232,9 +247,7 @@ def classify_by_label_bitset(
     represent (no numpy, or positional keys past ``int64``) run the
     scalar classifier transparently, so callers never need to gate.
     """
-    dfg = enum.dfg
-    n = dfg.n_nodes
-    if not bitset_supported(n, max_size):
+    if not bitset_supported(enum.dfg.n_nodes, max_size):
         return enum.classify_by_label(
             labels,
             max_size,
@@ -244,6 +257,101 @@ def classify_by_label_bitset(
             allowed_mask=allowed_mask,
             roots=roots,
         )
+    (rows,), freq = _bitset_pass(
+        enum,
+        labels,
+        max_size,
+        span_limit,
+        [roots],
+        min_size=min_size,
+        max_count=max_count,
+        allowed_mask=allowed_mask,
+    )
+    # (Threshold read through the module so test monkeypatching of the
+    # spill regime applies to every classifier uniformly.)
+    spill = enum.dfg.n_nodes >= _antichains.NUMPY_SPILL_THRESHOLD
+    dense = freq if spill else freq.tolist()
+    return {
+        bag: LabelClassification(
+            count=count,
+            frequencies=dense[k].copy() if spill else dense[k],
+            first_seen=first_seen,
+        )
+        for k, (bag, count, first_seen, _) in enumerate(rows)
+    }
+
+
+def classify_rows_bitset(
+    enum: AntichainEnumerator,
+    labels: Sequence[int],
+    max_size: int,
+    span_limit: int | None,
+    root_groups: Sequence[Sequence[int]],
+    *,
+    max_count: int | None = DEFAULT_MAX_COUNT,
+) -> list[list[tuple]]:
+    """Classify several seed groups in one BFS pass, as sparse bucket rows.
+
+    Returns one row list per group: ``(bag_key, count, first_seen,
+    values)`` per bag in first-visit order, ``values`` aligned with
+    ``first_seen`` — the classification
+    ``classify_by_label_bitset(..., roots=root_groups[g])`` gives, bit for
+    bit, in the sparse plain-int form partition caches and the shard wire
+    carry.  The groups' frontiers run side by side: a bucket is
+    ``(group, bag)`` rather than ``bag``, and the positional keys are
+    global, so each group's bag order and ``first_seen`` come out exactly
+    as a separate call would give them, while the per-depth numpy work is
+    paid once per pass instead of once per group.
+
+    ``max_count`` bounds the antichains of the *whole pass*, summed over
+    its groups; overflowing it raises the error merging the groups would
+    raise.  Without the vectorized core every group runs the scalar
+    classifier on its own (and a group only fails on its own overflow).
+    """
+    if not bitset_supported(enum.dfg.n_nodes, max_size):
+        out = []
+        for roots in root_groups:
+            buckets = enum.classify_by_label(
+                labels, max_size, span_limit, max_count=max_count, roots=roots
+            )
+            out.append(
+                [
+                    (
+                        key,
+                        cls.count,
+                        list(cls.first_seen),
+                        [int(cls.frequencies[i]) for i in cls.first_seen],
+                    )
+                    for key, cls in buckets.items()
+                ]
+            )
+        return out
+    return _bitset_pass(
+        enum, labels, max_size, span_limit, root_groups, max_count=max_count
+    )[0]
+
+
+def _bitset_pass(
+    enum: AntichainEnumerator,
+    labels: Sequence[int],
+    max_size: int,
+    span_limit: int | None,
+    root_groups: "Sequence[Sequence[int] | None]",
+    *,
+    min_size: int = 1,
+    max_count: int | None = DEFAULT_MAX_COUNT,
+    allowed_mask: int | None = None,
+):
+    """The vectorized core: one BFS by cardinality over ``root_groups``.
+
+    Returns ``(rows, freq)``: ``rows[g]`` is group ``g``'s sparse bucket
+    rows (see :func:`classify_rows_bitset`; ``None`` roots mean every
+    node), and ``freq[k]`` the dense ``int64`` frequency row of the
+    ``k``-th bucket in global first-visit order — for a single group, of
+    its ``k``-th row.  Requires :func:`bitset_supported`.
+    """
+    dfg = enum.dfg
+    n = dfg.n_nodes
     enum._check_bounds(max_size, min_size, span_limit)
     if len(labels) != n:
         raise GraphError(f"labels has {len(labels)} entries for {n} nodes")
@@ -251,16 +359,18 @@ def classify_by_label_bitset(
     full = (1 << n) - 1
     if allowed_mask is not None:
         full &= allowed_mask
-    if roots is None:
-        seed_ids: Iterable[int] = range(n)
-    else:
-        seed_ids = sorted(set(roots))
-        for r in seed_ids:
-            if not 0 <= r < n:
-                raise GraphError(f"root index {r} out of range for {n} nodes")
-    seeds = [i for i in seed_ids if full >> i & 1]
-    if not seeds:
-        return {}
+    group_seeds: list[list[int]] = []
+    for roots in root_groups:
+        if roots is None:
+            seed_ids: Iterable[int] = range(n)
+        else:
+            seed_ids = sorted(set(roots))
+            for r in seed_ids:
+                if not 0 <= r < n:
+                    raise GraphError(f"root index {r} out of range for {n} nodes")
+        group_seeds.append([i for i in seed_ids if full >> i & 1])
+    if not any(group_seeds):
+        return [[] for _ in root_groups], np.zeros((0, n), dtype=np.int64)
 
     inc, words = packed_incomparable_rows(dfg)
     full_row = _pack_mask(full, words)
@@ -273,24 +383,32 @@ def classify_by_label_bitset(
     scale = [(n + 1) ** (max_size - 1 - d) for d in range(max_size)]
 
     # Bag/bucket bookkeeping (python-level, touched once per *new*
-    # (bucket, label) transition — never once per antichain).
+    # (bucket, label) transition — never once per antichain).  A bucket
+    # is one bag of one group.
     bag_keys: list[tuple[int, ...]] = []
-    bag_lookup: dict[tuple[int, ...], int] = {}
-    trans: dict[tuple[int, int], int] = {}
+    bag_group: list[int] = []
+    bag_lookup: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def bucket_of(bag: tuple[int, ...]) -> int:
-        b = bag_lookup.get(bag)
+    def bucket_of(group: int, bag: tuple[int, ...]) -> int:
+        b = bag_lookup.get((group, bag))
         if b is None:
             b = len(bag_keys)
-            bag_lookup[bag] = b
+            bag_lookup[group, bag] = b
             bag_keys.append(bag)
+            bag_group.append(group)
         return b
 
-    # Depth-1 frontier: the seeds themselves.
+    # Depth-1 frontier: every group's seeds, group after group.
+    seeds = [i for group in group_seeds for i in group]
     nodes_d = np.asarray(seeds, dtype=np.int64)
     parent_d = np.full(len(seeds), -1, dtype=np.int64)
     bucket_d = np.asarray(
-        [bucket_of((int(labels_arr[i]),)) for i in seeds], dtype=np.int64
+        [
+            bucket_of(g, (int(labels_arr[i]),))
+            for g, group in enumerate(group_seeds)
+            for i in group
+        ],
+        dtype=np.int64,
     )
     mx_d = asap[nodes_d]
     mn_d = alap[nodes_d]
@@ -384,18 +502,17 @@ def classify_by_label_bitset(
         children = nod_parts[0] if len(nod_parts) == 1 else np.concatenate(nod_parts)
 
         # Bag transitions: dedupe (bucket, label) pair codes first so the
-        # python dict work scales with distinct transitions, not frames.
+        # python work scales with distinct transitions, not frames.  A
+        # bucket's bag size is its depth, so no pair recurs at a later
+        # depth and each distinct pair is resolved exactly once.
         pair = bucket_d[parents] * np.int64(n_labels) + labels_arr[children]
         uniq, inverse = np.unique(pair, return_inverse=True)
-        lut = np.empty(len(uniq), dtype=np.int64)
-        for u_i, code in enumerate(uniq.tolist()):
+        lut = []
+        for code in uniq.tolist():
             pb, lab = divmod(code, n_labels)
-            key = (pb, lab)
-            b = trans.get(key)
-            if b is None:
-                b = bucket_of(tuple(sorted(bag_keys[pb] + (lab,))))
-                trans[key] = b
-            lut[u_i] = b
+            lut.append(
+                bucket_of(bag_group[pb], tuple(sorted(bag_keys[pb] + (lab,))))
+            )
 
         nxt_allowed = None
         if depth + 1 < max_size:
@@ -403,30 +520,34 @@ def classify_by_label_bitset(
         pk_d = pk_d[parents] + (children + 1) * np.int64(scale[depth])
         mx_d = np.maximum(mx_d[parents], asap[children])
         mn_d = np.minimum(mn_d[parents], alap[children])
-        bucket_d = lut[inverse]
+        bucket_d = np.asarray(lut, dtype=np.int64)[inverse]
         parent_d = parents
         nodes_d = children
         allowed_d = nxt_allowed
         depth += 1
 
-    # Assembly: reconstruct the scalar first-visit orders from the keys.
-    # (Threshold read through the module so test monkeypatching of the
-    # spill regime applies to every classifier uniformly.)
-    spill = n >= _antichains.NUMPY_SPILL_THRESHOLD
-    order = [b for b in range(len(bag_keys)) if cnt[b] > 0]
-    order.sort(key=lambda b: int(minpk[b]))
-    out: dict[tuple[int, ...], LabelClassification] = {}
-    for b in order:
-        freq = freq2d[b]
-        present = np.nonzero(freq)[0]
-        row = minpk_node[b]
-        first_seen = present[np.lexsort((present, row[present]))]
-        out[bag_keys[b]] = LabelClassification(
-            count=int(cnt[b]),
-            frequencies=freq.copy() if spill else freq.tolist(),
-            first_seen=first_seen.tolist(),
+    # Assembly: reconstruct the scalar first-visit orders from the keys,
+    # for every bucket at once.  Buckets sort by first-visit key, so each
+    # group's own subsequence is its scalar bag order; within a bucket,
+    # (first-visit key, node) orders ``first_seen``.
+    live = np.flatnonzero(cnt[:len(bag_keys)])
+    order = live[np.argsort(minpk[live], kind="stable")]
+    freq = freq2d[order]
+    row, node = np.nonzero(freq)
+    node = node[np.lexsort((node, minpk_node[order[row], node], row))]
+    first_seen = node.tolist()
+    values = freq[row, node].tolist()
+    ends = np.cumsum(np.count_nonzero(freq, axis=1)).tolist()
+    counts = cnt[order].tolist()
+    rows: list[list[tuple]] = [[] for _ in root_groups]
+    start = 0
+    for k, b in enumerate(order.tolist()):
+        end = ends[k]
+        rows[bag_group[b]].append(
+            (bag_keys[b], counts[k], first_seen[start:end], values[start:end])
         )
-    return out
+        start = end
+    return rows, freq
 
 
 class BitsetBackend(FusedBackend):

@@ -62,8 +62,8 @@ from repro.dfg.antichains import (
 )
 from repro.exceptions import BackendError, PatternError
 from repro.exec.bitset import (
-    bitset_supported,
     classify_by_label_bitset,
+    classify_rows_bitset,
     packed_incomparable_rows,
 )
 from repro.exec.fused import FusedBackend
@@ -84,6 +84,12 @@ __all__ = [
 #: Target task count per worker: enough dynamic-scheduling granularity to
 #: absorb the seed-subtree skew without drowning in task round-trips.
 _GROUPS_PER_JOB = 16
+
+#: Summed :func:`estimate_seed_weights` of the partitions one
+#: :func:`classify_partition_rows` pass may batch.  Batching saves the
+#: classifier's fixed per-depth cost on light partitions; the cap keeps
+#: heavy ones alone so their frontiers (peak memory) never add up.
+_PASS_WEIGHT_BUDGET = 1000
 
 # Worker-process state, installed once per worker by _init_worker.
 _WORKER: dict = {}
@@ -144,60 +150,78 @@ def _classify_seeds(task):
 def classify_partition_rows(
     enum: AntichainEnumerator,
     labels: Sequence[int],
-    seeds: Sequence[int],
+    partitions: Sequence[Sequence[int]],
     size: int,
     span_limit: int | None,
     max_count: int | None,
     *,
-    engine: str = "auto",
-) -> list[tuple]:
-    """Classify one seed partition into JSON-safe sparse bucket rows.
+    weights: Sequence[int] | None = None,
+) -> list[list[tuple]]:
+    """Classify seed partitions into JSON-safe sparse bucket rows.
 
-    The in-process flavour of :func:`_classify_seeds`, shared by the
-    service's shard endpoint and its edit-path partitioned rebuild: rows
-    are ``(bag_key, count, first_seen, values)`` with ``values`` aligned
-    to ``first_seen`` — always sparse plain ints, so a row list can be
-    cached on disk, shipped over HTTP, and fed straight back to
-    :func:`merge_classified_parts` on any instance.
+    Returns one row list per partition, aligned with ``partitions``; each
+    row is ``(bag_key, count, first_seen, values)`` with ``values``
+    aligned to ``first_seen`` — always sparse plain ints, so a row list
+    can be cached on disk, shipped over HTTP, and fed straight back to
+    :func:`merge_classified_parts` on any instance.  This is the
+    in-process flavour of :func:`_classify_seeds`, shared by the
+    service's shard endpoint and its partitioned catalog build.
 
-    ``engine`` selects the classification core — ``"auto"`` (default)
-    runs the vectorized bitset classifier when this process supports it,
-    ``"bitset"`` asks for it explicitly, ``"fused"`` forces the scalar
-    in-DFS classifier.  All choices produce identical rows (the shard
-    protocol and partial-cache keys rely on that), so mixed fleets can
-    disagree on engines freely.
+    Consecutive partitions share one vectorized BFS pass
+    (:func:`~repro.exec.bitset.classify_rows_bitset`) while their
+    summed estimated DFS weight stays within :data:`_PASS_WEIGHT_BUDGET`;
+    a heavier partition runs alone.  Every partition's rows are exactly
+    those of a call with that partition alone — and of the scalar
+    ``classify_by_label(roots=partition)``, which runs instead when the
+    vectorized core cannot (:func:`~repro.exec.bitset.bitset_supported`)
+    — so row lists stay cacheable per partition.  ``weights`` are the
+    per-partition weights :func:`plan_seed_partitions` already computed
+    (``with_weights=True``); without them every partition runs in a pass
+    of its own.
+
+    ``max_count`` bounds each vectorized pass's summed count: a pass that
+    overflows it raises the :class:`~repro.exceptions.EnumerationLimitError` the
+    merge of those partitions would raise, and none of its partitions'
+    rows are returned (so none get cached) — the catalog attempt they
+    belong to fails either way.
     """
-    if engine not in ("auto", "bitset", "fused"):
-        raise BackendError(
-            f"unknown partition classify engine {engine!r}; "
-            f"expected 'auto', 'bitset' or 'fused'"
-        )
-    if engine == "fused":
-        classify = enum.classify_by_label
+    if weights is None:
+        bounds = [(p, p + 1) for p in range(len(partitions))]
     else:
-
-        def classify(labels, size, span, **kwargs):
-            return classify_by_label_bitset(enum, labels, size, span, **kwargs)
-
-    buckets = classify(
-        labels,
-        size,
-        span_limit,
-        max_count=max_count,
-        roots=seeds,
-    )
-    out = []
-    for key, cls in buckets.items():
-        freq = cls.frequencies
-        out.append(
-            (
-                key,
-                cls.count,
-                list(cls.first_seen),
-                [int(freq[i]) for i in cls.first_seen],
+        bounds = _pass_bounds(weights)
+    out: list[list[tuple]] = []
+    for lo, hi in bounds:
+        out.extend(
+            classify_rows_bitset(
+                enum,
+                labels,
+                size,
+                span_limit,
+                partitions[lo:hi],
+                max_count=max_count,
             )
         )
     return out
+
+
+def _pass_bounds(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """Cut ``weights`` into ``[lo, hi)`` runs of at most one pass budget.
+
+    Greedy and order-preserving: a run grows while its summed weight
+    stays within :data:`_PASS_WEIGHT_BUDGET`, and a single partition
+    over the budget forms a run of its own.
+    """
+    bounds: list[tuple[int, int]] = []
+    lo = 0
+    acc = 0
+    for i, w in enumerate(weights):
+        if i > lo and acc + w > _PASS_WEIGHT_BUDGET:
+            bounds.append((lo, i))
+            lo, acc = i, 0
+        acc += w
+    if lo < len(weights):
+        bounds.append((lo, len(weights)))
+    return bounds
 
 
 def _split_contiguous(seeds: Sequence[int], partitions: int) -> list[list[int]]:
@@ -227,7 +251,8 @@ def estimate_seed_weights(
     ``1 + k + k·(k-1)/2`` (the size-≤3 prefix of ``C(k, ·)``) is cheap,
     overflow-free and monotone in ``k`` — exactly what weight-balanced
     partitioning (:func:`plan_seed_partitions`) needs; it deliberately is
-    *not* an antichain count.  ``k`` comes from the comparability
+    *not* an antichain count (it also sizes the batched classify passes
+    of :func:`classify_partition_rows`).  ``k`` comes from the comparability
     bitmasks, which are already memoized on the graph's analysis cache
     (:func:`repro.dfg.traversal.comparability_masks`), so repeated
     planning against one graph pays the mask cost once.
@@ -299,18 +324,22 @@ def _split_weighted(
         remaining -= acc
         start = end
 
-    def max_group_weight(split: list[list[int]]) -> int:
-        i = 0
-        worst = 0
-        for group in split:
-            worst = max(worst, sum(weights[i:i + len(group)]))
-            i += len(group)
-        return worst
-
     even = _split_contiguous(seeds, n_groups)
-    if max_group_weight(even) < max_group_weight(parts):
+    if max(_group_weights(even, weights)) < max(_group_weights(parts, weights)):
         return even
     return parts
+
+
+def _group_weights(
+    split: Sequence[Sequence[int]], weights: Sequence[int]
+) -> list[int]:
+    """Summed seed weight of each group of a contiguous ``split``."""
+    sums = []
+    i = 0
+    for group in split:
+        sums.append(sum(weights[i:i + len(group)]))
+        i += len(group)
+    return sums
 
 
 def plan_seed_partitions(
@@ -319,7 +348,8 @@ def plan_seed_partitions(
     *,
     restrict_to: Iterable[str] | None = None,
     skew_aware: bool = True,
-) -> list[list[int]]:
+    with_weights: bool = False,
+) -> "list[list[int]] | tuple[list[list[int]], list[int]]":
     """Contiguous ascending seed-node partitions of ``dfg``'s DFS.
 
     This is the exact split the process backend fans classify tasks out
@@ -344,7 +374,10 @@ def plan_seed_partitions(
 
     Returns at most ``partitions`` non-empty lists of node indices;
     ``restrict_to`` narrows the seed universe the same way it narrows the
-    enumeration.
+    enumeration.  ``with_weights=True`` returns ``(partitions, weights)``
+    instead, ``weights[p]`` being partition ``p``'s summed seed weight —
+    what :func:`classify_partition_rows` groups passes by, so a caller
+    that plans and classifies estimates the weights once.
     """
     from repro.patterns.enumeration import _allowed_mask
 
@@ -356,10 +389,16 @@ def plan_seed_partitions(
     if allowed is not None:
         full_mask &= allowed
     seeds = [i for i in range(n) if full_mask >> i & 1]
-    if not skew_aware:
+    if not skew_aware and not with_weights:
         return _split_contiguous(seeds, partitions)
     weights = estimate_seed_weights(dfg, seeds, allowed_mask=full_mask)
-    return _split_weighted(seeds, weights, partitions)
+    if skew_aware:
+        parts = _split_weighted(seeds, weights, partitions)
+    else:
+        parts = _split_contiguous(seeds, partitions)
+    if with_weights:
+        return parts, _group_weights(parts, weights)
+    return parts
 
 
 def merge_classified_parts(

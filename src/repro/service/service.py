@@ -604,17 +604,25 @@ class SchedulerService:
 
         For the fused backend (the service default) and the bitset
         backend — whose partition rows are bit-identical by contract —
-        the build runs seed partition by seed partition against the
-        content-addressed shard partial cache: partitions whose
+        each attempt cuts the graph into :data:`EDIT_PARTITIONS` seed
+        partitions and probes the content-addressed shard partial cache
+        for every one of them first: partitions whose
         :func:`~repro.dfg.io.subgraph_digest`-keyed partial is already
         cached — because an *edited* graph shares them with its
         predecessor, another instance computed them, or they survived on
-        disk — are served with **zero** enumeration DFS, and only the
-        rest are classified, with the merge in ascending-seed order
-        reproducing the monolithic fused build bit for bit
-        (:func:`repro.exec.process.merge_classified_parts`).  Returns the
-        catalog plus the number of partition cache hits (``> 0`` is what
-        :data:`CACHE_LEVELS` reports as ``"edit"``).
+        disk — are served with **zero** enumeration DFS.  Only the
+        misses go to the classifier, all in one
+        :func:`~repro.exec.process.classify_partition_rows` call that
+        batches them into as few vectorized passes as its weight budget
+        allows (reusing the plan's seed weights); each partition's rows
+        are then cached under its own key.  A cold build is the case
+        where every partition misses.  The merge in ascending-seed order
+        reproduces the monolithic fused build bit for bit
+        (:func:`repro.exec.process.merge_classified_parts`).  An attempt
+        whose pass overflows ``max_antichains`` caches none of that
+        call's partials; the adaptive-span retry plans afresh.  Returns
+        the catalog plus the number of partition cache hits (``> 0`` is
+        what :data:`CACHE_LEVELS` reports as ``"edit"``).
 
         Other backends (process pools own their own partitioning;
         ``store_antichains`` needs the serial path) fall through to the
@@ -632,8 +640,12 @@ class SchedulerService:
 
         def classify(size: int, span: "int | None") -> "PatternCatalog":
             nonlocal hits
-            parts: list[list[tuple]] = []
-            for seeds in plan_seed_partitions(dfg, EDIT_PARTITIONS):
+            plan, weights = plan_seed_partitions(
+                dfg, EDIT_PARTITIONS, with_weights=True
+            )
+            parts: list["list[tuple] | None"] = []
+            missed: list[tuple[int, tuple]] = []
+            for p, seeds in enumerate(plan):
                 key = shard_partial_key(
                     dfg, seeds, size, span, config.max_antichains
                 )
@@ -641,22 +653,26 @@ class SchedulerService:
                 if cached is not None:
                     self.stats.partition_hits += 1
                     hits += 1
-                    parts.append(cached)
-                    continue
-                self.stats.partition_misses += 1
+                else:
+                    self.stats.partition_misses += 1
+                    missed.append((p, key))
+                parts.append(cached)
+            if missed:
                 if "enum" not in state:
                     state["enum"] = AntichainEnumerator(dfg)
                     state["labels"] = dfg.color_labels()[0]
-                rows = classify_partition_rows(
+                classified = classify_partition_rows(
                     state["enum"],
                     state["labels"],
-                    seeds,
+                    [plan[p] for p, _ in missed],
                     size,
                     span,
                     config.max_antichains,
+                    weights=[weights[p] for p, _ in missed],
                 )
-                self._shard_parts.put(key, rows)
-                parts.append(rows)
+                for (p, key), rows in zip(missed, classified):
+                    self._shard_parts.put(key, rows)
+                    parts[p] = rows
             return merge_classified_parts(
                 dfg,
                 parts,
@@ -802,11 +818,11 @@ class SchedulerService:
             out = classify_partition_rows(
                 AntichainEnumerator(dfg),
                 dfg.color_labels()[0],
-                task.seeds,
+                [task.seeds],
                 task.size,
                 task.span_limit,
                 task.max_count,
-            )
+            )[0]
             self._shard_parts.put(key, out)
             return out, "none"
 

@@ -355,21 +355,154 @@ def test_packed_rows_memoized_and_match_masks():
         assert got == expect, i
 
 
+def _scalar_rows(enum, labels, seeds, size, span, max_count):
+    """Reference partition rows from the scalar in-DFS classifier."""
+    buckets = enum.classify_by_label(
+        labels, size, span, max_count=max_count, roots=seeds
+    )
+    return [
+        (
+            key,
+            cls.count,
+            list(cls.first_seen),
+            [int(cls.frequencies[i]) for i in cls.first_seen],
+        )
+        for key, cls in buckets.items()
+    ]
+
+
 def test_classify_partition_rows_engines_identical():
     dfg = radix2_fft(8)
     labels, _ = dfg.color_labels()
-    seeds = list(range(0, dfg.n_nodes, 2))
-    args = (labels, seeds, 4, 1, None)
-    fused = classify_partition_rows(AntichainEnumerator(dfg), *args, engine="fused")
-    auto = classify_partition_rows(AntichainEnumerator(dfg), *args)
-    forced = classify_partition_rows(AntichainEnumerator(dfg), *args, engine="bitset")
-    assert auto == fused == forced
-    # JSON-safe plain ints either way.
-    for key, count, first_seen, values in auto:
-        assert all(type(v) is int for v in values)
-        assert all(type(i) is int for i in first_seen)
-    with pytest.raises(BackendError, match="unknown partition classify engine"):
-        classify_partition_rows(AntichainEnumerator(dfg), *args, engine="bogus")
+    enum = AntichainEnumerator(dfg)
+    partitions = [list(range(0, dfg.n_nodes, 2)), [1, 3, 5], [7], [59]]
+    got = classify_partition_rows(enum, labels, partitions, 4, 1, None)
+    assert got == [
+        _scalar_rows(enum, labels, seeds, 4, 1, None) for seeds in partitions
+    ]
+    # JSON-safe plain ints.
+    for rows in got:
+        for key, count, first_seen, values in rows:
+            assert type(count) is int
+            assert all(type(v) is int for v in values)
+            assert all(type(i) is int for i in first_seen)
+    assert classify_partition_rows(enum, labels, [], 4, 1, None) == []
+
+
+@st.composite
+def _batched_case(draw):
+    dfg, _, _ = draw(_random_case())
+    seeds = list(range(dfg.n_nodes))
+    cuts = sorted(draw(st.sets(st.integers(1, len(seeds) - 1), max_size=7)))
+    bounds = [0, *cuts, len(seeds)]
+    plan = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Cache hits leave gaps: only the missed partitions reach the call.
+    kept = [p for p in plan if draw(st.booleans())] or plan[:1]
+    capacity = draw(st.integers(1, 5))
+    span = draw(st.sampled_from([None, 0, 1]))
+    budget = draw(st.integers(0, 3000))
+    return dfg, kept, capacity, span, budget
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_batched_case(), st.booleans())
+def test_hypothesis_batched_rows_equal_per_partition_scalar(case, planned):
+    # One batched call (any pass budget; without weights, one pass per
+    # partition) must give every partition exactly the rows the scalar
+    # classifier gives it alone.
+    from unittest import mock
+
+    from repro.exec import process as process_mod
+
+    dfg, partitions, capacity, span, budget = case
+    labels, _ = dfg.color_labels()
+    enum = AntichainEnumerator(dfg)
+    weights = None
+    if planned:
+        seed_w = estimate_seed_weights(dfg, list(range(dfg.n_nodes)))
+        weights = [sum(seed_w[i] for i in seeds) for seeds in partitions]
+    with mock.patch.object(process_mod, "_PASS_WEIGHT_BUDGET", budget):
+        got = classify_partition_rows(
+            enum, labels, partitions, capacity, span, None, weights=weights
+        )
+    assert got == [
+        _scalar_rows(enum, labels, seeds, capacity, span, None)
+        for seeds in partitions
+    ]
+
+
+#: fft8 at capacity 4 holds 151 437 antichains at span 1 (no partition
+#: over 17 354) and 78 351 at span 0, so this cap overflows span 1 only
+#: when partitions are summed, and the adaptive retry succeeds at span 0.
+_FFT8_CAP = 100_000
+
+
+@pytest.mark.parametrize("budget", [0, 10**12])
+def test_overflowed_pass_raises_the_merge_error(monkeypatch, budget):
+    # Budget 0 runs every partition alone, so only the merge sees the
+    # overflow; an unbounded budget runs one pass, which must raise the
+    # same error itself.
+    from repro.exec import process as process_mod
+    from repro.exec.process import merge_classified_parts, plan_seed_partitions
+
+    monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", budget)
+    dfg = radix2_fft(8)
+    labels, _ = dfg.color_labels()
+    enum = AntichainEnumerator(dfg)
+    plan, weights = plan_seed_partitions(dfg, 16, with_weights=True)
+    scalar = [_scalar_rows(enum, labels, s, 4, 1, None) for s in plan]
+    assert max(sum(r[1] for r in rows) for rows in scalar) <= _FFT8_CAP
+    with pytest.raises(EnumerationLimitError) as merged:
+        merge_classified_parts(
+            dfg, scalar, capacity=4, span_limit=1, max_count=_FFT8_CAP
+        )
+    if budget == 0:
+        rows = classify_partition_rows(
+            enum, labels, plan, 4, 1, _FFT8_CAP, weights=weights
+        )
+        assert rows == scalar
+        with pytest.raises(EnumerationLimitError) as batched:
+            merge_classified_parts(
+                dfg, rows, capacity=4, span_limit=1, max_count=_FFT8_CAP
+            )
+    else:
+        with pytest.raises(EnumerationLimitError) as batched:
+            classify_partition_rows(
+                enum, labels, plan, 4, 1, _FFT8_CAP, weights=weights
+            )
+    assert str(batched.value) == str(merged.value)
+
+
+@pytest.mark.parametrize("budget, cached", [(0, 32), (10**12, 16)])
+def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
+    # The span-1 attempt overflows (in one pass, or only at the merge);
+    # the span-0 retry must give the monolithic fused catalog either way.
+    # An overflowed pass caches none of its partitions' rows.
+    from repro.core.selection import PatternSelector
+    from repro.exec import process as process_mod
+    from repro.service import SchedulerService
+    from repro.service.serialize import catalog_to_dict
+
+    monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", budget)
+    dfg = radix2_fft(8)
+    config = SelectionConfig(max_antichains=_FFT8_CAP)
+    backend = get_backend("fused")
+    with SchedulerService() as svc:
+        catalog, hits = svc._build_catalog(
+            dfg, PatternSelector(4, config=config), backend
+        )
+        assert hits == 0
+        assert svc.stats.partition_misses == 32  # both attempts probed
+        assert len(svc._shard_parts) == cached
+    assert catalog.span_limit == 0
+    reference = PatternSelector(4, config=config).build_catalog(
+        dfg, backend=backend
+    )
+    assert catalog_to_dict(catalog) == catalog_to_dict(reference)
 
 
 def test_estimate_seed_weights_vectorized_matches_pure(monkeypatch):

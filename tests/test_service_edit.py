@@ -143,9 +143,11 @@ class TestIncrementalRebuild:
         enumerated: list[tuple[int, ...]] = []
         original = service_mod.classify_partition_rows
 
-        def spy(enum, labels, seeds, size, span_limit, max_count):
-            enumerated.append(tuple(seeds))
-            return original(enum, labels, seeds, size, span_limit, max_count)
+        def spy(enum, labels, partitions, size, span_limit, max_count, **kw):
+            enumerated.extend(tuple(seeds) for seeds in partitions)
+            return original(
+                enum, labels, partitions, size, span_limit, max_count, **kw
+            )
 
         monkeypatch.setattr(service_mod, "classify_partition_rows", spy)
 
