@@ -107,6 +107,19 @@ print(f"  1 classify call, partition_misses={misses}, {cached} partials cached,"
       f" edit answered {edit.cache!r}")
 EOF
 
+echo "== CLI local shards: pipeline fft8 --shards 2 matches one service =="
+# Drives the CLI's threaded in-process shard path end to end on a heavy
+# graph.  The library and cycle count must equal a single-service run;
+# the cache level (and so the rest of the output) legitimately differs.
+# No timing gate.
+sharded=$(python -m repro.cli pipeline fft8 --shards 2 | grep -E '^ *(library|cycles):')
+single=$(python -m repro.cli pipeline fft8 | grep -E '^ *(library|cycles):')
+if [[ -z "$single" || "$sharded" != "$single" ]]; then
+    printf 'sharded:\n%s\nsingle:\n%s\n' "$sharded" "$single"
+    exit 1
+fi
+printf '%s\n' "$sharded" | sed 's/^/ /'
+
 echo "== perfbench unit tests =="
 python perfbench/selftest.py
 

@@ -243,24 +243,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
     )
     if args.shards is not None:
-        from repro.service.retry import RetryPolicy
-
-        retry_kwargs = {}
-        if getattr(args, "shard_timeout", None) is not None:
-            retry_kwargs["read_timeout"] = args.shard_timeout
-            retry_kwargs["connect_timeout"] = min(5.0, args.shard_timeout)
-        if getattr(args, "shard_retries", None) is not None:
-            retry_kwargs["retries"] = args.shard_retries
-        retry = RetryPolicy(**retry_kwargs) if retry_kwargs else None
         # Fan the catalog stage out over N in-process shard services; a
         # shared --cache-dir lets them reuse each other's disk entries.
         with ShardCoordinator.local(
-            args.shards,
-            service=service,
-            claim_batch=args.claim_batch,
-            cache_dir=args.cache_dir,
-            retry=retry,
-            failover=not getattr(args, "no_failover", False),
+            args.shards, service=service, cache_dir=args.cache_dir
         ) as coord, service:
             outcome = coord.submit_outcome(request)
         via = f"{args.shards} local shards + {service.backend.describe()}"
@@ -521,21 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="fan the catalog stage out over N in-process shard "
                         "services (see repro.service.shard)")
-    p.add_argument("--claim-batch", type=int, default=2,
-                   help="with --shards: unclaimed partitions a remote shard "
-                        "may claim per steal-loop round trip (default 2)")
-    p.add_argument("--shard-timeout", type=float, default=None,
-                   help="with --shards: per-attempt read timeout in seconds "
-                        "for shard calls (connect timeout is capped at 5s; "
-                        "default 60)")
-    p.add_argument("--shard-retries", type=int, default=None,
-                   help="with --shards: same-shard transport retries per "
-                        "call before the partition fails over (default 2)")
-    p.add_argument("--no-failover", action="store_true",
-                   help="with --shards: fail fast on shard faults instead "
-                        "of re-enqueueing partitions onto healthy shards "
-                        "(and, as a last resort, classifying them "
-                        "in-process)")
     p.add_argument("--cache-dir", default=None,
                    help="disk-backed cache directory: catalogs/selections/"
                         "results persist across invocations")

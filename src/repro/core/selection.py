@@ -29,7 +29,6 @@ from repro.core.priority import (
 )
 from repro.patterns.multiset import iter_subbag_keys, n_subbags
 from repro.dfg.antichains import antichain_count_floor, limit_error
-from repro.dfg.levels import LevelAnalysis
 from repro.dfg.validate import validate_dfg
 from repro.exceptions import CycleError, EnumerationLimitError, SelectionError
 from repro.patterns.enumeration import PatternCatalog, classify_antichains
@@ -147,7 +146,6 @@ class PatternSelector:
         self,
         dfg: "DFG",
         *,
-        levels: LevelAnalysis | None = None,
         backend: "object | None" = None,
     ) -> PatternCatalog:
         """Pattern generation (paper §5.1) with this selector's bounds.
@@ -176,7 +174,6 @@ class PatternSelector:
                 dfg,
                 size,
                 span,
-                levels=levels,
                 store_antichains=config.store_antichains,
                 max_count=config.max_antichains,
                 backend=backend,

@@ -37,9 +37,6 @@ the reduction into the walk:
   (``(bucket, label) → bucket``), so the hot loop performs one dict lookup
   per extension instead of building a key object per antichain.
 
-An ``allowed_mask`` bitmask restricts every mode to a node subset inside
-the DFS (no post-filtering).
-
 Parallel partitioning
 ---------------------
 The DFS explores antichains in lexicographic order of their ascending index
@@ -212,14 +209,12 @@ class AntichainEnumerator:
     ----------
     dfg:
         The graph; must be acyclic.
-    levels:
-        Optional precomputed :class:`~repro.dfg.levels.LevelAnalysis`.
     """
 
-    def __init__(self, dfg: "DFG", levels: LevelAnalysis | None = None) -> None:
+    def __init__(self, dfg: "DFG") -> None:
         dfg.check_acyclic()
         self.dfg = dfg
-        self.levels = levels if levels is not None else LevelAnalysis.of(dfg)
+        self.levels = LevelAnalysis.of(dfg)
         self._comp = comparability_masks(dfg)
         n = dfg.n_nodes
         self._asap = [self.levels.asap[dfg.name_of(i)] for i in range(n)]
@@ -250,7 +245,6 @@ class AntichainEnumerator:
         *,
         min_size: int = 1,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        allowed_mask: int | None = None,
     ) -> Iterator[tuple[int, ...]]:
         """Yield antichains as ascending node-index tuples.
 
@@ -264,12 +258,6 @@ class AntichainEnumerator:
             Smallest cardinality to yield (≥ 1).
         max_count:
             Safety ceiling; ``None`` disables it.
-        allowed_mask:
-            Bitmask of node indices the antichains may use; ``None`` means
-            all nodes.  Restriction happens inside the DFS, so the yielded
-            sequence is the full enumeration filtered to antichains whose
-            members all lie in the mask — without visiting excluded
-            branches.
         """
         self._check_bounds(max_size, min_size, span_limit)
 
@@ -279,14 +267,10 @@ class AntichainEnumerator:
         alap = self._alap
         produced = 0
         full_mask = (1 << n) - 1
-        if allowed_mask is not None:
-            full_mask &= allowed_mask
 
         # members, allowed-extension mask, running max(ASAP), min(ALAP)
         stack: list[tuple[tuple[int, ...], int, int, int]] = []
         for i in range(n):
-            if not full_mask >> i & 1:
-                continue
             higher = full_mask & ~((1 << (i + 1)) - 1)
             stack.append(((i,), higher & ~comp[i], asap[i], alap[i]))
         # LIFO DFS would enumerate in reverse start order; reverse the seed so
@@ -323,7 +307,6 @@ class AntichainEnumerator:
         *,
         min_size: int = 1,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        allowed_mask: int | None = None,
     ) -> Iterator[tuple[str, ...]]:
         """Like :meth:`iter_index_antichains` but yields node-name tuples."""
         name_of = self.dfg.name_of
@@ -332,7 +315,6 @@ class AntichainEnumerator:
             span_limit,
             min_size=min_size,
             max_count=max_count,
-            allowed_mask=allowed_mask,
         ):
             yield tuple(name_of(i) for i in idx)
 
@@ -342,7 +324,6 @@ class AntichainEnumerator:
         span_limit: int | None = None,
         *,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        allowed_mask: int | None = None,
     ) -> dict[int, int]:
         """Antichain counts keyed by cardinality — the paper's Table 5 rows.
 
@@ -360,14 +341,10 @@ class AntichainEnumerator:
         alap = self._alap
         produced = 0
         full_mask = (1 << n) - 1
-        if allowed_mask is not None:
-            full_mask &= allowed_mask
 
         # depth, allowed-extension mask, running max(ASAP), min(ALAP)
         stack: list[tuple[int, int, int, int]] = []
         for i in range(n):
-            if not full_mask >> i & 1:
-                continue
             higher = full_mask & ~((1 << (i + 1)) - 1)
             stack.append((1, higher & ~comp[i], asap[i], alap[i]))
         stack.reverse()
@@ -406,7 +383,6 @@ class AntichainEnumerator:
         *,
         min_size: int = 1,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        allowed_mask: int | None = None,
         roots: Sequence[int] | None = None,
     ) -> dict[tuple[int, ...], LabelClassification]:
         """Classify antichains by label bag inside the DFS (fused fast path).
@@ -431,8 +407,7 @@ class AntichainEnumerator:
         one of those nodes.  The subtrees of distinct seeds are disjoint and
         their concatenation in ascending seed order is the full sequential
         enumeration, which is what the process backend exploits to fan the
-        classification out over workers (see the module docstring).  Seeds
-        outside ``allowed_mask`` are skipped.
+        classification out over workers (see the module docstring).
         """
         self._check_bounds(max_size, min_size, span_limit)
         n = self.dfg.n_nodes
@@ -445,8 +420,6 @@ class AntichainEnumerator:
         alap = self._alap
         produced = 0
         full_mask = (1 << n) - 1
-        if allowed_mask is not None:
-            full_mask &= allowed_mask
         if roots is None:
             seed_ids: Iterable[int] = range(n)
         else:
@@ -482,8 +455,6 @@ class AntichainEnumerator:
         # depth, node, allowed-extension mask, max(ASAP), min(ALAP), bucket
         stack: list[tuple[int, int, int, int, int, int]] = []
         for i in seed_ids:
-            if not full_mask >> i & 1:
-                continue
             higher = full_mask & ~((1 << (i + 1)) - 1)
             stack.append(
                 (1, i, higher & ~comp[i], asap[i], alap[i], bucket_of((labels[i],)))

@@ -13,9 +13,10 @@ to classify identically on both graphs.  The check mirrors the facts hashed by
 index, name, interned color label and its color, ASAP/ALAP, and comparability
 restricted to the seed's support — so ``dirty_mask`` and single-seed digest
 equality agree bit for bit (pinned by the property suite).  Clean seeds can be
-re-served from retained partial frequency arrays; dirty seeds are re-enumerated
-via the DFS ``restrict_to`` bitmask and merged back in ascending-seed order for
-a bit-identical catalog.
+re-served from cached partition rows, keyed by each partition's subgraph digest
+(:func:`repro.service.service.shard_partial_key`); partitions holding a dirty
+seed are re-classified and every partition's rows merged back in ascending-seed
+order for a bit-identical catalog.
 
 Edits address nodes by *name*.  Structural validity (acyclicity after an
 ``add_edge``) is the caller's concern, exactly as for hand-built graphs; every

@@ -15,14 +15,13 @@ strategy for *how* to compute, never *what*.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.selection import PatternSelector, SelectionRound
     from repro.dfg.graph import DFG
-    from repro.dfg.levels import LevelAnalysis
     from repro.patterns.enumeration import PatternCatalog
     from repro.patterns.pattern import Pattern
     from repro.scheduling.schedule import Schedule
@@ -58,10 +57,8 @@ class ExecutionBackend(abc.ABC):
         capacity: int,
         span_limit: int | None = None,
         *,
-        levels: "LevelAnalysis | None" = None,
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        restrict_to: Iterable[str] | None = None,
     ) -> "PatternCatalog":
         """Pattern generation: enumerate antichains and classify into patterns.
 
@@ -84,7 +81,6 @@ class ExecutionBackend(abc.ABC):
         self,
         scheduler: "MultiPatternScheduler",
         dfg: "DFG",
-        levels: "LevelAnalysis | None" = None,
     ) -> "Schedule":
         """Run the Fig. 3 multi-pattern list scheduling loop."""
 

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dfg import antichains as _antichains
 from repro.dfg.antichains import (
@@ -110,7 +110,6 @@ if os.environ.get("REPRO_NO_NATIVE") != "1":
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
-    from repro.dfg.levels import LevelAnalysis
     from repro.patterns.enumeration import PatternCatalog
 
 __all__ = [
@@ -165,9 +164,7 @@ def packed_incomparable_rows(dfg: "DFG"):
 
     ``rows[i]`` is the ``uint64[words]`` little-endian packing of
     ``higher(i) & ~comp[i]`` — the seed allowed-extension mask of node
-    ``i`` before any ``allowed_mask`` restriction (callers AND a packed
-    restriction row in themselves, which keeps this memoizable
-    per graph).  Cached on the graph's mutation-cleared analysis cache
+    ``i``.  Cached on the graph's mutation-cleared analysis cache
     alongside the int masks it is derived from, so every classify call,
     partition plan and worker against one graph packs once.  The array is
     read-only — child rows are fresh ``&`` results, never in-place edits.
@@ -191,11 +188,6 @@ def packed_incomparable_rows(dfg: "DFG"):
     if cache is not None:
         cache["packed_incomparable_rows"] = out
     return out
-
-
-def _pack_mask(mask: int, words: int):
-    """One packed ``uint64`` row for an arbitrary-precision int bitmask."""
-    return np.frombuffer(mask.to_bytes(words * 8, "little"), dtype=np.uint64)
 
 
 def _expand_rows(allowed, words: int):
@@ -234,7 +226,6 @@ def classify_by_label_bitset(
     *,
     min_size: int = 1,
     max_count: int | None = DEFAULT_MAX_COUNT,
-    allowed_mask: int | None = None,
     roots: Sequence[int] | None = None,
 ) -> dict[tuple[int, ...], LabelClassification]:
     """Vectorized drop-in for :meth:`AntichainEnumerator.classify_by_label`.
@@ -254,7 +245,6 @@ def classify_by_label_bitset(
             span_limit,
             min_size=min_size,
             max_count=max_count,
-            allowed_mask=allowed_mask,
             roots=roots,
         )
     (rows,), freq = _bitset_pass(
@@ -265,7 +255,6 @@ def classify_by_label_bitset(
         [roots],
         min_size=min_size,
         max_count=max_count,
-        allowed_mask=allowed_mask,
     )
     # (Threshold read through the module so test monkeypatching of the
     # spill regime applies to every classifier uniformly.)
@@ -340,7 +329,6 @@ def _bitset_pass(
     *,
     min_size: int = 1,
     max_count: int | None = DEFAULT_MAX_COUNT,
-    allowed_mask: int | None = None,
 ):
     """The vectorized core: one BFS by cardinality over ``root_groups``.
 
@@ -356,24 +344,20 @@ def _bitset_pass(
     if len(labels) != n:
         raise GraphError(f"labels has {len(labels)} entries for {n} nodes")
 
-    full = (1 << n) - 1
-    if allowed_mask is not None:
-        full &= allowed_mask
     group_seeds: list[list[int]] = []
     for roots in root_groups:
         if roots is None:
-            seed_ids: Iterable[int] = range(n)
-        else:
-            seed_ids = sorted(set(roots))
-            for r in seed_ids:
-                if not 0 <= r < n:
-                    raise GraphError(f"root index {r} out of range for {n} nodes")
-        group_seeds.append([i for i in seed_ids if full >> i & 1])
+            group_seeds.append(list(range(n)))
+            continue
+        seed_ids = sorted(set(roots))
+        for r in seed_ids:
+            if not 0 <= r < n:
+                raise GraphError(f"root index {r} out of range for {n} nodes")
+        group_seeds.append(seed_ids)
     if not any(group_seeds):
         return [[] for _ in root_groups], np.zeros((0, n), dtype=np.int64)
 
     inc, words = packed_incomparable_rows(dfg)
-    full_row = _pack_mask(full, words)
     asap = np.asarray(enum._asap, dtype=np.int64)
     alap = np.asarray(enum._alap, dtype=np.int64)
     labels_arr = np.asarray(labels, dtype=np.int64)
@@ -413,7 +397,7 @@ def _bitset_pass(
     mx_d = asap[nodes_d]
     mn_d = alap[nodes_d]
     pk_d = (nodes_d + 1) * np.int64(scale[0])
-    allowed_d = inc[nodes_d] & full_row if max_size > 1 else None
+    allowed_d = inc[nodes_d] if max_size > 1 else None
 
     # Per-bucket accumulators, grown geometrically as bags appear.
     cap = 16
@@ -567,31 +551,23 @@ class BitsetBackend(FusedBackend):
         capacity: int,
         span_limit: int | None = None,
         *,
-        levels: "LevelAnalysis | None" = None,
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        restrict_to: Iterable[str] | None = None,
     ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _allowed_mask, _classify_fast
+        from repro.patterns.enumeration import _classify_fast
 
         if store_antichains:
             raise PatternError(
                 f"the {self.name!r} backend cannot store raw antichains; "
                 "use the serial backend with store_antichains"
             )
-        enum = AntichainEnumerator(dfg, levels=levels)
+        enum = AntichainEnumerator(dfg)
 
         def classify(labels, size, span, **kwargs):
             return classify_by_label_bitset(enum, labels, size, span, **kwargs)
 
         return _classify_fast(
-            dfg,
-            enum,
-            capacity,
-            span_limit,
-            max_count,
-            _allowed_mask(dfg, restrict_to),
-            classify=classify,
+            dfg, enum, capacity, span_limit, max_count, classify=classify
         )
 
     def describe(self) -> str:

@@ -15,19 +15,22 @@ Two capability notes, inherited from the fast paths it wraps:
   on global pool state) are routed to the reference loop automatically —
   same outputs, without the cache.
 
-The roots-restricted form of the fused classifier
-(``classify_by_label(..., roots=seeds)``) is also the unit of work for
-every partitioned build: the process backend's jobs, the shard
-coordinator's partitions and the service's incremental warm-edit rebuild
-(:meth:`repro.service.service.SchedulerService.submit_edit`) all
-re-enumerate per-seed subtrees through this same DFS and merge in
-ascending-seed order — which is why their catalogs are bit-identical to
-a fused single pass.
+Partitioned builds — the process backend's jobs, the shard coordinator's
+partitions and the service's incremental warm-edit rebuild
+(:meth:`repro.service.service.SchedulerService.submit_edit`) — classify
+per-seed subtrees with the bitset kernels
+(:func:`~repro.exec.bitset.classify_by_label_bitset`,
+:func:`~repro.exec.bitset.classify_rows_bitset`), which reproduce this
+backend's roots-restricted DFS (``classify_by_label(..., roots=seeds)``)
+bit for bit and fall back to it when
+:func:`~repro.exec.bitset.bitset_supported` says no.  They merge in
+ascending-seed order, which is why their catalogs are bit-identical to a
+fused single pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.exceptions import PatternError
@@ -36,7 +39,6 @@ from repro.exec.backend import ExecutionBackend
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.selection import PatternSelector, SelectionRound
     from repro.dfg.graph import DFG
-    from repro.dfg.levels import LevelAnalysis
     from repro.patterns.enumeration import PatternCatalog
     from repro.patterns.pattern import Pattern
     from repro.scheduling.schedule import Schedule
@@ -56,22 +58,18 @@ class FusedBackend(ExecutionBackend):
         capacity: int,
         span_limit: int | None = None,
         *,
-        levels: "LevelAnalysis | None" = None,
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        restrict_to: Iterable[str] | None = None,
     ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _allowed_mask, _classify_fast
+        from repro.patterns.enumeration import _classify_fast
 
         if store_antichains:
             raise PatternError(
                 f"the {self.name!r} backend cannot store raw antichains; "
                 "use the serial backend with store_antichains"
             )
-        enum = AntichainEnumerator(dfg, levels=levels)
-        return _classify_fast(
-            dfg, enum, capacity, span_limit, max_count, _allowed_mask(dfg, restrict_to)
-        )
+        enum = AntichainEnumerator(dfg)
+        return _classify_fast(dfg, enum, capacity, span_limit, max_count)
 
     def run_selection(
         self,
@@ -92,6 +90,5 @@ class FusedBackend(ExecutionBackend):
         self,
         scheduler: "MultiPatternScheduler",
         dfg: "DFG",
-        levels: "LevelAnalysis | None" = None,
     ) -> "Schedule":
-        return scheduler._schedule_fast(dfg, levels)
+        return scheduler._schedule_fast(dfg)

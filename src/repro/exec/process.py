@@ -6,9 +6,11 @@ subtrees of distinct seeds are disjoint (see :mod:`repro.dfg.antichains`).
 Pattern generation therefore parallelizes without changing a single
 output bit:
 
-1. every seed node becomes one task; a worker runs the *same* fused
-   in-DFS classifier restricted to that seed's subtree
-   (``classify_by_label(..., roots=[seed])``);
+1. every seed node becomes one task; a worker runs the bitset
+   classifier restricted to that seed's subtree
+   (:func:`~repro.exec.bitset.classify_by_label_bitset` with
+   ``roots=[seed]``, bit-identical to the fused DFS, which it runs
+   instead when :func:`~repro.exec.bitset.bitset_supported` says no);
 2. workers return per-bag results (census, node frequencies, first-seen
    order) — sparse index/value pairs on ordinary graphs, dense numpy
    arrays past the spill threshold so the merge is a vectorized add;
@@ -21,7 +23,8 @@ output bit:
 
 Selection and scheduling are not parallelized (they are sub-10 ms on
 realistic catalogs and inherently sequential round-by-round); the process
-backend inherits the fused fast paths for both.
+backend inherits the fused fast paths for both, through
+:class:`~repro.exec.bitset.BitsetBackend`.
 
 Workers are plain ``multiprocessing.Pool`` processes primed once per
 worker with the *graph* via the pool initializer; tasks carry a
@@ -31,14 +34,14 @@ so the ranges are weight-balanced against a per-seed cost model
 (:func:`estimate_seed_weights`, from the memoized comparability
 bitmasks), cut much finer than the worker count and scheduled
 dynamically.  ``jobs`` defaults to ``os.cpu_count()``; with one job (or
-a single seed) the backend degrades to the fused in-process path rather
-than paying pool overhead for nothing.
+a single seed) the backend degrades to the bitset backend's in-process
+classifier rather than paying pool overhead for nothing.
 
 Persistent pools
 ----------------
 With ``persistent=True`` the pool outlives a classify call: because only
 the graph is baked in at fork time, every later call against the *same
-graph object* — any capacity, span limit or restriction — reuses the
+graph object* — any capacity or span limit — reuses the
 warm workers, so ``pdef``/span sweeps and long-lived services (see
 :mod:`repro.service`) amortize pool startup across requests.  A call
 with a different graph retires the old pool and spins up a fresh one;
@@ -62,15 +65,14 @@ from repro.dfg.antichains import (
 )
 from repro.exceptions import BackendError, PatternError
 from repro.exec.bitset import (
+    BitsetBackend,
     classify_by_label_bitset,
     classify_rows_bitset,
     packed_incomparable_rows,
 )
-from repro.exec.fused import FusedBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
-    from repro.dfg.levels import LevelAnalysis
     from repro.patterns.enumeration import PatternCatalog
 
 __all__ = [
@@ -100,7 +102,7 @@ def _init_worker(dfg: "DFG") -> None:
 
     Only graph-derived state is baked in here; per-call enumeration
     parameters travel with each task so a persistent pool can serve any
-    capacity/span/restriction against the primed graph.
+    capacity/span against the primed graph.
     """
     _WORKER["enum"] = AntichainEnumerator(dfg)
     _WORKER["labels"] = dfg.color_labels()[0]
@@ -114,7 +116,7 @@ def _init_worker(dfg: "DFG") -> None:
 def _classify_seeds(task):
     """Classify the DFS subtrees rooted at ``seeds`` (one pool task).
 
-    ``task`` is ``(seeds, size, span_limit, max_count, allowed_mask)``;
+    ``task`` is ``(seeds, size, span_limit, max_count)``;
     ``seeds`` is a contiguous ascending range, so the in-task result is
     already in sequential visit order for that range.  Returns a list of
     ``(bag_key, count, first_seen, payload)`` in local first-visit order,
@@ -122,7 +124,7 @@ def _classify_seeds(task):
     or the values aligned with ``first_seen`` (sparse regime) — whichever
     is cheaper to ship back.
     """
-    seeds, size, span_limit, max_count, allowed_mask = task
+    seeds, size, span_limit, max_count = task
     enum: AntichainEnumerator = _WORKER["enum"]
     labels = _WORKER["labels"]
     # Auto-route to the vectorized classifier (bit-identical output; falls
@@ -133,7 +135,6 @@ def _classify_seeds(task):
         size,
         span_limit,
         max_count=max_count,
-        allowed_mask=allowed_mask,
         roots=seeds,
     )
     out = []
@@ -237,12 +238,7 @@ def _split_contiguous(seeds: Sequence[int], partitions: int) -> list[list[int]]:
     ]
 
 
-def estimate_seed_weights(
-    dfg: "DFG",
-    seeds: Sequence[int],
-    *,
-    allowed_mask: int | None = None,
-) -> list[int]:
+def estimate_seed_weights(dfg: "DFG", seeds: Sequence[int]) -> list[int]:
     """Relative DFS-subtree cost estimate per seed node.
 
     The antichain subtree rooted at seed ``i`` extends over the nodes
@@ -264,20 +260,15 @@ def estimate_seed_weights(
     """
     from repro.dfg.traversal import comparability_masks
 
-    universe = (1 << dfg.n_nodes) - 1
-    if allowed_mask is not None:
-        universe &= allowed_mask
     if seeds and _np is not None and hasattr(_np, "bitwise_count"):
-        # inc[i] is higher(i) & ~comp[i]; AND-ing the universe row leaves
-        # exactly the scalar loop's `above & ~comp[i]` bits per seed.
-        inc, words = packed_incomparable_rows(dfg)
-        u_row = _np.frombuffer(
-            universe.to_bytes(words * 8, "little"), dtype=_np.uint64
-        )
-        rows = inc[_np.asarray(seeds, dtype=_np.int64)] & u_row
+        # inc[i] is higher(i) & ~comp[i]: exactly the scalar loop's
+        # `above & ~comp[i]` bits per seed.
+        inc, _ = packed_incomparable_rows(dfg)
+        rows = inc[_np.asarray(seeds, dtype=_np.int64)]
         k = _np.bitwise_count(rows).sum(axis=1, dtype=_np.int64)
         return (1 + k + k * (k - 1) // 2).tolist()
     comp = comparability_masks(dfg)
+    universe = (1 << dfg.n_nodes) - 1
     weights = []
     for i in seeds:
         above = universe >> (i + 1) << (i + 1)
@@ -346,7 +337,6 @@ def plan_seed_partitions(
     dfg: "DFG",
     partitions: int,
     *,
-    restrict_to: Iterable[str] | None = None,
     skew_aware: bool = True,
     with_weights: bool = False,
 ) -> "list[list[int]] | tuple[list[list[int]], list[int]]":
@@ -372,26 +362,18 @@ def plan_seed_partitions(
     seeds in the same ascending contiguous order, so the choice can never
     affect merged-output bits.
 
-    Returns at most ``partitions`` non-empty lists of node indices;
-    ``restrict_to`` narrows the seed universe the same way it narrows the
-    enumeration.  ``with_weights=True`` returns ``(partitions, weights)``
+    Returns at most ``partitions`` non-empty lists of node indices.
+    ``with_weights=True`` returns ``(partitions, weights)``
     instead, ``weights[p]`` being partition ``p``'s summed seed weight —
     what :func:`classify_partition_rows` groups passes by, so a caller
     that plans and classifies estimates the weights once.
     """
-    from repro.patterns.enumeration import _allowed_mask
-
     if partitions < 1:
         raise BackendError(f"partitions must be ≥ 1, got {partitions}")
-    n = dfg.n_nodes
-    full_mask = (1 << n) - 1
-    allowed = _allowed_mask(dfg, restrict_to)
-    if allowed is not None:
-        full_mask &= allowed
-    seeds = [i for i in range(n) if full_mask >> i & 1]
+    seeds = list(range(dfg.n_nodes))
     if not skew_aware and not with_weights:
         return _split_contiguous(seeds, partitions)
-    weights = estimate_seed_weights(dfg, seeds, allowed_mask=full_mask)
+    weights = estimate_seed_weights(dfg, seeds)
     if skew_aware:
         parts = _split_weighted(seeds, weights, partitions)
     else:
@@ -470,7 +452,7 @@ def merge_classified_parts(
     )
 
 
-class ProcessBackend(FusedBackend):
+class ProcessBackend(BitsetBackend):
     """Multiprocess pattern generation over seed-node partitions.
 
     Parameters
@@ -582,13 +564,9 @@ class ProcessBackend(FusedBackend):
         capacity: int,
         span_limit: int | None = None,
         *,
-        levels: "LevelAnalysis | None" = None,
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        restrict_to: Iterable[str] | None = None,
     ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _allowed_mask
-
         if store_antichains:
             raise PatternError(
                 f"the {self.name!r} backend cannot store raw antichains; "
@@ -596,28 +574,20 @@ class ProcessBackend(FusedBackend):
             )
         # Keep the enumerator construction: it validates bounds eagerly and
         # primes the analysis cache the merge's color interning reuses.
-        AntichainEnumerator(dfg, levels=levels)
-        allowed_mask = _allowed_mask(dfg, restrict_to)
+        AntichainEnumerator(dfg)
         jobs = self.effective_jobs()
         # Contiguous ascending seed ranges, cut finer than the worker count
         # so dynamic scheduling can absorb the low-seed subtree skew.
-        groups = plan_seed_partitions(
-            dfg, jobs * _GROUPS_PER_JOB, restrict_to=restrict_to
-        )
+        groups = plan_seed_partitions(dfg, jobs * _GROUPS_PER_JOB)
         if jobs <= 1 or sum(len(g) for g in groups) < 2:
-            # Pool overhead cannot pay for itself; run fused in-process.
+            # Pool overhead cannot pay for itself: classify in-process with
+            # the bitset kernel the workers would have run.
             return super().classify(
-                dfg,
-                capacity,
-                span_limit,
-                levels=levels,
-                max_count=max_count,
-                restrict_to=restrict_to,
+                dfg, capacity, span_limit, max_count=max_count
             )
 
         tasks = [
-            (seeds, capacity, span_limit, max_count, allowed_mask)
-            for seeds in groups
+            (seeds, capacity, span_limit, max_count) for seeds in groups
         ]
         # A persistent pool keeps all `jobs` workers warm for later calls;
         # a one-shot pool spawns no more workers than there are tasks.

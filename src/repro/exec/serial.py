@@ -11,7 +11,7 @@ without falling back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.exec.backend import ExecutionBackend
@@ -19,7 +19,6 @@ from repro.exec.backend import ExecutionBackend
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.selection import PatternSelector, SelectionRound
     from repro.dfg.graph import DFG
-    from repro.dfg.levels import LevelAnalysis
     from repro.patterns.enumeration import PatternCatalog
     from repro.patterns.pattern import Pattern
     from repro.scheduling.schedule import Schedule
@@ -39,22 +38,14 @@ class SerialBackend(ExecutionBackend):
         capacity: int,
         span_limit: int | None = None,
         *,
-        levels: "LevelAnalysis | None" = None,
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
-        restrict_to: Iterable[str] | None = None,
     ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _allowed_mask, _classify_reference
+        from repro.patterns.enumeration import _classify_reference
 
-        enum = AntichainEnumerator(dfg, levels=levels)
+        enum = AntichainEnumerator(dfg)
         return _classify_reference(
-            dfg,
-            enum,
-            capacity,
-            span_limit,
-            max_count,
-            _allowed_mask(dfg, restrict_to),
-            store_antichains,
+            dfg, enum, capacity, span_limit, max_count, store_antichains
         )
 
     def run_selection(
@@ -70,6 +61,5 @@ class SerialBackend(ExecutionBackend):
         self,
         scheduler: "MultiPatternScheduler",
         dfg: "DFG",
-        levels: "LevelAnalysis | None" = None,
     ) -> "Schedule":
-        return scheduler._schedule_reference(dfg, levels)
+        return scheduler._schedule_reference(dfg)

@@ -18,7 +18,7 @@ classifies inside the enumeration DFS via
 :meth:`~repro.dfg.antichains.AntichainEnumerator.classify_by_label`
 (no per-antichain allocations; one interned :class:`Pattern` per bag),
 the serial backend materializes name tuples and classifies them
-sequentially, and the process backend fans the fused classifier out over
+sequentially, and the process backend fans the bitset classifier out over
 seed-node partitions.  All produce equal catalogs — including per-pattern
 Counter insertion order, which Eq. 8's float summation depends on.
 """
@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
-from repro.dfg.levels import LevelAnalysis
 from repro.patterns.pattern import Pattern
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,28 +93,13 @@ class PatternCatalog:
         return len(self.frequencies)
 
 
-def _allowed_mask(dfg: "DFG", restrict_to: Iterable[str] | None) -> int | None:
-    """Bitmask of ``restrict_to`` node indices (names absent from the graph
-    are ignored, matching the historical post-filter semantics)."""
-    if restrict_to is None:
-        return None
-    mask = 0
-    index = dfg.index
-    for n in restrict_to:
-        if n in dfg:
-            mask |= 1 << index(n)
-    return mask
-
-
 def classify_antichains(
     dfg: "DFG",
     capacity: int,
     span_limit: int | None = None,
     *,
-    levels: LevelAnalysis | None = None,
     store_antichains: bool = False,
     max_count: int | None = DEFAULT_MAX_COUNT,
-    restrict_to: Iterable[str] | None = None,
     backend: object | None = None,
 ) -> PatternCatalog:
     """Enumerate antichains of ``dfg`` and classify them into patterns.
@@ -130,19 +114,12 @@ def classify_antichains(
     span_limit:
         Maximum antichain span (paper §5.1 recommends small limits; see
         Table 5 for how sharply this cuts the enumeration).
-    levels:
-        Optional precomputed level analysis.
     store_antichains:
         Keep the raw antichains per pattern (Table 4 style reporting).
         Requires the serial backend — the stored name tuples are exactly
         what the fused path exists to avoid.
     max_count:
         Enumeration safety ceiling (see :mod:`repro.dfg.antichains`).
-    restrict_to:
-        If given, only antichains whose nodes all belong to this set are
-        classified (used by incremental re-selection experiments).  The
-        restriction is pushed into the enumerator as a node bitmask, so
-        excluded branches of the DFS are never visited.
     backend:
         An :class:`~repro.exec.backend.ExecutionBackend` instance or
         registered backend name (e.g. ``"process"``).  Omitted, the fused
@@ -165,10 +142,8 @@ def classify_antichains(
         dfg,
         capacity,
         span_limit,
-        levels=levels,
         store_antichains=store_antichains,
         max_count=max_count,
-        restrict_to=restrict_to,
     )
 
 
@@ -178,7 +153,6 @@ def _classify_fast(
     capacity: int,
     span_limit: int | None,
     max_count: int | None,
-    allowed_mask: int | None,
     classify=None,
 ) -> PatternCatalog:
     """Fused engine: in-DFS classification into int frequency arrays.
@@ -198,13 +172,7 @@ def _classify_fast(
 
     if classify is None:
         classify = enum.classify_by_label
-    buckets = classify(
-        labels,
-        capacity,
-        span_limit,
-        max_count=max_count,
-        allowed_mask=allowed_mask,
-    )
+    buckets = classify(labels, capacity, span_limit, max_count=max_count)
     freqs: dict[Pattern, Counter[str]] = {}
     counts: dict[Pattern, int] = {}
     for bag, cls in buckets.items():
@@ -233,7 +201,6 @@ def _classify_reference(
     capacity: int,
     span_limit: int | None,
     max_count: int | None,
-    allowed_mask: int | None,
     store_antichains: bool,
 ) -> PatternCatalog:
     """Sequential oracle: classify materialized name tuples one by one."""
@@ -241,9 +208,7 @@ def _classify_reference(
     counts: dict[Pattern, int] = {}
     stored: dict[Pattern, list[tuple[str, ...]]] = {}
     color = dfg.color
-    for names in enum.iter_antichains(
-        capacity, span_limit, max_count=max_count, allowed_mask=allowed_mask
-    ):
+    for names in enum.iter_antichains(capacity, span_limit, max_count=max_count):
         pattern = Pattern(color(n) for n in names)
         counter = freqs.get(pattern)
         if counter is None:

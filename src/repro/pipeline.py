@@ -29,8 +29,7 @@ Stages
     Summary statistics (:func:`repro.analysis.metrics.schedule_stats`).
 
 Every stage runs through the same backend; all backends are bit-identical
-in output, so switching backends changes wall-clock only.  A per-stage
-``on_stage(name, seconds)`` hook fires as each stage completes.
+in output, so switching backends changes wall-clock only.
 """
 
 from __future__ import annotations
@@ -129,17 +128,6 @@ class Pipeline:
     collect_metrics:
         Compute :func:`~repro.analysis.metrics.schedule_stats` as a final
         stage (on by default).
-    catalog_builder:
-        Optional ``(dfg) -> PatternCatalog`` replacing the selector's own
-        catalog stage — the seam a
-        :class:`~repro.service.shard.ShardCoordinator` plugs sharded
-        pattern generation into (``catalog_builder=coord.build_catalog``
-        partial-applied); the stage is still timed as ``catalog``.  The
-        builder must honour the bit-identity contract: same catalog, any
-        strategy.
-    on_stage:
-        Optional hook called as ``on_stage(stage_name, seconds)`` right
-        after each stage completes.
     timer:
         Clock used for stage timing (injectable for tests).
     """
@@ -155,8 +143,6 @@ class Pipeline:
         priority: PatternPriority | str = PatternPriority.F2,
         priority_fn: "PriorityFn | None" = None,
         collect_metrics: bool = True,
-        catalog_builder: "Callable[[DFG], PatternCatalog] | None" = None,
-        on_stage: Callable[[str, float], None] | None = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.backend: ExecutionBackend = get_backend(backend, jobs=jobs)
@@ -167,8 +153,6 @@ class Pipeline:
         )
         self.priority = PatternPriority.coerce(priority)
         self.collect_metrics = collect_metrics
-        self.catalog_builder = catalog_builder
-        self.on_stage = on_stage
         self.timer = timer
 
     @property
@@ -180,10 +164,7 @@ class Pipeline:
     def _timed(self, stage: str, timings: dict[str, float], fn: Callable[[], Any]):
         t0 = self.timer()
         out = fn()
-        seconds = self.timer() - t0
-        timings[stage] = seconds
-        if self.on_stage is not None:
-            self.on_stage(stage, seconds)
+        timings[stage] = self.timer() - t0
         return out
 
     def run(
@@ -199,12 +180,11 @@ class Pipeline:
         timings: dict[str, float] = {}
         backend = self.backend
         if catalog is None:
-            build = (
-                self.catalog_builder
-                if self.catalog_builder is not None
-                else lambda g: self.selector.build_catalog(g, backend=backend)
+            catalog = self._timed(
+                "catalog",
+                timings,
+                lambda: self.selector.build_catalog(dfg, backend=backend),
             )
-            catalog = self._timed("catalog", timings, lambda: build(dfg))
         selection = self._timed(
             "selection",
             timings,

@@ -89,16 +89,13 @@ class PriorityParameters:
 
 def node_priorities(
     dfg: "DFG",
-    levels: LevelAnalysis | None = None,
     params: PriorityParameters | None = None,
 ) -> dict[str, int]:
     """``f(n)`` for every node (paper Eq. 4).
 
-    Parameters default to :meth:`PriorityParameters.derive`; a precomputed
-    :class:`~repro.dfg.levels.LevelAnalysis` may be passed to avoid rework.
+    Parameters default to :meth:`PriorityParameters.derive`.
     """
-    if levels is None:
-        levels = LevelAnalysis.of(dfg)
+    levels = LevelAnalysis.of(dfg)
     if params is None:
         params = PriorityParameters.derive(dfg)
     else:
@@ -112,16 +109,13 @@ def node_priorities(
     return out
 
 
-def priority_rank_key(
-    dfg: "DFG", levels: LevelAnalysis | None = None
-) -> dict[str, tuple[int, int, int]]:
+def priority_rank_key(dfg: "DFG") -> dict[str, tuple[int, int, int]]:
     """The lexicographic key ``(height, #ds, #as)`` underlying Eq. 4.
 
     Sorting by this tuple descending is equivalent to sorting by strict-mode
     ``f(n)`` descending — a property the test-suite asserts.
     """
-    if levels is None:
-        levels = LevelAnalysis.of(dfg)
+    levels = LevelAnalysis.of(dfg)
     desc = descendant_masks(dfg)
     return {
         n: (

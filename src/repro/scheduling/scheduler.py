@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.dfg.levels import LevelAnalysis
 from repro.dfg.validate import validate_dfg
 from repro.exceptions import SchedulingDeadlockError, SchedulingError
 from repro.patterns.library import PatternLibrary
@@ -90,7 +89,6 @@ class MultiPatternScheduler:
         self,
         dfg: "DFG",
         *,
-        levels: LevelAnalysis | None = None,
         backend: "ExecutionBackend | str | None" = None,
     ) -> Schedule:
         """Schedule ``dfg``, returning the full :class:`Schedule` trace.
@@ -99,8 +97,6 @@ class MultiPatternScheduler:
         ----------
         dfg:
             The graph to schedule.
-        levels:
-            Optional precomputed level analysis.
         backend:
             An :class:`~repro.exec.backend.ExecutionBackend` instance or
             registered backend name (see :func:`repro.exec.get_backend`).
@@ -126,15 +122,13 @@ class MultiPatternScheduler:
                 f"library {self.library.as_strings()} has no slot for "
                 f"colors {sorted(missing)} used by {dfg.name!r}"
             )
-        return backend.run_schedule(self, dfg, levels=levels)
+        return backend.run_schedule(self, dfg)
 
     # ------------------------------------------------------------------ #
-    def _schedule_reference(
-        self, dfg: "DFG", levels: LevelAnalysis | None
-    ) -> Schedule:
+    def _schedule_reference(self, dfg: "DFG") -> Schedule:
         """Name-based Fig. 3 loop — the equivalence oracle."""
         # Fig. 3 step 1: node priorities.
-        priorities = node_priorities(dfg, levels=levels, params=self.params)
+        priorities = node_priorities(dfg, params=self.params)
         # Step 2: initial candidate list.
         cl = CandidateList(dfg)
         color_of = dfg.color
@@ -196,7 +190,7 @@ class MultiPatternScheduler:
         schedule.verify()
         return schedule
 
-    def _schedule_fast(self, dfg: "DFG", levels: LevelAnalysis | None) -> Schedule:
+    def _schedule_fast(self, dfg: "DFG") -> Schedule:
         """Integer Fig. 3 loop, bit-identical to :meth:`_schedule_reference`.
 
         All per-cycle work runs on dense int structures: node → color-id
@@ -221,7 +215,7 @@ class MultiPatternScheduler:
         across most cycles.  Reused selections are by construction
         identical to a fresh walk, so none of this changes any output.
         """
-        priorities = node_priorities(dfg, levels=levels, params=self.params)
+        priorities = node_priorities(dfg, params=self.params)
         names = dfg.nodes
         prio = [priorities[name] for name in names]
 

@@ -2,12 +2,11 @@
 
 The fault-tolerance layer never hardcodes a delay or a threshold: every
 knob lives in one frozen :class:`RetryPolicy` value that travels from
-the CLI (``--shard-timeout``, ``--shard-retries``) through
-:class:`~repro.service.shard.RemoteShard` and
-:class:`~repro.service.shard.ShardCoordinator` down to the HTTP
-clients — so a caller (or a test) can tune recovery behaviour in one
-place, and a fault-injection test can shrink every delay to
-microseconds without monkeypatching.
+:class:`~repro.service.shard.ShardCoordinator` through
+:class:`~repro.service.shard.RemoteShard` down to the HTTP clients — so
+a caller (or a test) can tune recovery behaviour in one place, and a
+fault-injection test can shrink every delay to microseconds without
+monkeypatching.
 
 Three pieces:
 

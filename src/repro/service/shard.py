@@ -50,7 +50,7 @@ enumeration bounds; see
 :func:`repro.service.service.shard_partial_key`, so partials survive
 graph edits outside a partition's support and only dirty partitions are
 ever dispatched), hands the misses to whichever shard frees up first
-(work stealing; remote shards claim up to ``claim_batch`` unclaimed
+(work stealing; remote shards claim up to :data:`CLAIM_BATCH` unclaimed
 ranges per streamed HTTP round trip), merges the per-shard int frequency
 arrays in ascending-seed order
 (:func:`repro.exec.process.merge_classified_parts`) and completes
@@ -117,6 +117,10 @@ __all__ = [
 #: planner flattens most of it statically) without drowning remote
 #: shards in request round-trips.
 PARTITIONS_PER_SHARD = 4
+
+#: Unclaimed partitions a remote shard claims per steal-loop round trip.
+#: Batching amortises the HTTP round trip; local shards claim singly.
+CLAIM_BATCH = 2
 
 _TASK_FIELDS = {"size", "span_limit", "max_count", "seeds", "workload", "dfg"}
 
@@ -335,10 +339,9 @@ class RemoteShard:
     sees each slot at most once and merged output stays bit-identical.
     """
 
-    #: Remote claims cost an HTTP round trip each, so the steal loop may
-    #: hand a remote shard up to ``ShardCoordinator.claim_batch`` ranges
-    #: per trip; ``None`` defers to the coordinator's setting.
-    batch_limit: "int | None" = None
+    #: Remote claims cost an HTTP round trip each, so the steal loop
+    #: hands a remote shard up to :data:`CLAIM_BATCH` ranges per trip.
+    batch_limit = CLAIM_BATCH
 
     def __init__(
         self,
@@ -481,7 +484,7 @@ class CoordinatorStats:
     ``remote_partial_hits`` counts dispatched tasks a *remote* shard
     answered from its own partial cache (stream cache level ``shard`` — no
     DFS ran anywhere).  ``claim_rounds`` counts steal-loop claim trips:
-    a remote shard claims up to ``claim_batch`` unclaimed ranges per
+    a remote shard claims up to :data:`CLAIM_BATCH` unclaimed ranges per
     round trip, so ``dispatched / claim_rounds`` is the realised batch
     factor.  ``tasks_per_shard`` records how the dynamic loop actually
     spread the work; :meth:`steals` derives how many tasks ran on a
@@ -557,9 +560,6 @@ class ShardCoordinator:
         answers warm partitions from disk without any shard traffic.  A
         private one is created — and closed with the coordinator — when
         omitted.
-    claim_batch:
-        Unclaimed partitions a remote shard may claim per steal-loop
-        round trip.  Pure strategy: any setting merges bit-identically.
     retry:
         The :class:`~repro.service.retry.RetryPolicy` governing every
         recovery knob: per-attempt timeouts and same-shard retry budget
@@ -567,21 +567,19 @@ class ShardCoordinator:
         the per-shard circuit breakers' threshold and cool-down.
         Defaults to ``RetryPolicy()``.  Pre-built shard handles keep
         their own policies.
-    failover:
-        When ``True`` (the default) a partition whose shard fails or
-        times out — after that shard's own retry budget — is re-enqueued
-        on the steal queue and claimed by a healthy shard; each shard
-        carries a circuit breaker that ejects it from the loop after
-        ``retry.breaker_threshold`` consecutive failures (re-admitted
-        via half-open ``/healthz`` probes after ``retry.breaker_cooldown``);
-        and partitions nobody healthy will take are classified
-        in-process by the completion service as a last resort, so a
-        build degrades instead of failing while at least one executor
-        exists.  Deterministic failures (validation, enumeration
-        limits) never fail over — they propagate, lowest partition
-        first, exactly as without failover.  ``False`` restores the
-        fail-fast behaviour.  Failover is pure placement: results land
-        by partition index, so recovered runs stay bit-identical.
+
+    Failover is always on.  A partition whose shard fails or times out —
+    after that shard's own retry budget — is re-enqueued on the steal
+    queue and claimed by a healthy shard; each shard carries a circuit
+    breaker that ejects it from the loop after
+    ``retry.breaker_threshold`` consecutive failures (re-admitted via
+    half-open ``/healthz`` probes after ``retry.breaker_cooldown``); and
+    partitions nobody healthy will take are classified in-process by the
+    completion service as a last resort, so a build degrades instead of
+    failing while at least one executor exists.  Deterministic failures
+    (validation, enumeration limits) never fail over — they propagate,
+    lowest partition first.  Failover is pure placement: results land by
+    partition index, so recovered runs stay bit-identical.
 
     Examples
     --------
@@ -596,22 +594,15 @@ class ShardCoordinator:
         shards: Sequence[Any],
         *,
         service: SchedulerService | None = None,
-        claim_batch: int = 2,
         retry: "RetryPolicy | None" = None,
-        failover: bool = True,
     ) -> None:
         if not shards:
             raise ServiceError("need at least one shard")
-        if not isinstance(claim_batch, int) or claim_batch < 1:
-            raise ServiceError(
-                f"claim_batch must be an int ≥ 1, got {claim_batch!r}"
-            )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ServiceError(
                 f"retry must be a RetryPolicy, got {type(retry).__name__}"
             )
         self.retry = retry if retry is not None else RetryPolicy()
-        self.failover = bool(failover)
         self.shards: list[LocalShard | RemoteShard] = [
             _as_shard(s, retry=self.retry) for s in shards
         ]
@@ -626,7 +617,6 @@ class ShardCoordinator:
         self._owns_service = service is None
         self._owned_shards: list[SchedulerService] = []
         self.service = service if service is not None else SchedulerService()
-        self.claim_batch = claim_batch
         self.stats = CoordinatorStats(tasks_per_shard=[0] * len(self.shards))
         # Surface dispatch + breaker accounting through the completion
         # service's describe()/``/v1/admin:stats``.
@@ -646,7 +636,6 @@ class ShardCoordinator:
                 for s, b in zip(self.shards, self.breakers)
             ],
             "retry": self.retry.to_dict(),
-            "failover": self.failover,
         }
 
     @classmethod
@@ -655,9 +644,7 @@ class ShardCoordinator:
         n: int,
         *,
         service: SchedulerService | None = None,
-        claim_batch: int = 2,
         retry: "RetryPolicy | None" = None,
-        failover: bool = True,
         **service_kwargs: Any,
     ) -> "ShardCoordinator":
         """A coordinator over ``n`` fresh in-process shard services.
@@ -675,16 +662,10 @@ class ShardCoordinator:
         owned = [SchedulerService(**service_kwargs) for _ in range(n)]
         if service is None:
             completion = SchedulerService(**service_kwargs)
-            coord = cls(
-                owned, service=completion, claim_batch=claim_batch,
-                retry=retry, failover=failover,
-            )
+            coord = cls(owned, service=completion, retry=retry)
             coord._owns_service = True
         else:
-            coord = cls(
-                owned, service=service, claim_batch=claim_batch,
-                retry=retry, failover=failover,
-            )
+            coord = cls(owned, service=service, retry=retry)
         coord._owned_shards = owned
         return coord
 
@@ -710,7 +691,6 @@ class ShardCoordinator:
             "service": self.service.describe()["backend"],
             "stats": self.stats.to_dict(),
             "retry": self.retry.to_dict(),
-            "failover": self.failover,
             "health": [b.to_dict() for b in self.breakers],
         }
 
@@ -824,11 +804,12 @@ class ShardCoordinator:
         index from the shared queue — a fast (or partial-cache-warm)
         shard simply comes back for more while a slow one is still
         classifying, which is exactly the process backend's fine-grained
-        dynamic queue lifted to service instances.  Local shards release
-        no GIL but remote shards overlap fully.
+        dynamic queue lifted to service instances.  Remote shards overlap
+        fully, and local shards overlap too on heavy graphs: their
+        classify work runs in numpy kernels that release the GIL.
 
         Remote shards amortise the claim round trip: each claim takes up
-        to ``claim_batch`` consecutive unclaimed indices and classifies
+        to :data:`CLAIM_BATCH` consecutive unclaimed indices and classifies
         them in one streamed ``/v1/catalog:shard:stream`` request
         (:meth:`RemoteShard.classify_stream`) — each slot's partial
         lands, and writes back through the cache seam, the moment the
@@ -849,11 +830,11 @@ class ShardCoordinator:
         failures stay slot-local: the other claimed partitions' results
         are kept.
 
-        With ``failover`` on, *retryable* failures — transport deaths,
-        timeouts, truncated streams, backpressure — never enter the
-        failure list at all: the unanswered partitions are re-enqueued
-        (ascending, merged back into the queue) for a healthy shard to
-        claim, the failing shard's circuit breaker records the strike,
+        *Retryable* failures — transport deaths, timeouts, truncated
+        streams, backpressure — never enter the failure list at all: the
+        unanswered partitions are re-enqueued (ascending, merged back
+        into the queue) for a healthy shard to claim, the failing
+        shard's circuit breaker records the strike,
         and a worker whose breaker opens leaves the loop (it re-enters
         half-open via a ``/healthz`` probe after the cool-down).  Idle
         workers wait while claims are in flight elsewhere instead of
@@ -904,7 +885,7 @@ class ShardCoordinator:
             nonlocal inflight
             shard = self.shards[shard_index]
             breaker = self.breakers[shard_index]
-            batch_limit = shard.batch_limit or self.claim_batch
+            batch_limit = shard.batch_limit
             while True:
                 # Health gate: an open breaker ejects this shard from
                 # the steal loop; half-open admits exactly one /healthz
@@ -932,8 +913,8 @@ class ShardCoordinator:
                         # Nothing claimable right now.  While other
                         # workers still hold claims, a failover may yet
                         # re-queue work below the floor — wait instead
-                        # of leaving (failover off keeps the old exit).
-                        if inflight == 0 or not self.failover:
+                        # of leaving.
+                        if inflight == 0:
                             return
                         cond.wait()
                     claimed = []
@@ -966,7 +947,7 @@ class ShardCoordinator:
                             answered.add(slot)
                             i = claimed[slot]
                             if isinstance(payload, BaseException):
-                                if self.failover and is_retryable(payload):
+                                if is_retryable(payload):
                                     # Slot-local transport/backpressure
                                     # failure: fail the partition over,
                                     # keep consuming the stream.
@@ -1009,8 +990,7 @@ class ShardCoordinator:
                         # frames are kept.  Retryable → fail them over
                         # and let the breaker decide this shard's fate;
                         # deterministic → the lowest unanswered index
-                        # carries the error, exactly as without
-                        # failover.
+                        # carries the error.
                         unanswered = [
                             claimed[s]
                             for s in range(len(claimed))
@@ -1018,11 +998,7 @@ class ShardCoordinator:
                         ]
                         with lock:
                             self.stats.remote_partial_hits += remote_hits
-                            if (
-                                self.failover
-                                and is_retryable(exc)
-                                and unanswered
-                            ):
+                            if is_retryable(exc) and unanswered:
                                 requeue_locked(unanswered, exc)
                             else:
                                 failures.append(
@@ -1062,7 +1038,7 @@ class ShardCoordinator:
                 thread.start()
             for thread in threads:
                 thread.join()
-        if self.failover and pending:
+        if pending:
             # Every worker has left (breakers open, shards gone) with
             # work still on the queue: classify the leftovers in-process
             # on the completion service, ascending, stopping below any
@@ -1141,31 +1117,3 @@ class ShardCoordinator:
         """Submit an edit of a previously known job; see
         :meth:`submit_edit_outcome`."""
         return self.submit_edit_outcome(request).result
-
-    # ------------------------------------------------------------------ #
-    def pipeline(
-        self,
-        capacity: int,
-        pdef: int,
-        *,
-        config: SelectionConfig | None = None,
-        **kwargs: Any,
-    ) -> "Any":
-        """A :class:`~repro.pipeline.Pipeline` with a sharded catalog stage.
-
-        The returned pipeline's ``catalog`` stage fans out over this
-        coordinator's shards; everything else (selection, scheduling,
-        metrics, per-stage timing hooks) is the ordinary pipeline.
-        """
-        from repro.pipeline import Pipeline
-
-        config = config if config is not None else SelectionConfig()
-        return Pipeline(
-            capacity,
-            pdef,
-            config=config,
-            catalog_builder=lambda dfg: self.build_catalog(
-                dfg, capacity, config=config
-            ),
-            **kwargs,
-        )

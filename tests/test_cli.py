@@ -83,6 +83,34 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "via backend serial" in out
 
+    def test_pipeline_shards_match_single_service(self, capsys):
+        def summary(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return [
+                line for line in out.splitlines()
+                if line.strip().startswith(("library:", "cycles:"))
+            ]
+
+        single = summary(["pipeline", "3dft"])
+        assert len(single) == 2
+        assert summary(["pipeline", "3dft", "--shards", "2"]) == single
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--claim-batch", "7"],
+            ["--shard-timeout", "0.5"],
+            ["--shard-retries", "0"],
+            ["--no-failover"],
+        ],
+    )
+    def test_removed_shard_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "3dft", "--shards", "2", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_select_backend_flag(self, capsys):
         assert main(["select", "3dft", "--pdef", "3",
                      "--backend", "serial"]) == 0

@@ -124,21 +124,6 @@ def test_classification_equivalence_random(params):
 
 
 @COMMON
-@given(layered_params)
-def test_restrict_to_equivalence(params):
-    seed, layers, width, capacity, span, _, n_colors = params
-    dfg = layered_dag(seed, layers=layers, width=width,
-                      colors=tuple("abcd"[:n_colors]))
-    subset = list(dfg.nodes)[:: 2] + ["not-a-node"]
-    fast = classify_antichains(dfg, capacity, span, restrict_to=subset)
-    ref = classify_antichains(dfg, capacity, span, restrict_to=subset,
-                              backend="serial")
-    assert_catalogs_identical(fast, ref)
-    for counter in fast.frequencies.values():
-        assert set(counter) <= set(subset)
-
-
-@COMMON
 @given(er_params)
 def test_count_by_size_matches_enumeration(params):
     seed, n, prob, capacity, span = params
@@ -394,23 +379,6 @@ def test_store_antichains_forces_reference_semantics():
     assert stored.antichains and not fused.antichains
     for p, chains in stored.antichains.items():
         assert len(chains) == stored.antichain_counts[p]
-
-
-def test_allowed_mask_enumeration_prunes_in_dfs():
-    from repro.dfg.antichains import enumerate_antichains
-
-    dfg = five_point_dft()
-    keep = set(list(dfg.nodes)[::2])
-    mask = 0
-    for name in keep:
-        mask |= 1 << dfg.index(name)
-    enum = AntichainEnumerator(dfg)
-    masked = list(enum.iter_antichains(3, None, allowed_mask=mask))
-    filtered = [
-        a for a in enumerate_antichains(dfg, 3)
-        if all(n in keep for n in a)
-    ]
-    assert masked == filtered
 
 
 # --------------------------------------------------------------------------- #

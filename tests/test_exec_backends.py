@@ -180,16 +180,6 @@ def test_process_classification_equivalence_paper_graphs():
         assert_catalogs_identical(proc, fused)
 
 
-def test_process_restrict_to_equivalence():
-    dfg = layered_dag(3, layers=4, width=5, colors=("a", "b"))
-    subset = list(dfg.nodes)[::2] + ["not-a-node"]
-    fused = classify_antichains(dfg, 3, 1, restrict_to=subset)
-    proc = classify_antichains(dfg, 3, 1, restrict_to=subset, backend=PROCESS)
-    assert_catalogs_identical(proc, fused)
-    for counter in proc.frequencies.values():
-        assert set(counter) <= set(subset)
-
-
 def test_process_single_job_falls_back_in_process():
     dfg = three_point_dft_paper()
     backend = ProcessBackend(jobs=1)

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SelectionConfig
+from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
 from repro.exceptions import (
     BackendError,
@@ -146,6 +147,26 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
     assert_catalogs_identical(got, ref)
 
 
+def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
+    # With one job the process backend classifies in-process; it must run
+    # the bitset kernel its workers run, not the scalar fused DFS.
+    calls = []
+    kernel = bitset_mod.classify_by_label_bitset
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("roots"))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(bitset_mod, "classify_by_label_bitset", spy)
+    dfg = radix2_fft(16)
+    config = SelectionConfig(span_limit=1, max_pattern_size=3)
+    backend = get_backend("process", jobs=1)
+    got = PatternSelector(5, config=config).build_catalog(dfg, backend=backend)
+    assert calls == [None]
+    serial = PatternSelector(5, config=config).build_catalog(dfg, backend="serial")
+    assert_catalogs_identical(got, serial)
+
+
 def test_validation_matches_scalar():
     dfg = small_example()
     enum = AntichainEnumerator(dfg)
@@ -216,21 +237,9 @@ def test_classifier_parameter_combos():
         _check_graph(dfg, size, span)
         _check_graph(dfg, size, span, roots=list(range(0, n, 3)))
         _check_graph(dfg, size, span, min_size=2)
-        _check_graph(dfg, size, span, allowed_mask=((1 << n) - 1) & ~0b1010)
         _check_graph(
-            dfg, size, span,
-            roots=list(range(0, n, 2)),
-            allowed_mask=((1 << n) - 1) & ~0b100,
-            min_size=2,
+            dfg, size, span, roots=list(range(0, n, 2)), min_size=2
         )
-
-
-def test_restrict_to_equivalence():
-    dfg = layered_dag(3, layers=4, width=5, colors=("a", "b"))
-    subset = list(dfg.nodes)[::2] + ["not-a-node"]
-    fused = classify_antichains(dfg, 3, 1, restrict_to=subset)
-    got = classify_antichains(dfg, 3, 1, restrict_to=subset, backend=BITSET)
-    assert_catalogs_identical(got, fused)
 
 
 # --------------------------------------------------------------------------- #
@@ -482,7 +491,6 @@ def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     # The span-1 attempt overflows (in one pass, or only at the merge);
     # the span-0 retry must give the monolithic fused catalog either way.
     # An overflowed pass caches none of its partitions' rows.
-    from repro.core.selection import PatternSelector
     from repro.exec import process as process_mod
     from repro.service import SchedulerService
     from repro.service.serialize import catalog_to_dict
@@ -510,12 +518,11 @@ def test_estimate_seed_weights_vectorized_matches_pure(monkeypatch):
 
     dfg = radix2_fft(16)
     seeds = list(range(dfg.n_nodes))
-    mask = ((1 << dfg.n_nodes) - 1) & ~0b11100
     vec_all = estimate_seed_weights(dfg, seeds)
-    vec_masked = estimate_seed_weights(dfg, seeds[3:40], allowed_mask=mask)
+    vec_some = estimate_seed_weights(dfg, seeds[3:40])
     monkeypatch.setattr(process_mod, "_np", None)
     assert estimate_seed_weights(dfg, seeds) == vec_all
-    assert estimate_seed_weights(dfg, seeds[3:40], allowed_mask=mask) == vec_masked
+    assert estimate_seed_weights(dfg, seeds[3:40]) == vec_some
     assert all(type(w) is int for w in vec_all)
 
 

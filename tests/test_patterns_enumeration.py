@@ -70,12 +70,6 @@ class TestOptions:
         assert tight.span_limit == 0
         assert loose.span_limit is None
 
-    def test_restrict_to(self, fig4):
-        catalog = classify_antichains(
-            fig4, capacity=2, restrict_to={"a1", "a2", "a3"}
-        )
-        assert {p.as_string() for p in catalog.patterns} == {"a", "aa"}
-
     def test_capacity_bounds_pattern_size(self, paper_3dft):
         catalog = classify_antichains(paper_3dft, capacity=3)
         assert max(p.size for p in catalog.patterns) == 3

@@ -42,21 +42,6 @@ def test_collect_metrics_flag():
     assert result.metrics["lower_bound"] >= 1
 
 
-def test_on_stage_hook_fires_in_order():
-    calls: list[tuple[str, float]] = []
-    pipe = Pipeline(
-        5,
-        4,
-        config=SelectionConfig(span_limit=1),
-        on_stage=lambda stage, s: calls.append((stage, s)),
-    )
-    result = pipe.run(three_point_dft_paper())
-    assert [c[0] for c in calls] == list(STAGES)
-    assert [round(c[1], 9) for c in calls] == [
-        round(result.timings[s], 9) for s in STAGES
-    ]
-
-
 def test_injected_timer_is_used():
     ticks = iter(range(100))
     pipe = Pipeline(

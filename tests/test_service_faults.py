@@ -410,18 +410,6 @@ class TestCoordinatorFailover:
             assert coord.breakers[0].state == CircuitBreaker.OPEN
             assert coord.stats.to_dict()["local_fallbacks"] >= 1
 
-    def test_no_failover_fails_fast(self):
-        dfg = three_point_dft_paper()
-        policy = RetryPolicy(
-            connect_timeout=0.5, read_timeout=2.0, retries=0,
-            backoff_base=0.0, jitter=0.0,
-        )
-        with ShardCoordinator(
-            [DEAD_URL], retry=policy, failover=False
-        ) as coord:
-            with pytest.raises(ShardTransportError):
-                coord.build_catalog(dfg, 4, config=CFG)
-
     def test_half_open_probe_readmits_a_recovered_shard(self, server):
         # Open the breaker against a dead endpoint, then point the
         # shard at a live server and let the half-open probe re-admit
@@ -478,7 +466,6 @@ class TestCoordinatorFailover:
                 coord.build_catalog(dfg, 4, config=CFG)
                 source = service.describe()["sources"]["coordinator"]
                 assert source["stats"]["planned"] >= 1
-                assert source["failover"] is True
                 assert [h["state"] for h in source["health"]] == [
                     "closed", "closed",
                 ]
@@ -489,9 +476,8 @@ class TestCoordinatorFailover:
             service.close()
 
     def test_coordinator_describe_includes_health_and_policy(self):
-        with ShardCoordinator.local(1, retry=FAST, failover=False) as coord:
+        with ShardCoordinator.local(1, retry=FAST) as coord:
             described = coord.describe()
-            assert described["failover"] is False
             assert described["retry"]["backoff_base"] == FAST.backoff_base
             assert described["health"][0]["state"] == "closed"
 
