@@ -15,11 +15,12 @@ exactly like a remote caller would, and checks the service contract:
 6. the server can act as a remote shard: a catalog built through
    ``POST /v1/catalog:shard:stream`` partitions merges bit-identical to
    the in-process fused catalog;
-7. streamed shard slots carry exactly the in-process rows, and shard
-   partials are content-addressed: re-streaming a task is answered from
-   the partial cache (cache level ``shard``) with identical rows, and a
-   fresh coordinator over the warm server rebuilds the catalog
-   bit-identically with zero server-side DFS;
+7. a streamed shard claim (one ``ShardTask``: the graph and bounds once,
+   plus its seed ranges) answers one slot per range with exactly the
+   in-process rows, and shard partials are content-addressed:
+   re-streaming a range is answered from the partial cache (cache level
+   ``shard``) with identical rows, and a fresh coordinator over the warm
+   server rebuilds the catalog bit-identically with zero server-side DFS;
 8. graph edits are incremental: recoloring one node of a submitted job
    through ``POST /v1/jobs:edit`` is answered ``X-Repro-Cache: edit``
    (only dirty partitions re-enumerated) and the answer is bit-identical
@@ -30,7 +31,12 @@ exactly like a remote caller would, and checks the service contract:
 10. the fleet survives losing a shard: with three real ``repro serve``
    subprocesses, SIGKILLing one mid-job must open its circuit breaker,
    fail its partitions over to the survivors, and still merge a catalog
-   bit-identical to the fused single-instance build.
+   bit-identical to the fused single-instance build;
+11. the partition plan does not depend on the fleet: over one real
+   ``repro serve``, a one-shard coordinator build and then a three-shard
+   build of the same job — every slot of the second answers ``cache:
+   shard``, the server runs no new DFS, and the catalogs are
+   bit-identical.
 
 Usage::
 
@@ -149,32 +155,33 @@ def main() -> int:
         # Streamed shard slots carry exactly the in-process rows, and
         # re-streaming a task is answered from the server's
         # content-addressed partial cache (cache level "shard").
+        import dataclasses
+
         from repro.exec.process import plan_seed_partitions
         from repro.service import SchedulerService, ShardTask
 
-        tasks = [
-            ShardTask(
-                size=2, span_limit=1, max_count=None, seeds=tuple(part),
-                workload="3dft",
-            )
-            for part in plan_seed_partitions(dfg, 3)
-        ]
+        claim = ShardTask(
+            size=2, span_limit=1, max_count=None,
+            ranges=plan_seed_partitions(dfg, 3), workload="3dft",
+        )
         streamed = {
             slot: rows
-            for slot, rows, _cache in client.classify_shard_stream(tasks)
+            for slot, rows, _cache in client.classify_shard_stream(claim)
         }
         with SchedulerService() as local:
-            in_process = [local.classify_shard(task) for task in tasks]
-        assert [streamed[i] for i in range(len(tasks))] == in_process, (
+            in_process = local.classify_shard(claim)
+        assert [streamed[i] for i in range(len(claim.ranges))] == in_process, (
             "streamed shard rows differ from in-process classification"
         )
-        [(_, warm_rows, warm_cache)] = client.classify_shard_stream(tasks[:1])
+        [(_, warm_rows, warm_cache)] = client.classify_shard_stream(
+            dataclasses.replace(claim, ranges=claim.ranges[:1])
+        )
         assert warm_cache == "shard", warm_cache
         assert warm_rows == in_process[0], "cached partial differs"
         stats = client.stats()["stats"]
         assert stats["shard_hits"] >= 1, stats
-        print(f"shard stream ok: {len(tasks)} streamed slots equal the "
-              f"in-process rows; a repeat is a partial-cache hit")
+        print(f"shard stream ok: a {len(claim.ranges)}-range claim streams "
+              f"the in-process rows; a repeat is a partial-cache hit")
 
         # A fresh coordinator over the warm server: bit-identical catalog,
         # every dispatched partition a remote partial hit, zero new DFS.
@@ -248,6 +255,7 @@ def main() -> int:
         server.shutdown()
     quota_and_drain_leg()
     fault_leg()
+    topology_leg()
     print("http smoke OK")
     return 0
 
@@ -309,13 +317,9 @@ def fault_leg() -> None:
     still be bit-identical to the fused single-instance build.
     """
     import json
-    import os
-    import re
     import signal
-    import subprocess
     import threading
     import time
-    from pathlib import Path
 
     from repro.core.config import SelectionConfig
     from repro.core.selection import PatternSelector
@@ -323,27 +327,10 @@ def fault_leg() -> None:
     from repro.service.serialize import catalog_to_dict
     from repro.workloads import radix2_fft
 
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     procs, urls = [], []
     try:
         for _ in range(3):
-            proc = subprocess.Popen(
-                [sys.executable, "-u", "-m", "repro.cli", "serve",
-                 "--port", "0"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=env,
-                text=True,
-            )
-            procs.append(proc)
-            line = proc.stdout.readline()
-            m = re.search(r"http://[\d.]+:\d+", line or "")
-            assert m, f"shard server failed to start (got {line!r})"
-            urls.append(m.group(0))
-            # Drain per-request logs so the pipe never fills and blocks.
-            threading.Thread(target=proc.stdout.read, daemon=True).start()
+            spawn_serve(procs, urls)
 
         cfg = SelectionConfig(span_limit=1)
         dfg = radix2_fft(8)
@@ -406,14 +393,103 @@ def fault_leg() -> None:
             f"failovers, breaker open, catalog bit-identical"
         )
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
+        stop_serves(procs)
+
+
+def topology_leg() -> None:
+    """One plan for every fleet size, over one real ``repro serve``.
+
+    A one-shard coordinator builds a job; a fresh three-shard coordinator
+    (the same server three times) builds it again.  The fresh
+    coordinator's completion cache is cold, so every partition is
+    dispatched — and the server must answer every slot from its partial
+    cache (``cache: shard``), run no new DFS, and the catalogs must be
+    bit-identical.
+    """
+    import json
+
+    from repro.core.config import SelectionConfig
+    from repro.core.selection import PatternSelector
+    from repro.service import ShardCoordinator
+    from repro.service.serialize import catalog_to_dict
+    from repro.workloads import radix2_fft
+
+    cfg = SelectionConfig(span_limit=1)
+    dfg = radix2_fft(8)
+    reference = json.dumps(
+        catalog_to_dict(PatternSelector(5, config=cfg).build_catalog(dfg))
+    )
+    procs, urls = [], []
+    try:
+        spawn_serve(procs, urls)
+        client = ServiceClient(urls[0], timeout=30)
+        builds = []
+        for shards in (1, 3):
+            misses_before = client.stats()["stats"]["shard_misses"]
+            with ShardCoordinator(urls * shards) as coord:
+                catalog = coord.build_catalog(
+                    dfg, 5, config=cfg, workload="fft8"
+                )
+                stats = coord.stats
+            builds.append(json.dumps(catalog_to_dict(catalog)))
+        misses_after = client.stats()["stats"]["shard_misses"]
+        client.close()
+        assert builds == [reference, reference], (
+            "fleet catalogs are not bit-identical across sizes"
+        )
+        assert stats.dispatched == stats.planned > 0, stats.to_dict()
+        assert stats.remote_partial_hits == stats.dispatched, stats.to_dict()
+        assert misses_after == misses_before, (
+            "the three-shard rebuild ran a server-side DFS"
+        )
+        print(
+            f"topology ok: a 3-shard rebuild answered all "
+            f"{stats.dispatched} slots 'shard' from a 1-shard build's "
+            f"partials, zero DFS, bit-identical"
+        )
+    finally:
+        stop_serves(procs)
+
+
+def spawn_serve(procs: list, urls: list) -> None:
+    """Start one ``repro serve --port 0`` subprocess; record it and its URL."""
+    import os
+    import re
+    import subprocess
+    import threading
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    )
+    procs.append(proc)
+    line = proc.stdout.readline()
+    m = re.search(r"http://[\d.]+:\d+", line or "")
+    assert m, f"shard server failed to start (got {line!r})"
+    urls.append(m.group(0))
+    # Drain per-request logs so the pipe never fills and blocks.
+    threading.Thread(target=proc.stdout.read, daemon=True).start()
+
+
+def stop_serves(procs: list) -> None:
+    """Terminate every spawned server, killing any that hangs."""
+    import subprocess
+
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            proc.kill()
 
 
 if __name__ == "__main__":

@@ -28,14 +28,14 @@ during the drain so load balancers can watch ``/healthz`` flip to
 ``draining``.
 
 **Server-push shard streaming with heartbeats.**  The
-``/v1/catalog:shard:stream`` route classifies every slot of a claimed
-batch concurrently (through the priority pool) and emits each slot's
-NDJSON frame *the moment that partition finishes* — completion order,
-not slot order.  While nothing completes, a ``{"heartbeat": ...}``
-frame goes out every ``heartbeat_interval`` seconds so the
-coordinator's long-lived connection is provably alive, not silently
-wedged.  Slot indices restore task order downstream; merged catalogs
-stay bit-identical to an in-process build.
+``/v1/catalog:shard:stream`` route takes one shard claim, probes each
+claimed seed range against the partial cache and classifies the misses
+in one pass on the priority pool, then emits one NDJSON frame per range.
+While the claim classifies, a ``{"heartbeat": ...}`` frame goes out
+every ``heartbeat_interval`` seconds so the coordinator's long-lived
+connection is provably alive, not silently wedged.  Slot indices map
+frames to ranges; merged catalogs stay bit-identical to an in-process
+build.
 
 **Request framing.**  A request head longer than
 :data:`MAX_HEAD_BYTES`, or a ``Content-Length`` that is not a non-negative
@@ -65,6 +65,7 @@ from repro.service.errors import error_envelope, http_status, retry_after_of
 from repro.service.http import CLIENT_HEADER, shard_rows_to_wire
 from repro.service.jobs import EditRequest, JobRequest, results_json
 from repro.service.service import SchedulerService, SubmitOutcome
+from repro.service.shard import ShardTask
 
 __all__ = ["AsyncServiceServer", "serve"]
 
@@ -683,14 +684,9 @@ class AsyncServiceServer:
                 raise JobValidationError(
                     f"invalid shard stream JSON: {exc}"
                 ) from exc
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("tasks"), list
-            ):
-                raise JobValidationError(
-                    "streaming shard payload needs a 'tasks' list",
-                    field="tasks",
-                )
-            await self._stream_shard(writer, payload["tasks"])
+            # Decoding an inline graph is real work: off the loop.
+            task = await self._pool.submit(lambda: ShardTask.from_dict(payload))
+            await self._stream_shard(writer, task)
             return True
         elif path == "/v1/caches:clear":
             await self._pool.submit(service.clear_caches)
@@ -707,33 +703,22 @@ class AsyncServiceServer:
         return False
 
     # ------------------------------------------------------------------ #
-    def _slot_runner(self, item: Any) -> "Callable[[], tuple[list, str]]":
-        """Closure classifying one streamed slot in a pool thread."""
-        service = self.service
-
-        def run() -> "tuple[list, str]":
-            from repro.service.shard import ShardTask
-
-            task = ShardTask.from_dict(item)
-            return service.classify_shard_outcome(task)
-
-        return run
-
     @staticmethod
     def _write_frame(writer: asyncio.StreamWriter, frame: "dict[str, Any]") -> None:
         data = json.dumps(frame).encode("utf-8") + b"\n"
         writer.write(f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n")
 
     async def _stream_shard(
-        self, writer: asyncio.StreamWriter, items: "list[Any]"
+        self, writer: asyncio.StreamWriter, task: "ShardTask"
     ) -> None:
-        """Chunked NDJSON, one frame per slot in *completion* order.
+        """Chunked NDJSON: heartbeats while the claim classifies, then one
+        frame per claimed range, in slot order.
 
-        Every slot is queued into the priority pool up front, so slots
-        classify concurrently (bounded by the pool) and a finished
-        partition's frame goes out while its batch-mates are still
-        running — the overlap the coordinator's merge loop feeds on.
-        Heartbeat frames cover the silent stretches.
+        The whole claim is one pool job
+        (:meth:`SchedulerService.classify_shard_outcome`: one probe per
+        range, one classify call for the misses); a typed failure of the
+        call itself (an unknown workload, a seed past the graph) answers
+        in every slot.
         """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -741,50 +726,36 @@ class AsyncServiceServer:
             b"Transfer-Encoding: chunked\r\n\r\n"
         )
         await writer.drain()
-
-        async def one(slot: int, item: Any) -> "dict[str, Any]":
-            try:
-                buckets, cache = await self._pool.submit(
-                    self._slot_runner(item)
-                )
-            except ReproError as exc:
-                frame: "dict[str, Any]" = {"slot": slot}
-                frame.update(error_envelope(exc))
-                return frame
-            return {
-                "slot": slot,
-                "buckets": shard_rows_to_wire(buckets),
-                "cache": cache,
-            }
-
+        service = self.service
+        future = self._pool.submit(lambda: service.classify_shard_outcome(task))
         started = time.monotonic()
-        pending = {
-            asyncio.ensure_future(one(slot, item))
-            for slot, item in enumerate(items)
-        }
         try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending,
-                    timeout=self.heartbeat_interval,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
+            while not future.done():
+                await asyncio.wait({future}, timeout=self.heartbeat_interval)
+                if not future.done():
                     self._write_frame(
                         writer,
                         {"heartbeat": round(time.monotonic() - started, 3)},
                     )
                     await writer.drain()
-                    continue
-                for task in done:
-                    self._write_frame(writer, task.result())
-                await writer.drain()
+            try:
+                outcomes = future.result()
+            except ReproError as exc:
+                outcomes = [(exc, None)] * len(task.ranges)
+            for slot, (payload, cache) in enumerate(outcomes):
+                frame: "dict[str, Any]" = {"slot": slot}
+                if isinstance(payload, BaseException):
+                    frame.update(error_envelope(payload))
+                else:
+                    frame["buckets"] = shard_rows_to_wire(payload)
+                    frame["cache"] = cache
+                self._write_frame(writer, frame)
             self._write_frame(writer, {"done": True})
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         finally:
-            for task in pending:  # pragma: no cover - client went away
-                task.cancel()
+            if not future.done():  # pragma: no cover - client went away
+                future.cancel()
 
 
 async def _serve_async(

@@ -13,9 +13,9 @@ method     path                         body → response
 ``POST``   ``/v1/jobs:batch``           ``{"jobs": [...]}`` →
                                         ``{"results": [...]}``
 ``POST``   ``/v1/jobs:edit``            edit request JSON → job result JSON
-``POST``   ``/v1/catalog:shard:stream`` ``{"tasks": [...]}`` → chunked
-                                        NDJSON, one frame per slot as it
-                                        completes
+``POST``   ``/v1/catalog:shard:stream`` shard claim JSON → chunked
+                                        NDJSON, one frame per claimed
+                                        seed range
 ``POST``   ``/v1/caches:clear``         (empty body) → ``{"cleared": true}``
 ``POST``   ``/v1/admin:drain``          (empty body) → ``{"draining": true}``
 ``GET``    ``/healthz``                 liveness + backend + drain state
@@ -40,20 +40,22 @@ back-off hint.  The client's :func:`~repro.service.errors.error_from_envelope`
 re-raises each as its own type — no per-route error code on either side.
 
 ``/v1/catalog:shard:stream`` is the executor side of
-:class:`~repro.service.shard.ShardCoordinator`: the body is a list of
-:class:`~repro.service.shard.ShardTask` objects and the chunked
-``application/x-ndjson`` response emits each slot's frame *as that
-partition finishes* — ``{"slot": i, "buckets": ..., "cache": ...}`` or
-``{"slot": i, "error": {...}}`` — then a terminal ``{"done": true}``,
-with ``{"heartbeat": ...}`` frames during long gaps.  ``buckets`` is the
-partial classification of the task's seed partition, JSON-safe
-(``[bag_key, count, first_seen, values]`` rows in local first-visit
-order, see :func:`shard_rows_to_wire`); ``cache`` is ``shard`` when the
-server's content-addressed partial cache answered with no DFS and
-``none`` when the server computed (and cached) it.  Failures stay
-slot-local, so one bad partition cannot void its batch-mates; frame
-order is server-chosen and slot indices restore task order, so merged
-results are bit-identical to an in-process build.
+:class:`~repro.service.shard.ShardCoordinator`: the body is one
+:class:`~repro.service.shard.ShardTask` — a claim carrying the graph and
+one attempt's bounds once, plus the claimed seed ranges — and the
+chunked ``application/x-ndjson`` response emits one frame per range —
+``{"slot": i, "buckets": ..., "cache": ...}`` or
+``{"slot": i, "error": {...}}``, ``i`` indexing the claim's ``ranges``
+— then a terminal ``{"done": true}``, with ``{"heartbeat": ...}`` frames
+while the claim classifies.  ``buckets`` is the partial classification
+of that seed range, JSON-safe (``[bag_key, count, first_seen, values]``
+rows in local first-visit order, see :func:`shard_rows_to_wire`);
+``cache`` is ``shard`` when the server's content-addressed partial cache
+answered with no DFS and ``none`` when the server computed (and cached)
+it.  The server classifies a claim's misses in one pass, so a pass that
+overflows ``max_count`` answers its typed error in every missed slot
+while hit slots still carry rows; slot indices restore range order, so
+merged results are bit-identical to an in-process build.
 
 ``/v1/admin:drain`` (or ``SIGTERM`` under ``repro serve``) starts a
 graceful drain: the server keeps serving reads but answers every new
@@ -351,15 +353,14 @@ class ServiceClient:
         return [JobResult.from_dict(r) for r in parsed["results"]]
 
     def classify_shard_stream(
-        self, tasks: "list[ShardTask]", *, idle_timeout: "float | None" = None
+        self, task: "ShardTask", *, idle_timeout: "float | None" = None
     ) -> "Iterator[tuple[int, list[tuple] | ReproError, str | None]]":
-        """Stream a claimed batch (``POST /v1/catalog:shard:stream``).
+        """Stream one shard claim (``POST /v1/catalog:shard:stream``).
 
-        Yields ``(slot, rows_or_error, cache)`` as the server finishes
-        each partition — in *server* completion order, not slot order;
-        the slot index maps each frame back to its task.  Errors arrive
-        as typed exception instances (not raised), so the steal loop can
-        attribute each failure to its own partition.  Heartbeat frames are consumed
+        Yields ``(slot, rows_or_error, cache)`` per claimed seed range as
+        its frame arrives; ``slot`` indexes ``task.ranges``.  Errors
+        arrive as typed exception instances (not raised), so the steal
+        loop can attribute each failure to its own range.  Heartbeat frames are consumed
         silently, but with ``idle_timeout`` set a stream that heartbeats
         for longer than that without delivering a single slot frame is
         declared stalled (:class:`~repro.exceptions.ShardTimeoutError`)
@@ -370,9 +371,8 @@ class ServiceClient:
         the generator mid-stream drops the connection (its remaining
         bytes are unread) rather than poisoning the pool.
         """
-        payload = json.dumps({"tasks": [t.to_dict() for t in tasks]})
         resp = self._open(
-            "/v1/catalog:shard:stream", payload.encode("utf-8")
+            "/v1/catalog:shard:stream", task.to_json().encode("utf-8")
         )
         if resp.status >= 400:
             try:

@@ -21,8 +21,8 @@ per call, callers **submit jobs** to a resident service that
   shard        ``(subgraph digest of the partition's seed range,
                seed range, capacity, bounds)`` — per-partition
                classification partials (:func:`shard_partial_key`),
-               shared by :meth:`SchedulerService.classify_shard` and
-               the edit path
+               shared by every partitioned build — in process, on
+               a shard fleet and behind the shard endpoint
   ===========  ========================================================
 
   so a ``pdef`` sweep re-uses one catalog, a re-submitted job returns its
@@ -73,6 +73,7 @@ from repro.dfg.io import dfg_digest, subgraph_digest
 from repro.dfg.validate import validate_dfg
 from repro.exceptions import (
     JobValidationError,
+    ReproError,
     ServiceError,
     ServiceOverloadedError,
 )
@@ -80,6 +81,7 @@ from repro.exec import ExecutionBackend, available_backends, get_backend
 from repro.exec.process import (
     ProcessBackend,
     classify_partition_rows,
+    estimate_seed_weights,
     merge_classified_parts,
     plan_seed_partitions,
 )
@@ -104,11 +106,20 @@ __all__ = [
 #: of re-running its enumeration DFS.
 CACHE_LEVELS = ("result", "selection", "catalog", "edit", "none")
 
-#: Seed-partition count for in-service incremental catalog builds.  Finer
-#: partitions shrink the re-enumerated region after an edit but hash and
-#: cache more partials; 16 matches the process backend's per-worker task
+#: Seed-partition count of every partitioned catalog build, in process
+#: and on a shard fleet alike, so partials answer across topologies (a
+#: build therefore keeps at most 16 shards busy).  Finer partitions
+#: shrink the re-enumerated region after an edit but hash and cache more
+#: partials; 16 matches the process backend's per-worker task
 #: granularity (:data:`repro.exec.process._GROUPS_PER_JOB`).
 EDIT_PARTITIONS = 16
+
+#: The "classify these misses" step of :meth:`SchedulerService._build_catalog`:
+#: ``classify(ranges, weights, size, span_limit, max_count, land)``
+#: classifies each seed range ``ranges[j]`` (``weights[j]`` its estimated
+#: DFS weight) and hands its rows to ``land(j, rows)``, which writes them
+#: back; it raises the error of a range it cannot classify.
+MissClassifier = Callable[..., None]
 
 
 def shard_partial_key(
@@ -127,9 +138,9 @@ def shard_partial_key(
     on disk and across instances) intact.  Contiguous seed ranges collapse
     to a ``range`` so the key stays O(1) bytes on arbitrarily large graphs
     (:func:`repro.dfg.io.stable_key_json` encodes ranges structurally).
-    Shared by the shard endpoint (:meth:`SchedulerService.classify_shard`),
-    the coordinator's dispatch probe, and the edit path's incremental
-    catalog build.
+    Shared by the partitioned catalog build — in process and on a shard
+    fleet — and the shard endpoint
+    (:meth:`SchedulerService.classify_shard_outcome`).
     """
     seeds = tuple(seeds)
     digest = subgraph_digest(dfg, seeds)
@@ -147,13 +158,16 @@ class ServiceStats:
     (batch members included); ``deduped`` counts batch members answered by
     an identical sibling within the same :meth:`~SchedulerService.submit_many`
     call *without* reaching the caches at all.  ``shard_tasks`` counts
-    every :meth:`~SchedulerService.classify_shard` call; ``shard_hits`` /
+    every seed range a shard claim probed
+    (:meth:`~SchedulerService.classify_shard_outcome`); ``shard_hits`` /
     ``shard_misses`` split those by whether the content-addressed shard
     partial cache answered (a hit runs **no** enumeration DFS at all).
     ``edit_jobs`` counts :meth:`~SchedulerService.submit_edit` calls;
     ``partition_hits`` / ``partition_misses`` account the per-partition
-    probes of in-service incremental catalog builds the same way
-    ``shard_hits`` / ``shard_misses`` do for shard tasks.
+    probes of this service's own (in-process) partitioned catalog builds
+    the same way ``shard_hits`` / ``shard_misses`` do for shard claims; a
+    coordinator's fleet builds are booked on its
+    :class:`~repro.service.shard.CoordinatorStats` instead.
 
     ``stage_seconds`` / ``stage_counts`` aggregate the per-stage
     wall-clock of every *computed* stage (the same numbers each
@@ -246,8 +260,8 @@ class SchedulerService:
         LRU sizes of the four cache levels (with ``cache_dir``, the size
         of each disk store's in-process memory front).  ``shard_cache``
         holds content-addressed shard partials — the per-seed-partition
-        classification results behind :meth:`classify_shard` and the
-        edit path's incremental builds — keyed by
+        classification results behind every partitioned build and the
+        shard endpoint — keyed by
         ``(partition subgraph digest, seed range, capacity, enumeration
         bounds)`` (:func:`shard_partial_key`).
     cache_dir:
@@ -551,13 +565,23 @@ class SchedulerService:
                 else:
                     self.stats.catalog_misses += 1
                     t0 = self.timer()
-                    catalog, partition_hits = self._build_catalog(
-                        dfg, selector, backend
-                    )
+                    if (
+                        backend.name in ("fused", "bitset")
+                        and not config.store_antichains
+                    ):
+                        catalog, hits, misses = self._build_catalog(
+                            dfg, selector, self._classify_here(dfg)
+                        )
+                        self.stats.partition_hits += hits
+                        self.stats.partition_misses += misses
+                        if hits:
+                            cache_level = "edit"
+                    else:
+                        # Process pools own their own partitioning, and
+                        # store_antichains needs the serial path.
+                        catalog = selector.build_catalog(dfg, backend=backend)
                     timings["catalog"] = self.timer() - t0
                     self._catalogs.put(catalog_key, catalog)
-                    if partition_hits:
-                        cache_level = "edit"
                 t0 = self.timer()
                 selection = selector.select(
                     dfg, request.pdef, catalog=catalog, backend=backend
@@ -598,90 +622,123 @@ class SchedulerService:
         self,
         dfg: DFG,
         selector: PatternSelector,
-        backend: ExecutionBackend,
-    ) -> "tuple[PatternCatalog, int]":
-        """Build a catalog, incrementally when the partial cache can help.
+        classify: MissClassifier,
+    ) -> "tuple[PatternCatalog, int, int]":
+        """Build a partitioned catalog; the one probe → classify → merge path.
 
-        For the fused backend (the service default) and the bitset
-        backend — whose partition rows are bit-identical by contract —
-        each attempt cuts the graph into :data:`EDIT_PARTITIONS` seed
-        partitions and probes the content-addressed shard partial cache
-        for every one of them first: partitions whose
-        :func:`~repro.dfg.io.subgraph_digest`-keyed partial is already
-        cached — because an *edited* graph shares them with its
+        Each attempt of the selector's size/adaptive-span policy
+        (:meth:`~repro.core.selection.PatternSelector.build_catalog_with`)
+        cuts the graph into the weight-balanced :data:`EDIT_PARTITIONS`
+        seed partitions — a plan fixed by the graph alone, so a cache
+        directory filled by any topology (one service, a fleet of any
+        size) answers every other — and probes the content-addressed
+        shard partial cache for each (:meth:`_probe_partials`).  Partitions
+        whose :func:`~repro.dfg.io.subgraph_digest`-keyed partial is
+        already cached — an *edited* graph shares them with its
         predecessor, another instance computed them, or they survived on
-        disk — are served with **zero** enumeration DFS.  Only the
-        misses go to the classifier, all in one
-        :func:`~repro.exec.process.classify_partition_rows` call that
-        batches them into as few vectorized passes as its weight budget
-        allows (reusing the plan's seed weights); each partition's rows
-        are then cached under its own key.  A cold build is the case
-        where every partition misses.  The merge in ascending-seed order
-        reproduces the monolithic fused build bit for bit
-        (:func:`repro.exec.process.merge_classified_parts`).  An attempt
-        whose pass overflows ``max_antichains`` caches none of that
-        call's partials; the adaptive-span retry plans afresh.  Returns
-        the catalog plus the number of partition cache hits (``> 0`` is
-        what :data:`CACHE_LEVELS` reports as ``"edit"``).
+        disk — run **zero** enumeration DFS.  The misses go to
+        ``classify`` (a :data:`MissClassifier`): in process that is one
+        :func:`~repro.exec.process.classify_partition_rows` call
+        (:meth:`_classify_here`); on a fleet it is the
+        :class:`~repro.service.shard.ShardCoordinator`'s steal loop.
+        Every landed partial is written back under its own key, and the
+        merge in ascending-seed order reproduces the monolithic fused
+        build bit for bit (:func:`repro.exec.process.merge_classified_parts`).
+        An attempt whose pass overflows ``max_antichains`` caches none of
+        that pass's partials; the adaptive-span retry probes afresh.
 
-        Other backends (process pools own their own partitioning;
-        ``store_antichains`` needs the serial path) fall through to the
-        monolithic :meth:`~repro.core.selection.PatternSelector.build_catalog`.
+        Returns the catalog plus the partition hits and misses over every
+        attempt; the caller books them (``hits > 0`` is what
+        :data:`CACHE_LEVELS` reports as ``"edit"``).  Takes the service
+        lock only around cache reads and writes, so a fleet's worker
+        threads can write partials back while the build runs.
         """
-        config = selector.config
-        if (
-            getattr(backend, "name", None) not in ("fused", "bitset")
-            or config.store_antichains
-        ):
-            return selector.build_catalog(dfg, backend=backend), 0
+        max_count = selector.config.max_antichains
+        hits = misses = 0
 
-        hits = 0
-        state: dict[str, Any] = {}
-
-        def classify(size: int, span: "int | None") -> "PatternCatalog":
-            nonlocal hits
+        def attempt(size: int, span: "int | None") -> "PatternCatalog":
+            nonlocal hits, misses
             plan, weights = plan_seed_partitions(
                 dfg, EDIT_PARTITIONS, with_weights=True
             )
-            parts: list["list[tuple] | None"] = []
-            missed: list[tuple[int, tuple]] = []
-            for p, seeds in enumerate(plan):
-                key = shard_partial_key(
-                    dfg, seeds, size, span, config.max_antichains
-                )
-                cached = self._shard_parts.get(key)
-                if cached is not None:
-                    self.stats.partition_hits += 1
-                    hits += 1
-                else:
-                    self.stats.partition_misses += 1
-                    missed.append((p, key))
-                parts.append(cached)
+            parts, missed, land = self._probe_partials(
+                dfg, plan, size, span, max_count
+            )
+            hits += len(plan) - len(missed)
+            misses += len(missed)
             if missed:
-                if "enum" not in state:
-                    state["enum"] = AntichainEnumerator(dfg)
-                    state["labels"] = dfg.color_labels()[0]
-                classified = classify_partition_rows(
-                    state["enum"],
-                    state["labels"],
-                    [plan[p] for p, _ in missed],
+                classify(
+                    [plan[p] for p in missed],
+                    [weights[p] for p in missed],
                     size,
                     span,
-                    config.max_antichains,
-                    weights=[weights[p] for p, _ in missed],
+                    max_count,
+                    land,
                 )
-                for (p, key), rows in zip(missed, classified):
-                    self._shard_parts.put(key, rows)
-                    parts[p] = rows
             return merge_classified_parts(
-                dfg,
-                parts,
-                capacity=size,
-                span_limit=span,
-                max_count=config.max_antichains,
+                dfg, parts, capacity=size, span_limit=span, max_count=max_count
             )
 
-        return selector.build_catalog_with(dfg, classify), hits
+        return selector.build_catalog_with(dfg, attempt), hits, misses
+
+    def _probe_partials(
+        self,
+        dfg: DFG,
+        ranges: "Sequence[Sequence[int]]",
+        size: int,
+        span_limit: "int | None",
+        max_count: "int | None",
+    ) -> "tuple[list, list[int], Callable[[int, list[tuple]], None]]":
+        """Probe the partial cache for every seed range at one attempt's bounds.
+
+        Returns ``(parts, missed, land)``: the cached rows per range
+        (``None`` for a miss), the indices of the misses, and
+        ``land(j, rows)``, which installs the rows of ``ranges[missed[j]]``
+        in ``parts`` and writes them back under their key.  Shared by the
+        partitioned catalog build and the shard endpoint.
+        """
+        keys = [
+            shard_partial_key(dfg, seeds, size, span_limit, max_count)
+            for seeds in ranges
+        ]
+        with self._lock:
+            parts = [self._shard_parts.get(key) for key in keys]
+        missed = [i for i, part in enumerate(parts) if part is None]
+
+        def land(j: int, rows: "list[tuple]") -> None:
+            i = missed[j]
+            parts[i] = rows
+            self.put_shard_partial(keys[i], rows)
+
+        return parts, missed, land
+
+    def _classify_here(self, dfg: DFG) -> MissClassifier:
+        """The in-process :data:`MissClassifier` for ``dfg``.
+
+        Every call classifies its ranges in one
+        :func:`~repro.exec.process.classify_partition_rows` call, which
+        batches them into as few vectorized passes as its weight budget
+        allows; the enumerator is built once and reused across the
+        adaptive-span attempts of one build.
+        """
+        enum: "list[AntichainEnumerator]" = []
+
+        def classify(ranges, weights, size, span_limit, max_count, land):
+            if not enum:
+                enum.append(AntichainEnumerator(dfg))
+            rows = classify_partition_rows(
+                enum[0],
+                dfg.color_labels()[0],
+                ranges,
+                size,
+                span_limit,
+                max_count,
+                weights=weights,
+            )
+            for j, part in enumerate(rows):
+                land(j, part)
+
+        return classify
 
     # ------------------------------------------------------------------ #
     # graph edits
@@ -770,35 +827,47 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
     # sharded catalog building
     # ------------------------------------------------------------------ #
-    def classify_shard(self, task: "ShardTask") -> list[tuple]:
-        """Classify one seed-node partition; see :meth:`classify_shard_outcome`."""
-        return self.classify_shard_outcome(task)[0]
+    def classify_shard(self, task: "ShardTask") -> "list[list[tuple]]":
+        """The rows of every range of a shard claim, in range order.
 
-    def classify_shard_outcome(self, task: "ShardTask") -> tuple[list[tuple], str]:
-        """Classify one seed-node partition of a catalog job (shard work).
+        :meth:`classify_shard_outcome` without the cache levels; the
+        error of the lowest failing range is raised.
+        """
+        out = []
+        for payload, _cache in self.classify_shard_outcome(task):
+            if isinstance(payload, BaseException):
+                raise payload
+            out.append(payload)
+        return out
+
+    def classify_shard_outcome(
+        self, task: "ShardTask"
+    ) -> "list[tuple[list[tuple] | ReproError, str | None]]":
+        """Classify the seed ranges of one shard claim (shard work).
 
         The executor side of :class:`~repro.service.shard.ShardCoordinator`:
-        runs the fused in-DFS classifier restricted to the task's seed
-        subtrees (``classify_by_label(roots=...)``) and returns the
-        partial classification as ``(bag_key, count, first_seen, values)``
-        tuples in local first-visit order — ``values`` aligned with
-        ``first_seen``, everything JSON-safe so the HTTP layer is a pipe —
-        plus the cache level that answered: ``"shard"`` when the
-        content-addressed partial cache (keyed by
-        :func:`shard_partial_key` — the *partition's* subgraph digest,
-        seed range, capacity, enumeration bounds, so partials survive
-        edits outside the partition's support) already held the result,
-        so the DFS did not run at all, or ``"none"`` when this call
-        computed (and cached) it.  Over HTTP the level travels as
-        the stream frame's ``cache`` field.  Merging partitions in
-        ascending-seed order
-        (:func:`repro.exec.process.merge_classified_parts`) reproduces the
-        single-instance fused catalog bit for bit — a cached partial is
-        the stored bit-identical value, disk round trips included.
+        probes the content-addressed partial cache for every claimed range
+        (keyed by :func:`shard_partial_key` — the *range's* subgraph
+        digest, seed range, capacity and bounds) and classifies the
+        misses in one :func:`~repro.exec.process.classify_partition_rows`
+        call — the same probe and classify helpers the in-process
+        partitioned build uses.  Returns one ``(rows, cache)`` per range,
+        aligned with ``task.ranges``: ``rows`` are ``(bag_key, count,
+        first_seen, values)`` tuples in local first-visit order, JSON-safe
+        so the HTTP layer is a pipe, and ``cache`` is ``"shard"`` when the
+        partial cache answered (no DFS ran) or ``"none"`` when this call
+        computed and cached the rows.  A classify call that fails with a
+        typed error — a pass overflowing ``max_count`` — answers
+        ``(error, None)`` for every missed range and caches none of them;
+        hit ranges still answer with rows.  Over HTTP, range ``i`` is
+        stream frame ``slot`` ``i``.  Merging ranges in ascending-seed
+        order (:func:`repro.exec.process.merge_classified_parts`)
+        reproduces the single-instance fused catalog bit for bit.
 
-        Shard tasks are real enumeration work and therefore take an
-        admission slot like any submit (cache hits included: admission
-        bounds queueing, not compute).
+        A claim is real enumeration work and therefore takes one admission
+        slot like any submit (cache hits included: admission bounds
+        queueing, not compute).  ``shard_tasks`` counts every range
+        probed.
         """
         from repro.service.shard import ShardTask
 
@@ -807,35 +876,33 @@ class SchedulerService:
                 f"expected a ShardTask, got {type(task).__name__}"
             )
         with self._admitted(), self._lock:
-            self.stats.shard_tasks += 1
             dfg, _ = self._resolve_input(task.workload, task.dfg)
-            key = task.partial_key(dfg)
-            cached = self._shard_parts.get(key)
-            if cached is not None:
-                self.stats.shard_hits += 1
-                return cached, "shard"
-            self.stats.shard_misses += 1
-            out = classify_partition_rows(
-                AntichainEnumerator(dfg),
-                dfg.color_labels()[0],
-                [task.seeds],
-                task.size,
-                task.span_limit,
-                task.max_count,
-            )[0]
-            self._shard_parts.put(key, out)
-            return out, "none"
-
-    def get_shard_partial(self, key: tuple) -> "list[tuple] | None":
-        """A cached shard partial for ``key``, or ``None`` (coordinator side).
-
-        The :class:`~repro.service.shard.ShardCoordinator` probes its
-        completion service's partial store *before* dispatching a
-        partition to any shard — a warm coordinator rebuild generates
-        zero shard traffic, local or remote.
-        """
-        with self._lock:
-            return self._shard_parts.get(key)
+            ranges = task.ranges
+            self.stats.shard_tasks += len(ranges)
+            parts, missed, land = self._probe_partials(
+                dfg, ranges, task.size, task.span_limit, task.max_count
+            )
+            self.stats.shard_hits += len(ranges) - len(missed)
+            self.stats.shard_misses += len(missed)
+            error: "ReproError | None" = None
+            if missed:
+                try:
+                    self._classify_here(dfg)(
+                        [ranges[i] for i in missed],
+                        [sum(estimate_seed_weights(dfg, ranges[i])) for i in missed],
+                        task.size,
+                        task.span_limit,
+                        task.max_count,
+                        land,
+                    )
+                except ReproError as exc:
+                    error = exc
+            return [
+                (error, None)
+                if part is None
+                else (part, "none" if i in missed else "shard")
+                for i, part in enumerate(parts)
+            ]
 
     def put_shard_partial(self, key: tuple, buckets: list[tuple]) -> None:
         """Install a shard partial under ``key`` (coordinator side)."""

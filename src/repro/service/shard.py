@@ -12,20 +12,26 @@ partitions out beyond one machine:
 
                          ShardCoordinator
                                |
-           plan_seed_partitions (ascending, contiguous,
-            weight-balanced, ~4x finer than shard count)
+            SchedulerService._build_catalog (the one build path)
+                               |
+           plan_seed_partitions(dfg, EDIT_PARTITIONS = 16)
+             (ascending, contiguous, weight-balanced; fixed
+              by the graph alone, whatever the fleet size)
                                |
                  ┌─────────────▼─────────────┐
                  │ shard-partial cache probe │  hit → no shard traffic
                  │ (completion service's     │  (memory LRU, disk with
                  │  content-addressed store) │   cache_dir)
                  └─────────────┬─────────────┘
-                        misses │ → steal queue (dynamic dispatch:
-                               │   idle shard takes next range)
+                        misses │ → steal queue (dynamic dispatch: a
+                               │   remote shard claims its share,
+                               │   ceil(misses / shards), a local
+                               │   shard one range at a time)
                       /        |           \\
             LocalShard   RemoteShard   RemoteShard
-        (SchedulerService) (HTTP /v1/catalog:shard:stream,
-                            cache "shard" on a warm partial)
+        (SchedulerService) (HTTP /v1/catalog:shard:stream: one
+                            ShardTask per claim, one classify
+                            call for the claim's misses)
                       \\        |           /
            results land by partition index; every fresh
            partial written back through the cache seam
@@ -35,33 +41,34 @@ partitions out beyond one machine:
           bit-identical PatternCatalog → prime completion
           service's catalog cache → selection + scheduling
 
-A *shard* is anything that can classify one seed partition: a local
+A *shard* is anything that can classify seed partitions: a local
 in-process :class:`~repro.service.service.SchedulerService`
 (:class:`LocalShard`) or a remote ``repro serve`` instance reached
 through :class:`~repro.service.http.ServiceClient`
-(:class:`RemoteShard`, ``POST /v1/catalog:shard:stream``).  The coordinator
-plans the same contiguous ascending partitions the process backend uses
-(:func:`repro.exec.process.plan_seed_partitions`) — weight-balanced
-against the per-seed subtree cost model and cut
-:data:`PARTITIONS_PER_SHARD`× finer than the shard count — probes each
-against the completion service's **content-addressed partial cache**
-(key: the *partition's* subgraph digest + seed range + capacity +
-enumeration bounds; see
-:func:`repro.service.service.shard_partial_key`, so partials survive
-graph edits outside a partition's support and only dirty partitions are
-ever dispatched), hands the misses to whichever shard frees up first
-(work stealing; remote shards claim up to :data:`CLAIM_BATCH` unclaimed
-ranges per streamed HTTP round trip), merges the per-shard int frequency
-arrays in ascending-seed order
-(:func:`repro.exec.process.merge_classified_parts`) and completes
-selection + scheduling through a local *completion service*, priming its
-catalog cache with the merged catalog — so every downstream cache level
-(and the disk :class:`~repro.service.store.CacheStore`, when configured)
-behaves exactly as if the catalog had been built in-process.  Shard
-*servers* cache the same partials under the same keys on their side, so
-a repeated partition answers with cache level ``shard`` and zero DFS —
-and with a shared ``--cache-dir``, partials computed by any instance
-answer every instance, restarts included.
+(:class:`RemoteShard`, ``POST /v1/catalog:shard:stream``).  The
+coordinator has no build path of its own: it runs the completion
+service's partitioned build
+(:meth:`~repro.service.service.SchedulerService._build_catalog`) — the
+same plan of :data:`~repro.service.service.EDIT_PARTITIONS` partitions,
+the same probe of the **content-addressed partial cache** (key: the
+*partition's* subgraph digest + seed range + capacity + enumeration
+bounds; see :func:`repro.service.service.shard_partial_key`, so partials
+survive graph edits outside a partition's support and only dirty
+partitions are ever dispatched), the same write-back and merge — and
+supplies only the step that classifies the misses: the steal loop
+(:meth:`ShardCoordinator._dispatch`), which hands them to whichever shard
+frees up first.  Because the plan is the graph's, not the fleet's, a
+cache directory filled by one service answers a fleet of any size, and
+the other way round.  A build has at most 16 partitions, so shards
+beyond 16 sit idle.
+
+One claim is one :class:`ShardTask`: the graph and the attempt's bounds
+once, plus the claimed seed ranges.  The shard server probes each range
+against its own partial cache and classifies the claim's misses in one
+:func:`~repro.exec.process.classify_partition_rows` call, so a repeated
+partition answers with cache level ``shard`` and zero DFS — and with a
+shared ``--cache-dir``, partials computed by any instance answer every
+instance, restarts included.
 
 Bit-identity is the contract, not an aspiration: the merged catalog —
 pattern set, antichain counts, per-node frequencies and every Counter's
@@ -74,6 +81,7 @@ through partial-cache hits, memory or disk — pinned by
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -95,11 +103,7 @@ from repro.exceptions import (
 from repro.service.http import ServiceClient
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
 from repro.service.jobs import EditRequest, JobRequest, JobResult
-from repro.service.service import (
-    SchedulerService,
-    SubmitOutcome,
-    shard_partial_key,
-)
+from repro.service.service import SchedulerService, SubmitOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.patterns.enumeration import PatternCatalog
@@ -112,27 +116,18 @@ __all__ = [
     "CoordinatorStats",
 ]
 
-#: Partitions planned per shard: enough steal granularity for the
-#: dynamic dispatch loop to absorb residual subtree skew (the skew-aware
-#: planner flattens most of it statically) without drowning remote
-#: shards in request round-trips.
-PARTITIONS_PER_SHARD = 4
-
-#: Unclaimed partitions a remote shard claims per steal-loop round trip.
-#: Batching amortises the HTTP round trip; local shards claim singly.
-CLAIM_BATCH = 2
-
-_TASK_FIELDS = {"size", "span_limit", "max_count", "seeds", "workload", "dfg"}
+_TASK_FIELDS = {"size", "span_limit", "max_count", "ranges", "workload", "dfg"}
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One seed-node partition of a catalog build, addressed to one shard.
+    """One shard claim: a graph, one attempt's bounds, and its seed ranges.
 
-    ``seeds`` are node indices into the graph's insertion order — stable
-    across the wire because DFG JSON payloads preserve node order.  The
-    graph travels by workload name when possible (both sides build the
-    identical graph from the registry) and inline otherwise.
+    The graph and the bounds travel once per claim, however many ranges
+    it carries.  Seeds are node indices into the graph's insertion order
+    — stable across the wire because DFG JSON payloads preserve node
+    order.  The graph travels by workload name when possible (both sides
+    build the identical graph from the registry) and inline otherwise.
 
     Attributes
     ----------
@@ -143,11 +138,13 @@ class ShardTask:
         Span bound for this attempt (the coordinator owns adaptive-span
         retries; shards only ever see one concrete attempt).
     max_count:
-        Global antichain ceiling; a shard whose partition alone exceeds
-        it fails the attempt exactly like a fused DFS would.
-    seeds:
-        Ascending contiguous node indices whose DFS subtrees this shard
-        classifies.
+        Global antichain ceiling; a classify pass whose ranges alone
+        exceed it fails the attempt exactly like a fused DFS would.
+    ranges:
+        The claimed seed partitions, in ascending order: each an
+        ascending run of node indices whose DFS subtrees are classified,
+        each starting above the previous one's last seed.  Stream frame
+        ``slot`` ``i`` answers ``ranges[i]``.
     workload / dfg:
         Exactly one names the graph, as in :class:`JobRequest`.
     """
@@ -155,7 +152,7 @@ class ShardTask:
     size: int
     span_limit: int | None
     max_count: int | None
-    seeds: tuple[int, ...]
+    ranges: tuple[tuple[int, ...], ...]
     workload: str | None = None
     dfg: DFG | None = None
 
@@ -180,13 +177,22 @@ class ShardTask:
                 f"got {self.max_count!r}",
                 field="max_count",
             )
-        seeds = tuple(self.seeds)
-        object.__setattr__(self, "seeds", seeds)
-        if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
+        try:
+            ranges = tuple(tuple(seeds) for seeds in self.ranges)
+        except TypeError:
+            ranges = ()
+        object.__setattr__(self, "ranges", ranges)
+        seeds = [s for run in ranges for s in run]
+        if not (
+            ranges
+            and all(ranges)
+            and all(isinstance(s, int) and s >= 0 for s in seeds)
+            and all(a < b for a, b in zip(seeds, seeds[1:]))
+        ):
             raise JobValidationError(
-                f"seeds must be a non-empty sequence of node indices ≥ 0, "
-                f"got {self.seeds!r}",
-                field="seeds",
+                f"ranges must be a non-empty list of non-empty seed lists, "
+                f"ascending within and across ranges, got {self.ranges!r}",
+                field="ranges",
             )
         if (self.workload is None) == (self.dfg is None):
             raise JobValidationError(
@@ -206,12 +212,12 @@ class ShardTask:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe wire form (inline graphs via ``to_payload``)."""
+        """JSON-safe wire form (an inline graph via ``to_payload``, once)."""
         out: dict[str, Any] = {
             "size": self.size,
             "span_limit": self.span_limit,
             "max_count": self.max_count,
-            "seeds": list(self.seeds),
+            "ranges": [list(seeds) for seeds in self.ranges],
         }
         if self.workload is not None:
             out["workload"] = self.workload
@@ -221,27 +227,6 @@ class ShardTask:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    def partial_key(self, dfg: DFG) -> tuple:
-        """The content-addressed cache key of this task's classification.
-
-        Delegates to :func:`repro.service.service.shard_partial_key`:
-        ``(partition subgraph digest, seed range, capacity, enumeration
-        bounds)`` — the same structured key on the coordinator and on the
-        ``/v1/catalog:shard:stream`` server side, so a partial computed
-        anywhere (and persisted through a
-        :class:`~repro.service.store.CacheStore`) answers the identical
-        task everywhere,
-        :func:`repro.dfg.io.stable_key_digest`-addressable on disk.  The
-        digest covers only the facts this task's DFS subtrees can observe
-        (:func:`repro.dfg.io.subgraph_digest`), so a graph edit outside
-        the partition's support leaves the key — and the cached partial —
-        intact.  The backend never appears: partials are bit-identical by
-        contract, exactly like the service's other cache levels.
-        """
-        return shard_partial_key(
-            dfg, self.seeds, self.size, self.span_limit, self.max_count
-        )
 
     @classmethod
     def from_dict(cls, payload: Any) -> "ShardTask":
@@ -259,8 +244,6 @@ class ShardTask:
             )
         if "size" not in payload:
             raise JobValidationError("shard task is missing 'size'", field="size")
-        if "seeds" not in payload or not isinstance(payload["seeds"], list):
-            raise JobValidationError("shard task needs a 'seeds' list", field="seeds")
         dfg = None
         if "dfg" in payload:
             if not isinstance(payload["dfg"], dict):
@@ -277,7 +260,7 @@ class ShardTask:
             size=payload["size"],
             span_limit=payload.get("span_limit"),
             max_count=payload.get("max_count"),
-            seeds=tuple(payload["seeds"]),
+            ranges=payload.get("ranges"),
             workload=payload.get("workload"),
             dfg=dfg,
         )
@@ -287,35 +270,30 @@ class ShardTask:
 # shard handles
 # --------------------------------------------------------------------------- #
 class LocalShard:
-    """An in-process :class:`SchedulerService` acting as one shard."""
+    """An in-process :class:`SchedulerService` acting as one shard.
 
-    #: Batched claims only pay off when a claim has round-trip cost; an
-    #: in-process shard claims one partition at a time so the dynamic
-    #: queue keeps its finest stealing granularity.
-    batch_limit = 1
+    The steal loop hands a local shard one range per claim: there is no
+    round trip to amortise, so the queue keeps its finest granularity.
+    """
 
     def __init__(self, service: SchedulerService) -> None:
         self.service = service
 
-    def classify(self, task: ShardTask) -> list[tuple]:
-        return self.service.classify_shard(task)
+    def classify(
+        self, task: ShardTask
+    ) -> "list[tuple[list[tuple] | BaseException, str | None]]":
+        return self.service.classify_shard_outcome(task)
 
     def classify_stream(
-        self, tasks: "Sequence[ShardTask]"
+        self, task: ShardTask
     ) -> "Iterator[tuple[int, list[tuple] | BaseException, str | None]]":
-        """Yield ``(slot, rows_or_error, None)`` per task, in task order.
+        """Yield ``(slot, rows_or_error, None)`` per claimed range, in order.
 
         Routes through :meth:`classify` so subclasses (test shims) keep
-        their per-task behaviour; a per-task failure becomes that slot's
-        exception instead of aborting the rest of the claim.
+        their per-claim behaviour.
         """
-        for slot, task in enumerate(tasks):
-            try:
-                rows = self.classify(task)
-            except Exception as exc:  # noqa: BLE001 — slot-local failure
-                yield slot, exc, None
-            else:
-                yield slot, rows, None
+        for slot, (payload, _cache) in enumerate(self.classify(task)):
+            yield slot, payload, None
 
     def describe(self) -> str:
         return f"local({self.service.backend.describe()})"
@@ -334,14 +312,10 @@ class RemoteShard:
     garbled streams, blind 5xx answers) are retried up to
     ``retry.retries`` times with exponential backoff and deterministic
     jitter, while deterministic typed failures (validation, enumeration
-    limits) propagate immediately.  A retried stream resumes: slots whose
+    limits) propagate immediately.  A retried stream resumes: ranges whose
     frames already landed are never re-requested, so the coordinator
     sees each slot at most once and merged output stays bit-identical.
     """
-
-    #: Remote claims cost an HTTP round trip each, so the steal loop
-    #: hands a remote shard up to :data:`CLAIM_BATCH` ranges per trip.
-    batch_limit = CLAIM_BATCH
 
     def __init__(
         self,
@@ -374,51 +348,51 @@ class RemoteShard:
             time.sleep(delay)
 
     def classify_many(
-        self, tasks: "Sequence[ShardTask]"
+        self, task: ShardTask
     ) -> "list[tuple[list[tuple], str | None] | BaseException]":
-        """:meth:`classify_stream` drained into task order: one
-        ``(rows, cache)`` or slot-local exception per task."""
-        out: "list[Any]" = [None] * len(tasks)
-        for slot, payload, cache in self.classify_stream(tasks):
+        """:meth:`classify_stream` drained into range order: one
+        ``(rows, cache)`` or slot-local exception per claimed range."""
+        out: "list[Any]" = [None] * len(task.ranges)
+        for slot, payload, cache in self.classify_stream(task):
             out[slot] = (
                 payload if isinstance(payload, BaseException) else (payload, cache)
             )
         return out
 
     def classify_stream(
-        self, tasks: "Sequence[ShardTask]"
+        self, task: ShardTask
     ) -> "Iterator[tuple[int, list[tuple] | BaseException, str | None]]":
-        """Stream a claimed batch: yield each slot *as it completes*.
+        """Stream a claim: yield ``(slot, rows_or_error, cache)`` per range.
 
-        Yields ``(slot, rows_or_error, cache)`` in server completion
-        order via ``POST /v1/catalog:shard:stream``
-        (:meth:`~repro.service.http.ServiceClient.classify_shard_stream`),
-        so the coordinator lands early partials — and writes them back
-        through the cache seam — while the shard is still classifying
-        its batch-mates.
+        One ``POST /v1/catalog:shard:stream``
+        (:meth:`~repro.service.http.ServiceClient.classify_shard_stream`)
+        carries the whole claim; ``slot`` indexes ``task.ranges``.
 
         Fault behaviour: a stream that dies mid-flight (disconnect,
         truncation — no ``{"done": true}`` frame — corrupt frame, or a
         heartbeat-only stall past ``retry.stream_idle_timeout``) is
-        retried with backoff, re-requesting **only the slots that have
+        retried with backoff, re-requesting **only the ranges that have
         not answered yet**; already-yielded slots are never repeated.
         """
-        tasks = list(tasks)
         answered: "set[int]" = set()
         attempt = 0
         while True:
-            remaining = [i for i in range(len(tasks)) if i not in answered]
+            remaining = [
+                i for i in range(len(task.ranges)) if i not in answered
+            ]
             if not remaining:
                 return
-            sub = [tasks[i] for i in remaining]
+            sub = dataclasses.replace(
+                task, ranges=tuple(task.ranges[i] for i in remaining)
+            )
             try:
                 for slot, payload, cache in self.client.classify_shard_stream(
                     sub, idle_timeout=self.retry.stream_idle_timeout
                 ):
-                    if not (0 <= slot < len(sub)):
+                    if not (0 <= slot < len(remaining)):
                         raise ShardTransportError(
                             f"shard stream answered invalid slot "
-                            f"{slot} for a {len(sub)}-task claim"
+                            f"{slot} for a {len(remaining)}-range claim"
                         )
                     index = remaining[slot]
                     if index in answered:
@@ -432,7 +406,7 @@ class RemoteShard:
                     # truncated as no terminal frame at all.
                     raise ShardTransportError(
                         "shard stream completed without answering "
-                        "every claimed slot"
+                        "every claimed range"
                     )
                 return
             except ReproError as exc:
@@ -477,18 +451,19 @@ class CoordinatorStats:
     """Partial-cache and dispatch accounting for one :class:`ShardCoordinator`.
 
     ``planned`` counts every partition the planner produced (across all
-    classify attempts, adaptive-span retries included); ``partial_hits``
-    of them were answered by the coordinator-side partial cache without
-    any shard traffic, and the remaining ``partial_misses`` were
-    ``dispatched`` to whichever shard freed up first.
-    ``remote_partial_hits`` counts dispatched tasks a *remote* shard
-    answered from its own partial cache (stream cache level ``shard`` — no
-    DFS ran anywhere).  ``claim_rounds`` counts steal-loop claim trips:
-    a remote shard claims up to :data:`CLAIM_BATCH` unclaimed ranges per
-    round trip, so ``dispatched / claim_rounds`` is the realised batch
-    factor.  ``tasks_per_shard`` records how the dynamic loop actually
-    spread the work; :meth:`steals` derives how many tasks ran on a
-    shard beyond its even share — the work stealing at work.
+    classify attempts of successful builds, adaptive-span retries
+    included); ``partial_hits`` of them were answered by the
+    coordinator-side partial cache without any shard traffic, and the
+    remaining ``partial_misses`` were ``dispatched`` to whichever shard
+    freed up first.  ``remote_partial_hits`` counts dispatched ranges a
+    *remote* shard answered from its own partial cache (stream cache
+    level ``shard`` — no DFS ran anywhere).  ``claim_rounds`` counts
+    steal-loop claims: a remote shard claims up to its share of the
+    dispatch, ``ceil(misses / shards)`` ranges, per round trip, so
+    ``dispatched / claim_rounds`` is the realised claim size.
+    ``tasks_per_shard`` records how the dynamic loop actually spread the
+    ranges; :meth:`steals` derives how many ran on a shard beyond its
+    even share — the work stealing at work.
 
     The fault-tolerance counters account recovery, not work:
     ``retries`` counts same-shard transport retries performed by
@@ -546,12 +521,14 @@ class ShardCoordinator:
     ----------
     shards:
         Shard handles (or anything :func:`_as_shard` coerces: services,
-        clients, URLs).  The planner cuts ~:data:`PARTITIONS_PER_SHARD`×
-        more weight-balanced partitions than there are shards; a dynamic
-        dispatch loop hands each to whichever shard frees up first, so an
-        idle shard steals the next unclaimed range instead of waiting on
-        a static assignment.  Completion order cannot matter: results
-        land by partition index and merge in ascending-seed order.
+        clients, URLs).  Builds use the completion service's plan of
+        :data:`~repro.service.service.EDIT_PARTITIONS` weight-balanced
+        partitions whatever the shard count (so at most 16 shards are
+        ever busy); a dynamic dispatch loop hands each missed partition
+        to whichever shard frees up first, so an idle shard steals the
+        next unclaimed range instead of waiting on a static assignment.
+        Completion order cannot matter: results land by partition index
+        and merge in ascending-seed order.
     service:
         The completion service that runs selection + scheduling against
         the merged catalog, owns the result/selection caches **and** the
@@ -707,10 +684,15 @@ class ShardCoordinator:
     ) -> "PatternCatalog":
         """The merged catalog for ``dfg`` — bit-identical to a fused build.
 
-        Applies the selector's exact size/adaptive-span policy
-        (:meth:`~repro.core.selection.PatternSelector.build_catalog_with`)
-        around sharded classify attempts.  ``workload`` lets tasks travel
-        by registry name instead of shipping the graph to every shard.
+        Runs the completion service's partitioned build
+        (:meth:`~repro.service.service.SchedulerService._build_catalog`:
+        the selector's size/adaptive-span policy, the 16-partition plan,
+        the partial-cache probe, write-back and merge) with the steal
+        loop (:meth:`_dispatch`) as its miss classifier, and books the
+        partition counts it returns.  ``workload`` lets claims travel by
+        registry name instead of shipping the graph.  Call it outside
+        the completion service's lock: the dispatch workers write
+        partials back through it.
         """
         config = config if config is not None else SelectionConfig()
         if config.store_antichains:
@@ -718,155 +700,112 @@ class ShardCoordinator:
                 "sharded pattern generation cannot store raw antichains; "
                 "use the serial backend with store_antichains"
             )
-        selector = PatternSelector(capacity, config=config)
-        return selector.build_catalog_with(
-            dfg,
-            lambda size, span: self._classify_sharded(
+
+        def classify(ranges, weights, size, span_limit, max_count, land):
+            self._dispatch(
                 dfg,
-                size,
-                span,
-                max_count=config.max_antichains,
-                workload=workload,
-            ),
-        )
-
-    def _classify_sharded(
-        self,
-        dfg: DFG,
-        size: int,
-        span_limit: int | None,
-        *,
-        max_count: int | None,
-        workload: str | None,
-    ) -> "PatternCatalog":
-        """One sharded classify attempt at a concrete (size, span).
-
-        Weight-balanced partitions are cut ~:data:`PARTITIONS_PER_SHARD`×
-        finer than the shard count; each is first probed against the
-        completion service's content-addressed partial cache (a warm
-        rebuild dispatches nothing), the misses go through the dynamic
-        steal loop (:meth:`_dispatch`), and every freshly computed
-        partial is written back through the cache seam.  Results land by
-        partition index, so the ascending-seed merge — and therefore the
-        catalog's every bit — is independent of completion order.
-        """
-        from repro.exec.process import (
-            merge_classified_parts,
-            plan_seed_partitions,
-        )
-
-        partitions = plan_seed_partitions(
-            dfg, len(self.shards) * PARTITIONS_PER_SHARD
-        )
-        tasks = [
-            ShardTask(
-                size=size,
-                span_limit=span_limit,
-                max_count=max_count,
-                seeds=tuple(seeds),
-                workload=workload,
-                dfg=None if workload is not None else dfg,
+                ShardTask(
+                    size=size,
+                    span_limit=span_limit,
+                    max_count=max_count,
+                    ranges=ranges,
+                    workload=workload,
+                    dfg=None if workload is not None else dfg,
+                ),
+                weights,
+                land,
             )
-            for seeds in partitions
-        ]
-        self.stats.planned += len(tasks)
-        keys = [task.partial_key(dfg) for task in tasks]
-        parts: list[list[tuple] | None] = [None] * len(tasks)
-        pending: deque[int] = deque()
-        for i, key in enumerate(keys):
-            cached = self.service.get_shard_partial(key)
-            if cached is not None:
-                parts[i] = cached
-                self.stats.partial_hits += 1
-            else:
-                pending.append(i)
-                self.stats.partial_misses += 1
-        if pending:
-            self._dispatch(tasks, keys, parts, pending)
-        return merge_classified_parts(
-            dfg,
-            parts,
-            capacity=size,
-            span_limit=span_limit,
-            max_count=max_count,
+
+        catalog, hits, misses = self.service._build_catalog(
+            dfg, PatternSelector(capacity, config=config), classify
         )
+        with self._stats_lock:
+            self.stats.planned += hits + misses
+            self.stats.partial_hits += hits
+            self.stats.partial_misses += misses
+        return catalog
 
     def _dispatch(
         self,
-        tasks: list[ShardTask],
-        keys: list[tuple],
-        parts: "list[list[tuple] | None]",
-        pending: "deque[int]",
+        dfg: DFG,
+        task: ShardTask,
+        weights: "list[int]",
+        land: "Callable[[int, list[tuple]], None]",
     ) -> None:
-        """Run the pending tasks over the shards, stealing dynamically.
+        """Classify the missed ranges of ``task`` over the shards, stealing.
 
-        One worker thread per shard pulls the next unclaimed partition
-        index from the shared queue — a fast (or partial-cache-warm)
-        shard simply comes back for more while a slow one is still
-        classifying, which is exactly the process backend's fine-grained
-        dynamic queue lifted to service instances.  Remote shards overlap
-        fully, and local shards overlap too on heavy graphs: their
-        classify work runs in numpy kernels that release the GIL.
+        ``task`` carries every missed range of one attempt; each claim
+        is the same task cut down to the claimed ranges, and each landed
+        frame's rows go to ``land(i, rows)`` (``i`` indexing
+        ``task.ranges``), which writes them back.  One worker thread per
+        shard pulls the next unclaimed range index from the shared queue
+        — a fast (or partial-cache-warm) shard simply comes back for more
+        while a slow one is still classifying, which is exactly the
+        process backend's fine-grained dynamic queue lifted to service
+        instances.  Workers start from the shards whose breakers are not
+        open, so a healthy shard takes the work before the local
+        fallback does.
 
-        Remote shards amortise the claim round trip: each claim takes up
-        to :data:`CLAIM_BATCH` consecutive unclaimed indices and classifies
-        them in one streamed ``/v1/catalog:shard:stream`` request
-        (:meth:`RemoteShard.classify_stream`) — each slot's partial
-        lands, and writes back through the cache seam, the moment the
-        server finishes it, overlapping the merge-side bookkeeping with
-        the partitions still classifying in flight.  Local shards keep
-        claiming one at a time — there is no trip to amortise and single
-        claims keep stealing at its finest granularity.
+        A remote shard claims its share of the dispatch,
+        ``ceil(ranges / shards)`` consecutive unclaimed indices computed
+        once per dispatch, as one streamed ``/v1/catalog:shard:stream``
+        request (:meth:`RemoteShard.classify_stream`): the graph travels
+        once per claim and the server classifies the claim's misses in
+        one pass.  Each slot's partial lands, and writes back through the
+        cache seam, as its frame arrives.  Local shards claim one range
+        at a time — there is no trip to amortise and single claims keep
+        stealing at its finest granularity.
 
         Error behaviour is deterministic regardless of thread timing:
-        after a failure, workers keep claiming only partitions *below*
-        the lowest failed index (``pending`` is ascending, so one
-        front-of-queue check suffices) — every lower partition is always
+        after a failure, workers keep claiming only ranges *below* the
+        lowest failed index (``pending`` is ascending, so one
+        front-of-queue check suffices) — every lower range is always
         attempted, higher ones are abandoned — and the error of the
-        lowest-index failing partition is re-raised.  A transient fault
-        on a late partition therefore cannot mask an earlier partition's
+        lowest-index failing range is re-raised.  A transient fault on a
+        late range therefore cannot mask an earlier range's
         :class:`~repro.exceptions.EnumerationLimitError`, which the
-        adaptive-span loop must see as itself to retry.  Within a batch,
-        failures stay slot-local: the other claimed partitions' results
-        are kept.
+        adaptive-span loop must see as itself to retry.  Within a claim,
+        failures stay slot-local: the other claimed ranges' results are
+        kept.
 
         *Retryable* failures — transport deaths, timeouts, truncated
         streams, backpressure — never enter the failure list at all: the
-        unanswered partitions are re-enqueued (ascending, merged back
-        into the queue) for a healthy shard to claim, the failing
-        shard's circuit breaker records the strike,
-        and a worker whose breaker opens leaves the loop (it re-enters
-        half-open via a ``/healthz`` probe after the cool-down).  Idle
-        workers wait while claims are in flight elsewhere instead of
-        exiting, so a requeued partition always finds a claimant.  A
-        partition that has been re-enqueued ``breaker_threshold × shards``
-        times hard-fails with its last transport error — the backstop
-        against a poison partition ping-ponging forever.  Partitions
-        still pending when every worker has left (every remote ejected)
-        are classified in-process by the completion service, ascending,
-        so the build succeeds degraded whenever at least one executor
-        exists.
+        unanswered ranges are re-enqueued (ascending, merged back into
+        the queue) for a healthy shard to claim, the failing shard's
+        circuit breaker records the strike, and a worker whose breaker
+        opens leaves the loop (it re-enters half-open via a ``/healthz``
+        probe after the cool-down).  Idle workers wait while claims are
+        in flight elsewhere instead of exiting, so a requeued range
+        always finds a claimant.  A range that has been re-enqueued
+        ``breaker_threshold × shards`` times hard-fails with its last
+        transport error — the backstop against a poison range
+        ping-ponging forever.  Ranges still pending when every worker has
+        left (every remote ejected) are classified in-process by the
+        completion service in one pass, so the build succeeds degraded
+        whenever at least one executor exists.
         """
         cond = threading.Condition()
         lock = cond  # pending/failures/stats share the condition's lock
+        pending: deque[int] = deque(range(len(task.ranges)))
+        share = -(-len(pending) // len(self.shards))
         failures: list[tuple[int, BaseException]] = []
         attempts: dict[int, int] = {}
         inflight = 0
-        # A partition may be failed over at most once per failing round,
-        # and every shard's breaker opens after breaker_threshold
-        # consecutive failing rounds — so threshold × shards re-enqueues
-        # is the worst case of a fully dying fleet.  The +1 keeps such a
-        # partition alive through total ejection (it must reach the
-        # local fallback); only a genuinely poisonous partition that
-        # keeps killing re-admitted shards ever hits the cap.
+        # A range may be failed over at most once per failing round, and
+        # every shard's breaker opens after breaker_threshold consecutive
+        # failing rounds — so threshold × shards re-enqueues is the worst
+        # case of a fully dying fleet.  The +1 keeps such a range alive
+        # through total ejection (it must reach the local fallback); only
+        # a genuinely poisonous range that keeps killing re-admitted
+        # shards ever hits the cap.
         attempt_cap = max(1, self.retry.breaker_threshold) * len(self.shards) + 1
 
         def fail_floor_locked() -> "int | None":
             return min(pair[0] for pair in failures) if failures else None
 
         def requeue_locked(indices: "list[int]", exc: BaseException) -> None:
-            """Re-enqueue failed-over partitions (ascending merge); a
-            partition past the attempt cap hard-fails instead."""
+            """Re-enqueue failed-over ranges (ascending merge); a range
+            past the attempt cap hard-fails instead."""
             survivors = []
             for i in indices:
                 attempts[i] = attempts.get(i, 0) + 1
@@ -885,7 +824,7 @@ class ShardCoordinator:
             nonlocal inflight
             shard = self.shards[shard_index]
             breaker = self.breakers[shard_index]
-            batch_limit = shard.batch_limit
+            claim_limit = share if isinstance(shard, RemoteShard) else 1
             while True:
                 # Health gate: an open breaker ejects this shard from
                 # the steal loop; half-open admits exactly one /healthz
@@ -918,7 +857,7 @@ class ShardCoordinator:
                             return
                         cond.wait()
                     claimed = []
-                    while pending and len(claimed) < batch_limit:
+                    while pending and len(claimed) < claim_limit:
                         if floor is not None and pending[0] > floor:
                             break
                         claimed.append(pending.popleft())
@@ -926,15 +865,16 @@ class ShardCoordinator:
                     self.stats.claim_rounds += 1
                     self.stats.dispatched += len(claimed)
                     self.stats.tasks_per_shard[shard_index] += len(claimed)
+                claim = dataclasses.replace(
+                    task, ranges=tuple(task.ranges[i] for i in claimed)
+                )
                 remote_hits = 0
                 failed_here = False
                 answered: set[int] = set()
                 stop = False
                 try:
                     try:
-                        for slot, payload, cache in shard.classify_stream(
-                            [tasks[i] for i in claimed]
-                        ):
+                        for slot, payload, cache in shard.classify_stream(claim):
                             if (
                                 not (0 <= slot < len(claimed))
                                 or slot in answered
@@ -942,15 +882,15 @@ class ShardCoordinator:
                                 raise ServiceError(
                                     f"shard answered invalid or duplicate "
                                     f"slot {slot} for a "
-                                    f"{len(claimed)}-task claim"
+                                    f"{len(claimed)}-range claim"
                                 )
                             answered.add(slot)
                             i = claimed[slot]
                             if isinstance(payload, BaseException):
                                 if is_retryable(payload):
                                     # Slot-local transport/backpressure
-                                    # failure: fail the partition over,
-                                    # keep consuming the stream.
+                                    # failure: fail the range over, keep
+                                    # consuming the stream.
                                     with lock:
                                         requeue_locked([i], payload)
                                 else:
@@ -959,18 +899,14 @@ class ShardCoordinator:
                                     failed_here = True
                                 continue
                             try:
-                                parts[i] = payload
                                 # The write-back happens per frame, while
-                                # the shard's remaining slots are still
-                                # classifying — and inside the try: a
+                                # the shard's remaining slots may still be
+                                # in flight — and inside the try: a
                                 # failing cache store (disk full,
                                 # permissions) must surface as this
-                                # partition's failure, not silently kill
-                                # the worker and leave the merge a None
-                                # part.
-                                self.service.put_shard_partial(
-                                    keys[i], payload
-                                )
+                                # range's failure, not silently kill the
+                                # worker and leave the merge a None part.
+                                land(i, payload)
                             except BaseException as exc:
                                 with lock:
                                     failures.append((i, exc))
@@ -981,7 +917,7 @@ class ShardCoordinator:
                         if len(answered) != len(claimed):
                             raise ShardTransportError(
                                 f"shard answered {len(answered)} of "
-                                f"{len(claimed)} claimed tasks"
+                                f"{len(claimed)} claimed ranges"
                             )
                     except BaseException as exc:
                         # A whole-call failure (transport death,
@@ -1026,38 +962,43 @@ class ShardCoordinator:
                     if stop:
                         return
 
-        n_workers = min(len(self.shards), len(pending))
-        if n_workers <= 1:
-            worker(0)
+        # Shards whose breakers are open go last, so a healthy shard
+        # takes the work before an ejected one turns its worker away.
+        order = sorted(
+            range(len(self.shards)),
+            key=lambda s: self.breakers[s].state == CircuitBreaker.OPEN,
+        )[: len(pending)]
+        if len(order) == 1:
+            worker(order[0])
         else:
             threads = [
                 threading.Thread(target=worker, args=(s,), daemon=True)
-                for s in range(n_workers)
+                for s in order
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        if pending:
+        floor = fail_floor_locked()
+        leftovers = [i for i in pending if floor is None or i <= floor]
+        if leftovers:
             # Every worker has left (breakers open, shards gone) with
-            # work still on the queue: classify the leftovers in-process
-            # on the completion service, ascending, stopping below any
-            # recorded failure — the job succeeds degraded as long as
-            # one executor exists, and the lowest-failure contract
-            # holds.
-            floor = fail_floor_locked()
-            while pending:
-                i = pending.popleft()
-                if floor is not None and i > floor:
-                    break
-                try:
-                    rows = self.service.classify_shard(tasks[i])
-                    parts[i] = rows
-                    self.service.put_shard_partial(keys[i], rows)
-                    self.stats.local_fallbacks += 1
-                except BaseException as exc:
-                    failures.append((i, exc))
-                    break
+            # work still on the queue: classify the leftovers below any
+            # recorded failure in-process on the completion service, in
+            # one pass — the job succeeds degraded as long as one
+            # executor exists, and the lowest-failure contract holds.
+            try:
+                self.service._classify_here(dfg)(
+                    [task.ranges[i] for i in leftovers],
+                    [weights[i] for i in leftovers],
+                    task.size,
+                    task.span_limit,
+                    task.max_count,
+                    lambda j, rows: land(leftovers[j], rows),
+                )
+                self.stats.local_fallbacks += len(leftovers)
+            except BaseException as exc:
+                failures.append((leftovers[0], exc))
         if failures:
             raise min(failures, key=lambda pair: pair[0])[1]
 
@@ -1070,11 +1011,14 @@ class ShardCoordinator:
             raise JobValidationError(
                 f"expected a JobRequest, got {type(request).__name__}"
             )
-        # Resolve + probe under the service lock (graph registries and
-        # stores are lock-protected everywhere else), but do NOT hold it
-        # across the shard fan-out: a LocalShard wrapping this very
-        # service would deadlock classifying from a pool thread.
+        # Check, resolve + probe under the service lock (graph registries
+        # and stores are lock-protected everywhere else), but do NOT hold
+        # it across the shard fan-out: a dispatch worker writing a
+        # partial back through this service would deadlock.  An unknown
+        # backend name fails here, as on a single service, before any
+        # shard sees the job.
         with self.service._lock:
+            self.service._check_backend_name(request)
             dfg, digest = self.service._resolve_input(request.workload, request.dfg)
             # Already cached at some level (result or catalog, memory or
             # disk)?  Then the completion service answers without any

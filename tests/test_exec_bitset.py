@@ -500,11 +500,11 @@ def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     config = SelectionConfig(max_antichains=_FFT8_CAP)
     backend = get_backend("fused")
     with SchedulerService() as svc:
-        catalog, hits = svc._build_catalog(
-            dfg, PatternSelector(4, config=config), backend
+        catalog, hits, misses = svc._build_catalog(
+            dfg, PatternSelector(4, config=config), svc._classify_here(dfg)
         )
         assert hits == 0
-        assert svc.stats.partition_misses == 32  # both attempts probed
+        assert misses == 32  # both attempts probed
         assert len(svc._shard_parts) == cached
     assert catalog.span_limit == 0
     reference = PatternSelector(4, config=config).build_catalog(

@@ -579,7 +579,7 @@ class TestAdmissionControl:
                 size=2,
                 span_limit=1,
                 max_count=None,
-                seeds=(0,),
+                ranges=((0,),),
                 workload="3dft",
             )
             with service._admitted():

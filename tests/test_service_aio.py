@@ -345,39 +345,36 @@ class TestDrain:
 # --------------------------------------------------------------------------- #
 # streamed shard protocol
 # --------------------------------------------------------------------------- #
-def _shard_tasks(dfg, capacity: int, pieces: int) -> list[ShardTask]:
+def _claim(dfg, capacity: int, pieces: int, max_count=None) -> ShardTask:
+    """One shard claim over ``pieces`` planned seed ranges of ``dfg``."""
     from repro.exec.process import plan_seed_partitions
 
-    parts = plan_seed_partitions(dfg, pieces)
-    return [
-        ShardTask(
-            size=capacity,
-            span_limit=CFG.span_limit,
-            max_count=None,
-            seeds=tuple(part),
-            dfg=dfg,
-        )
-        for part in parts
-    ]
+    return ShardTask(
+        size=capacity,
+        span_limit=CFG.span_limit,
+        max_count=max_count,
+        ranges=plan_seed_partitions(dfg, pieces),
+        dfg=dfg,
+    )
 
 
-def _in_process_rows(tasks: "list[ShardTask]") -> "list[list[tuple]]":
+def _in_process_rows(claim: ShardTask) -> "list[list[tuple]]":
     with SchedulerService() as service:
-        return [service.classify_shard(task) for task in tasks]
+        return service.classify_shard(claim)
 
 
 class TestStreamedShard:
     @staticmethod
     def _assert_stream_matches_in_process(server, dfg) -> None:
-        tasks = _shard_tasks(dfg, 4, 3)
+        claim = _claim(dfg, 4, 3)
         with ServiceClient(server.url, timeout=30) as client:
             streamed = {
                 slot: payload
-                for slot, payload, _cache in client.classify_shard_stream(tasks)
+                for slot, payload, _cache in client.classify_shard_stream(claim)
             }
-        assert sorted(streamed) == list(range(len(tasks)))
+        assert sorted(streamed) == list(range(len(claim.ranges)))
         assert [streamed[slot] for slot in sorted(streamed)] == _in_process_rows(
-            tasks
+            claim
         )
 
     def test_stream_matches_batched_sync(self, server):
@@ -389,25 +386,34 @@ class TestStreamedShard:
         )
 
     def test_slot_error_is_slot_local(self, server):
+        # A claim's misses classify in one pass: a global antichain
+        # ceiling of 1 fails every missed slot exactly like a fused DFS
+        # would, while a slot the partial cache answers streams its rows.
         dfg = layered_dag(5, layers=3, width=4)
-        tasks = _shard_tasks(dfg, 4, 3)
-        # A global antichain ceiling of 1 fails that slot exactly like a
-        # fused DFS would — the other slots still stream their rows.
-        bad = ShardTask(
-            size=tasks[1].size,
-            span_limit=tasks[1].span_limit,
+        pieces = _claim(dfg, 4, 3, max_count=1).ranges
+        warm = ShardTask(
+            size=4,
+            span_limit=CFG.span_limit,
             max_count=1,
-            seeds=tasks[1].seeds,
+            ranges=((dfg.n_nodes - 1,),),  # a lone top seed: one antichain
             dfg=dfg,
         )
-        tasks[1] = bad
+        claim = ShardTask(
+            size=4,
+            span_limit=CFG.span_limit,
+            max_count=1,
+            ranges=(pieces[0], pieces[1], warm.ranges[0]),
+            dfg=dfg,
+        )
         with ServiceClient(server.url, timeout=30) as client:
+            [(_, warm_rows, _)] = client.classify_shard_stream(warm)
             by_slot = {
-                slot: payload
-                for slot, payload, _cache in client.classify_shard_stream(tasks)
+                slot: (payload, cache)
+                for slot, payload, cache in client.classify_shard_stream(claim)
             }
-        assert isinstance(by_slot[1], EnumerationLimitError)
-        assert isinstance(by_slot[0], list) and isinstance(by_slot[2], list)
+        assert isinstance(by_slot[0][0], EnumerationLimitError)
+        assert isinstance(by_slot[1][0], EnumerationLimitError)
+        assert by_slot[2] == (warm_rows, "shard")
 
     def test_heartbeats_on_silent_stretches(self):
         server = AsyncServiceServer(port=0, heartbeat_interval=0.05)
@@ -421,10 +427,7 @@ class TestStreamedShard:
         server.start_background()
         try:
             dfg = three_point_dft_paper()
-            tasks = _shard_tasks(dfg, 4, 1)
-            body = json.dumps(
-                {"tasks": [task.to_dict() for task in tasks]}
-            ).encode("utf-8")
+            body = _claim(dfg, 4, 1).to_json().encode("utf-8")
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
             try:
                 conn.request(

@@ -189,8 +189,10 @@ class TestIncrementalRebuild:
         backend = get_backend("fused")
         selector = PatternSelector(4, config=CFG)
         with SchedulerService() as svc:
-            catalog, hits = svc._build_catalog(dfg, selector, backend)
-            assert hits == 0
+            catalog, hits, misses = svc._build_catalog(
+                dfg, selector, svc._classify_here(dfg)
+            )
+            assert (hits, misses) == (0, EDIT_PARTITIONS)
         reference = PatternSelector(4, config=CFG).build_catalog(
             dfg, backend=backend
         )

@@ -84,19 +84,17 @@ def fused_catalog(dfg, capacity, config=CFG):
     return PatternSelector(capacity, config=config).build_catalog(dfg)
 
 
-def _shard_tasks(dfg, n, size=4):
+def _claim(dfg, n, size=4):
+    """One shard claim over ``n`` planned seed ranges of ``dfg``."""
     from repro.exec.process import plan_seed_partitions
 
-    return [
-        ShardTask(
-            size=size,
-            span_limit=1,
-            max_count=None,
-            seeds=tuple(seeds),
-            workload="3dft",
-        )
-        for seeds in plan_seed_partitions(dfg, n)
-    ]
+    return ShardTask(
+        size=size,
+        span_limit=1,
+        max_count=None,
+        ranges=plan_seed_partitions(dfg, n),
+        workload="3dft",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +233,8 @@ class TestFaultPlan:
 # client-level fault typing: every death is a typed transport error
 # --------------------------------------------------------------------------- #
 class TestClientFaultTyping:
-    def _stream_all(self, client, tasks, **kwargs):
-        return list(client.classify_shard_stream(tasks, **kwargs))
+    def _stream_all(self, client, claim, **kwargs):
+        return list(client.classify_shard_stream(claim, **kwargs))
 
     def test_truncated_stream_is_transport_error_not_short_result(
         self, server
@@ -244,33 +242,33 @@ class TestClientFaultTyping:
         # The stream dies after one slot frame: the client must raise,
         # never return a short result.
         dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 3)
+        claim = _claim(dfg, 3)
         plan = FaultPlan([FaultSpec("disconnect", after_frames=1)])
         with ChaosProxy(server.url, plan) as proxy:
             with ServiceClient(proxy.url, timeout=10) as client:
                 with pytest.raises(ShardTransportError):
-                    self._stream_all(client, tasks)
+                    self._stream_all(client, claim)
 
     def test_garbled_frame_is_transport_error(self, server):
         dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 3)
+        claim = _claim(dfg, 3)
         plan = FaultPlan([FaultSpec("corrupt", after_frames=1)])
         with ChaosProxy(server.url, plan) as proxy:
             with ServiceClient(proxy.url, timeout=10) as client:
                 with pytest.raises(ShardTransportError):
-                    self._stream_all(client, tasks)
+                    self._stream_all(client, claim)
 
     def test_heartbeat_only_stall_trips_idle_timeout(self, server):
         # Heartbeats prove the connection is alive, not that work is
         # progressing: a heartbeat-only stream must raise the *timeout*
         # flavour once stream_idle_timeout elapses.
         dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 2)
+        claim = _claim(dfg, 2)
         plan = FaultPlan([FaultSpec("heartbeat_stall")])
         with ChaosProxy(server.url, plan) as proxy:
             with ServiceClient(proxy.url, timeout=10) as client:
                 with pytest.raises(ShardTimeoutError, match="stall"):
-                    self._stream_all(client, tasks, idle_timeout=0.3)
+                    self._stream_all(client, claim, idle_timeout=0.3)
 
     def test_repeated_refusal_is_typed_and_names_the_endpoint(self):
         with ServiceClient(DEAD_URL, timeout=0.5) as client:
@@ -286,18 +284,18 @@ class TestRemoteShardRetry:
         self, server
     ):
         dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 4)
+        claim = _claim(dfg, 4)
         with ServiceClient(server.url, timeout=10) as direct:
             want = {
                 slot: payload
-                for slot, payload, _ in direct.classify_shard_stream(tasks)
+                for slot, payload, _ in direct.classify_shard_stream(claim)
             }
         plan = FaultPlan([FaultSpec("disconnect", after_frames=1)])
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
                 got: dict[int, list] = {}
-                for slot, payload, _cache in shard.classify_stream(tasks):
+                for slot, payload, _cache in shard.classify_stream(claim):
                     assert slot not in got, "slot answered twice"
                     got[slot] = payload
             finally:
@@ -310,12 +308,12 @@ class TestRemoteShardRetry:
         # Two injected 500s, then the plan runs dry: the call succeeds
         # and the retry accounting equals the injected fault count.
         dfg = three_point_dft_paper()
-        task = _shard_tasks(dfg, 1)[0]
+        claim = _claim(dfg, 1)
         plan = FaultPlan([FaultSpec("error_500"), FaultSpec("error_500")])
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                [(slot, rows, _cache)] = shard.classify_stream([task])
+                [(slot, rows, _cache)] = shard.classify_stream(claim)
             finally:
                 shard.client.close()
         assert slot == 0 and isinstance(rows, list)
@@ -324,12 +322,12 @@ class TestRemoteShardRetry:
 
     def test_injected_503_envelope_is_retryable(self, server):
         dfg = three_point_dft_paper()
-        task = _shard_tasks(dfg, 1)[0]
+        claim = _claim(dfg, 1)
         plan = FaultPlan([FaultSpec("error_503")])
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                [(_slot, rows, _cache)] = shard.classify_stream([task])
+                [(_slot, rows, _cache)] = shard.classify_stream(claim)
             finally:
                 shard.client.close()
         assert isinstance(rows, list) and rows
@@ -344,10 +342,10 @@ class TestRemoteShardRetry:
             ),
         )
         dfg = three_point_dft_paper()
-        task = _shard_tasks(dfg, 1)[0]
+        claim = _claim(dfg, 1)
         try:
             with pytest.raises(ShardTransportError):
-                list(shard.classify_stream([task]))
+                list(shard.classify_stream(claim))
         finally:
             shard.client.close()
         assert shard.retries_used == 1
@@ -356,12 +354,12 @@ class TestRemoteShardRetry:
         # An enumeration limit must surface as itself, immediately —
         # the adaptive-span ladder depends on it.
         doomed = ShardTask(
-            size=5, span_limit=4, max_count=1, seeds=(0, 1, 2, 3),
+            size=5, span_limit=4, max_count=1, ranges=((0, 1, 2, 3),),
             workload="3dft",
         )
         shard = RemoteShard(server.url, retry=FAST)
         try:
-            [(slot, error, cache)] = shard.classify_stream([doomed])
+            [(slot, error, cache)] = shard.classify_stream(doomed)
         finally:
             shard.client.close()
         assert slot == 0 and cache is None

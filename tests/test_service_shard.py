@@ -48,7 +48,8 @@ from repro.service import (
     ShardTask,
 )
 from repro.service.serialize import catalog_to_dict
-from repro.service.shard import CLAIM_BATCH, LocalShard
+from repro.service.service import EDIT_PARTITIONS, shard_partial_key
+from repro.service.shard import LocalShard
 from repro.workloads import three_point_dft_paper
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
@@ -401,9 +402,9 @@ class TestShardPartialCache:
         b.name = "renamed"
         from repro.dfg.io import stable_key_digest
 
-        task = dict(size=3, span_limit=1, max_count=100, seeds=(0, 1, 2))
-        key_a = ShardTask(workload="3dft", **task).partial_key(a)
-        key_b = ShardTask(dfg=b, **task).partial_key(b)
+        task = dict(seeds=(0, 1, 2), size=3, span_limit=1, max_count=100)
+        key_a = shard_partial_key(a, **task)
+        key_b = shard_partial_key(b, **task)
         assert stable_key_digest(key_a) == stable_key_digest(key_b)
         for change in (
             dict(size=4),
@@ -412,10 +413,8 @@ class TestShardPartialCache:
             dict(max_count=99),
             dict(seeds=(0, 1, 3)),
         ):
-            other = ShardTask(workload="3dft", **{**task, **change})
-            assert stable_key_digest(
-                other.partial_key(a)
-            ) != stable_key_digest(key_a)
+            other = shard_partial_key(a, **{**task, **change})
+            assert stable_key_digest(other) != stable_key_digest(key_a)
 
     def test_contiguous_seed_key_is_range_compact(self):
         # The planner only emits contiguous runs; their keys collapse to
@@ -423,23 +422,11 @@ class TestShardPartialCache:
         from repro.dfg.io import stable_key_json
 
         dfg = radix2_fft(16)
-        wide = ShardTask(
-            size=2, span_limit=None, max_count=None,
-            seeds=tuple(range(dfg.n_nodes)), workload="fft16",
-        )
-        key = wide.partial_key(dfg)
+        key = shard_partial_key(dfg, range(dfg.n_nodes), 2, None, None)
         assert len(stable_key_json(key)) < 300
-        gappy = ShardTask(
-            size=2, span_limit=None, max_count=None,
-            seeds=(0, 2, 3), workload="fft16",
-        )
-        assert stable_key_json(gappy.partial_key(dfg)) != (
-            stable_key_json(
-                ShardTask(
-                    size=2, span_limit=None, max_count=None,
-                    seeds=(0, 1, 2, 3), workload="fft16",
-                ).partial_key(dfg)
-            )
+        gappy = shard_partial_key(dfg, (0, 2, 3), 2, None, None)
+        assert stable_key_json(gappy) != stable_key_json(
+            shard_partial_key(dfg, (0, 1, 2, 3), 2, None, None)
         )
 
     def test_partial_keys_survive_edits_outside_support(self):
@@ -473,9 +460,7 @@ class TestShardPartialCache:
         high = tuple(range(dfg.n_nodes - 8, dfg.n_nodes))
         low = tuple(range(0, idx + 1))
         mk = lambda g, seeds: stable_key_digest(
-            ShardTask(
-                size=2, span_limit=1, max_count=None, seeds=seeds, dfg=g
-            ).partial_key(g)
+            shard_partial_key(g, seeds, 2, 1, None)
         )
         assert mk(dfg, high) == mk(edited, high)
         assert mk(dfg, low) != mk(edited, low)
@@ -483,26 +468,34 @@ class TestShardPartialCache:
     def test_service_side_cache_level_and_stats(self):
         with SchedulerService() as service:
             task = ShardTask(
-                size=2, span_limit=1, max_count=None, seeds=(0, 1),
+                size=2, span_limit=1, max_count=None, ranges=((0, 1),),
                 workload="3dft",
             )
-            cold, cold_level = service.classify_shard_outcome(task)
-            warm, warm_level = service.classify_shard_outcome(task)
+            [(cold, cold_level)] = service.classify_shard_outcome(task)
+            [(warm, warm_level)] = service.classify_shard_outcome(task)
+            # A claim mixing a warm and a cold range: one probe per range,
+            # shard_tasks counts ranges.
+            wider = ShardTask(
+                size=2, span_limit=1, max_count=None, ranges=((0, 1), (2, 3)),
+                workload="3dft",
+            )
+            levels = [level for _, level in service.classify_shard_outcome(wider)]
         assert (cold_level, warm_level) == ("none", "shard")
         assert warm == cold
-        assert service.stats.shard_tasks == 2
-        assert service.stats.shard_misses == 1
-        assert service.stats.shard_hits == 1
+        assert levels == ["shard", "none"]
+        assert service.stats.shard_tasks == 4
+        assert service.stats.shard_misses == 2
+        assert service.stats.shard_hits == 2
 
     def test_clear_caches_drops_partials(self):
         with SchedulerService() as service:
             task = ShardTask(
-                size=2, span_limit=1, max_count=None, seeds=(0, 1),
+                size=2, span_limit=1, max_count=None, ranges=((0, 1),),
                 workload="3dft",
             )
             service.classify_shard(task)
             service.clear_caches()
-            _, level = service.classify_shard_outcome(task)
+            [(_, level)] = service.classify_shard_outcome(task)
         assert level == "none"
 
 
@@ -663,7 +656,7 @@ class TestShardTask:
             size=3,
             span_limit=1,
             max_count=1000,
-            seeds=(0, 1, 2),
+            ranges=((0, 1, 2), (3,), (4, 5)),
             workload="3dft",
         )
         again = ShardTask.from_dict(json.loads(task.to_json()))
@@ -675,26 +668,36 @@ class TestShardTask:
             size=2,
             span_limit=None,
             max_count=None,
-            seeds=(1, 3),
+            ranges=((1, 3), (4,)),
             dfg=dfg,
         )
         again = ShardTask.from_dict(task.to_dict())
         assert again.dfg.nodes == dfg.nodes
-        assert again.seeds == (1, 3)
+        assert again.ranges == ((1, 3), (4,))
 
     @pytest.mark.parametrize(
         "kwargs,field",
         [
-            (dict(size=0, span_limit=1, max_count=None, seeds=(0,)), "size"),
+            (dict(size=0, span_limit=1, max_count=None, ranges=((0,),)), "size"),
             (
-                dict(size=2, span_limit=-1, max_count=None, seeds=(0,)),
+                dict(size=2, span_limit=-1, max_count=None, ranges=((0,),)),
                 "span_limit",
             ),
             (
-                dict(size=2, span_limit=1, max_count=0, seeds=(0,)),
+                dict(size=2, span_limit=1, max_count=0, ranges=((0,),)),
                 "max_count",
             ),
-            (dict(size=2, span_limit=1, max_count=None, seeds=()), "seeds"),
+            (dict(size=2, span_limit=1, max_count=None, ranges=()), "ranges"),
+            (dict(size=2, span_limit=1, max_count=None, ranges=((),)), "ranges"),
+            (
+                dict(size=2, span_limit=1, max_count=None, ranges=((2, 3), (0, 1))),
+                "ranges",
+            ),
+            (
+                dict(size=2, span_limit=1, max_count=None, ranges=((0, 2), (1,))),
+                "ranges",
+            ),
+            (dict(size=2, span_limit=1, max_count=None, ranges=((1, 0),)), "ranges"),
         ],
     )
     def test_validation(self, kwargs, field):
@@ -705,22 +708,31 @@ class TestShardTask:
 
     def test_requires_exactly_one_graph_source(self):
         with pytest.raises(JobValidationError, match="exactly one"):
-            ShardTask(size=2, span_limit=1, max_count=None, seeds=(0,))
+            ShardTask(size=2, span_limit=1, max_count=None, ranges=((0,),))
 
     def test_from_dict_rejects_unknown_fields(self):
-        payload = {"size": 2, "seeds": [0], "workload": "3dft", "zap": 1}
+        payload = {"size": 2, "ranges": [[0]], "workload": "3dft", "zap": 1}
         with pytest.raises(JobValidationError, match="unknown shard task"):
             ShardTask.from_dict(payload)
+        # The per-range form it replaced is unknown too.
+        with pytest.raises(JobValidationError, match="unknown shard task"):
+            ShardTask.from_dict({"size": 2, "seeds": [0], "workload": "3dft"})
+
+    @pytest.mark.parametrize("ranges", [[], [[]], [[1], [0]], [0, 1], "01"])
+    def test_from_dict_rejects_malformed_ranges(self, ranges):
+        with pytest.raises(JobValidationError) as exc:
+            ShardTask.from_dict({"size": 2, "ranges": ranges, "workload": "3dft"})
+        assert exc.value.field == "ranges"
 
     def test_out_of_range_seed_is_typed(self):
-        # A seed index past the graph is a GraphError from the enumerator,
-        # surfaced as a 422 over HTTP — not a crash.
+        # A seed index past the graph is a GraphError from the subgraph
+        # digest, surfaced as a 422 over HTTP — not a crash.
         with SchedulerService() as service:
             task = ShardTask(
                 size=2,
                 span_limit=1,
                 max_count=None,
-                seeds=(999,),
+                ranges=((999,),),
                 workload="3dft",
             )
             from repro.exceptions import GraphError
@@ -736,16 +748,15 @@ def test_merge_of_manual_parts_equals_fused():
     cfg = SelectionConfig(span_limit=1)
     reference = fused_catalog(dfg, 4, cfg)
     with SchedulerService() as service:
-        parts = []
-        for seeds in plan_seed_partitions(dfg, 3):
-            task = ShardTask(
+        parts = service.classify_shard(
+            ShardTask(
                 size=4,
                 span_limit=1,
                 max_count=cfg.max_antichains,
-                seeds=tuple(seeds),
+                ranges=plan_seed_partitions(dfg, 3),
                 dfg=dfg,
             )
-            parts.append(service.classify_shard(task))
+        )
     merged = merge_classified_parts(
         dfg, parts, capacity=4, span_limit=1, max_count=cfg.max_antichains
     )
@@ -753,11 +764,11 @@ def test_merge_of_manual_parts_equals_fused():
 
 
 # --------------------------------------------------------------------------- #
-# batched shard claims (ISSUE 6 satellite)
+# shard claims: one task per claim
 # --------------------------------------------------------------------------- #
 class TestClaimBatching:
     def test_local_shards_always_claim_singly(self):
-        # No round trip to amortise: one claim per dispatched task, so
+        # No round trip to amortise: one claim per dispatched range, so
         # the steal queue keeps its finest granularity.
         dfg = radix2_fft(8)
         with ShardCoordinator.local(2) as coord:
@@ -766,58 +777,58 @@ class TestClaimBatching:
             assert coord.stats.claim_rounds == coord.stats.dispatched
 
     def test_remote_claim_batch_amortises_rounds_bit_identically(self):
+        # A remote shard claims its share, ceil(misses / shards), per
+        # round trip: a healthy attempt takes at most len(shards) rounds.
         dfg = radix2_fft(16)
         cfg = SelectionConfig(span_limit=1, max_pattern_size=3)
         reference = catalog_bits(fused_catalog(dfg, 5, cfg))
         server = AsyncServiceServer(port=0)
         server.start_background()
         try:
-            with ShardCoordinator([server.url]) as coord:
-                sharded = coord.build_catalog(
-                    dfg, 5, config=cfg, workload="fft16"
-                )
-                stats = coord.stats
-            assert catalog_bits(sharded) == reference
-            assert stats.dispatched == stats.planned
-            # CLAIM_BATCH tasks per trip: strictly fewer rounds than
-            # tasks, and at least ceil(tasks / CLAIM_BATCH) of them.
-            assert CLAIM_BATCH > 1
-            assert stats.claim_rounds < stats.dispatched
-            assert stats.claim_rounds >= -(-stats.dispatched // CLAIM_BATCH)
-            assert stats.to_dict()["claim_rounds"] == stats.claim_rounds
+            for shards in (1, 2, 3):
+                with ShardCoordinator([server.url] * shards) as coord:
+                    sharded = coord.build_catalog(
+                        dfg, 5, config=cfg, workload="fft16"
+                    )
+                    stats = coord.stats
+                assert catalog_bits(sharded) == reference
+                assert stats.dispatched == stats.planned == EDIT_PARTITIONS
+                assert 1 <= stats.claim_rounds <= shards
+                assert stats.to_dict()["claim_rounds"] == stats.claim_rounds
         finally:
             server.shutdown()
 
     def test_batched_endpoint_keeps_failures_slot_local(self):
-        # One oversized partition fails its own slot of the streamed
-        # claim with the typed error; its batch-mates still classify.
+        # A claim classifies its misses in one pass: a pass that
+        # overflows max_count answers the typed error in every missed
+        # slot and caches nothing, while a hit slot still carries rows.
+        dfg = three_point_dft_paper()
+        last = (dfg.n_nodes - 1,)  # a lone top seed: one antichain
+        bounds = dict(size=5, span_limit=4, max_count=1, workload="3dft")
         server = AsyncServiceServer(port=0)
         server.start_background()
         try:
-            client = ServiceClient(server.url)
-            good = ShardTask(
-                size=2, span_limit=1, max_count=None, seeds=(0, 1),
-                workload="3dft",
-            )
-            doomed = ShardTask(
-                size=5, span_limit=4, max_count=1, seeds=(0, 1, 2, 3),
-                workload="3dft",
-            )
-            frames = {
-                slot: (payload, cache)
-                for slot, payload, cache in client.classify_shard_stream(
-                    [good, doomed, good]
+            claim = ShardTask(ranges=((0, 1), (2, 3), last), **bounds)
+            with ServiceClient(server.url) as client:
+                [(_, warm, cache)] = client.classify_shard_stream(
+                    ShardTask(ranges=(last,), **bounds)
                 )
-            }
+                frames = {
+                    slot: (payload, cache)
+                    for slot, payload, cache in client.classify_shard_stream(
+                        claim
+                    )
+                }
+            assert warm and cache == "none"
             assert sorted(frames) == [0, 1, 2]
-            rows, cache = frames[0]
-            assert rows and cache in ("none", "shard")
-            assert isinstance(frames[1][0], EnumerationLimitError)
-            assert frames[1][1] is None
-            assert frames[2][0] == rows
-            # Slots classify concurrently; a later claim hits the partial.
-            [(_, again, cache)] = client.classify_shard_stream([good])
-            assert again == rows and cache == "shard"
+            for slot in (0, 1):
+                assert isinstance(frames[slot][0], EnumerationLimitError)
+                assert frames[slot][1] is None
+            assert frames[2] == (warm, "shard")
+            stats = server.service.stats
+            assert (stats.shard_tasks, stats.shard_hits) == (4, 1)
+            # Nothing of the overflowed pass was cached.
+            assert len(server.service._shard_parts) == 1
         finally:
             server.shutdown()
 
@@ -902,3 +913,73 @@ def test_coordinator_submit_edit_dispatches_only_dirty_partitions():
             dataclasses.replace(job, workload=None, dfg=edited)
         )
     assert outcome.result.answer_dict() == reference.answer_dict()
+
+
+# --------------------------------------------------------------------------- #
+# one plan for every topology
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("workload", ["dct4", "fft8"])
+@pytest.mark.parametrize("shards", [1, 2, 3])
+class TestCrossTopologyPartials:
+    def _job(self, workload):
+        return JobRequest(capacity=5, pdef=4, workload=workload)
+
+    def test_fleet_partials_answer_a_single_service(
+        self, tmp_path, workload, shards
+    ):
+        with ShardCoordinator.local(shards, cache_dir=tmp_path) as coord:
+            fleet = coord.submit(self._job(workload))
+            assert coord.stats.planned == EDIT_PARTITIONS
+        with SchedulerService(cache_dir=tmp_path) as single:
+            single.clear_caches(keep_shard_partials=True)
+            outcome = single.submit_outcome(self._job(workload))
+            assert single.stats.partition_hits == EDIT_PARTITIONS
+            assert single.stats.partition_misses == 0
+        assert outcome.cache == "edit"
+        assert outcome.result.answer_dict() == fleet.answer_dict()
+
+    def test_single_service_partials_answer_a_fleet(
+        self, tmp_path, workload, shards
+    ):
+        with SchedulerService(cache_dir=tmp_path) as single:
+            expected = single.submit(self._job(workload))
+        with ShardCoordinator.local(shards, cache_dir=tmp_path) as coord:
+            coord.service.clear_caches(keep_shard_partials=True)
+            outcome = coord.submit_outcome(self._job(workload))
+            assert coord.stats.dispatched == 0
+            assert coord.stats.partial_hits == EDIT_PARTITIONS
+        assert outcome.result.answer_dict() == expected.answer_dict()
+
+
+# --------------------------------------------------------------------------- #
+# fan-out guards
+# --------------------------------------------------------------------------- #
+def test_unknown_backend_fails_before_fan_out():
+    from repro.exceptions import BackendError
+
+    request = JobRequest(capacity=5, pdef=4, workload="fft8", backend="nope")
+    with SchedulerService() as single:
+        with pytest.raises(BackendError) as expected:
+            single.submit(request)
+    with ShardCoordinator.local(2) as coord:
+        with pytest.raises(BackendError) as raised:
+            coord.submit(request)
+        assert coord.stats.dispatched == 0
+        assert [s.service.stats.shard_misses for s in coord.shards] == [0, 0]
+    assert str(raised.value) == str(expected.value)
+
+
+def test_healthy_shard_takes_work_before_local_fallback():
+    # One pending partition, shard 0 ejected: a healthy sibling must
+    # classify it rather than the completion service's last resort.
+    dfg = random_dag(0, 1, 0.1)
+    reference = catalog_bits(fused_catalog(dfg, 2))
+    with ShardCoordinator.local(3) as coord:
+        for _ in range(coord.retry.breaker_threshold):
+            coord.breakers[0].record_failure()
+        built = coord.build_catalog(dfg, 2, config=CFG)
+        stats = coord.stats
+    assert catalog_bits(built) == reference
+    assert stats.planned == stats.dispatched == 1
+    assert stats.local_fallbacks == 0
+    assert stats.tasks_per_shard[0] == 0

@@ -322,10 +322,10 @@ def test_shard_partials_round_trip_bytes_equal(tmp_path):
 
     with SchedulerService() as service:
         task = ShardTask(
-            size=3, span_limit=1, max_count=None, seeds=(0, 1, 2, 3),
+            size=3, span_limit=1, max_count=None, ranges=((0, 1, 2, 3),),
             workload="3dft",
         )
-        buckets = service.classify_shard(task)
+        [buckets] = service.classify_shard(task)
     _, _, _, shard_store = open_cache_stores(
         tmp_path, catalog_size=2, selection_size=2, result_size=2
     )
