@@ -67,14 +67,14 @@ echo "== one classify pass: a cold 25-node build batches its 16 partitions =="
 # all 16 partials are stored, and an edit right after reuses the clean
 # ones (cache level "edit").  Counts only, no timing.
 python - <<'EOF'
-import repro.service.service as service_mod
+import repro.exec.process as process_mod
 from repro.dfg.edit import DfgEdit
 from repro.service import EditRequest, JobRequest, SchedulerService
 from repro.service.service import EDIT_PARTITIONS
 from repro.workloads.synthetic import layered_dag
 
 calls = []
-classify_partition_rows = service_mod.classify_partition_rows
+classify_partition_rows = process_mod.classify_partition_rows
 
 
 def counted(*args, **kwargs):
@@ -82,7 +82,7 @@ def counted(*args, **kwargs):
     return classify_partition_rows(*args, **kwargs)
 
 
-service_mod.classify_partition_rows = counted
+process_mod.classify_partition_rows = counted
 dfg = layered_dag(7, layers=5, width=5, colors=("a", "b", "c"))
 if dfg.n_nodes != 25:
     raise SystemExit(f"expected the fixed 25-node graph, got {dfg.n_nodes}")
@@ -107,18 +107,18 @@ print(f"  1 classify call, partition_misses={misses}, {cached} partials cached,"
       f" edit answered {edit.cache!r}")
 EOF
 
-echo "== CLI local shards: pipeline fft8 --shards 2 matches one service =="
-# Drives the CLI's threaded in-process shard path end to end on a heavy
-# graph.  The library and cycle count must equal a single-service run;
-# the cache level (and so the rest of the output) legitimately differs.
-# No timing gate.
-sharded=$(python -m repro.cli pipeline fft8 --shards 2 | grep -E '^ *(library|cycles):')
+echo "== CLI process pool: pipeline fft8 --backend process --jobs 2 matches fused =="
+# Drives the process backend's pool through the service's partitioned
+# build end to end on a heavy graph.  The library and cycle count must
+# equal a fused single-service run; the backend named in the header
+# legitimately differs.  No timing gate.
+pooled=$(python -m repro.cli pipeline fft8 --backend process --jobs 2 | grep -E '^ *(library|cycles):')
 single=$(python -m repro.cli pipeline fft8 | grep -E '^ *(library|cycles):')
-if [[ -z "$single" || "$sharded" != "$single" ]]; then
-    printf 'sharded:\n%s\nsingle:\n%s\n' "$sharded" "$single"
+if [[ -z "$single" || "$pooled" != "$single" ]]; then
+    printf 'pooled:\n%s\nsingle:\n%s\n' "$pooled" "$single"
     exit 1
 fi
-printf '%s\n' "$sharded" | sed 's/^/ /'
+printf '%s\n' "$pooled" | sed 's/^/ /'
 
 echo "== perfbench unit tests =="
 python perfbench/selftest.py

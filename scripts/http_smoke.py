@@ -162,7 +162,7 @@ def main() -> int:
 
         claim = ShardTask(
             size=2, span_limit=1, max_count=None,
-            ranges=plan_seed_partitions(dfg, 3), workload="3dft",
+            ranges=plan_seed_partitions(dfg, 3)[0], workload="3dft",
         )
         streamed = {
             slot: rows

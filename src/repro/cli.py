@@ -8,7 +8,7 @@
     repro select fft64 --backend process --jobs 4
     repro schedule 3dft --patterns aabcc,aaacc
     repro pipeline fft64 --backend process --jobs 4 --timings
-    repro pipeline fft64 --shards 4 --cache-dir ~/.cache/repro
+    repro pipeline fft64 --cache-dir ~/.cache/repro
     repro serve --port 8350 --backend process --jobs 4
     repro serve --cache-dir /var/cache/repro --max-pending 64
     repro serve --cache-dir /var/cache/repro --cache-max-bytes 256M
@@ -226,7 +226,6 @@ def _print_job_result(result, cache: str, *, timings: bool) -> None:
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:
     from repro.service import JobRequest, SchedulerService
-    from repro.service.shard import ShardCoordinator
 
     dfg = _workload(args.workload)
     cfg = SelectionConfig(
@@ -237,25 +236,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     request = JobRequest(
         capacity=args.capacity, pdef=args.pdef, dfg=dfg, config=cfg
     )
-    service = SchedulerService(
+    with SchedulerService(
         backend=args.backend,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-    )
-    if args.shards is not None:
-        # Fan the catalog stage out over N in-process shard services; a
-        # shared --cache-dir lets them reuse each other's disk entries.
-        with ShardCoordinator.local(
-            args.shards, service=service, cache_dir=args.cache_dir
-        ) as coord, service:
-            outcome = coord.submit_outcome(request)
-        via = f"{args.shards} local shards + {service.backend.describe()}"
-    else:
-        with service:
-            outcome = service.submit_outcome(request)
-        via = f"backend {service.backend.describe()}"
+    ) as service:
+        outcome = service.submit_outcome(request)
     print(
-        f"pipeline {dfg.name!r} via {via} "
+        f"pipeline {dfg.name!r} via backend {service.backend.describe()} "
         f"(C={args.capacity}, Pdef={args.pdef}):"
     )
     _print_job_result(outcome.result, outcome.cache, timings=args.timings)
@@ -504,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pad selected patterns to full capacity")
     p.add_argument("--timings", action="store_true",
                    help="print per-stage wall-clock timings")
-    p.add_argument("--shards", type=int, default=None,
-                   help="fan the catalog stage out over N in-process shard "
-                        "services (see repro.service.shard)")
     p.add_argument("--cache-dir", default=None,
                    help="disk-backed cache directory: catalogs/selections/"
                         "results persist across invocations")

@@ -15,7 +15,7 @@ strategy for *how* to compute, never *what*.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT
 
@@ -34,15 +34,22 @@ class ExecutionBackend(abc.ABC):
     """Strategy object executing the pipeline's compute stages.
 
     Subclasses implement the three stage hooks below.  Instances are
-    reusable across graphs; anything expensive a backend owns (e.g. a
-    worker pool) is by default created per call, so one backend object
-    can serve many pipelines concurrently.  Backends may opt into
-    retaining such resources across calls (the process backend's
-    ``persistent`` pool); :meth:`close` releases them.
+    reusable across graphs; resources a backend retains across calls
+    (the process backend's worker pool) are released by :meth:`close`.
     """
 
     #: Canonical registry name (also used in reports and JSON output).
     name: str = "?"
+
+    #: The partitioned pattern-generation step, or ``None``:
+    #: ``classify_partitions(dfg, partitions, weights, size, span_limit,
+    #: max_count)`` returns one sparse row list per seed partition, as
+    #: :func:`repro.exec.process.classify_partition_rows` does, and raises
+    #: the error of a partition it cannot classify.  The fused and bitset
+    #: backends make that one call in process; the process backend maps
+    #: its passes over a worker pool.  A backend without the step (the
+    #: serial reference) builds every catalog with :meth:`classify` alone.
+    classify_partitions: "Callable[..., list[list[tuple]]] | None" = None
 
     def __init__(self, jobs: int | None = None) -> None:
         # Accepted by every backend so `get_backend(name, jobs=...)` works

@@ -15,22 +15,21 @@ Two capability notes, inherited from the fast paths it wraps:
   on global pool state) are routed to the reference loop automatically —
   same outputs, without the cache.
 
-Partitioned builds — the process backend's jobs, the shard coordinator's
-partitions and the service's incremental warm-edit rebuild
-(:meth:`repro.service.service.SchedulerService.submit_edit`) — classify
-per-seed subtrees with the bitset kernels
-(:func:`~repro.exec.bitset.classify_by_label_bitset`,
-:func:`~repro.exec.bitset.classify_rows_bitset`), which reproduce this
-backend's roots-restricted DFS (``classify_by_label(..., roots=seeds)``)
-bit for bit and fall back to it when
-:func:`~repro.exec.bitset.bitset_supported` says no.  They merge in
-ascending-seed order, which is why their catalogs are bit-identical to a
-fused single pass.
+Partitioned builds — the service's catalog build (and with it the
+incremental warm-edit rebuild), the shard endpoint and the process
+backend — run :meth:`FusedBackend.classify_partitions`, one
+:func:`~repro.exec.process.classify_partition_rows` call over the
+bitset kernels (:func:`~repro.exec.bitset.classify_rows_bitset`), which
+reproduce this backend's roots-restricted DFS
+(``classify_by_label(..., roots=seeds)``) bit for bit and fall back to
+it when :func:`~repro.exec.bitset.bitset_supported` says no.  They merge
+in ascending-seed order, which is why their catalogs are bit-identical
+to a fused single pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.exceptions import PatternError
@@ -70,6 +69,29 @@ class FusedBackend(ExecutionBackend):
             )
         enum = AntichainEnumerator(dfg)
         return _classify_fast(dfg, enum, capacity, span_limit, max_count)
+
+    def classify_partitions(
+        self,
+        dfg: "DFG",
+        partitions: "Sequence[Sequence[int]]",
+        weights: Sequence[int],
+        size: int,
+        span_limit: int | None,
+        max_count: int | None,
+    ) -> list[list[tuple]]:
+        """One in-process :func:`~repro.exec.process.classify_partition_rows` call."""
+        # Imported at call time: repro.exec.process imports this module.
+        from repro.exec import process
+
+        return process.classify_partition_rows(
+            AntichainEnumerator(dfg),
+            dfg.color_labels()[0],
+            partitions,
+            size,
+            span_limit,
+            max_count,
+            weights=weights,
+        )
 
     def run_selection(
         self,

@@ -4,49 +4,48 @@ The antichain DFS visits the subtree of each *seed node* (the antichain's
 smallest member index) contiguously and in ascending seed order, and the
 subtrees of distinct seeds are disjoint (see :mod:`repro.dfg.antichains`).
 Pattern generation therefore parallelizes without changing a single
-output bit:
+output bit, along one plan shared by every partitioned build:
 
-1. every seed node becomes one task; a worker runs the bitset
-   classifier restricted to that seed's subtree
-   (:func:`~repro.exec.bitset.classify_by_label_bitset` with
-   ``roots=[seed]``, bit-identical to the fused DFS, which it runs
-   instead when :func:`~repro.exec.bitset.bitset_supported` says no);
-2. workers return per-bag results (census, node frequencies, first-seen
-   order) — sparse index/value pairs on ordinary graphs, dense numpy
-   arrays past the spill threshold so the merge is a vectorized add;
-3. the parent merges results in ascending seed order: censuses and int
-   frequency arrays add elementwise, bag keys merge by first appearance
-   and per-bag first-seen node lists concatenate-dedupe — which is
-   exactly the sequential visit order, so the merged catalog (including
-   every Counter's insertion order) is bit-identical to the fused
-   single-threaded engine's.
+1. :func:`plan_seed_partitions` cuts the seeds into the
+   :data:`EDIT_PARTITIONS` weight-balanced contiguous ranges (a plan fixed
+   by the graph alone);
+2. :func:`classify_partition_rows` classifies ranges into sparse rows,
+   batching light neighbours into one vectorized BFS pass
+   (:func:`~repro.exec.bitset.classify_rows_bitset`, bit-identical to the
+   fused DFS, which it runs instead when
+   :func:`~repro.exec.bitset.bitset_supported` says no);
+3. :func:`merge_classified_parts` merges the rows in ascending seed
+   order: censuses and int frequency arrays add elementwise, bag keys
+   merge by first appearance and per-bag first-seen node lists
+   concatenate-dedupe — exactly the sequential visit order, so the merged
+   catalog (including every Counter's insertion order) is bit-identical
+   to the fused single-threaded engine's.
+
+Step 2 is a backend's :meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`:
+the fused and bitset backends make the one call in process, and
+:class:`ProcessBackend` maps that call's passes over a
+``multiprocessing.Pool`` — each worker runs :func:`classify_partition_rows`
+on an enumerator primed once per worker, so the rows are the same either
+way.  The service's partitioned build, the shard endpoint and
+:meth:`ProcessBackend.classify` (what :class:`~repro.pipeline.Pipeline`
+and ``repro select`` call) all run this one plan → step → merge path.
+``jobs`` defaults to ``os.cpu_count()``; with one job (or a single pass)
+the process backend classifies in-process rather than paying pool
+overhead for nothing.
 
 Selection and scheduling are not parallelized (they are sub-10 ms on
 realistic catalogs and inherently sequential round-by-round); the process
 backend inherits the fused fast paths for both, through
 :class:`~repro.exec.bitset.BitsetBackend`.
 
-Workers are plain ``multiprocessing.Pool`` processes primed once per
-worker with the *graph* via the pool initializer; tasks carry a
-contiguous seed-index range plus the call's enumeration parameters.
-Seed subtrees are heavily skewed (low seeds own the largest subtrees),
-so the ranges are weight-balanced against a per-seed cost model
-(:func:`estimate_seed_weights`, from the memoized comparability
-bitmasks), cut much finer than the worker count and scheduled
-dynamically.  ``jobs`` defaults to ``os.cpu_count()``; with one job (or
-a single seed) the backend degrades to the bitset backend's in-process
-classifier rather than paying pool overhead for nothing.
-
-Persistent pools
-----------------
-With ``persistent=True`` the pool outlives a classify call: because only
-the graph is baked in at fork time, every later call against the *same
-graph object* — any capacity or span limit — reuses the
-warm workers, so ``pdef``/span sweeps and long-lived services (see
-:mod:`repro.service`) amortize pool startup across requests.  A call
-with a different graph retires the old pool and spins up a fresh one;
-:meth:`ProcessBackend.close` (also via ``with backend:``) shuts the pool
-down deterministically.
+Pool lifetime
+-------------
+Only the graph is baked into the workers at fork time, so a pool serves
+every later call against the *same graph object* — any capacity or span
+limit.  It lives until :meth:`ProcessBackend.close` (also via
+``with backend:``), until a different or mutated graph arrives (which
+retires it and starts a fresh one), or until the backend is collected
+(or the interpreter exits).
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.dfg.antichains import (
 from repro.exceptions import BackendError, PatternError
 from repro.exec.bitset import (
     BitsetBackend,
-    classify_by_label_bitset,
     classify_rows_bitset,
     packed_incomparable_rows,
 )
@@ -76,6 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.patterns.enumeration import PatternCatalog
 
 __all__ = [
+    "EDIT_PARTITIONS",
     "ProcessBackend",
     "classify_partition_rows",
     "estimate_seed_weights",
@@ -83,9 +82,12 @@ __all__ = [
     "merge_classified_parts",
 ]
 
-#: Target task count per worker: enough dynamic-scheduling granularity to
-#: absorb the seed-subtree skew without drowning in task round-trips.
-_GROUPS_PER_JOB = 16
+#: Seed-partition count of every partitioned build — the service's, a
+#: shard fleet's and :meth:`ProcessBackend.classify` — so partials answer
+#: across backends and topologies (a fleet build therefore keeps at most
+#: 16 shards busy).  Finer partitions shrink the re-enumerated region
+#: after an edit but hash and cache more partials.
+EDIT_PARTITIONS = 16
 
 #: Summed :func:`estimate_seed_weights` of the partitions one
 #: :func:`classify_partition_rows` pass may batch.  Batching saves the
@@ -101,51 +103,34 @@ def _init_worker(dfg: "DFG") -> None:
     """Pool initializer: prime the per-worker enumerator once per pool.
 
     Only graph-derived state is baked in here; per-call enumeration
-    parameters travel with each task so a persistent pool can serve any
+    parameters travel with each task so one pool can serve any
     capacity/span against the primed graph.
     """
     _WORKER["enum"] = AntichainEnumerator(dfg)
     _WORKER["labels"] = dfg.color_labels()[0]
     if _np is not None:
-        # Prime the packed bitset rows too: partition tasks auto-route to
-        # the vectorized classifier, and packing once per worker keeps it
-        # off every task's critical path.
+        # Pack the bitset rows once per worker, off every task's
+        # critical path.
         packed_incomparable_rows(dfg)
 
 
-def _classify_seeds(task):
-    """Classify the DFS subtrees rooted at ``seeds`` (one pool task).
+def _classify_pass(task) -> list[list[tuple]]:
+    """One pool task: :func:`classify_partition_rows` over one pass group.
 
-    ``task`` is ``(seeds, size, span_limit, max_count)``;
-    ``seeds`` is a contiguous ascending range, so the in-task result is
-    already in sequential visit order for that range.  Returns a list of
-    ``(bag_key, count, first_seen, payload)`` in local first-visit order,
-    where ``payload`` is either the dense frequency array (numpy regime)
-    or the values aligned with ``first_seen`` (sparse regime) — whichever
-    is cheaper to ship back.
+    ``task`` is ``(partitions, weights, size, span_limit, max_count)``;
+    the group fits one pass budget, so the worker runs exactly the pass
+    the in-process call would have run for it.
     """
-    seeds, size, span_limit, max_count = task
-    enum: AntichainEnumerator = _WORKER["enum"]
-    labels = _WORKER["labels"]
-    # Auto-route to the vectorized classifier (bit-identical output; falls
-    # back to the scalar DFS transparently when unsupported).
-    buckets = classify_by_label_bitset(
-        enum,
-        labels,
+    partitions, weights, size, span_limit, max_count = task
+    return classify_partition_rows(
+        _WORKER["enum"],
+        _WORKER["labels"],
+        partitions,
         size,
         span_limit,
-        max_count=max_count,
-        roots=seeds,
+        max_count,
+        weights=weights,
     )
-    out = []
-    for key, cls in buckets.items():
-        freq = cls.frequencies
-        if _np is not None and isinstance(freq, _np.ndarray):
-            payload = freq  # dense: the merge becomes one vectorized add
-        else:
-            payload = [freq[i] for i in cls.first_seen]
-        out.append((key, cls.count, cls.first_seen, payload))
-    return out
 
 
 def classify_partition_rows(
@@ -164,9 +149,10 @@ def classify_partition_rows(
     row is ``(bag_key, count, first_seen, values)`` with ``values``
     aligned to ``first_seen`` — always sparse plain ints, so a row list
     can be cached on disk, shipped over HTTP, and fed straight back to
-    :func:`merge_classified_parts` on any instance.  This is the
-    in-process flavour of :func:`_classify_seeds`, shared by the
-    service's shard endpoint and its partitioned catalog build.
+    :func:`merge_classified_parts` on any instance.  It is the step every
+    partition-capable backend runs
+    (:meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`),
+    in process or once per pass group in a :class:`ProcessBackend` worker.
 
     Consecutive partitions share one vectorized BFS pass
     (:func:`~repro.exec.bitset.classify_rows_bitset`) while their
@@ -176,9 +162,8 @@ def classify_partition_rows(
     ``classify_by_label(roots=partition)``, which runs instead when the
     vectorized core cannot (:func:`~repro.exec.bitset.bitset_supported`)
     — so row lists stay cacheable per partition.  ``weights`` are the
-    per-partition weights :func:`plan_seed_partitions` already computed
-    (``with_weights=True``); without them every partition runs in a pass
-    of its own.
+    per-partition weights :func:`plan_seed_partitions` already computed;
+    without them every partition runs in a pass of its own.
 
     ``max_count`` bounds each vectorized pass's summed count: a pass that
     overflows it raises the :class:`~repro.exceptions.EnumerationLimitError` the
@@ -334,53 +319,38 @@ def _group_weights(
 
 
 def plan_seed_partitions(
-    dfg: "DFG",
-    partitions: int,
-    *,
-    skew_aware: bool = True,
-    with_weights: bool = False,
-) -> "list[list[int]] | tuple[list[list[int]], list[int]]":
+    dfg: "DFG", partitions: int
+) -> "tuple[list[list[int]], list[int]]":
     """Contiguous ascending seed-node partitions of ``dfg``'s DFS.
 
-    This is the exact split the process backend fans classify tasks out
-    with: the antichain DFS visits the subtree of each seed node (the
+    The antichain DFS visits the subtree of each seed node (the
     antichain's smallest member index) contiguously and in ascending seed
     order, so classifying each partition independently and merging the
     results in partition order (:func:`merge_classified_parts`)
-    reproduces the sequential enumeration bit for bit.  The shard
-    coordinator (:mod:`repro.service.shard`) uses the same planner to
-    fan partitions out across *service instances* instead of worker
-    processes.
+    reproduces the sequential enumeration bit for bit.  Every
+    partitioned build plans with it — the process backend's worker
+    passes, the service's partial cache and the shard coordinator's
+    fleet (:mod:`repro.service.shard`).
 
     Seed subtrees are heavily skewed — low seeds own far larger subtrees
-    — so by default the cut points balance *estimated subtree weight*
+    — so the cut points balance *estimated subtree weight*
     (:func:`estimate_seed_weights`) rather than seed count, which
     tightens the critical path of any static assignment and narrows the
-    weight spread dynamic schedulers have to absorb.  ``skew_aware=False``
-    restores the historical even-seed-count split (the comparison
-    baseline in the tests).  Either way the partitions cover the same
-    seeds in the same ascending contiguous order, so the choice can never
-    affect merged-output bits.
+    weight spread dynamic schedulers have to absorb.  The partitions
+    cover the seeds in ascending contiguous order whatever the cut
+    points, so they can never affect merged-output bits.
 
-    Returns at most ``partitions`` non-empty lists of node indices.
-    ``with_weights=True`` returns ``(partitions, weights)``
-    instead, ``weights[p]`` being partition ``p``'s summed seed weight —
-    what :func:`classify_partition_rows` groups passes by, so a caller
-    that plans and classifies estimates the weights once.
+    Returns ``(plan, weights)``: at most ``partitions`` non-empty lists
+    of node indices, and ``weights[p]`` partition ``p``'s summed seed
+    weight — what :func:`classify_partition_rows` groups passes by, so a
+    caller that plans and classifies estimates the weights once.
     """
     if partitions < 1:
         raise BackendError(f"partitions must be ≥ 1, got {partitions}")
     seeds = list(range(dfg.n_nodes))
-    if not skew_aware and not with_weights:
-        return _split_contiguous(seeds, partitions)
     weights = estimate_seed_weights(dfg, seeds)
-    if skew_aware:
-        parts = _split_weighted(seeds, weights, partitions)
-    else:
-        parts = _split_contiguous(seeds, partitions)
-    if with_weights:
-        return parts, _group_weights(parts, weights)
-    return parts
+    parts = _split_weighted(seeds, weights, partitions)
+    return parts, _group_weights(parts, weights)
 
 
 def merge_classified_parts(
@@ -393,15 +363,14 @@ def merge_classified_parts(
 ) -> "PatternCatalog":
     """Merge per-partition classify results into one catalog.
 
-    ``parts`` holds one bucket list per seed partition, **in ascending
-    seed order** — each bucket a ``(bag_key, count, first_seen, payload)``
-    tuple as produced by :func:`_classify_seeds` (``payload`` is either a
-    dense per-node frequency array or the values aligned with
-    ``first_seen``).  Censuses and int frequency arrays add elementwise;
-    bag keys merge by first appearance and per-bag first-seen node lists
-    concatenate-dedupe — exactly the sequential visit order, so the
-    merged catalog (every Counter's insertion order included) is
-    bit-identical to the fused single-threaded engine's.
+    ``parts`` holds one row list per seed partition, **in ascending
+    seed order** — each row a ``(bag_key, count, first_seen, values)``
+    tuple as produced by :func:`classify_partition_rows` (``values``
+    aligned with ``first_seen``).  Censuses and int frequency arrays add
+    elementwise; bag keys merge by first appearance and per-bag
+    first-seen node lists concatenate-dedupe — exactly the sequential
+    visit order, so the merged catalog (every Counter's insertion order
+    included) is bit-identical to the fused single-threaded engine's.
     """
     from collections import Counter
 
@@ -413,7 +382,7 @@ def merge_classified_parts(
     merged: dict[tuple[int, ...], list] = {}
     total = 0
     for buckets in parts:
-        for key, count, order, payload in buckets:
+        for key, count, order, values in buckets:
             total += count
             ent = merged.get(key)
             if ent is None:
@@ -424,11 +393,8 @@ def merge_classified_parts(
                 if i not in seen:
                     seen.add(i)
                     g_order.append(i)
-            if _np is not None and isinstance(payload, _np.ndarray):
-                freq += payload  # vectorized elementwise add
-            else:
-                for i, v in zip(order, payload):
-                    freq[i] += v
+            for i, v in zip(order, values):
+                freq[i] += v
     if max_count is not None and total > max_count:
         raise limit_error(dfg, max_count, capacity, span_limit)
 
@@ -452,39 +418,36 @@ def merge_classified_parts(
     )
 
 
+def _shutdown(pool: "multiprocessing.pool.Pool") -> None:
+    """Terminate and reap a backend's pool (its finalizer; runs once)."""
+    pool.terminate()
+    pool.join()
+
+
 class ProcessBackend(BitsetBackend):
     """Multiprocess pattern generation over seed-node partitions.
 
     Parameters
     ----------
     jobs:
-        Worker process count; ``None`` means ``os.cpu_count()``.
-    persistent:
-        Keep the worker pool alive across classify calls on the same
-        graph object (see module docstring).  Off by default — one-shot
-        callers should not leak worker processes past the call; the
-        long-lived :class:`~repro.service.SchedulerService` turns it on.
+        Worker process count; ``None`` means ``os.cpu_count()``.  The
+        pool is kept for later calls on the same graph (see the module
+        docstring).
     """
 
     name = "process"
 
-    def __init__(
-        self, jobs: int | None = None, *, persistent: bool = False
-    ) -> None:
-        # Pool state first: __del__ must find it even when validation below
-        # rejects the construction.
-        self.persistent = persistent
+    def __init__(self, jobs: int | None = None) -> None:
         self._pool: multiprocessing.pool.Pool | None = None
         self._pool_graph: "weakref.ref[DFG] | None" = None
-        self._pool_procs = 0
         self._pool_token: object | None = None
+        self._pool_finalizer: weakref.finalize | None = None
         if jobs is not None and jobs < 1:
             raise BackendError(f"jobs must be ≥ 1, got {jobs}")
         super().__init__(jobs=jobs)
 
     def describe(self) -> str:
-        suffix = ", persistent" if self.persistent else ""
-        return f"{self.name}(jobs={self.effective_jobs()}{suffix})"
+        return f"{self.name}(jobs={self.effective_jobs()})"
 
     def availability(self) -> str:
         from repro.exec.bitset import bitset_availability
@@ -506,8 +469,8 @@ class ProcessBackend(BitsetBackend):
 
     _generation = 0
 
-    def _acquire_pool(self, dfg: "DFG", procs: int):
-        """A pool primed with ``dfg`` — reused when persistent and warm.
+    def _acquire_pool(self, dfg: "DFG"):
+        """A pool primed with ``dfg`` — the retained one when still valid.
 
         Reuse requires the same graph *object* and, via a token planted in
         the graph's mutation-cleared ``_analysis_cache``, the same graph
@@ -520,34 +483,32 @@ class ProcessBackend(BitsetBackend):
             self._pool is not None
             and self._pool_graph is not None
             and self._pool_graph() is dfg
-            and self._pool_procs >= procs
             and cache is not None
             and cache.get("process_pool_token") is self._pool_token
         ):
             return self._pool
         self.close()
-        pool = multiprocessing.get_context().Pool(
-            procs, initializer=_init_worker, initargs=(dfg,)
+        self._pool = multiprocessing.get_context().Pool(
+            self.effective_jobs(), initializer=_init_worker, initargs=(dfg,)
         )
+        # Shuts the pool down when the backend is collected, or at
+        # interpreter exit while the pool machinery is still importable.
+        self._pool_finalizer = weakref.finalize(self, _shutdown, self._pool)
         self._generation += 1
-        if self.persistent:
-            self._pool = pool
-            self._pool_graph = weakref.ref(dfg)
-            self._pool_procs = procs
-            self._pool_token = object()
-            if cache is not None:
-                cache["process_pool_token"] = self._pool_token
-        return pool
+        self._pool_graph = weakref.ref(dfg)
+        self._pool_token = object()
+        if cache is not None:
+            cache["process_pool_token"] = self._pool_token
+        return self._pool
 
     def close(self) -> None:
-        """Shut down a retained persistent pool (no-op otherwise)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+        """Shut down the retained pool (no-op without one)."""
+        if self._pool_finalizer is not None:
+            self._pool_finalizer()
             self._pool = None
             self._pool_graph = None
-            self._pool_procs = 0
             self._pool_token = None
+            self._pool_finalizer = None
 
     def __enter__(self) -> "ProcessBackend":
         return self
@@ -555,8 +516,34 @@ class ProcessBackend(BitsetBackend):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        self.close()
+    def classify_partitions(
+        self,
+        dfg: "DFG",
+        partitions: "Sequence[Sequence[int]]",
+        weights: Sequence[int],
+        size: int,
+        span_limit: int | None,
+        max_count: int | None,
+    ) -> list[list[tuple]]:
+        """:func:`classify_partition_rows`, its passes mapped over the pool.
+
+        Each pass group (:func:`_pass_bounds`) is one pool task, so the
+        rows are the in-process call's bit for bit; with one job or a
+        single pass the call runs in-process and starts no pool.
+        """
+        bounds = _pass_bounds(weights)
+        if self.effective_jobs() <= 1 or len(bounds) < 2:
+            return super().classify_partitions(
+                dfg, partitions, weights, size, span_limit, max_count
+            )
+        tasks = [
+            (partitions[lo:hi], weights[lo:hi], size, span_limit, max_count)
+            for lo, hi in bounds
+        ]
+        # map preserves input order: rows come back in ascending seed
+        # order, aligned with ``partitions``.
+        results = self._acquire_pool(dfg).map(_classify_pass, tasks, chunksize=1)
+        return [rows for group in results for rows in group]
 
     def classify(
         self,
@@ -567,45 +554,20 @@ class ProcessBackend(BitsetBackend):
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
     ) -> "PatternCatalog":
+        """Plan → :meth:`classify_partitions` → merge: the partitioned build."""
         if store_antichains:
             raise PatternError(
                 f"the {self.name!r} backend cannot store raw antichains; "
                 "use the serial backend with store_antichains"
             )
-        # Keep the enumerator construction: it validates bounds eagerly and
-        # primes the analysis cache the merge's color interning reuses.
+        # Validates the graph eagerly (a cycle fails before any planning).
         AntichainEnumerator(dfg)
-        jobs = self.effective_jobs()
-        # Contiguous ascending seed ranges, cut finer than the worker count
-        # so dynamic scheduling can absorb the low-seed subtree skew.
-        groups = plan_seed_partitions(dfg, jobs * _GROUPS_PER_JOB)
-        if jobs <= 1 or sum(len(g) for g in groups) < 2:
-            # Pool overhead cannot pay for itself: classify in-process with
-            # the bitset kernel the workers would have run.
-            return super().classify(
-                dfg, capacity, span_limit, max_count=max_count
-            )
-
-        tasks = [
-            (seeds, capacity, span_limit, max_count) for seeds in groups
-        ]
-        # A persistent pool keeps all `jobs` workers warm for later calls;
-        # a one-shot pool spawns no more workers than there are tasks.
-        procs = jobs if self.persistent else min(jobs, len(tasks))
-        pool = self._acquire_pool(dfg, procs)
-        try:
-            # map preserves input order: results arrive in ascending seed
-            # order, which the merge depends on for bit-identity.
-            results = pool.map(_classify_seeds, tasks, chunksize=1)
-        finally:
-            if not self.persistent:
-                pool.terminate()
-                pool.join()
-
-        # Merge per-seed subtree classifications in sequential visit order.
+        plan, weights = plan_seed_partitions(dfg, EDIT_PARTITIONS)
         return merge_classified_parts(
             dfg,
-            results,
+            self.classify_partitions(
+                dfg, plan, weights, capacity, span_limit, max_count
+            ),
             capacity=capacity,
             span_limit=span_limit,
             max_count=max_count,

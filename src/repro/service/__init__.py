@@ -2,8 +2,8 @@
 
 Instead of constructing a fresh :class:`~repro.pipeline.Pipeline` per
 call, callers submit :class:`JobRequest` jobs to a long-lived
-:class:`SchedulerService` that owns one execution backend (persistent
-worker pool included), content-addresses graphs
+:class:`SchedulerService` that owns one execution backend (the process
+backend's worker pool included), content-addresses graphs
 (:func:`repro.dfg.io.dfg_digest`) and caches catalogs, selections and full
 results in keyed LRUs::
 
@@ -22,7 +22,7 @@ subgraph digest the edit actually changed (cache level ``edit``).
 Over the wire the same API is ``repro serve`` + :class:`ServiceClient`
 (``docs/WIRE_PROTOCOL.md`` is the normative wire description).  The
 server is the asyncio core (:class:`AsyncServiceServer`,
-:mod:`repro.service.aio` — persistent keep-alive connections, priority
+:mod:`repro.service.aio` — long-lived keep-alive connections, priority
 scheduling, per-client token-bucket quotas, graceful drain, streamed
 shard responses with heartbeats); :func:`serve` is its blocking entry
 point.  :class:`ServiceClient` (:mod:`repro.service.http`) is the one

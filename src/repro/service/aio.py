@@ -3,7 +3,7 @@
 Serves the ``/v1`` wire protocol (the route table is in
 :mod:`repro.service.http`, which also holds the :class:`ServiceClient`;
 ``docs/WIRE_PROTOCOL.md`` is normative) on ``asyncio.start_server``, in
-the spirit of Uberun's master↔daemon link: many persistent keep-alive
+the spirit of Uberun's master↔daemon link: many long-lived keep-alive
 connections multiplexed onto one event loop, compute pushed off-loop so
 the reactor never blocks behind a DFS.
 

@@ -5,8 +5,8 @@ The public API shift this module carries: instead of constructing a fresh
 per call, callers **submit jobs** to a resident service that
 
 * owns **one backend instance for its lifetime** — the process backend
-  runs with a persistent worker pool, so pool startup is amortized across
-  requests (a PERFORMANCE.md backlog item);
+  keeps its worker pool across requests on the same graph, so pool
+  startup is amortized;
 * keys work by **content**: graphs are canonicalized and SHA-256-digested
   (:func:`repro.dfg.io.dfg_digest`), so structurally identical graphs
   share cached work no matter how or where they were built;
@@ -28,8 +28,12 @@ per call, callers **submit jobs** to a resident service that
   so a ``pdef`` sweep re-uses one catalog, a re-submitted job returns its
   bit-identical :class:`~repro.service.jobs.JobResult` from the result
   cache, and an edited config invalidates exactly the levels it touches;
-* rebuilds **incrementally after graph edits**: cold fused catalog builds
-  run partition by partition against the shard-partial cache, whose keys
+* rebuilds **incrementally after graph edits**: cold catalog builds run
+  partition by partition against the shard-partial cache — on every
+  backend with a partition step
+  (:attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`:
+  fused, bitset and process alike; the serial reference and
+  ``store_antichains`` build monolithically) — whose keys
   are content-addressed at *partition* granularity
   (:func:`repro.dfg.io.subgraph_digest` hashes only the facts a
   partition's DFS subtrees can observe) — so after a
@@ -66,7 +70,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.metrics import schedule_stats
 from repro.core.selection import PatternSelector, SelectionResult
-from repro.dfg.antichains import AntichainEnumerator
 from repro.dfg.edit import apply_edits
 from repro.dfg.graph import DFG
 from repro.dfg.io import dfg_digest, subgraph_digest
@@ -77,10 +80,14 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.exec import ExecutionBackend, available_backends, get_backend
+from repro.exec import (
+    ExecutionBackend,
+    FusedBackend,
+    available_backends,
+    get_backend,
+)
 from repro.exec.process import (
-    ProcessBackend,
-    classify_partition_rows,
+    EDIT_PARTITIONS,
     estimate_seed_weights,
     merge_classified_parts,
     plan_seed_partitions,
@@ -94,6 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.service.shard import ShardTask
 
 __all__ = [
+    "EDIT_PARTITIONS",
     "SchedulerService",
     "ServiceStats",
     "SubmitOutcome",
@@ -105,14 +113,6 @@ __all__ = [
 #: partition was served from the content-addressed partial cache instead
 #: of re-running its enumeration DFS.
 CACHE_LEVELS = ("result", "selection", "catalog", "edit", "none")
-
-#: Seed-partition count of every partitioned catalog build, in process
-#: and on a shard fleet alike, so partials answer across topologies (a
-#: build therefore keeps at most 16 shards busy).  Finer partitions
-#: shrink the re-enumerated region after an edit but hash and cache more
-#: partials; 16 matches the process backend's per-worker task
-#: granularity (:data:`repro.exec.process._GROUPS_PER_JOB`).
-EDIT_PARTITIONS = 16
 
 #: The "classify these misses" step of :meth:`SchedulerService._build_catalog`:
 #: ``classify(ranges, weights, size, span_limit, max_count, land)``
@@ -247,9 +247,7 @@ class SchedulerService:
     ----------
     backend:
         Execution backend name or instance the service owns for its
-        lifetime (default ``"fused"``).  When a *name* resolves to the
-        process backend, the service turns its persistent worker pool on;
-        an explicitly constructed instance is used exactly as configured.
+        lifetime (default ``"fused"``).
     jobs:
         Worker count forwarded to the backend factory (names only; an
         instance's worker count is fixed at construction).
@@ -300,12 +298,7 @@ class SchedulerService:
         max_pending: int | None = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
-        owns = isinstance(backend, str)
         self.backend: ExecutionBackend = get_backend(backend, jobs=jobs)
-        if owns and isinstance(self.backend, ProcessBackend):
-            # The service is long-lived by definition; amortize pool
-            # startup across requests.
-            self.backend.persistent = True
         if workloads is None:
             from repro.workloads import WORKLOADS
 
@@ -330,7 +323,7 @@ class SchedulerService:
             max_bytes=cache_max_bytes,
         )
         # digest → first-seen graph object: keeps one canonical DFG per
-        # content class so the persistent pool and analysis caches warm up
+        # content class so the worker pool and analysis caches warm up
         # on a single object instead of per-request copies.
         self._graphs = MemoryCacheStore(catalog_cache)
         self._named_graphs: dict[str, DFG] = {}
@@ -566,20 +559,20 @@ class SchedulerService:
                     self.stats.catalog_misses += 1
                     t0 = self.timer()
                     if (
-                        backend.name in ("fused", "bitset")
-                        and not config.store_antichains
+                        backend.classify_partitions is None
+                        or config.store_antichains
                     ):
+                        # The serial reference classifies monolithically,
+                        # and store_antichains needs its path.
+                        catalog = selector.build_catalog(dfg, backend=backend)
+                    else:
                         catalog, hits, misses = self._build_catalog(
-                            dfg, selector, self._classify_here(dfg)
+                            dfg, selector, self._classify_here(dfg, backend)
                         )
                         self.stats.partition_hits += hits
                         self.stats.partition_misses += misses
                         if hits:
                             cache_level = "edit"
-                    else:
-                        # Process pools own their own partitioning, and
-                        # store_antichains needs the serial path.
-                        catalog = selector.build_catalog(dfg, backend=backend)
                     timings["catalog"] = self.timer() - t0
                     self._catalogs.put(catalog_key, catalog)
                 t0 = self.timer()
@@ -637,10 +630,11 @@ class SchedulerService:
         already cached — an *edited* graph shares them with its
         predecessor, another instance computed them, or they survived on
         disk — run **zero** enumeration DFS.  The misses go to
-        ``classify`` (a :data:`MissClassifier`): in process that is one
-        :func:`~repro.exec.process.classify_partition_rows` call
-        (:meth:`_classify_here`); on a fleet it is the
-        :class:`~repro.service.shard.ShardCoordinator`'s steal loop.
+        ``classify`` (a :data:`MissClassifier`): in process that is the
+        backend's partition step (:meth:`_classify_here`) — one
+        :func:`~repro.exec.process.classify_partition_rows` call, or its
+        passes mapped over the process backend's pool; on a fleet it is
+        the :class:`~repro.service.shard.ShardCoordinator`'s steal loop.
         Every landed partial is written back under its own key, and the
         merge in ascending-seed order reproduces the monolithic fused
         build bit for bit (:func:`repro.exec.process.merge_classified_parts`).
@@ -658,9 +652,7 @@ class SchedulerService:
 
         def attempt(size: int, span: "int | None") -> "PatternCatalog":
             nonlocal hits, misses
-            plan, weights = plan_seed_partitions(
-                dfg, EDIT_PARTITIONS, with_weights=True
-            )
+            plan, weights = plan_seed_partitions(dfg, EDIT_PARTITIONS)
             parts, missed, land = self._probe_partials(
                 dfg, plan, size, span, max_count
             )
@@ -712,29 +704,20 @@ class SchedulerService:
 
         return parts, missed, land
 
-    def _classify_here(self, dfg: DFG) -> MissClassifier:
-        """The in-process :data:`MissClassifier` for ``dfg``.
+    @staticmethod
+    def _classify_here(dfg: DFG, backend: ExecutionBackend) -> MissClassifier:
+        """The in-process :data:`MissClassifier`: ``backend``'s partition step.
 
-        Every call classifies its ranges in one
-        :func:`~repro.exec.process.classify_partition_rows` call, which
-        batches them into as few vectorized passes as its weight budget
-        allows; the enumerator is built once and reused across the
-        adaptive-span attempts of one build.
+        Every call hands its ranges to one
+        :attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`
+        call and lands the rows in range order.  A backend without the
+        step (the serial reference) classifies with the fused one: shard
+        claims and a fleet's local fallback always classify by partition.
         """
-        enum: "list[AntichainEnumerator]" = []
+        step = backend.classify_partitions or FusedBackend().classify_partitions
 
         def classify(ranges, weights, size, span_limit, max_count, land):
-            if not enum:
-                enum.append(AntichainEnumerator(dfg))
-            rows = classify_partition_rows(
-                enum[0],
-                dfg.color_labels()[0],
-                ranges,
-                size,
-                span_limit,
-                max_count,
-                weights=weights,
-            )
+            rows = step(dfg, ranges, weights, size, span_limit, max_count)
             for j, part in enumerate(rows):
                 land(j, part)
 
@@ -849,9 +832,9 @@ class SchedulerService:
         probes the content-addressed partial cache for every claimed range
         (keyed by :func:`shard_partial_key` — the *range's* subgraph
         digest, seed range, capacity and bounds) and classifies the
-        misses in one :func:`~repro.exec.process.classify_partition_rows`
-        call — the same probe and classify helpers the in-process
-        partitioned build uses.  Returns one ``(rows, cache)`` per range,
+        misses in one call of the resident backend's partition step — the
+        same probe and classify helpers the in-process partitioned build
+        uses.  Returns one ``(rows, cache)`` per range,
         aligned with ``task.ranges``: ``rows`` are ``(bag_key, count,
         first_seen, values)`` tuples in local first-visit order, JSON-safe
         so the HTTP layer is a pipe, and ``cache`` is ``"shard"`` when the
@@ -887,7 +870,7 @@ class SchedulerService:
             error: "ReproError | None" = None
             if missed:
                 try:
-                    self._classify_here(dfg)(
+                    self._classify_here(dfg, self.backend)(
                         [ranges[i] for i in missed],
                         [sum(estimate_seed_weights(dfg, ranges[i])) for i in missed],
                         task.size,

@@ -2,7 +2,7 @@
 
 The paper's admitted bottleneck is pattern generation — antichain counts
 grow as ``C(width, size)`` (§5.1, Table 5) — and the seed-partition merge
-the process backend uses is *associative*: the antichain DFS visits each
+every partitioned build uses is *associative*: the antichain DFS visits each
 seed node's subtree contiguously and in ascending seed order, so disjoint
 seed partitions classified anywhere and merged in partition order
 reproduce the sequential enumeration bit for bit.  This module fans those
@@ -65,7 +65,8 @@ beyond 16 sit idle.
 One claim is one :class:`ShardTask`: the graph and the attempt's bounds
 once, plus the claimed seed ranges.  The shard server probes each range
 against its own partial cache and classifies the claim's misses in one
-:func:`~repro.exec.process.classify_partition_rows` call, so a repeated
+call of its backend's partition step
+(:attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`), so a repeated
 partition answers with cache level ``shard`` and zero DFS — and with a
 shared ``--cache-dir``, partials computed by any instance answer every
 instance, restarts included.
@@ -988,7 +989,7 @@ class ShardCoordinator:
             # one pass — the job succeeds degraded as long as one
             # executor exists, and the lowest-failure contract holds.
             try:
-                self.service._classify_here(dfg)(
+                self.service._classify_here(dfg, self.service.backend)(
                     [task.ranges[i] for i in leftovers],
                     [weights[i] for i in leftovers],
                     task.size,

@@ -83,7 +83,7 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "via backend serial" in out
 
-    def test_pipeline_shards_match_single_service(self, capsys):
+    def test_pipeline_process_pool_matches_single_service(self, capsys):
         def summary(argv):
             assert main(argv) == 0
             out = capsys.readouterr().out
@@ -94,7 +94,8 @@ class TestPipeline:
 
         single = summary(["pipeline", "3dft"])
         assert len(single) == 2
-        assert summary(["pipeline", "3dft", "--shards", "2"]) == single
+        pooled = ["pipeline", "3dft", "--backend", "process", "--jobs", "2"]
+        assert summary(pooled) == single
 
     @pytest.mark.parametrize(
         "flag",
@@ -103,11 +104,12 @@ class TestPipeline:
             ["--shard-timeout", "0.5"],
             ["--shard-retries", "0"],
             ["--no-failover"],
+            ["--shards", "2"],
         ],
     )
     def test_removed_shard_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["pipeline", "3dft", "--shards", "2", *flag])
+            main(["pipeline", "3dft", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -300,13 +300,21 @@ def test_get_backend_rejects_jobs_with_instance():
         get_backend(FusedBackend(), jobs=4)
 
 
-def test_process_persistent_pool_reused_across_calls():
+def _one_pass_per_partition(monkeypatch):
+    """Budget 0: every partition is a pass of its own, so even a 4-node
+    chain has more than one pass and reaches the pool."""
+    from repro.exec import process as process_mod
+
+    monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", 0)
+
+
+def test_process_persistent_pool_reused_across_calls(monkeypatch):
     from tests.conftest import chain
 
-    # A graph with >1 seed so the pool actually engages.
+    _one_pass_per_partition(monkeypatch)
     dfg = chain(4)
     dfg2 = chain(5)
-    with ProcessBackend(jobs=2, persistent=True) as backend:
+    with ProcessBackend(jobs=2) as backend:
         a = backend.classify(dfg, 2, None, max_count=None)
         gen_after_first = backend.pool_generation()
         # Same graph, different capacity/span: the pool survives.
@@ -321,19 +329,12 @@ def test_process_persistent_pool_reused_across_calls():
     assert b.capacity == 3
 
 
-def test_process_one_shot_does_not_retain_pool():
+def test_process_persistent_pool_retired_on_graph_mutation(monkeypatch):
     from tests.conftest import chain
 
-    backend = ProcessBackend(jobs=2)
-    backend.classify(chain(4), 2, None, max_count=None)
-    assert backend._pool is None
-
-
-def test_process_persistent_pool_retired_on_graph_mutation():
-    from tests.conftest import chain
-
+    _one_pass_per_partition(monkeypatch)
     dfg = chain(4)
-    with ProcessBackend(jobs=2, persistent=True) as backend:
+    with ProcessBackend(jobs=2) as backend:
         backend.classify(dfg, 2, None, max_count=None)
         gen = backend.pool_generation()
         # Workers hold the graph as pickled at pool creation; an in-place

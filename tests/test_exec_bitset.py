@@ -148,21 +148,25 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
 
 
 def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
-    # With one job the process backend classifies in-process; it must run
-    # the bitset kernel its workers run, not the scalar fused DFS.
+    # With one job the process backend classifies in-process and starts no
+    # pool; it must run the partition step its workers run (the bitset
+    # pass kernel over the 16-partition plan), in one call.
+    from repro.exec import process as process_mod
+
     calls = []
-    kernel = bitset_mod.classify_by_label_bitset
+    step = process_mod.classify_partition_rows
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("roots"))
-        return kernel(*args, **kwargs)
+        calls.append(len(args[2]))
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(bitset_mod, "classify_by_label_bitset", spy)
+    monkeypatch.setattr(process_mod, "classify_partition_rows", spy)
     dfg = radix2_fft(16)
     config = SelectionConfig(span_limit=1, max_pattern_size=3)
     backend = get_backend("process", jobs=1)
     got = PatternSelector(5, config=config).build_catalog(dfg, backend=backend)
-    assert calls == [None]
+    assert calls == [process_mod.EDIT_PARTITIONS]
+    assert backend.pool_generation() == 0
     serial = PatternSelector(5, config=config).build_catalog(dfg, backend="serial")
     assert_catalogs_identical(got, serial)
 
@@ -462,7 +466,7 @@ def test_overflowed_pass_raises_the_merge_error(monkeypatch, budget):
     dfg = radix2_fft(8)
     labels, _ = dfg.color_labels()
     enum = AntichainEnumerator(dfg)
-    plan, weights = plan_seed_partitions(dfg, 16, with_weights=True)
+    plan, weights = plan_seed_partitions(dfg, 16)
     scalar = [_scalar_rows(enum, labels, s, 4, 1, None) for s in plan]
     assert max(sum(r[1] for r in rows) for rows in scalar) <= _FFT8_CAP
     with pytest.raises(EnumerationLimitError) as merged:
@@ -501,7 +505,7 @@ def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     backend = get_backend("fused")
     with SchedulerService() as svc:
         catalog, hits, misses = svc._build_catalog(
-            dfg, PatternSelector(4, config=config), svc._classify_here(dfg)
+            dfg, PatternSelector(4, config=config), svc._classify_here(dfg, svc.backend)
         )
         assert hits == 0
         assert misses == 32  # both attempts probed

@@ -353,7 +353,7 @@ def _claim(dfg, capacity: int, pieces: int, max_count=None) -> ShardTask:
         size=capacity,
         span_limit=CFG.span_limit,
         max_count=max_count,
-        ranges=plan_seed_partitions(dfg, pieces),
+        ranges=plan_seed_partitions(dfg, pieces)[0],
         dfg=dfg,
     )
 

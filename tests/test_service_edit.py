@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from repro.service import (
 )
 from repro.service.serialize import catalog_to_dict
 from repro.service.service import EDIT_PARTITIONS
+from repro.workloads import WORKLOADS
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
 
@@ -138,10 +140,10 @@ class TestIncrementalRebuild:
         # answered from the partial cache — the DFS must never see its
         # seeds again.  (Digest equality is the cache's truth; dirty_mask
         # is per-seed and strictly finer.)
-        import repro.service.service as service_mod
+        import repro.exec.process as process_mod
 
         enumerated: list[tuple[int, ...]] = []
-        original = service_mod.classify_partition_rows
+        original = process_mod.classify_partition_rows
 
         def spy(enum, labels, partitions, size, span_limit, max_count, **kw):
             enumerated.extend(tuple(seeds) for seeds in partitions)
@@ -149,7 +151,7 @@ class TestIncrementalRebuild:
                 enum, labels, partitions, size, span_limit, max_count, **kw
             )
 
-        monkeypatch.setattr(service_mod, "classify_partition_rows", spy)
+        monkeypatch.setattr(process_mod, "classify_partition_rows", spy)
 
         base = radix2_fft(8)
         edit_op = _interning_stable_recolor(base)
@@ -167,7 +169,7 @@ class TestIncrementalRebuild:
 
         partitions = [
             tuple(seeds)
-            for seeds in plan_seed_partitions(edited, EDIT_PARTITIONS)
+            for seeds in plan_seed_partitions(edited, EDIT_PARTITIONS)[0]
         ]
         clean = [
             seeds
@@ -190,7 +192,7 @@ class TestIncrementalRebuild:
         selector = PatternSelector(4, config=CFG)
         with SchedulerService() as svc:
             catalog, hits, misses = svc._build_catalog(
-                dfg, selector, svc._classify_here(dfg)
+                dfg, selector, svc._classify_here(dfg, svc.backend)
             )
             assert (hits, misses) == (0, EDIT_PARTITIONS)
         reference = PatternSelector(4, config=CFG).build_catalog(
@@ -218,6 +220,72 @@ class TestIncrementalRebuild:
             svc.clear_caches()
             outcome = svc.submit_outcome(job)
             assert outcome.cache == "none"  # full clear drops partials too
+
+
+# --------------------------------------------------------------------------- #
+# one build path for every backend: the process pool classifies the plan
+# --------------------------------------------------------------------------- #
+class TestProcessBackedBuild:
+    def test_cold_build_caches_every_partial_and_an_edit_reuses_them(self):
+        job = JobRequest(capacity=5, pdef=4, workload="5dft")
+        edit = EditRequest(
+            job=job,
+            edits=(_interning_stable_recolor(WORKLOADS["5dft"]()),),
+        )
+        with SchedulerService(backend="process", jobs=2) as svc:
+            cold = svc.submit_outcome(job)
+            assert cold.cache == "none"
+            assert svc.stats.partition_misses == EDIT_PARTITIONS
+            assert len(svc._shard_parts) == EDIT_PARTITIONS
+            assert svc.backend.pool_generation() == 1
+            outcome = svc.submit_edit_outcome(edit)
+            assert outcome.cache == "edit"
+            assert svc.stats.partition_hits > 0
+        with SchedulerService() as fused:
+            fused.submit(job)
+            expected = fused.submit_edit_outcome(edit)
+        assert expected.cache == "edit"
+        assert outcome.result.answer_dict() == expected.result.answer_dict()
+
+    def test_process_override_keeps_its_pool_across_cold_builds(
+        self, monkeypatch
+    ):
+        # The override is created without a worker count; pin the host's
+        # so the pool engages on any machine.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        dfg = radix2_fft(8)
+        job = JobRequest(capacity=5, pdef=4, dfg=dfg, backend="process")
+        with SchedulerService() as svc:
+            first = svc.submit_outcome(job)
+            svc.clear_caches()
+            second = svc.submit_outcome(job)
+            assert (first.cache, second.cache) == ("none", "none")
+            assert svc.stats.partition_misses == 2 * EDIT_PARTITIONS
+            assert svc._overrides["process"].pool_generation() == 1
+        assert first.result.answer_dict() == second.result.answer_dict()
+
+
+@pytest.mark.parametrize("workload", ["dct4", "fft8"])
+@pytest.mark.parametrize(
+    "writer, reader",
+    [("process", "fused"), ("fused", "process")],
+    ids=["process-to-fused", "fused-to-process"],
+)
+class TestCrossBackendPartials:
+    def test_partials_answer_across_backends(
+        self, tmp_path, workload, writer, reader
+    ):
+        job = JobRequest(capacity=5, pdef=4, workload=workload)
+        with SchedulerService(backend=writer, jobs=2, cache_dir=tmp_path) as first:
+            expected = first.submit(job)
+            assert first.stats.partition_misses == EDIT_PARTITIONS
+        with SchedulerService(backend=reader, jobs=2, cache_dir=tmp_path) as second:
+            second.clear_caches(keep_shard_partials=True)
+            outcome = second.submit_outcome(job)
+            assert second.stats.partition_hits == EDIT_PARTITIONS
+            assert second.stats.partition_misses == 0
+        assert outcome.cache == "edit"
+        assert outcome.result.answer_dict() == expected.answer_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -92,7 +92,7 @@ def _claim(dfg, n, size=4):
         size=size,
         span_limit=1,
         max_count=None,
-        ranges=plan_seed_partitions(dfg, n),
+        ranges=plan_seed_partitions(dfg, n)[0],
         workload="3dft",
     )
 

@@ -35,6 +35,8 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.exec.process import (
+    _group_weights,
+    _split_contiguous,
     estimate_seed_weights,
     merge_classified_parts,
     plan_seed_partitions,
@@ -76,11 +78,16 @@ def fused_catalog(dfg, capacity, config=CFG):
 # partition planning
 # --------------------------------------------------------------------------- #
 class TestPlanSeedPartitions:
-    @pytest.mark.parametrize("skew_aware", [True, False])
-    def test_partitions_cover_all_seeds_in_order(self, skew_aware):
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_partitions_cover_all_seeds_in_order(self, weighted):
         dfg = three_point_dft_paper()
+        seeds = list(range(dfg.n_nodes))
         for n in (1, 2, 3, 5, 100):
-            parts = plan_seed_partitions(dfg, n, skew_aware=skew_aware)
+            if weighted:
+                parts, weights = plan_seed_partitions(dfg, n)
+                assert len(weights) == len(parts)
+            else:
+                parts = _split_contiguous(seeds, n)
             flat = [i for part in parts for i in part]
             assert flat == list(range(dfg.n_nodes))
             assert len(parts) <= n
@@ -115,7 +122,10 @@ class TestSkewAwarePlanning:
     def test_weighted_plans_cover_all_seeds_exactly_once(self, params, n):
         seed, layers, width = params
         dfg = layered_dag(seed, layers, width)
-        parts = plan_seed_partitions(dfg, n)
+        parts, weights = plan_seed_partitions(dfg, n)
+        assert weights == _group_weights(
+            parts, estimate_seed_weights(dfg, list(range(dfg.n_nodes)))
+        )
         flat = [i for part in parts for i in part]
         # Every seed exactly once, ascending — i.e. contiguous coverage.
         assert flat == list(range(dfg.n_nodes))
@@ -139,9 +149,10 @@ class TestSkewAwarePlanning:
     @pytest.mark.parametrize("partitions", [2, 3, 4, 8])
     def test_fft64_ratio_beats_even_split(self, partitions):
         dfg = radix2_fft(64)
-        weights = estimate_seed_weights(dfg, list(range(dfg.n_nodes)))
-        even = plan_seed_partitions(dfg, partitions, skew_aware=False)
-        skew = plan_seed_partitions(dfg, partitions)
+        seeds = list(range(dfg.n_nodes))
+        weights = estimate_seed_weights(dfg, seeds)
+        even = _split_contiguous(seeds, partitions)
+        skew, _ = plan_seed_partitions(dfg, partitions)
         assert _weight_ratio(skew, weights) < _weight_ratio(even, weights)
         # The balanced plan is near-flat on this workload.
         assert _weight_ratio(skew, weights) < 1.1
@@ -158,9 +169,10 @@ class TestSkewAwarePlanning:
     def test_layered_dag_ratio_no_worse_than_even_split(self, params, n):
         seed, layers, width = params
         dfg = layered_dag(seed, layers, width, edge_prob=0.3)
-        weights = estimate_seed_weights(dfg, list(range(dfg.n_nodes)))
-        even = plan_seed_partitions(dfg, n, skew_aware=False)
-        skew = plan_seed_partitions(dfg, n)
+        seeds = list(range(dfg.n_nodes))
+        weights = estimate_seed_weights(dfg, seeds)
+        even = _split_contiguous(seeds, n)
+        skew, _ = plan_seed_partitions(dfg, n)
         # Weight balancing can never do worse than counting seeds (tiny
         # graphs may tie when every cut point coincides).
         assert (
@@ -174,9 +186,10 @@ class TestSkewAwarePlanning:
         # max/mean ~1.48) while the plain even-count split stays flatter
         # (~1.30).  The planner must detect that and fall back.
         dfg = layered_dag(261, 3, 3, edge_prob=0.3)
-        weights = estimate_seed_weights(dfg, list(range(dfg.n_nodes)))
-        even = plan_seed_partitions(dfg, 4, skew_aware=False)
-        skew = plan_seed_partitions(dfg, 4)
+        seeds = list(range(dfg.n_nodes))
+        weights = estimate_seed_weights(dfg, seeds)
+        even = _split_contiguous(seeds, 4)
+        skew, _ = plan_seed_partitions(dfg, 4)
         assert (
             _weight_ratio(skew, weights)
             <= _weight_ratio(even, weights) + 1e-9
@@ -753,7 +766,7 @@ def test_merge_of_manual_parts_equals_fused():
                 size=4,
                 span_limit=1,
                 max_count=cfg.max_antichains,
-                ranges=plan_seed_partitions(dfg, 3),
+                ranges=plan_seed_partitions(dfg, 3)[0],
                 dfg=dfg,
             )
         )
@@ -894,7 +907,7 @@ def test_coordinator_submit_edit_dispatches_only_dirty_partitions():
         warm_planned = coord.stats.planned - cold_planned
     # Partition cleanliness is digest equality — exactly the cache's law.
     partitions = [
-        tuple(seeds) for seeds in plan_seed_partitions(edited, cold_planned)
+        tuple(seeds) for seeds in plan_seed_partitions(edited, cold_planned)[0]
     ]
     dirty = [
         seeds for seeds in partitions
