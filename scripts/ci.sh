@@ -123,10 +123,13 @@ printf '%s\n' "$pooled" | sed 's/^/ /'
 echo "== perfbench unit tests =="
 python perfbench/selftest.py
 
-echo "== bitset equivalence without the compiled extension =="
+echo "== bitset and service-edit suites without the compiled extension =="
 # Re-run the bitset suite with the native kernel forced away so both the
-# compiled and the pure numpy expansion paths stay pinned bit-identical.
-REPRO_NO_NATIVE=1 python -m pytest tests/test_exec_bitset.py -x -q
+# compiled and the pure numpy expansion paths stay pinned bit-identical,
+# and the service edit suite so the partitioned build (cold, edit and
+# partial reuse) is pinned on the numpy path the benchmark runs too.
+REPRO_NO_NATIVE=1 python -m pytest tests/test_exec_bitset.py \
+    tests/test_service_edit.py -x -q
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff (matches the CI lint job) =="

@@ -8,12 +8,13 @@
  *
  * Returns two bytes objects holding int64 arrays of equal length (one
  * entry per set bit): the row index and the bit index, emitted row-major
- * with ascending bit index within each row — exactly the order
- * np.nonzero(np.unpackbits(...)) produces, which is the lexicographic
- * DFS extension order the equivalence contract depends on.  The numpy
- * fallback path materializes an 8x-unpacked uint8 matrix to get there;
- * this kernel walks set bits directly (popcount sizing pass, then a
- * ctz-driven fill pass) in O(set bits) with no transient blow-up.
+ * with ascending bit index within each row — exactly the order the
+ * numpy fallback produces (np.flatnonzero over the rows unpacked to one
+ * flag byte per node, divided back into (row, bit) pairs), which is the
+ * lexicographic DFS extension order the equivalence contract depends
+ * on.  The numpy path materializes that unpacked matrix, n bytes per
+ * row; this kernel walks set bits directly (popcount sizing pass, then
+ * a ctz-driven fill pass) in O(set bits) with no transient blow-up.
  *
  * Only correct for little-endian int64; the caller gates on
  * sys.byteorder, and honours REPRO_NO_NATIVE=1 to skip loading this

@@ -17,18 +17,23 @@ one "frontier" of numpy arrays per depth holds every live antichain's last
 member, parent frame, label-bag bucket, running max-ASAP/min-ALAP and its
 candidate-extension set as a packed ``uint64`` bitset row.  Per depth:
 
-* census + frequency accumulation are ``np.add.at`` scatters into
-  preallocated ``int64`` arrays (members are recovered by walking the
+* census + frequency accumulation are ``np.add.at``/``np.minimum.at``
+  scatters into preallocated ``int64`` arrays, indexed by one flat
+  ``bucket * n + member`` code per ancestor level so numpy keeps them on
+  its 1-D ``ufunc.at`` fast path (members are recovered by walking the
   parent-frame chain, one vectorized gather per ancestor level);
-* expansion unpacks the allowed rows (``np.unpackbits`` — or the optional
-  compiled ``_bitset_native.expand``) into ``(parent, node)`` pairs; a
-  child's allowed row is ``allowed[parent] & inc_above[child]``, one
+* expansion unpacks the allowed rows to one flag byte per node
+  (``np.unpackbits(..., count=n)``) and splits the flat set-bit
+  positions back into ``(parent, node)`` pairs with ``np.divmod`` — or
+  runs the optional compiled ``_bitset_native.expand``; a child's
+  allowed row is ``allowed[parent] & inc_above[child]``, one
   ``np.bitwise_and`` over the memoized packed incomparable-above rows —
   exactly the scalar recurrence ``allowed & ~comp[j] & ~(low-1) & ~low``;
 * span pruning is one vectorized compare;
-* bag transitions dedupe ``(bucket, label)`` pair codes through
-  ``np.unique`` so the Python-level bag lookup runs once per distinct
-  pair, not once per antichain.
+* bag transitions mark the ``(bucket, label)`` pair codes in a dense
+  ``bool`` table and resolve the distinct ones in ascending order into a
+  dense lookup table, so the Python-level bag lookup runs once per
+  distinct pair, not once per antichain, and nothing is sorted.
 
 Reconstructing the scalar order
 -------------------------------
@@ -121,8 +126,9 @@ __all__ = [
     "packed_incomparable_rows",
 ]
 
-#: Packed-row bytes to expand per chunk (unpacking blows each byte up to
-#: 8 bytes of bit flags, so 512 KiB of rows peaks at ~4 MiB transient).
+#: Packed-row bytes to expand per chunk.  The numpy path unpacks each
+#: frame to ``n`` flag bytes, at most 8x its packed size, so 512 KiB of
+#: rows peaks at ~4 MiB transient.
 _EXPAND_CHUNK_BYTES = 1 << 19
 
 _INT64_MAX = 2**63 - 1
@@ -190,9 +196,10 @@ def packed_incomparable_rows(dfg: "DFG"):
     return out
 
 
-def _expand_rows(allowed, words: int):
+def _expand_rows(allowed, words: int, n: int):
     """Set-bit coordinates of ``allowed`` as ``(frame, node)`` int64 arrays.
 
+    ``n`` is the node count, i.e. the number of meaningful bits per row.
     Frame-major, node-index ascending within each frame — the
     lexicographic extension order the scalar DFS visits children in.
     Processed in bounded chunks so the transient unpacked bit array never
@@ -209,12 +216,13 @@ def _expand_rows(allowed, words: int):
             par = np.frombuffer(pbytes, dtype=np.int64)
             nod = np.frombuffer(nbytes, dtype=np.int64)
         else:
+            # One flag byte per node; the flat set-bit positions of the
+            # row-major matrix divide back into (frame, node) pairs.
             bits = np.unpackbits(
-                chunk.view(np.uint8), axis=1, bitorder="little"
-            )
-            par, nod = np.nonzero(bits)
-            par = par.astype(np.int64)
-            nod = nod.astype(np.int64)
+                chunk.view(np.uint8), axis=1, bitorder="little", count=n
+            ).view(bool)
+            flat = np.flatnonzero(bits).astype(np.int64, copy=False)
+            par, nod = np.divmod(flat, n)
         yield start, par, nod
 
 
@@ -439,14 +447,21 @@ def _bitset_pass(
             # Frequency + first-seen scatter for every member of every
             # frame: the last member directly, earlier members through
             # the parent-frame chain (one gather per ancestor level).
-            np.add.at(freq2d, (bucket_d, nodes_d), 1)
-            np.minimum.at(minpk_node, (bucket_d, nodes_d), pk_d)
+            # Flat ``bucket * n + member`` codes keep ``ufunc.at`` on its
+            # 1-D fast path; the views are taken after ``grow`` because
+            # it reallocates both matrices.
+            freq_flat = freq2d.reshape(-1)
+            minpk_flat = minpk_node.reshape(-1)
+            row0 = bucket_d * np.int64(n)
+            code = row0 + nodes_d
+            np.add.at(freq_flat, code, 1)
+            np.minimum.at(minpk_flat, code, pk_d)
             idx = parent_d
             for d2 in range(depth - 1, 0, -1):
                 nd, pd = hist[d2 - 1]
-                members = nd[idx]
-                np.add.at(freq2d, (bucket_d, members), 1)
-                np.minimum.at(minpk_node, (bucket_d, members), pk_d)
+                code = row0 + nd[idx]
+                np.add.at(freq_flat, code, 1)
+                np.minimum.at(minpk_flat, code, pk_d)
                 idx = pd[idx]
         if depth == max_size:
             break
@@ -456,7 +471,7 @@ def _bitset_pass(
         par_parts: list = []
         nod_parts: list = []
         kept = 0
-        for offset, par, nod in _expand_rows(allowed_d, words):
+        for offset, par, nod in _expand_rows(allowed_d, words, n):
             if span_limit is not None and len(par):
                 par = par + offset
                 keep = (
@@ -485,18 +500,21 @@ def _bitset_pass(
         parents = par_parts[0] if len(par_parts) == 1 else np.concatenate(par_parts)
         children = nod_parts[0] if len(nod_parts) == 1 else np.concatenate(nod_parts)
 
-        # Bag transitions: dedupe (bucket, label) pair codes first so the
-        # python work scales with distinct transitions, not frames.  A
-        # bucket's bag size is its depth, so no pair recurs at a later
-        # depth and each distinct pair is resolved exactly once.
+        # Bag transitions: mark the (bucket, label) pair codes in a dense
+        # table first so the python work scales with distinct transitions,
+        # not frames.  Resolving them in ascending code order numbers new
+        # buckets exactly as a sorted dedupe would.  A bucket's bag size
+        # is its depth, so no pair recurs at a later depth and each
+        # distinct pair is resolved exactly once.
         pair = bucket_d[parents] * np.int64(n_labels) + labels_arr[children]
-        uniq, inverse = np.unique(pair, return_inverse=True)
-        lut = []
-        for code in uniq.tolist():
-            pb, lab = divmod(code, n_labels)
-            lut.append(
-                bucket_of(bag_group[pb], tuple(sorted(bag_keys[pb] + (lab,))))
-            )
+        seen = np.zeros(len(bag_keys) * n_labels, dtype=bool)
+        seen[pair] = True
+        codes = np.flatnonzero(seen)
+        lut = np.zeros(len(seen), dtype=np.int64)
+        lut[codes] = [
+            bucket_of(bag_group[pb], tuple(sorted(bag_keys[pb] + (lab,))))
+            for pb, lab in (divmod(c, n_labels) for c in codes.tolist())
+        ]
 
         nxt_allowed = None
         if depth + 1 < max_size:
@@ -504,7 +522,7 @@ def _bitset_pass(
         pk_d = pk_d[parents] + (children + 1) * np.int64(scale[depth])
         mx_d = np.maximum(mx_d[parents], asap[children])
         mn_d = np.minimum(mn_d[parents], alap[children])
-        bucket_d = np.asarray(lut, dtype=np.int64)[inverse]
+        bucket_d = lut[pair]
         parent_d = parents
         nodes_d = children
         allowed_d = nxt_allowed

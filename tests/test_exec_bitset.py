@@ -36,6 +36,7 @@ from repro.exec.bitset import (
     bitset_availability,
     bitset_supported,
     classify_by_label_bitset,
+    classify_rows_bitset,
     packed_incomparable_rows,
 )
 from repro.exec.process import classify_partition_rows, estimate_seed_weights
@@ -305,6 +306,21 @@ def test_hypothesis_pipeline_bit_identical(case, pdef):
 # --------------------------------------------------------------------------- #
 
 
+def _random_allowed_rows(rng, frames, n):
+    """Random packed rows with no bit set at or above ``n``, as in a pass."""
+    words = max(1, (n + 63) // 64)
+    bits = rng.integers(0, 2, size=(frames, words * 64), dtype=np.uint8)
+    bits[:, n:] = 0
+    rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return np.ascontiguousarray(rows), words
+
+
+def _reference_expand(rows):
+    """Set-bit ``(frame, node)`` coordinates by the plain 2-D nonzero."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+    return np.nonzero(bits)
+
+
 def test_native_kernel_matches_numpy_expand():
     native = bitset_mod._native_module()
     if native is None:
@@ -314,10 +330,30 @@ def test_native_kernel_matches_numpy_expand():
     pbytes, nbytes = native.expand(np.ascontiguousarray(rows), 37, 3)
     par = np.frombuffer(pbytes, dtype=np.int64)
     nod = np.frombuffer(nbytes, dtype=np.int64)
-    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-    rpar, rnod = np.nonzero(bits)
+    rpar, rnod = _reference_expand(rows)
     assert (par == rpar).all()
     assert (nod == rnod).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 37, 64, 65, 150])
+def test_numpy_expand_matches_reference(monkeypatch, n):
+    # The pure numpy expansion is the path every host without the
+    # compiled kernel runs, so it is pinned here whether or not the
+    # kernel is built.  A small chunk size makes every call span several
+    # chunks, so the per-chunk frame offsets are exercised too.
+    monkeypatch.setattr(bitset_mod, "_native", None)
+    monkeypatch.setattr(bitset_mod, "_EXPAND_CHUNK_BYTES", 24)
+    rng = np.random.default_rng(n)
+    rows, words = _random_allowed_rows(rng, 29, n)
+    chunks = list(bitset_mod._expand_rows(rows, words, n))
+    assert len(chunks) > 1
+    for _, par, nod in chunks:
+        assert par.dtype == np.int64 and nod.dtype == np.int64
+    par = np.concatenate([off + par for off, par, _ in chunks])
+    nod = np.concatenate([nod for _, _, nod in chunks])
+    rpar, rnod = _reference_expand(rows)
+    assert par.tolist() == rpar.tolist()
+    assert nod.tolist() == rnod.tolist()
 
 
 @pytest.mark.parametrize("kind, seed, a, b, capacity, span", RANDOM_CASES[:3])
@@ -446,6 +482,23 @@ def test_hypothesis_batched_rows_equal_per_partition_scalar(case, planned):
         _scalar_rows(enum, labels, seeds, capacity, span, None)
         for seeds in partitions
     ]
+
+
+def test_batched_pass_growing_buckets_between_depths():
+    # Four seed groups over fft8 start with at most 12 depth-1 buckets
+    # (group x color) and end with far more than the initial 16, so the
+    # per-bucket matrices are reallocated between depths; every scatter
+    # after that must land in the new arrays.
+    dfg = radix2_fft(8)
+    labels, colors = dfg.color_labels()
+    assert len(colors) <= 3
+    enum = AntichainEnumerator(dfg)
+    n = dfg.n_nodes
+    groups = [list(range(g, n, 4)) for g in range(4)]
+    got = classify_rows_bitset(enum, labels, 4, 1, groups)
+    singletons = sum(1 for rows in got for key, *_ in rows if len(key) == 1)
+    assert singletons <= 16 < sum(len(rows) for rows in got)
+    assert got == [_scalar_rows(enum, labels, seeds, 4, 1, None) for seeds in groups]
 
 
 #: fft8 at capacity 4 holds 151 437 antichains at span 1 (no partition
