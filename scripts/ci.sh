@@ -140,7 +140,9 @@ else
 fi
 
 if [[ "${1:-}" != "--fast" ]]; then
-    SMOKE=/tmp/BENCH_engine_smoke.json
+    # Inside the checkout, so two runs on one host never share a report.
+    SMOKE=.bench-smoke/BENCH_engine_smoke.json
+    mkdir -p .bench-smoke
     BASELINE_DIR="${BENCH_BASELINE_DIR:-.bench-baseline}"
 
     echo "== service HTTP smoke =="

@@ -74,7 +74,7 @@ reported but never fail the run; a report without a ``service`` section
 Usage::
 
     python scripts/diff_bench.py NEW.json [--baseline OLD.json]
-    python scripts/diff_bench.py /tmp/BENCH_engine_smoke.json \
+    python scripts/diff_bench.py .bench-smoke/BENCH_engine_smoke.json \
         --baseline .bench-baseline/BENCH_engine_smoke.json
 """
 

@@ -285,8 +285,15 @@ class DFG:
         return result
 
     def is_acyclic(self) -> bool:
-        """``True`` iff the graph is a DAG."""
-        return nx.is_directed_acyclic_graph(self._g)
+        """``True`` iff the graph is a DAG.
+
+        Memoized on the analysis cache, so the validations one job runs
+        against an unchanged graph walk it once; any mutation clears it.
+        """
+        cache = self._analysis_cache
+        if "is_acyclic" not in cache:
+            cache["is_acyclic"] = nx.is_directed_acyclic_graph(self._g)
+        return cache["is_acyclic"]
 
     def check_acyclic(self) -> None:
         """Raise :class:`~repro.exceptions.CycleError` unless the graph is a DAG."""

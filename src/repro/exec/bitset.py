@@ -29,7 +29,11 @@ candidate-extension set as a packed ``uint64`` bitset row.  Per depth:
   allowed row is ``allowed[parent] & inc_above[child]``, one
   ``np.bitwise_and`` over the memoized packed incomparable-above rows —
   exactly the scalar recurrence ``allowed & ~comp[j] & ~(low-1) & ~low``;
-* span pruning is one vectorized compare;
+* span pruning never reaches expansion: every allowed row is ANDed once
+  with its frame's span window ``early[min(mn + L, top)] &
+  late[max(mx - L, 0)]``, two gathers from per-level prefix rows
+  memoized per graph (:func:`packed_level_windows`), so expansion emits
+  only the span-feasible children and nothing is filtered afterwards;
 * bag transitions mark the ``(bucket, label)`` pair codes in a dense
   ``bool`` table and resolve the distinct ones in ascending order into a
   dense lookup table, so the Python-level bag lookup runs once per
@@ -72,6 +76,10 @@ Trade-off: the scalar DFS is O(depth) memory; the BFS materializes each
 cardinality frontier, i.e. O(live antichains) ``int64``s per depth,
 bounded by ``max_count`` (~80 MB per depth at the 5M default).  That is
 the price of vectorizing, and why ``max_count`` stays load-bearing here.
+The span windows keep that frontier to the kept antichains: a row holds
+no span-infeasible child, so no pair is expanded only to be dropped, at
+the cost of two ``(levels + 1) × words`` tables per graph and two row
+gathers per depth.
 A batched pass holds the frontiers of all its groups at once, so callers
 batch only light groups (see ``repro.exec.process._PASS_WEIGHT_BUDGET``).
 
@@ -94,6 +102,7 @@ from repro.dfg.antichains import (
     AntichainEnumerator,
     LabelClassification,
 )
+from repro.dfg.levels import LevelAnalysis
 from repro.dfg.traversal import comparability_masks
 from repro.exceptions import GraphError, PatternError
 from repro.exec.fused import FusedBackend
@@ -124,6 +133,7 @@ __all__ = [
     "classify_by_label_bitset",
     "classify_rows_bitset",
     "packed_incomparable_rows",
+    "packed_level_windows",
 ]
 
 #: Packed-row bytes to expand per chunk.  The numpy path unpacks each
@@ -196,12 +206,63 @@ def packed_incomparable_rows(dfg: "DFG"):
     return out
 
 
+def packed_level_windows(dfg: "DFG"):
+    """``(early, late, top)``: per-level packed span-window rows.
+
+    ``early[t]`` packs ``{c : ASAP[c] <= t}`` and ``late[t]`` packs
+    ``{c : ALAP[c] >= t}`` for every level ``t`` in ``0..top``, where
+    ``top`` is ``ASAPmax``, the highest level; both are
+    ``uint64[top + 1, words]`` in the layout of
+    :func:`packed_incomparable_rows`.  A frame with running
+    ``(max ASAP, min ALAP) = (mx, mn)`` keeps a child within span ``L``
+    exactly when the child is in
+    ``early[min(mn + L, top)] & late[max(mx - L, 0)]`` (see
+    :func:`_bitset_pass`).  Memoized on the graph's mutation-cleared
+    analysis cache beside the packed rows; the arrays are read-only.
+    """
+    if np is None:  # pragma: no cover - guarded by callers
+        raise GraphError("packed bitset rows require numpy")
+    cache = getattr(dfg, "_analysis_cache", None)
+    if cache is not None and "packed_level_windows" in cache:
+        return cache["packed_level_windows"]
+    levels = LevelAnalysis.of(dfg)
+    n = dfg.n_nodes
+    stride = max(1, (n + 63) // 64) * 8
+    top = levels.asap_max
+    node = np.arange(n, dtype=np.int64)
+    bit = np.left_shift(np.uint8(1), (node & 7).astype(np.uint8))
+
+    def prefix_or(level, reverse: bool):
+        # One level's nodes per row, then a running OR over the levels.
+        flat = np.zeros((top + 1) * stride, dtype=np.uint8)
+        np.bitwise_or.at(flat, level * stride + (node >> 3), bit)
+        rows = flat.reshape(top + 1, stride)
+        if reverse:
+            rows = np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1]
+        else:
+            rows = np.bitwise_or.accumulate(rows, axis=0)
+        out = np.ascontiguousarray(rows).view(np.uint64)
+        out.flags.writeable = False
+        return out
+
+    names = dfg.nodes
+    asap = np.fromiter((levels.asap[v] for v in names), np.int64, count=n)
+    alap = np.fromiter((levels.alap[v] for v in names), np.int64, count=n)
+    out = (prefix_or(asap, False), prefix_or(alap, True), top)
+    if cache is not None:
+        cache["packed_level_windows"] = out
+    return out
+
+
 def _expand_rows(allowed, words: int, n: int):
     """Set-bit coordinates of ``allowed`` as ``(frame, node)`` int64 arrays.
 
     ``n`` is the node count, i.e. the number of meaningful bits per row.
     Frame-major, node-index ascending within each frame — the
     lexicographic extension order the scalar DFS visits children in.
+    The rows are already masked to their frames' span windows, so every
+    pair emitted is a kept child: the caller filters nothing and counts
+    each pair toward ``max_count`` as it arrives.
     Processed in bounded chunks so the transient unpacked bit array never
     exceeds ~8x :data:`_EXPAND_CHUNK_BYTES` regardless of frontier size;
     yields ``(frame_offset, frames, nodes)`` per chunk.
@@ -366,8 +427,6 @@ def _bitset_pass(
         return [[] for _ in root_groups], np.zeros((0, n), dtype=np.int64)
 
     inc, words = packed_incomparable_rows(dfg)
-    asap = np.asarray(enum._asap, dtype=np.int64)
-    alap = np.asarray(enum._alap, dtype=np.int64)
     labels_arr = np.asarray(labels, dtype=np.int64)
     n_labels = int(labels_arr.max()) + 1
     # Zero-padded positional weights: position d contributes
@@ -402,10 +461,31 @@ def _bitset_pass(
         ],
         dtype=np.int64,
     )
-    mx_d = asap[nodes_d]
-    mn_d = alap[nodes_d]
     pk_d = (nodes_d + 1) * np.int64(scale[0])
     allowed_d = inc[nodes_d] if max_size > 1 else None
+
+    # Span windows: a frame's allowed row only ever holds the children
+    # that keep it within ``span_limit``.  With running ``(mx, mn) =
+    # (max ASAP, min ALAP)`` and ``mx - mn <= L``, a child ``c`` keeps
+    # ``max(mx, ASAP[c]) - min(mn, ALAP[c]) <= L`` iff ``ASAP[c] <= mn + L``
+    # and ``ALAP[c] >= mx - L`` (``ASAP[c] <= ALAP[c]`` covers the last
+    # term), i.e. iff ``c`` is in the two prefix rows ANDed below.  A
+    # child's window is inside its parent's, so masking each new row
+    # once keeps every allowed row span-feasible, and expansion emits
+    # exactly the kept pairs in the same order.
+    windowed = span_limit is not None and allowed_d is not None
+    if windowed:
+        early, late, top = packed_level_windows(dfg)
+        asap = np.asarray(enum._asap, dtype=np.int64)
+        alap = np.asarray(enum._alap, dtype=np.int64)
+
+        def to_window(rows, mx, mn) -> None:
+            rows &= early[np.minimum(mn + span_limit, top)]
+            rows &= late[np.maximum(mx - span_limit, 0)]
+
+        mx_d = asap[nodes_d]
+        mn_d = alap[nodes_d]
+        to_window(allowed_d, mx_d, mn_d)
 
     # Per-bucket accumulators, grown geometrically as bags appear.
     cap = 16
@@ -472,18 +552,10 @@ def _bitset_pass(
         nod_parts: list = []
         kept = 0
         for offset, par, nod in _expand_rows(allowed_d, words, n):
-            if span_limit is not None and len(par):
-                par = par + offset
-                keep = (
-                    np.maximum(mx_d[par], asap[nod])
-                    - np.minimum(mn_d[par], alap[nod])
-                ) <= span_limit
-                par = par[keep]
-                nod = nod[keep]
-            elif len(par):
-                par = par + offset
             if not len(par):
                 continue
+            if offset:
+                par = par + offset
             kept += len(par)
             if (
                 max_count is not None
@@ -516,12 +588,16 @@ def _bitset_pass(
             for pb, lab in (divmod(c, n_labels) for c in codes.tolist())
         ]
 
+        # Only frames that expand again need a row, and only windowed
+        # rows need the running levels.
         nxt_allowed = None
         if depth + 1 < max_size:
             nxt_allowed = allowed_d[parents] & inc[children]
+            if windowed:
+                mx_d = np.maximum(mx_d[parents], asap[children])
+                mn_d = np.minimum(mn_d[parents], alap[children])
+                to_window(nxt_allowed, mx_d, mn_d)
         pk_d = pk_d[parents] + (children + 1) * np.int64(scale[depth])
-        mx_d = np.maximum(mx_d[parents], asap[children])
-        mn_d = np.minimum(mn_d[parents], alap[children])
         bucket_d = lut[pair]
         parent_d = parents
         nodes_d = children

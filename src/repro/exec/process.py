@@ -67,6 +67,7 @@ from repro.exec.bitset import (
     BitsetBackend,
     classify_rows_bitset,
     packed_incomparable_rows,
+    packed_level_windows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,9 +110,10 @@ def _init_worker(dfg: "DFG") -> None:
     _WORKER["enum"] = AntichainEnumerator(dfg)
     _WORKER["labels"] = dfg.color_labels()[0]
     if _np is not None:
-        # Pack the bitset rows once per worker, off every task's
-        # critical path.
+        # Pack the bitset rows and span windows once per worker, off
+        # every task's critical path.
         packed_incomparable_rows(dfg)
+        packed_level_windows(dfg)
 
 
 def _classify_pass(task) -> list[list[tuple]]:

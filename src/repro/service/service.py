@@ -422,20 +422,6 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
     # graph resolution
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _validate_once(dfg: DFG) -> None:
-        """``validate_dfg`` memoized on the graph's mutation-cleared cache.
-
-        Warm submits and batch keying would otherwise re-pay the O(V+E)
-        acyclicity check per submission of the same graph object.
-        """
-        cache = getattr(dfg, "_analysis_cache", None)
-        if cache is not None and cache.get("service_validated"):
-            return
-        validate_dfg(dfg)
-        if cache is not None:
-            cache["service_validated"] = True
-
     def _resolve_graph(self, request: JobRequest) -> tuple[DFG, str]:
         """The job's graph (canonical object per content class) + digest."""
         return self._resolve_input(request.workload, request.dfg)
@@ -455,12 +441,12 @@ class SchedulerService:
                         field="workload",
                     )
                 dfg = builder()
-                self._validate_once(dfg)
+                validate_dfg(dfg)
                 self._named_graphs[workload] = dfg
         else:
             assert inline is not None  # callers validated this
             dfg = inline
-            self._validate_once(dfg)
+            validate_dfg(dfg)
         digest = dfg_digest(dfg)
         seen = self._graphs.get(digest)
         # First-seen object wins the whole digest class: equal content ⇒
@@ -745,7 +731,7 @@ class SchedulerService:
                 request.job.workload, request.job.dfg
             )
             edited = apply_edits(base, request.edits)
-            self._validate_once(edited)
+            validate_dfg(edited)
             return dataclasses.replace(
                 request.job, workload=None, dfg=edited
             )

@@ -178,6 +178,53 @@ class TestAcyclicity:
         with pytest.raises(CycleError):
             dfg.check_acyclic()
 
+    def test_cached_answer_cleared_by_closing_edge(self):
+        from repro.dfg.validate import validate_dfg
+
+        dfg = chain(3)
+        assert dfg.is_acyclic()
+        validate_dfg(dfg)  # a cached True from here on
+        names = dfg.nodes
+        dfg.add_edge(names[-1], names[0])
+        with pytest.raises(CycleError):
+            dfg.check_acyclic()
+        with pytest.raises(CycleError):
+            validate_dfg(dfg)
+
+    def test_one_walk_per_graph_version(self, monkeypatch):
+        import networkx as nx
+
+        from repro.dfg import graph as graph_mod
+        from repro.dfg.antichains import AntichainEnumerator
+        from repro.dfg.validate import validate_dfg
+        from repro.service import JobRequest, SchedulerService
+        from repro.workloads import three_point_dft_paper
+
+        walks = []
+        real = nx.is_directed_acyclic_graph
+
+        def counted(g):
+            walks.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph_mod.nx, "is_directed_acyclic_graph", counted)
+        dfg = three_point_dft_paper()
+        for _ in range(3):
+            validate_dfg(dfg)
+            AntichainEnumerator(dfg)
+        assert len(walks) == 1
+        dfg.add_node("extra", "a")
+        validate_dfg(dfg)
+        dfg.check_acyclic()
+        assert len(walks) == 2
+        # A cold job validates in the service, the selector and the
+        # scheduler, and builds an enumerator per catalog attempt: one
+        # walk over its graph in all.
+        walks.clear()
+        with SchedulerService() as service:
+            service.submit(JobRequest(capacity=5, pdef=4, dfg=three_point_dft_paper()))
+        assert len(walks) == 1
+
 
 class TestCopy:
     def test_copy_preserves_everything(self, paper_3dft):

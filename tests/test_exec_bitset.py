@@ -38,6 +38,7 @@ from repro.exec.bitset import (
     classify_by_label_bitset,
     classify_rows_bitset,
     packed_incomparable_rows,
+    packed_level_windows,
 )
 from repro.exec.process import classify_partition_rows, estimate_seed_weights
 from repro.patterns.enumeration import classify_antichains
@@ -402,6 +403,104 @@ def test_packed_rows_memoized_and_match_masks():
         expect = (full & ~((1 << (i + 1)) - 1)) & ~comp[i]
         got = int.from_bytes(rows[i].tobytes(), "little")
         assert got == expect, i
+
+
+def _deep_graph():
+    """67 nodes (two-word rows) over 13 ASAP levels, mobility 0 to 12.
+
+    The two isolated nodes sit at ASAP 0 and ALAP 12, so for every
+    ``L >= 1`` both window clips fire: ``mn + L > top`` and
+    ``mx - L < 0``.
+    """
+    dfg = layered_dag(7, 13, 5, 0.4)
+    dfg.add_node("float0", "a")
+    dfg.add_node("float1", "b")
+    return dfg
+
+
+def _expand_paths():
+    """The numpy expansion always; the compiled kernel when it is built."""
+    native = bitset_mod._native_module()
+    return [None] if native is None else [None, native]
+
+
+def _window_bits(table):
+    return [int.from_bytes(row.tobytes(), "little") for row in table]
+
+
+def test_level_windows_memoized_match_levels_and_reset_on_mutation():
+    dfg = _deep_graph()
+    early, late, top = packed_level_windows(dfg)
+    assert packed_level_windows(dfg)[0] is early
+    assert packed_level_windows(dfg)[1] is late
+    assert not early.flags.writeable and not late.flags.writeable
+
+    def check(dfg, early, late, top):
+        enum = AntichainEnumerator(dfg)
+        _, words = packed_incomparable_rows(dfg)
+        assert top == enum.levels.asap_max
+        assert early.shape == late.shape == (top + 1, words)
+        for t, (e, lt) in enumerate(zip(_window_bits(early), _window_bits(late))):
+            assert e == sum(1 << c for c, a in enumerate(enum._asap) if a <= t)
+            assert lt == sum(1 << c for c, a in enumerate(enum._alap) if a >= t)
+
+    check(dfg, early, late, top)
+    # One level deeper: the mutation drops the tables with the cache.
+    dfg.add_node("tail", "c")
+    dfg.add_edge(dfg.nodes[64], "tail")
+    again = packed_level_windows(dfg)
+    assert again[0] is not early and again[2] == top + 1
+    check(dfg, *again)
+
+
+@pytest.mark.parametrize("span", [0, 1, 2, "levels"])
+def test_span_window_boundaries_match_scalar(monkeypatch, span):
+    dfg = _deep_graph()
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    top = enum.levels.asap_max
+    assert top >= 12 and packed_incomparable_rows(dfg)[1] >= 2
+    span = top if span == "levels" else span
+    if span:
+        assert any(al + span > top for al in enum._alap)
+        assert any(a - span < 0 for a in enum._asap)
+    n = dfg.n_nodes
+    groups = [list(range(g, n, 3)) for g in range(3)]
+    for size in range(2, 6):
+        refs = {
+            roots: enum.classify_by_label(labels, size, span, roots=roots)
+            for roots in (None, tuple(range(1, n, 2)))
+        }
+        ref_rows = [_scalar_rows(enum, labels, g, size, span, None) for g in groups]
+        for native in _expand_paths():
+            monkeypatch.setattr(bitset_mod, "_native", native)
+            for roots, ref in refs.items():
+                got = classify_by_label_bitset(enum, labels, size, span, roots=roots)
+                assert_classifications_identical(got, ref)
+            assert classify_rows_bitset(enum, labels, size, span, groups) == ref_rows
+
+
+@pytest.mark.parametrize("span", [0, 2, "levels"])
+def test_span_window_max_count_one_below(monkeypatch, span):
+    dfg = _deep_graph()
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    span = enum.levels.asap_max if span == "levels" else span
+    ref = enum.classify_by_label(labels, 4, span, max_count=None)
+    total = sum(cls.count for cls in ref.values())
+    with pytest.raises(EnumerationLimitError) as want:
+        enum.classify_by_label(labels, 4, span, max_count=total - 1)
+    groups = [[0, 1, 2], list(range(3, dfg.n_nodes))]
+    for native in _expand_paths():
+        monkeypatch.setattr(bitset_mod, "_native", native)
+        with pytest.raises(EnumerationLimitError) as got:
+            classify_by_label_bitset(enum, labels, 4, span, max_count=total - 1)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(EnumerationLimitError) as got:
+            classify_rows_bitset(enum, labels, 4, span, groups, max_count=total - 1)
+        assert str(got.value) == str(want.value)
+        exact = classify_by_label_bitset(enum, labels, 4, span, max_count=total)
+        assert_classifications_identical(exact, ref)
 
 
 def _scalar_rows(enum, labels, seeds, size, span, max_count):
