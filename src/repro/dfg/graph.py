@@ -173,6 +173,17 @@ class DFG:
             name=name, color=data["color"], index=self._index[name], attrs=data
         )
 
+    def node_data(self) -> Iterator[tuple[str, Mapping[str, Any]]]:
+        """``(name, attrs)`` for every node in insertion order.
+
+        ``attrs`` is the node's live attribute dict, ``"color"`` included
+        (the same mapping :meth:`node` exposes as ``Node.attrs``) — read
+        it, never mutate it; whole-graph passes such as
+        :func:`repro.dfg.io.canonical_json` use this instead of building
+        one :class:`Node` record per node.
+        """
+        return iter(self._g.nodes(data=True))
+
     def index(self, name: str) -> int:
         """Stable insertion index of ``name`` (0-based)."""
         self._require(name)
@@ -302,7 +313,16 @@ class DFG:
             raise CycleError(f"graph {self.name!r} contains a cycle: {cyc}")
 
     def topological_order(self) -> tuple[str, ...]:
-        """Deterministic topological order (smallest ready index first)."""
+        """Deterministic topological order (smallest ready index first).
+
+        Memoized on the analysis cache, so the level and reachability
+        analyses of one graph version share a single Kahn walk; any
+        mutation clears it.  A cyclic graph caches nothing and raises
+        :class:`~repro.exceptions.CycleError` on every call.
+        """
+        cached = self._analysis_cache.get("topological_order")
+        if cached is not None:
+            return cached
         import heapq
 
         indeg = {n: self._g.in_degree(n) for n in self._order}
@@ -318,7 +338,8 @@ class DFG:
                     heapq.heappush(ready, self._index[s])
         if len(out) != len(self._order):
             raise CycleError(f"graph {self.name!r} contains a cycle")
-        return tuple(out)
+        order = self._analysis_cache["topological_order"] = tuple(out)
+        return order
 
     # ------------------------------------------------------------------ #
     # conversion / copying

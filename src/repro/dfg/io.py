@@ -19,10 +19,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.dfg.graph import DFG
+from repro.dfg.levels import LevelAnalysis
+from repro.dfg.traversal import comparability_masks, seed_subtree_support
 from repro.exceptions import GraphError
+
+try:  # optional — subgraph_digest has a pure-Python branch
+    import numpy as _np
+except ImportError:  # pragma: no cover - the container ships numpy
+    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "to_json",
@@ -84,11 +92,20 @@ _JSON_SCALARS = frozenset({str, float, bool, type(None)})
 _SAFE_INT_BITS = 2000
 
 
-def _json_safe(value: object) -> bool:
+def _json_scalar(value: object) -> bool:
     kind = type(value)
-    if kind in _JSON_SCALARS or (
+    return kind in _JSON_SCALARS or (
         kind is int and value.bit_length() < _SAFE_INT_BITS
-    ):
+    )
+
+
+def _json_safe(value: object) -> bool:
+    if _json_scalar(value):
+        return True
+    # A flat tuple or list of scalars (the common ``operands`` attr) is
+    # answered without the probe; anything nested, self-containing or
+    # holding a huge int falls through to ``json.dumps`` unchanged.
+    if type(value) in (tuple, list) and all(map(_json_scalar, value)):
         return True
     try:
         json.dumps(value)
@@ -141,25 +158,19 @@ def canonical_json(dfg: DFG) -> str:
     digest (the service does) treat the first-seen insertion order as the
     canonical one for the whole digest class.
     """
-    nodes = sorted(
-        (
-            n,
-            dfg.color(n),
-            sorted(
-                (k, v)
-                for k, v in dfg.node(n).attrs.items()
-                if k != "color" and _json_safe(v)
-            ),
-        )
-        for n in dfg.nodes
-    )
-    payload = {
-        "nodes": [
-            {"name": n, "color": c, "attrs": {k: v for k, v in attrs}}
-            for n, c, attrs in nodes
-        ],
-        "edges": sorted([u, v] for u, v in dfg.edges()),
-    }
+    nodes = [
+        {
+            "name": n,
+            "color": data["color"],
+            "attrs": {
+                k: v for k, v in data.items() if k != "color" and _json_safe(v)
+            },
+        }
+        for n, data in sorted(dfg.node_data(), key=itemgetter(0))
+    ]
+    # Edge tuples encode as JSON arrays, and ``sort_keys`` orders every
+    # attrs dict, so neither is converted or sorted here.
+    payload = {"nodes": nodes, "edges": sorted(dfg.edges())}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -178,6 +189,12 @@ def dfg_digest(dfg: DFG) -> str:
     if cache is not None:
         cache["dfg_digest"] = digest
     return digest
+
+
+#: Heads every partition digest's byte stream.  Bumped whenever the
+#: encoding changes, so a new key can never alias one an older build
+#: wrote — those partials simply miss once.
+_SUBGRAPH_DIGEST_TAG = b"subgraph-digest/2"
 
 
 def subgraph_digest(dfg: DFG, seeds) -> str:
@@ -202,16 +219,26 @@ def subgraph_digest(dfg: DFG, seeds) -> str:
     absolute, so trailing additions/removals outside the support cannot
     alias.  Memoized per seed range on the graph's analysis cache.
 
-    The encoding streams straight into SHA-256 — a length-prefixed field
-    row per support node (the static per-node part is built once per
-    graph and memoized) followed by the node's support-masked
-    comparability in hex.  The edit path digests every partition of the
-    plan per submit, so this is a measured hot path: JSON-encoding the
-    same facts costs more than the dirty region's DFS on large graphs.
-    """
-    from repro.dfg.levels import LevelAnalysis
-    from repro.dfg.traversal import comparability_masks, seed_subtree_support
+    The byte stream is SHA-256 over, in order:
 
+    * the version tag ``b"subgraph-digest/2"``;
+    * ``f"\\x1e{seeds_key!r}\\x1e{count}\\x1e"`` — the seed key (a
+      contiguous range becomes ``("range", lo, hi)``) and the support size;
+    * every support node's static row in ascending index order,
+      ``f"{i}\\x1f{len(name)}\\x1f{name}\\x1f{label}\\x1f{len(color)}"
+      f"\\x1f{color}\\x1f{asap}\\x1f{alap}\\x1f"`` (memoized per graph;
+      the length prefixes keep a name holding a separator from aliasing);
+    * one fixed-width block: each support node's comparability masked to
+      the support, as ``W`` little-endian ``uint64`` words with
+      ``W = max support index // 64 + 1`` — sized by the support, not the
+      graph, so appending nodes outside it never changes a key.
+
+    The masked words come from one packed comparability table per graph
+    in a single vectorized gather, so a partition costs one pass over its
+    support rather than a hash update and a hex format per node; the edit
+    path digests every partition of the plan per submit.  Keys written
+    under the previous (per-node hex) encoding carry no tag and miss once.
+    """
     seeds = tuple(seeds)
     if seeds and seeds == tuple(range(seeds[0], seeds[-1] + 1)):
         seeds_key: Any = ("range", seeds[0], seeds[-1] + 1)
@@ -225,39 +252,79 @@ def subgraph_digest(dfg: DFG, seeds) -> str:
         if cached is not None:
             return cached
     support = seed_subtree_support(dfg, seeds)
-    comp = comparability_masks(dfg)
-    rows = cache.get("subgraph_digest_rows") if cache is not None else None
-    if rows is None:
-        labels, id_colors = dfg.color_labels()
-        levels = LevelAnalysis.of(dfg)
-        rows = []
-        for i in range(dfg.n_nodes):
-            name = dfg.name_of(i)
-            color = id_colors[labels[i]]
-            # Variable-length strings are length-prefixed so a name (or
-            # color) containing the field separator cannot alias another
-            # row's field layout.
-            rows.append(
-                f"{i}\x1f{len(name)}\x1f{name}\x1f{labels[i]}"
-                f"\x1f{len(color)}\x1f{color}"
-                f"\x1f{levels.asap[name]}\x1f{levels.alap[name]}\x1f".encode()
-            )
-        if cache is not None:
-            cache["subgraph_digest_rows"] = rows
-    h = hashlib.sha256()
-    h.update(repr(seeds_key).encode())
-    mask = support
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        mask ^= low
-        h.update(rows[i])
-        h.update(format(comp[i] & support, "x").encode())
-        h.update(b"\x1e")
+    index, block = _masked_comparability(dfg, support)
+    rows = _digest_rows(dfg)
+    h = hashlib.sha256(_SUBGRAPH_DIGEST_TAG)
+    h.update(f"\x1e{seeds_key!r}\x1e{len(index)}\x1e".encode())
+    h.update(b"".join([rows[i] for i in index]))
+    h.update(block)
     digest = h.hexdigest()
     if memo is not None:
         memo[seeds_key] = digest
     return digest
+
+
+def _digest_rows(dfg: DFG) -> list[bytes]:
+    """Per-node static rows of :func:`subgraph_digest`, memoized per graph."""
+    cache = getattr(dfg, "_analysis_cache", None)
+    rows = cache.get("subgraph_digest_rows") if cache is not None else None
+    if rows is not None:
+        return rows
+    labels, id_colors = dfg.color_labels()
+    levels = LevelAnalysis.of(dfg)
+    rows = []
+    for i, name in enumerate(dfg.nodes):
+        color = id_colors[labels[i]]
+        rows.append(
+            f"{i}\x1f{len(name)}\x1f{name}\x1f{labels[i]}"
+            f"\x1f{len(color)}\x1f{color}"
+            f"\x1f{levels.asap[name]}\x1f{levels.alap[name]}\x1f".encode()
+        )
+    if cache is not None:
+        cache["subgraph_digest_rows"] = rows
+    return rows
+
+
+def _masked_comparability(dfg: DFG, support: int) -> tuple[list[int], bytes]:
+    """``(indices, block)`` of :func:`subgraph_digest` for one support.
+
+    ``indices`` lists the support's node indices ascending; ``block``
+    packs each one's comparability ANDed with ``support`` as
+    ``support.bit_length()``-bit rows of little-endian ``uint64`` words.
+    Supports wider than one word take one gather from the graph's packed
+    comparability table; a one-word support (where numpy's fixed
+    per-call cost exceeds the work it saves) and numpy-less installs
+    build the same bytes with int operations.
+    """
+    nbytes = (support.bit_length() + 63) // 64 * 8
+    if _np is None or nbytes <= 8:
+        comp = comparability_masks(dfg)
+        index = []
+        mask = support
+        while mask:
+            low = mask & -mask
+            index.append(low.bit_length() - 1)
+            mask ^= low
+        return index, b"".join(
+            [(comp[i] & support).to_bytes(nbytes, "little") for i in index]
+        )
+    cache = getattr(dfg, "_analysis_cache", None)
+    table = cache.get("packed_comparability") if cache is not None else None
+    if table is None:
+        stride = (dfg.n_nodes + 63) // 64 * 8
+        packed = b"".join(
+            m.to_bytes(stride, "little") for m in comparability_masks(dfg)
+        )
+        table = _np.frombuffer(packed, dtype="<u8").reshape(
+            dfg.n_nodes, stride // 8
+        )
+        if cache is not None:
+            cache["packed_comparability"] = table
+    raw = support.to_bytes(nbytes, "little")
+    bits = _np.unpackbits(_np.frombuffer(raw, _np.uint8), bitorder="little")
+    index = _np.flatnonzero(bits)
+    block = table[index, : nbytes // 8] & _np.frombuffer(raw, dtype="<u8")
+    return index.tolist(), block.astype("<u8", copy=False).tobytes()
 
 
 def _stable_form(value: Any) -> Any:

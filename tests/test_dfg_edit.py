@@ -11,6 +11,9 @@ bit-identical incremental catalogs) live in ``test_service_edit.py``.
 
 from __future__ import annotations
 
+import hashlib
+from typing import Sequence
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from repro.dfg.edit import DfgEdit, apply_edits, dirty_mask
 from repro.dfg.graph import DFG
 from repro.dfg.io import subgraph_digest
-from repro.dfg.traversal import seed_subtree_support
+from repro.dfg.levels import LevelAnalysis
+from repro.dfg.traversal import comparability_masks, seed_subtree_support
 from repro.exceptions import (
     DuplicateNodeError,
     GraphError,
@@ -327,3 +331,123 @@ class TestSubgraphDigest:
     def test_out_of_range_seed_is_typed(self):
         with pytest.raises(GraphError, match="out of range"):
             subgraph_digest(_diamond(), [99])
+
+
+# --------------------------------------------------------------------------- #
+# subgraph_digest's byte stream
+# --------------------------------------------------------------------------- #
+def _reference_digest(dfg: DFG, seeds) -> str:
+    """The documented byte stream of ``subgraph_digest``, in plain Python."""
+    seeds = tuple(seeds)
+    if seeds and seeds == tuple(range(seeds[0], seeds[-1] + 1)):
+        key = ("range", seeds[0], seeds[-1] + 1)
+    else:
+        key = seeds
+    support = seed_subtree_support(dfg, seeds)
+    members = [i for i in range(dfg.n_nodes) if support >> i & 1]
+    width = (members[-1] // 64 + 1) * 8 if members else 0
+    comp = comparability_masks(dfg)
+    labels, colors = dfg.color_labels()
+    levels = LevelAnalysis.of(dfg)
+    stream = b"subgraph-digest/2" + f"\x1e{key!r}\x1e{len(members)}\x1e".encode()
+    for i in members:
+        name = dfg.name_of(i)
+        color = colors[labels[i]]
+        stream += (
+            f"{i}\x1f{len(name)}\x1f{name}\x1f{labels[i]}\x1f{len(color)}"
+            f"\x1f{color}\x1f{levels.asap[name]}\x1f{levels.alap[name]}\x1f"
+        ).encode()
+    for i in members:
+        stream += (comp[i] & support).to_bytes(width, "little")
+    return hashlib.sha256(stream).hexdigest()
+
+
+def _two_layer(extra_children_of: Sequence[int] = (), extra: int = 0) -> DFG:
+    """32 sources then 31 sinks (63 nodes), sink ``32 + k`` under source ``k``.
+
+    ``extra`` more sinks follow, each a child of every source listed in
+    ``extra_children_of``.  Those sources already have a child, so no
+    level moves.
+    """
+    dfg = DFG(name="two-layer")
+    for k in range(32):
+        dfg.add_node(f"a{k}", "a")
+    for k in range(31):
+        dfg.add_node(f"b{32 + k}", "b")
+        dfg.add_edge(f"a{k}", f"b{32 + k}")
+    for k in range(extra):
+        name = f"c{63 + k}"
+        dfg.add_node(name, "c")
+        for parent in extra_children_of:
+            dfg.add_edge(f"a{parent}", name)
+    return dfg
+
+
+#: Seed sets whose supports start, end or straddle a 64-bit word edge.
+_STRADDLING_SEEDS = [
+    [],
+    [0],
+    [63],
+    [64],
+    [127],
+    range(60, 70),
+    range(120, 135),
+    (10, 70, 130),
+    (63, 64),
+    range(150),
+]
+
+
+class TestSubgraphDigestEncoding:
+    @pytest.mark.parametrize("graph_seed", [0, 7])
+    def test_matches_the_plain_python_reference(self, graph_seed):
+        dfg = random_dag(graph_seed, 150, 0.03)
+        for seeds in _STRADDLING_SEEDS:
+            assert subgraph_digest(dfg, seeds) == _reference_digest(dfg, seeds)
+
+    def test_workloads_match_the_reference(self):
+        for dfg in (three_point_dft_paper(), radix2_fft(8), _diamond()):
+            for s in range(dfg.n_nodes):
+                assert subgraph_digest(dfg, [s]) == _reference_digest(dfg, [s])
+            whole = range(dfg.n_nodes)
+            assert subgraph_digest(dfg, whole) == _reference_digest(dfg, whole)
+
+    def test_pure_python_branch_emits_the_same_bytes(self, monkeypatch):
+        from repro.dfg import io as io_mod
+
+        monkeypatch.setattr(io_mod, "_np", None)
+        dfg = random_dag(3, 150, 0.03)
+        for seeds in _STRADDLING_SEEDS:
+            assert subgraph_digest(dfg, seeds) == _reference_digest(dfg, seeds)
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1], (0, 2), range(3)])
+    def test_appending_outside_the_support_keeps_the_key(self, seeds):
+        # 63 -> 65 nodes crosses a word edge; the support's highest index
+        # stays 62, so its comparability rows stay one word wide.
+        small = _two_layer()
+        grown = _two_layer(extra_children_of=(0, 1, 2), extra=2)
+        assert small.n_nodes == 63 and grown.n_nodes == 65
+        support = seed_subtree_support(grown, seeds)
+        assert support == seed_subtree_support(small, seeds)
+        assert support.bit_length() == 63
+        assert subgraph_digest(grown, seeds) == subgraph_digest(small, seeds)
+
+    def test_appending_inside_the_support_changes_the_key(self):
+        small = _two_layer()
+        grown = _two_layer(extra_children_of=(5,), extra=2)
+        assert seed_subtree_support(grown, [0]).bit_length() == 65
+        assert subgraph_digest(grown, [0]) != subgraph_digest(small, [0])
+
+    def test_range_and_tuple_seed_keys_do_not_alias(self):
+        dfg = _two_layer()
+        assert seed_subtree_support(dfg, (0, 2)) == seed_subtree_support(
+            dfg, range(3)
+        )
+        contiguous = subgraph_digest(dfg, [0, 1, 2])
+        assert subgraph_digest(dfg, range(3)) == contiguous
+        assert subgraph_digest(dfg, (0, 1, 2)) == contiguous
+        assert subgraph_digest(dfg, (0, 2)) != contiguous
+        assert set(dfg._analysis_cache["subgraph_digest"]) == {
+            ("range", 0, 3),
+            (0, 2),
+        }

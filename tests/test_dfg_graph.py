@@ -115,6 +115,72 @@ class TestOrdering:
             dfg.topological_order()
 
 
+def _counted_walks(monkeypatch) -> list:
+    """Count Kahn walks: each ``topological_order`` walk heapifies once."""
+    import heapq
+
+    walks = []
+    real = heapq.heapify
+
+    def counted(heap):
+        walks.append(len(heap))
+        return real(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counted)
+    return walks
+
+
+class TestTopologicalOrderMemo:
+    def test_one_walk_per_graph_version(self, monkeypatch):
+        from repro.dfg.levels import LevelAnalysis, alap, asap, height
+        from repro.dfg.traversal import ancestor_masks, descendant_masks
+        from repro.workloads import three_point_dft_paper
+
+        walks = _counted_walks(monkeypatch)
+        dfg = three_point_dft_paper()
+        first = dfg.topological_order()
+        LevelAnalysis.of(dfg)
+        asap(dfg), alap(dfg), height(dfg)
+        descendant_masks(dfg), ancestor_masks(dfg)
+        assert dfg.topological_order() is first
+        assert len(walks) == 1
+
+    def test_mutation_clears_the_memo(self, monkeypatch):
+        walks = _counted_walks(monkeypatch)
+        dfg = DFG()
+        for n in ("b", "a"):
+            dfg.add_node(n, "x")
+        assert dfg.topological_order() == ("b", "a")
+        dfg.add_node("c", "x")
+        assert dfg.topological_order() == ("b", "a", "c")
+        dfg.add_edge("c", "b")
+        assert dfg.topological_order() == ("a", "c", "b")
+        assert len(walks) == 3
+
+    def test_a_cycle_raises_on_every_call(self, monkeypatch):
+        walks = _counted_walks(monkeypatch)
+        dfg = DFG()
+        dfg.add_node("x", "a")
+        dfg.add_node("y", "a")
+        dfg.add_edge("x", "y")
+        dfg._g.add_edge("y", "x")  # bypass public API to force a cycle
+        for _ in range(2):
+            with pytest.raises(CycleError):
+                dfg.topological_order()
+        assert "topological_order" not in dfg._analysis_cache
+        assert len(walks) == 2
+
+    def test_a_cold_job_walks_its_graph_once(self, monkeypatch):
+        from repro.service import JobRequest, SchedulerService
+        from repro.workloads import three_point_dft_paper
+
+        dfg = three_point_dft_paper()
+        walks = _counted_walks(monkeypatch)
+        with SchedulerService() as service:
+            service.submit(JobRequest(capacity=5, pdef=4, dfg=dfg))
+        assert len(walks) == 1
+
+
 class TestQueries:
     def test_color_and_attr(self):
         dfg = DFG()

@@ -87,6 +87,12 @@ def _dumps_probe(value: object) -> bool:
     return True
 
 
+def _self_containing_list() -> list:
+    loop = [1]
+    loop.append(loop)
+    return loop
+
+
 class TestJsonSafe:
     @pytest.mark.parametrize(
         "value",
@@ -118,6 +124,50 @@ class TestJsonSafe:
     )
     def test_verdict_matches_the_dumps_probe(self, value):
         assert _json_safe(value) is _dumps_probe(value)
+
+    @pytest.mark.parametrize(
+        "build, probed",
+        [
+            (lambda: ("a1", 2, 2.5, None, True), False),
+            (lambda: ["a1", -3], False),
+            (lambda: (), False),
+            (lambda: ((1, 2), ("input", "x0")), True),
+            (_self_containing_list, True),
+            (lambda: (1, 2**2001), True),
+            (lambda: (1, 10**5000), True),
+            (lambda: math.nan, False),
+            (lambda: {"k": (1, 2)}, True),
+        ],
+        ids=[
+            "scalar-tuple",
+            "scalar-list",
+            "empty",
+            "nested-tuples",
+            "self-containing-list",
+            "wide-int-in-tuple",
+            "huge-int-in-tuple",
+            "nan",
+            "dict",
+        ],
+    )
+    def test_fast_path_agrees_with_the_probe(self, monkeypatch, build, probed):
+        # A flat tuple/list of scalars is answered without json.dumps;
+        # everything else still goes through the probe, so circular and
+        # huge values answer exactly as the probe does.
+        from repro.dfg import io as io_mod
+
+        value = build()
+        expected = _dumps_probe(value)
+        calls = []
+        real = io_mod.json.dumps
+
+        def counted(obj, *args, **kwargs):
+            calls.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(io_mod.json, "dumps", counted)
+        assert _json_safe(value) is expected
+        assert bool(calls) is probed
 
 
 class TestEdgeList:
@@ -235,6 +285,77 @@ class TestCanonicalDigest:
         assert dfg_digest(mutated) == first  # copies share content
         mutated.add_node("z99", "a")
         assert dfg_digest(mutated) != first  # mutation invalidates
+
+
+#: ``dfg_digest`` of every registered workload.  Taken from the
+#: per-``Node`` ``canonical_json`` the fast form replaced: existing cache
+#: directories hit only while these hold.
+_WORKLOAD_DIGESTS = {
+    "3dft": "125f9754157530772539d8292633fefb7ad547420476debbfef3ec5b063e024f",
+    "3dft-winograd": "db766c779633ec2dd656562da13a010d53aca6a33958668e7820c3a4ce0e3c78",
+    "5dft": "df9ec25e2d013c7489932d948e7b9b4deb185179e94081fa4168408c1a96f3ca",
+    "fft8": "f84fd9c58a86ba4b9288d5a8e3d0401fe0994aa027adf69974eb2ff6cb7323ec",
+    "fft16": "e4276a7d97a1cb4f4623a0c7885dd85fb9cafea6b2e72543a5b5b78203ac6dbc",
+    "fft64": "535c25bcdf7b56238a3238898c8ca5cd44379f60e11d47ea46b1397c9ed71c4a",
+    "small-example": "ea37f0f36fa50018a1bfcad487418fa4df9d5d69cb1a68ba0b7b369aa93ee67d",
+    "fir8": "a588ba9dfe82ae5c7c3198cc997c12d99aa06cf44680d6f9a6c2190c71ec57e3",
+    "iir2": "b66260580b080a8a5de9fb6b27007e320bcaa7d23a2ad8d219ef71c7132915e4",
+    "dot8": "be43f98696727dda0a6e44532694be4cfd90b9e79f0d66cec61a0049025d87ea",
+    "matvec4": "3306e22d8b379d9a58f0479f93bb3f7b5d1c5c5ccac5b8ebfde6bbf946b05ce4",
+    "dct4": "f8267cff5d43406f500ff08b723498272bd9703dcbe19ffe8fd4d54b2936a32a",
+}
+
+
+class TestCanonicalPins:
+    def test_every_registered_workload_is_pinned(self):
+        from repro.workloads import WORKLOADS
+
+        assert set(_WORKLOAD_DIGESTS) == set(WORKLOADS)
+
+    @pytest.mark.parametrize("name", sorted(_WORKLOAD_DIGESTS))
+    def test_workload_digest_is_pinned(self, name):
+        # If this fails, canonical_json changed bytes: every persisted
+        # cache entry keyed by dfg_digest would silently miss.
+        from repro.workloads import WORKLOADS
+
+        assert dfg_digest(WORKLOADS[name]()) == _WORKLOAD_DIGESTS[name]
+
+    def test_every_attr_kind_is_pinned(self):
+        import hashlib
+
+        loop = [1]
+        loop.append(loop)
+        dfg = DFG(name="odd")
+        dfg.add_node(
+            "b2",
+            "b",
+            op="sub",
+            operands=("a1", "x", 2, 2.5, None, True),
+            wide=(1 << 2001,),
+            too_wide=(10**5000,),
+            selfref=loop,
+        )
+        dfg.add_node(
+            "a1",
+            "a",
+            operands=(("input", "x0"), ("input", "x1")),
+            factor=complex(0, 1),
+            nan=math.nan,
+            table={"z": [1, 2], "a": (3,)},
+            empty=[],
+        )
+        dfg.add_edge("a1", "b2")
+        text = canonical_json(dfg)
+        assert text.startswith(
+            '{"edges":[["a1","b2"]],"nodes":[{"attrs":{"empty":[],'
+            '"nan":NaN,"operands":[["input","x0"],["input","x1"]],'
+            '"table":{"a":[3],"z":[1,2]}},"color":"a","name":"a1"},'
+            '{"attrs":{"op":"sub","operands":["a1","x",2,2.5,null,true],'
+            '"wide":[2296261390548509'
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "726819612b597911c0e163c8f3dc5513a3c7061ae14685835e38d218c8f3bfd1"
+        )
 
 
 class TestDot:
