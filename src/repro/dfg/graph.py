@@ -173,16 +173,17 @@ class DFG:
             name=name, color=data["color"], index=self._index[name], attrs=data
         )
 
-    def node_data(self) -> Iterator[tuple[str, Mapping[str, Any]]]:
-        """``(name, attrs)`` for every node in insertion order.
+    def node_data(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
+        """``(name, color, attrs)`` for every node in insertion order.
 
-        ``attrs`` is the node's live attribute dict, ``"color"`` included
-        (the same mapping :meth:`node` exposes as ``Node.attrs``) — read
-        it, never mutate it; whole-graph passes such as
+        ``attrs`` is a fresh dict of the node's attributes other than its
+        color, the caller's to keep.  Whole-graph passes such as
         :func:`repro.dfg.io.canonical_json` use this instead of building
         one :class:`Node` record per node.
         """
-        return iter(self._g.nodes(data=True))
+        for name, data in self._g.nodes(data=True):
+            attrs = dict(data)
+            yield name, attrs.pop("color"), attrs
 
     def index(self, name: str) -> int:
         """Stable insertion index of ``name`` (0-based)."""

@@ -66,14 +66,10 @@ def to_payload(dfg: DFG) -> dict[str, Any]:
         "nodes": [
             {
                 "name": n,
-                "color": dfg.color(n),
-                "attrs": {
-                    k: v
-                    for k, v in dfg.node(n).attrs.items()
-                    if k != "color" and _json_safe(v)
-                },
+                "color": color,
+                "attrs": {k: v for k, v in attrs.items() if _json_safe(v)},
             }
-            for n in dfg.nodes
+            for n, color, attrs in dfg.node_data()
         ],
         "edges": [[u, v] for u, v in dfg.edges()],
     }
@@ -161,12 +157,10 @@ def canonical_json(dfg: DFG) -> str:
     nodes = [
         {
             "name": n,
-            "color": data["color"],
-            "attrs": {
-                k: v for k, v in data.items() if k != "color" and _json_safe(v)
-            },
+            "color": color,
+            "attrs": {k: v for k, v in attrs.items() if _json_safe(v)},
         }
-        for n, data in sorted(dfg.node_data(), key=itemgetter(0))
+        for n, color, attrs in sorted(dfg.node_data(), key=itemgetter(0))
     ]
     # Edge tuples encode as JSON arrays, and ``sort_keys`` orders every
     # attrs dict, so neither is converted or sorted here.
@@ -233,9 +227,10 @@ def subgraph_digest(dfg: DFG, seeds) -> str:
       ``W = max support index // 64 + 1`` — sized by the support, not the
       graph, so appending nodes outside it never changes a key.
 
-    The masked words come from one packed comparability table per graph
-    in a single vectorized gather, so a partition costs one pass over its
-    support rather than a hash update and a hex format per node; the edit
+    The masked words of a support wider than one word come from one
+    packed comparability table per graph in a single vectorized gather,
+    so a partition costs one pass over its support rather than a hash
+    update and a hex format per node; the edit
     path digests every partition of the plan per submit.  Keys written
     under the previous (per-node hex) encoding carry no tag and miss once.
     """
@@ -292,9 +287,12 @@ def _masked_comparability(dfg: DFG, support: int) -> tuple[list[int], bytes]:
     packs each one's comparability ANDed with ``support`` as
     ``support.bit_length()``-bit rows of little-endian ``uint64`` words.
     Supports wider than one word take one gather from the graph's packed
-    comparability table; a one-word support (where numpy's fixed
-    per-call cost exceeds the work it saves) and numpy-less installs
-    build the same bytes with int operations.
+    comparability table: on ``fft64``'s 16-partition plan that is 5.5 ms
+    against 12.8 ms for the int loop.  A one-word support and numpy-less
+    installs build the same bytes with int operations; a numpy call
+    costs ~7 µs however small the support, which the int loop matches at
+    ~22 rows, so on the small graphs whose supports all fit one word the
+    two are within 0.1 ms per plan either way (PERFORMANCE.md).
     """
     nbytes = (support.bit_length() + 63) // 64 * 8
     if _np is None or nbytes <= 8:

@@ -191,6 +191,19 @@ class TestQueries:
         dfg.set_attr("c1", "extra", "v")
         assert dfg.attr("c1", "extra") == "v"
 
+    def test_node_data_separates_the_color_from_the_attrs(self):
+        dfg = DFG()
+        dfg.add_node("b1", "b")
+        dfg.add_node("a1", "a", op="add", operands=("x", "y"))
+        data = list(dfg.node_data())
+        assert data == [
+            ("b1", "b", {}),
+            ("a1", "a", {"op": "add", "operands": ("x", "y")}),
+        ]
+        data[1][2]["op"] = "mul"  # the caller's copy, not the graph's
+        assert dfg.attr("a1", "op") == "add"
+        assert dfg.color("a1") == "a"
+
     def test_unknown_node_queries(self):
         dfg = chain(2)
         for fn in (dfg.color, dfg.successors, dfg.predecessors,
