@@ -5,15 +5,14 @@
 #   ./scripts/ci.sh          # tier-1 tests + HTTP smoke + quick bench + diff
 #   ./scripts/ci.sh --fast   # tier-1 and perfbench unit tests only
 #
-# The smoke report is diffed per (workload, stage) against the previous
-# run's report when one is available under $BENCH_BASELINE_DIR (CI restores
-# it from the actions cache; any stage whose speedup halves fails loudly),
-# then stored back as the next run's baseline and uploaded as an artifact.
-# The committed full BENCH_engine.json is additionally gated on the
-# warm-edit and bitset floors — both are machine-independent (incremental
-# re-classification elides DFS rather than using more cores; the bitset
-# speedup compares two code paths on the same single core), so their
-# recorded speedups must hold on any machine.
+# The engine smoke times only what perfbench (the benchmark of record for
+# the served path) cannot see: the serial-vs-fused monolithic catalog
+# build, the antichain census and the 1-of-4-dead shard fleet.  Its report
+# is gated on the absolute --floor and diffed per (workload, stage)
+# against the previous run's report when one is available under
+# $BENCH_BASELINE_DIR (CI restores it from the actions cache; any stage
+# whose speedup halves fails loudly), then stored back as the next run's
+# baseline and uploaded as an artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -153,19 +152,7 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== stage-level bench regression diff =="
     python scripts/diff_bench.py "$SMOKE" \
-        --baseline "$BASELINE_DIR/BENCH_engine_smoke.json" \
-        --warm-edit-floor 5.0
-
-    # Warm-edit floor is 1.0 (never slower than cold), not the historical
-    # 5.0: the bitset backend cut the cold partitioned rebuild ~6x, so on
-    # size-2 workloads the edit row now mostly measures fixed cost
-    # (digests + selection + scheduling) on both sides.  The semantic
-    # checks — cache level "edit", partition reuse, bit-identity — are
-    # asserted inside run_benchmarks.py itself.
-    echo "== committed full-report gate (warm edit >= 1x, bitset >= 2x, fault overhead <= 3x) =="
-    python scripts/diff_bench.py BENCH_engine.json \
-        --warm-edit-floor 1.0 --bitset-floor 2.0 \
-        --fault-overhead-ceiling 3.0
+        --baseline "$BASELINE_DIR/BENCH_engine_smoke.json"
 
     mkdir -p "$BASELINE_DIR"
     cp "$SMOKE" "$BASELINE_DIR/BENCH_engine_smoke.json"

@@ -11,8 +11,7 @@ The library implements, from scratch:
 * the paper's contribution — the pattern selection algorithm of §5
   (:mod:`repro.core`),
 * pluggable execution backends — serial, fused, multiprocess — behind a
-  named registry (:mod:`repro.exec`) and an end-to-end staged
-  :class:`~repro.pipeline.Pipeline`,
+  named registry (:mod:`repro.exec`),
 * a job-oriented scheduling service with content-addressed caching and a
   stdlib HTTP front-end (:mod:`repro.service`),
 * a lightweight Montium tile model and 4-phase compiler pipeline
@@ -42,7 +41,6 @@ from repro.core import (
 from repro.dfg import DFG, LevelAnalysis
 from repro.exec import available_backends, get_backend
 from repro.patterns import Pattern, PatternLibrary, random_pattern_set
-from repro.pipeline import Pipeline, PipelineResult
 from repro.scheduling import (
     MultiPatternScheduler,
     Schedule,
@@ -70,8 +68,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "select_patterns",
-    "Pipeline",
-    "PipelineResult",
     "available_backends",
     "get_backend",
     "three_point_dft_paper",

@@ -299,12 +299,19 @@ class DFG:
     def is_acyclic(self) -> bool:
         """``True`` iff the graph is a DAG.
 
-        Memoized on the analysis cache, so the validations one job runs
-        against an unchanged graph walk it once; any mutation clears it.
+        Answered by the Kahn walk of :meth:`topological_order` (a
+        :class:`~repro.exceptions.CycleError` means ``False``) and memoized
+        on the analysis cache, so the validations and analyses one job runs
+        against an unchanged graph share one walk; any mutation clears it.
         """
         cache = self._analysis_cache
         if "is_acyclic" not in cache:
-            cache["is_acyclic"] = nx.is_directed_acyclic_graph(self._g)
+            try:
+                self.topological_order()
+            except CycleError:
+                cache["is_acyclic"] = False
+            else:
+                cache["is_acyclic"] = True
         return cache["is_acyclic"]
 
     def check_acyclic(self) -> None:

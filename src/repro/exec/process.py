@@ -27,7 +27,7 @@ the fused and bitset backends make the one call in process, and
 ``multiprocessing.Pool`` — each worker runs :func:`classify_partition_rows`
 on an enumerator primed once per worker, so the rows are the same either
 way.  The service's partitioned build, the shard endpoint and
-:meth:`ProcessBackend.classify` (what :class:`~repro.pipeline.Pipeline`
+:meth:`ProcessBackend.classify` (what ``PatternSelector.build_catalog``
 and ``repro select`` call) all run this one plan → step → merge path.
 ``jobs`` defaults to ``os.cpu_count()``; with one job (or a single pass)
 the process backend classifies in-process rather than paying pool

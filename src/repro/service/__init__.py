@@ -1,7 +1,6 @@
 """Scheduling-as-a-service: the job-oriented public API.
 
-Instead of constructing a fresh :class:`~repro.pipeline.Pipeline` per
-call, callers submit :class:`JobRequest` jobs to a long-lived
+Callers submit :class:`JobRequest` jobs to a long-lived
 :class:`SchedulerService` that owns one execution backend (the process
 backend's worker pool included), content-addresses graphs
 (:func:`repro.dfg.io.dfg_digest`) and caches catalogs, selections and full

@@ -1,8 +1,7 @@
 """The long-lived scheduling service (``SchedulerService``).
 
-The public API shift this module carries: instead of constructing a fresh
-:class:`~repro.pipeline.Pipeline` and paying full catalog + selection cost
-per call, callers **submit jobs** to a resident service that
+Instead of paying full catalog + selection cost per call, callers
+**submit jobs** to a resident service that
 
 * owns **one backend instance for its lifetime** — the process backend
   keeps its worker pool across requests on the same graph, so pool

@@ -19,7 +19,6 @@ from repro.exceptions import (
     PatternError,
 )
 from repro.exec import (
-    ExecutionBackend,
     FusedBackend,
     ProcessBackend,
     SerialBackend,
@@ -28,7 +27,7 @@ from repro.exec import (
     register_backend,
 )
 from repro.patterns.enumeration import classify_antichains
-from repro.pipeline import Pipeline
+from repro.scheduling.scheduler import MultiPatternScheduler
 from repro.workloads import small_example, three_point_dft_paper
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
@@ -41,18 +40,30 @@ def assert_catalogs_identical(a, b):
         assert list(a.frequencies[p].items()) == list(counter.items()), p
 
 
+def run_flow(dfg, capacity, pdef, config, backend):
+    """``(catalog, selection, schedule)`` of ``dfg`` on one backend."""
+    selector = PatternSelector(capacity, config=config)
+    catalog = selector.build_catalog(dfg, backend=backend)
+    selection = selector.select(dfg, pdef, catalog=catalog, backend=backend)
+    schedule = MultiPatternScheduler(selection.library).schedule(
+        dfg, backend=backend
+    )
+    return catalog, selection, schedule
+
+
 def assert_results_identical(a, b):
-    """Full PipelineResult comparison: catalog, selection rounds, schedule."""
-    assert_catalogs_identical(a.catalog, b.catalog)
-    assert a.selection.library == b.selection.library
-    for fr, rr in zip(a.selection.rounds, b.selection.rounds):
+    """Full :func:`run_flow` comparison: catalog, selection rounds, schedule."""
+    (cat_a, sel_a, sched_a), (cat_b, sel_b, sched_b) = a, b
+    assert_catalogs_identical(cat_a, cat_b)
+    assert sel_a.library == sel_b.library
+    for fr, rr in zip(sel_a.rounds, sel_b.rounds):
         assert dict(fr.priorities) == dict(rr.priorities)
         assert (fr.chosen, fr.fallback, fr.deleted) == (
             rr.chosen, rr.fallback, rr.deleted
         )
-    assert a.schedule.cycles == b.schedule.cycles
-    assert dict(a.schedule.assignment) == dict(b.schedule.assignment)
-    assert list(a.schedule.assignment) == list(b.schedule.assignment)
+    assert sched_a.cycles == sched_b.cycles
+    assert dict(sched_a.assignment) == dict(sched_b.assignment)
+    assert list(sched_a.assignment) == list(sched_b.assignment)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +199,17 @@ def test_process_single_job_falls_back_in_process():
     assert_catalogs_identical(proc, fused)
 
 
+def test_build_catalog_store_antichains_routes_to_serial():
+    # Only the serial classifier can materialize raw antichains; the
+    # selector's catalog build routes there even on fused/process backends.
+    selector = PatternSelector(
+        5, SelectionConfig(span_limit=1, store_antichains=True)
+    )
+    for backend in ("fused", PROCESS):
+        catalog = selector.build_catalog(three_point_dft_paper(), backend=backend)
+        assert catalog.antichains  # raw antichains really stored
+
+
 def test_process_store_antichains_raises():
     with pytest.raises(PatternError, match="cannot store raw antichains"):
         classify_antichains(
@@ -226,14 +248,12 @@ def test_pipeline_bit_identical_across_backends(
     if pdef * capacity < len(dfg.colors()):
         pdef = -(-len(dfg.colors()) // capacity)
     config = SelectionConfig(span_limit=span, widen_to_capacity=True)
-    results = {}
-    for backend in ("serial", "fused", "process"):
-        pipe = Pipeline(
-            capacity, pdef, config=config, backend=backend, jobs=2
-        )
-        results[backend] = pipe.run(dfg)
-    assert_results_identical(results["fused"], results["serial"])
-    assert_results_identical(results["process"], results["serial"])
+    serial, fused, process = (
+        run_flow(dfg, capacity, pdef, config, backend)
+        for backend in ("serial", "fused", PROCESS)
+    )
+    assert_results_identical(fused, serial)
+    assert_results_identical(process, serial)
 
 
 def test_selector_and_scheduler_accept_backend_objects():
@@ -243,8 +263,6 @@ def test_selector_and_scheduler_accept_backend_objects():
     for backend in (SerialBackend(), FusedBackend(), PROCESS):
         got = selector.select(dfg, 4, backend=backend)
         assert got.library == ref.library
-        from repro.scheduling.scheduler import MultiPatternScheduler
-
         sched_ref = MultiPatternScheduler(ref.library).schedule(
             dfg, backend="serial"
         )

@@ -42,7 +42,6 @@ from repro.exec.bitset import (
 )
 from repro.exec.process import classify_partition_rows, estimate_seed_weights
 from repro.patterns.enumeration import classify_antichains
-from repro.pipeline import Pipeline
 from repro.workloads import small_example, three_point_dft_paper
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
@@ -51,6 +50,7 @@ from tests.test_exec_backends import (
     _case_graph,
     assert_catalogs_identical,
     assert_results_identical,
+    run_flow,
 )
 
 np = pytest.importorskip("numpy")
@@ -297,8 +297,8 @@ def test_hypothesis_pipeline_bit_identical(case, pdef):
     if pdef * capacity < len(dfg.colors()):
         pdef = -(-len(dfg.colors()) // capacity)
     config = SelectionConfig(span_limit=span, widen_to_capacity=True)
-    ref = Pipeline(capacity, pdef, config=config, backend="serial").run(dfg)
-    got = Pipeline(capacity, pdef, config=config, backend="bitset").run(dfg)
+    ref = run_flow(dfg, capacity, pdef, config, "serial")
+    got = run_flow(dfg, capacity, pdef, config, BITSET)
     assert_results_identical(got, ref)
 
 

@@ -169,26 +169,48 @@ class TestAsyncCoreRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestWarmBodies:
     def test_warm_bodies_match_the_cold_one(self, server):
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         body = _job().to_json().encode("utf-8")
+
+        def post_many(count, replies):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                for _ in range(count):
+                    conn.request(
+                        "POST",
+                        "/v1/jobs",
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    resp = conn.getresponse()
+                    assert resp.status == 200
+                    replies.append(
+                        (resp.getheader("X-Repro-Cache"), resp.read())
+                    )
+            finally:
+                conn.close()
+
         replies = []
-        try:
-            for _ in range(3):
-                conn.request(
-                    "POST",
-                    "/v1/jobs",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                resp = conn.getresponse()
-                assert resp.status == 200
-                replies.append((resp.getheader("X-Repro-Cache"), resp.read()))
-        finally:
-            conn.close()
+        post_many(3, replies)
         caches = [cache for cache, _ in replies]
         assert caches == ["none", "result", "result"]
         cold, warm, again = (raw for _, raw in replies)
         assert warm == again == cold
+        # Four keep-alive clients at once: every request is answered,
+        # from the result cache, with the cold bytes.
+        per_client = [[] for _ in range(4)]
+        workers = [
+            threading.Thread(target=post_many, args=(10, mine))
+            for mine in per_client
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        concurrent = [reply for mine in per_client for reply in mine]
+        assert concurrent == [("result", cold)] * 40
 
 
 # --------------------------------------------------------------------------- #

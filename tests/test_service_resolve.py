@@ -35,7 +35,6 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.exec import get_backend
-from repro.pipeline import Pipeline
 from repro.service import (
     AsyncServiceServer,
     JobRequest,
@@ -216,13 +215,16 @@ class TestLegacyEngineAliases:
         assert body["error"]["field"] == "policy"
 
     def test_default_paths_are_warning_free(self):
+        from repro.core.selection import PatternSelector
         from repro.patterns.enumeration import classify_antichains
+        from repro.scheduling.scheduler import MultiPatternScheduler
 
         dfg = three_point_dft_paper()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             classify_antichains(dfg, 4)
-            Pipeline(4, 5).run(dfg)
+            selection = PatternSelector(4).select(dfg, 5)
+            MultiPatternScheduler(selection.library).schedule(dfg)
 
 
 # --------------------------------------------------------------------------- #

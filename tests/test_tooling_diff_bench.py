@@ -126,96 +126,17 @@ def test_missing_baseline_path_is_skipped(tmp_path):
     ) == 0
 
 
-def _service_section(warm_speedup=500.0, catalog_builds=1):
-    return {
-        "workload": "FFT-64",
-        "cold_s": 1.0,
-        "warm_s": 1.0 / warm_speedup,
-        "warm_speedup": warm_speedup,
-        "sweep_pdefs": [3, 4, 5],
-        "sweep_catalog_builds": catalog_builds,
-    }
-
-
-def test_service_section_passes_at_floor(tmp_path, capsys):
-    report = _report([("FFT-8", "enumeration+classify", 5.0)])
-    report["service"] = _service_section(warm_speedup=10.0)
-    new = _write(tmp_path, "new.json", report)
-    assert diff_bench.main([str(new)]) == 0
-    assert "service submit" in capsys.readouterr().out
-
-
-def test_service_warm_speedup_below_floor_fails(tmp_path, capsys):
-    report = _report([("FFT-8", "enumeration+classify", 5.0)])
-    report["service"] = _service_section(warm_speedup=4.0)
-    new = _write(tmp_path, "new.json", report)
-    assert diff_bench.main([str(new)]) == 1
-    assert "below the 10.0x floor" in capsys.readouterr().err
-
-
-def test_service_sweep_must_build_catalog_once(tmp_path, capsys):
-    report = _report([("FFT-8", "enumeration+classify", 5.0)])
-    report["service"] = _service_section(catalog_builds=3)
-    new = _write(tmp_path, "new.json", report)
-    assert diff_bench.main([str(new)]) == 1
-    assert "expected exactly 1" in capsys.readouterr().err
-
-
-def test_missing_service_section_is_skipped(tmp_path, capsys):
-    new = _write(
-        tmp_path, "new.json",
-        _report([("FFT-8", "enumeration+classify", 5.0)]),
-    )
-    assert diff_bench.main([str(new)]) == 0
-    assert "service gate skipped" in capsys.readouterr().out
-
-
 # --------------------------------------------------------------------------- #
-# multi-core gates (process / shard rows)
+# multi-core gate (process rows)
 # --------------------------------------------------------------------------- #
-def _multicore_report(cpus, *, shard_speedup=None, process_speedup=None):
+def _multicore_report(cpus, *, process_speedup):
     report = _report([("FFT-64", "enumeration+classify", 5.0)])
     report["cpus"] = cpus
-    if process_speedup is not None:
-        row = report["stages"][0]
-        row["process_s"] = row["fast_s"] / process_speedup
-        row["process_jobs"] = 4
-        row["process_speedup_vs_fast"] = process_speedup
-    if shard_speedup is not None:
-        report["stages"].append(
-            {
-                "workload": "FFT-64",
-                "stage": "shard catalog",
-                "reference_s": 1.0,
-                "fast_s": 1.0 / shard_speedup,
-                "speedup": shard_speedup,
-                "shards": 4,
-            }
-        )
+    row = report["stages"][0]
+    row["process_s"] = row["fast_s"] / process_speedup
+    row["process_jobs"] = 4
+    row["process_speedup_vs_fast"] = process_speedup
     return report
-
-
-def test_shard_row_not_gated_on_single_cpu(tmp_path, capsys):
-    new = _write(
-        tmp_path, "new.json", _multicore_report(1, shard_speedup=0.3)
-    )
-    assert diff_bench.main([str(new)]) == 0
-    assert "overhead only; not gated" in capsys.readouterr().out
-
-
-def test_shard_row_gated_on_multicore(tmp_path, capsys):
-    new = _write(
-        tmp_path, "new.json", _multicore_report(4, shard_speedup=0.3)
-    )
-    assert diff_bench.main([str(new)]) == 1
-    assert "shard speedup 0.3x" in capsys.readouterr().err
-
-
-def test_shard_row_passes_floor_on_multicore(tmp_path):
-    new = _write(
-        tmp_path, "new.json", _multicore_report(4, shard_speedup=2.1)
-    )
-    assert diff_bench.main([str(new)]) == 0
 
 
 def test_process_row_not_gated_on_single_cpu(tmp_path, capsys):
@@ -232,125 +153,3 @@ def test_process_row_gated_on_multicore(tmp_path, capsys):
     )
     assert diff_bench.main([str(new)]) == 1
     assert "process speedup 0.8x" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------- #
-# warm-edit gate (any-machine, full reports only)
-# --------------------------------------------------------------------------- #
-def _edit_report(speedup, *, quick=False, cpus=1):
-    report = _report([("FFT-16", "enumeration+classify", 5.0)])
-    report["quick"] = quick
-    report["cpus"] = cpus
-    report["stages"].append(
-        {
-            "workload": "FFT-16",
-            "stage": "warm edit rebuild",
-            "reference_s": 1.0,
-            "fast_s": 1.0 / speedup,
-            "speedup": speedup,
-            "partition_hits": 15,
-        }
-    )
-    return report
-
-
-def test_warm_edit_gated_on_single_cpu_full_report(tmp_path, capsys):
-    # Unlike shard/process rows the edit gate is any-machine: the warm
-    # path elides DFS instead of parallelising it.  The default floor is
-    # 1.0 — warm must never be slower than cold.
-    new = _write(tmp_path, "new.json", _edit_report(0.8, cpus=1))
-    assert diff_bench.main([str(new)]) == 1
-    assert "warm edit rebuild speedup 0.8x" in capsys.readouterr().err
-
-
-def test_warm_edit_passes_at_floor(tmp_path, capsys):
-    new = _write(tmp_path, "new.json", _edit_report(1.1))
-    assert diff_bench.main([str(new)]) == 0
-    assert "warm edit rebuild" in capsys.readouterr().out
-
-
-def test_warm_edit_floor_is_configurable(tmp_path):
-    new = _write(tmp_path, "new.json", _edit_report(6.2))
-    assert diff_bench.main([str(new), "--warm-edit-floor", "8.0"]) == 1
-
-
-def test_warm_edit_not_gated_on_quick_smoke(tmp_path, capsys):
-    new = _write(tmp_path, "new.json", _edit_report(0.8, quick=True))
-    assert diff_bench.main([str(new)]) == 0
-    assert "not gated" in capsys.readouterr().out
-
-
-def test_quick_edit_rows_excluded_from_relative_diff(tmp_path, capsys):
-    # A faster cold rebuild legitimately compresses the quick warm/cold
-    # ratio; the relative compare must not read that as a regression.
-    old = _write(tmp_path, "old.json", _edit_report(6.0, quick=True))
-    new = _write(tmp_path, "new.json", _edit_report(2.0, quick=True))
-    assert diff_bench.main([str(new), "--baseline", str(old)]) == 0
-    assert "fixed-cost bound" in capsys.readouterr().out
-
-
-def test_report_without_edit_rows_skips_the_gate(tmp_path):
-    new = _write(
-        tmp_path, "new.json",
-        _report([("FFT-16", "enumeration+classify", 5.0)]),
-    )
-    assert diff_bench.main([str(new)]) == 0
-
-
-def test_shard_relative_diff_needs_multicore_both_sides(tmp_path, capsys):
-    old = _write(
-        tmp_path, "old.json", _multicore_report(1, shard_speedup=2.0)
-    )
-    new = _write(
-        tmp_path, "new.json", _multicore_report(4, shard_speedup=1.05)
-    )
-    # 1.05x vs a 2.0x baseline would regress, but the baseline was a
-    # single-CPU overhead measurement — it must be skipped, not compared.
-    assert diff_bench.main([str(new), "--baseline", str(old)]) == 0
-    assert "needs multi-core both sides" in capsys.readouterr().out
-
-
-# --------------------------------------------------------------------------- #
-# bitset gate (any-machine, full reports only)
-# --------------------------------------------------------------------------- #
-def _bitset_report(speedup, *, quick=False, cpus=1):
-    report = _report([("FFT-64", "enumeration+classify", 5.0)])
-    report["quick"] = quick
-    report["cpus"] = cpus
-    row = report["stages"][0]
-    row["bitset_s"] = row["fast_s"] / speedup
-    row["bitset_speedup_vs_fast"] = speedup
-    return report
-
-
-def test_bitset_gated_on_single_cpu_full_report(tmp_path, capsys):
-    # Like the warm-edit gate, the bitset gate is any-machine: both sides
-    # of the speedup run on the same single core.
-    new = _write(tmp_path, "new.json", _bitset_report(1.3, cpus=1))
-    assert diff_bench.main([str(new)]) == 1
-    assert "bitset speedup 1.3x" in capsys.readouterr().err
-
-
-def test_bitset_passes_at_floor(tmp_path, capsys):
-    new = _write(tmp_path, "new.json", _bitset_report(4.5))
-    assert diff_bench.main([str(new)]) == 0
-    assert "bitset vs fused" in capsys.readouterr().out
-
-
-def test_bitset_floor_is_configurable(tmp_path):
-    new = _write(tmp_path, "new.json", _bitset_report(4.5))
-    assert diff_bench.main([str(new), "--bitset-floor", "6.0"]) == 1
-
-
-def test_bitset_not_gated_on_quick_smoke(tmp_path, capsys):
-    new = _write(tmp_path, "new.json", _bitset_report(1.1, quick=True))
-    assert diff_bench.main([str(new)]) == 0
-    assert "not gated" in capsys.readouterr().out
-
-
-def test_report_without_bitset_columns_skips_the_gate(tmp_path):
-    new = _write(
-        tmp_path, "new.json",
-        _report([("FFT-64", "enumeration+classify", 5.0)]),
-    )
-    assert diff_bench.main([str(new)]) == 0
