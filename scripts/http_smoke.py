@@ -36,7 +36,11 @@ exactly like a remote caller would, and checks the service contract:
    ``repro serve``, a one-shard coordinator build and then a three-shard
    build of the same job — every slot of the second answers ``cache:
    shard``, the server runs no new DFS, and the catalogs are
-   bit-identical.
+   bit-identical;
+12. a result survives a restart: a second server over the first one's
+   ``--cache-dir`` answers the job ``X-Repro-Cache: result`` (a disk-only
+   hit, answered through the compute pool) with the cold answer's exact
+   bytes.
 
 Usage::
 
@@ -256,8 +260,51 @@ def main() -> int:
     quota_and_drain_leg()
     fault_leg()
     topology_leg()
+    restart_leg()
     print("http smoke OK")
     return 0
+
+
+def post_job(server: AsyncServiceServer, body: bytes) -> "tuple[str, bytes]":
+    """``(X-Repro-Cache, raw body)`` of one ``/v1/jobs`` POST."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request(
+            "POST", "/v1/jobs", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        raw = resp.read()
+        assert resp.status == 200, (resp.status, raw[:200])
+        return resp.getheader("X-Repro-Cache"), raw
+    finally:
+        conn.close()
+
+
+def restart_leg() -> None:
+    """A disk-only result hit after a restart returns the cold bytes."""
+    import tempfile
+
+    body = JobRequest(capacity=5, pdef=4, workload="3dft").to_json().encode()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        first = start_server(cache_dir=cache_dir)
+        try:
+            cache, cold = post_job(first, body)
+            assert cache == "none", cache
+        finally:
+            first.shutdown()
+        second = start_server(cache_dir=cache_dir)
+        try:
+            for _ in range(2):  # from disk, then from the memory front
+                cache, warm = post_job(second, body)
+                assert cache == "result", cache
+                assert warm == cold, "restarted server's answer differs"
+        finally:
+            second.shutdown()
+    print("restart ok: a second server over the cache dir answers "
+          "X-Repro-Cache: result with the cold bytes")
 
 
 def quota_and_drain_leg() -> None:

@@ -149,11 +149,7 @@ def apply_edits(dfg: DFG, edits: Iterable[DfgEdit]) -> DFG:
     unknown/duplicate nodes or missing/duplicate edges; acyclicity after an
     ``add_edge`` is *not* checked here (the scheduler entry points validate).
     """
-    nodes: list[tuple[str, str, dict[str, Any]]] = []
-    for n in dfg.nodes:
-        data = dict(dfg.node(n).attrs)
-        color = data.pop("color")
-        nodes.append((n, color, data))
+    nodes = list(dfg.node_data())
     edges: list[tuple[str, str]] = list(dfg.edges())
     index = {name: i for i, (name, _, _) in enumerate(nodes)}
 
@@ -201,9 +197,7 @@ def apply_edits(dfg: DFG, edits: Iterable[DfgEdit]) -> DFG:
 
     out = DFG(name=dfg.name)
     out.meta = dict(dfg.meta)
-    for name, color, attrs in nodes:
-        out.add_node(name, color, **attrs)
-    out.add_edges(edges)
+    out.extend(nodes, edges)
     return out
 
 

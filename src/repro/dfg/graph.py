@@ -31,8 +31,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from repro.exceptions import (
     CycleError,
     DuplicateNodeError,
@@ -57,7 +55,9 @@ class Node:
         Insertion index within the owning graph; stable and 0-based.
     attrs:
         Free-form attributes (e.g. the evaluable-semantics keys ``op``,
-        ``operands``, ``value``).
+        ``operands``, ``value``): the graph's own dict for the node, so
+        writes through it show in :meth:`DFG.attr`.  The color is not
+        among them.
     """
 
     name: str
@@ -79,6 +79,11 @@ class DFG:
 
     Notes
     -----
+    Storage is plain insertion-ordered dicts keyed by node name: the
+    color, the attrs dict, and the successor and predecessor sets
+    (``dict[str, None]``, so each iterates in edge-insertion order and
+    a duplicate edge is a no-op).
+
     Acyclicity is *not* enforced on every ``add_edge`` (that would be
     quadratic); call :meth:`check_acyclic` or
     :func:`repro.dfg.validate.validate_dfg`, which every scheduler entry point
@@ -90,9 +95,12 @@ class DFG:
         #: Free-form graph-level metadata (e.g. evaluable builders record
         #: their logical ``inputs`` / ``outputs`` here).
         self.meta: dict[str, Any] = {}
-        self._g = nx.DiGraph()
         self._order: list[str] = []
         self._index: dict[str, int] = {}
+        self._colors: dict[str, str] = {}
+        self._attrs: dict[str, dict[str, Any]] = {}
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
         #: Structure-derived analysis results (reachability masks, level
         #: analysis, …), invalidated wholesale on any node/edge mutation.
         #: Cached values must be treated as immutable by all consumers.
@@ -101,6 +109,70 @@ class DFG:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
+    def extend(
+        self,
+        nodes: Iterable[tuple[str, str, dict[str, Any]]] = (),
+        edges: Iterable[tuple[str, str]] = (),
+    ) -> None:
+        """Add ``(name, color, attrs)`` nodes, then ``(u, v)`` edges, in order.
+
+        The one checked insert path: :meth:`add_node` and :meth:`add_edge`
+        are its one-item case, and bulk builds (:meth:`copy`,
+        :func:`repro.dfg.io.from_payload`, :func:`repro.dfg.edit.apply_edits`)
+        pass whole graphs, clearing the analysis cache once.  The graph
+        keeps each ``attrs`` dict as the node's own.  A repeated edge is a
+        no-op.
+
+        Raises
+        ------
+        DuplicateNodeError
+            If a node name already exists.
+        GraphError
+            If a color is not a non-empty string, or ``attrs`` holds a
+            ``"color"`` key.
+        UnknownNodeError
+            If an edge names a node that does not exist.
+        CycleError
+            On a self-loop.
+        """
+        order, index, colors = self._order, self._index, self._colors
+        attrs_of, succ, pred = self._attrs, self._succ, self._pred
+        try:
+            for name, color, attrs in nodes:
+                if name in index:
+                    raise DuplicateNodeError(
+                        f"node {name!r} already present in {self.name!r}"
+                    )
+                if not isinstance(color, str) or not color:
+                    raise GraphError(
+                        f"node {name!r}: color must be a non-empty string"
+                    )
+                if "color" in attrs:
+                    raise GraphError(
+                        f"node {name!r}: 'color' is not a free-form attribute"
+                    )
+                index[name] = len(order)
+                order.append(name)
+                colors[name] = color
+                attrs_of[name] = attrs
+                succ[name] = {}
+                pred[name] = {}
+            for u, v in edges:
+                out = succ.get(u)
+                into = pred.get(v)
+                if out is None or into is None:
+                    self._require(u)
+                    self._require(v)
+                if u == v:
+                    raise CycleError(
+                        f"self-loop {u!r} -> {u!r} is not allowed in a DFG"
+                    )
+                if v not in out:
+                    out[v] = None
+                    into[u] = None
+        finally:
+            self._analysis_cache.clear()
+
     def add_node(self, name: str, color: str, **attrs: Any) -> Node:
         """Add an operation node and return its :class:`Node` record.
 
@@ -109,30 +181,18 @@ class DFG:
         DuplicateNodeError
             If ``name`` already exists.
         """
-        if name in self._index:
-            raise DuplicateNodeError(f"node {name!r} already present in {self.name!r}")
-        if not isinstance(color, str) or not color:
-            raise GraphError(f"node {name!r}: color must be a non-empty string")
-        idx = len(self._order)
-        self._g.add_node(name, color=color, **attrs)
-        self._order.append(name)
-        self._index[name] = idx
-        self._analysis_cache.clear()
-        return Node(name=name, color=color, index=idx, attrs=self._g.nodes[name])
+        self.extend(((name, color, attrs),))
+        return Node(
+            name=name, color=color, index=len(self._order) - 1, attrs=attrs
+        )
 
     def add_edge(self, u: str, v: str) -> None:
         """Add the dependency edge ``u -> v`` (``u`` produces for ``v``)."""
-        self._require(u)
-        self._require(v)
-        if u == v:
-            raise CycleError(f"self-loop {u!r} -> {u!r} is not allowed in a DFG")
-        self._g.add_edge(u, v)
-        self._analysis_cache.clear()
+        self.extend((), ((u, v),))
 
     def add_edges(self, edges: Iterable[tuple[str, str]]) -> None:
         """Add many edges preserving the given order."""
-        for u, v in edges:
-            self.add_edge(u, v)
+        self.extend((), edges)
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -158,7 +218,7 @@ class DFG:
     @property
     def n_edges(self) -> int:
         """Number of edges."""
-        return self._g.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -166,11 +226,13 @@ class DFG:
         return tuple(self._order)
 
     def node(self, name: str) -> Node:
-        """Return the :class:`Node` record for ``name``."""
+        """The :class:`Node` record for ``name``; its ``attrs`` is a live view."""
         self._require(name)
-        data = self._g.nodes[name]
         return Node(
-            name=name, color=data["color"], index=self._index[name], attrs=data
+            name=name,
+            color=self._colors[name],
+            index=self._index[name],
+            attrs=self._attrs[name],
         )
 
     def node_data(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
@@ -181,9 +243,9 @@ class DFG:
         :func:`repro.dfg.io.canonical_json` use this instead of building
         one :class:`Node` record per node.
         """
-        for name, data in self._g.nodes(data=True):
-            attrs = dict(data)
-            yield name, attrs.pop("color"), attrs
+        colors, attrs = self._colors, self._attrs
+        for name in self._order:
+            yield name, colors[name], dict(attrs[name])
 
     def index(self, name: str) -> int:
         """Stable insertion index of ``name`` (0-based)."""
@@ -202,12 +264,12 @@ class DFG:
     def color(self, name: str) -> str:
         """The color ``l(n)`` of node ``name``."""
         self._require(name)
-        return self._g.nodes[name]["color"]
+        return self._colors[name]
 
     def attr(self, name: str, key: str, default: Any = None) -> Any:
         """A free-form node attribute."""
         self._require(name)
-        return self._g.nodes[name].get(key, default)
+        return self._attrs[name].get(key, default)
 
     def set_attr(self, name: str, key: str, value: Any) -> None:
         """Set a free-form node attribute.
@@ -218,7 +280,11 @@ class DFG:
         not read them.
         """
         self._require(name)
-        self._g.nodes[name][key] = value
+        if key == "color":
+            raise GraphError(
+                f"node {name!r}: 'color' is not a free-form attribute"
+            )
+        self._attrs[name][key] = value
         self._analysis_cache.clear()
 
     # ------------------------------------------------------------------ #
@@ -227,45 +293,45 @@ class DFG:
     def successors(self, name: str) -> tuple[str, ...]:
         """``Succ(n)`` in edge-insertion order."""
         self._require(name)
-        return tuple(self._g.successors(name))
+        return tuple(self._succ[name])
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """``Pred(n)`` in edge-insertion order."""
         self._require(name)
-        return tuple(self._g.predecessors(name))
+        return tuple(self._pred[name])
 
     def out_degree(self, name: str) -> int:
         """``#direct successors`` of ``name`` (paper Eq. 4)."""
         self._require(name)
-        return self._g.out_degree(name)
+        return len(self._succ[name])
 
     def in_degree(self, name: str) -> int:
         """Number of direct predecessors of ``name``."""
         self._require(name)
-        return self._g.in_degree(name)
+        return len(self._pred[name])
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges, grouped by source in insertion order."""
-        return tuple(self._g.edges())
+        succ = self._succ
+        return tuple((u, v) for u in self._order for v in succ[u])
 
     def sources(self) -> tuple[str, ...]:
         """Nodes without predecessors, in insertion order."""
-        return tuple(n for n in self._order if self._g.in_degree(n) == 0)
+        pred = self._pred
+        return tuple(n for n in self._order if not pred[n])
 
     def sinks(self) -> tuple[str, ...]:
         """Nodes without successors, in insertion order."""
-        return tuple(n for n in self._order if self._g.out_degree(n) == 0)
+        succ = self._succ
+        return tuple(n for n in self._order if not succ[n])
 
     def colors(self) -> tuple[str, ...]:
         """The complete color set ``L`` in first-appearance order."""
-        seen: dict[str, None] = {}
-        for n in self._order:
-            seen.setdefault(self._g.nodes[n]["color"], None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self._colors.values()))
 
     def color_census(self) -> Counter[str]:
         """How many nodes of each color the graph contains."""
-        return Counter(self._g.nodes[n]["color"] for n in self._order)
+        return Counter(self._colors.values())
 
     def color_labels(self) -> tuple[list[int], tuple[str, ...]]:
         """Dense color interning: per-node color ids plus the id → color table.
@@ -285,9 +351,7 @@ class DFG:
             return cached
         ids: dict[str, int] = {}
         labels: list[int] = []
-        nodes = self._g.nodes
-        for n in self._order:
-            c = nodes[n]["color"]
+        for c in self._colors.values():
             cid = ids.get(c)
             if cid is None:
                 cid = ids[c] = len(ids)
@@ -315,10 +379,76 @@ class DFG:
         return cache["is_acyclic"]
 
     def check_acyclic(self) -> None:
-        """Raise :class:`~repro.exceptions.CycleError` unless the graph is a DAG."""
+        """Raise :class:`~repro.exceptions.CycleError` unless the graph is a DAG.
+
+        The message lists the edges of one cycle (:meth:`_find_cycle`).
+        """
         if not self.is_acyclic():
-            cyc = nx.find_cycle(self._g)
-            raise CycleError(f"graph {self.name!r} contains a cycle: {cyc}")
+            raise CycleError(
+                f"graph {self.name!r} contains a cycle: {self._find_cycle()}"
+            )
+
+    def _find_cycle(self) -> list[tuple[str, str]]:
+        """The edges of one cycle, ``[]`` for a DAG.
+
+        An edge-wise depth-first walk: roots in insertion order,
+        successors in edge-insertion order, the active path trimmed to
+        the first edge leaving the node that closes it.  The answer (and
+        so :meth:`check_acyclic`'s message) is the one the property
+        suite pins against an independent graph library's cycle finder.
+        """
+        explored: set[str] = set()
+        for root in self._order:
+            if root in explored:
+                continue
+            path: list[tuple[str, str]] = []
+            seen = {root}
+            active = {root}
+            previous_head = None
+            for tail, head in self._edge_dfs(root):
+                if head in explored:
+                    continue
+                if previous_head is not None and tail != previous_head:
+                    # Backtracked: pop the path back to the edge ending
+                    # at ``tail``, or restart it at ``tail``.
+                    while True:
+                        try:
+                            popped = path.pop()
+                        except IndexError:
+                            path, active = [], {tail}
+                            break
+                        active.remove(popped[1])
+                        if path and path[-1][1] == tail:
+                            break
+                path.append((tail, head))
+                if head in active:
+                    start = next(
+                        (i for i, (u, _) in enumerate(path) if u == head),
+                        len(path) - 1,
+                    )
+                    return path[start:]
+                seen.add(head)
+                active.add(head)
+                previous_head = head
+            explored.update(seen)
+        return []
+
+    def _edge_dfs(self, root: str) -> Iterator[tuple[str, str]]:
+        """Every edge reachable from ``root``, each once, depth first."""
+        succ = self._succ
+        pending: dict[str, Iterator[str]] = {}
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            heads = pending.get(node)
+            if heads is None:
+                heads = pending[node] = iter(succ[node])
+            head = next(heads, None)
+            if head is None:
+                stack.pop()
+            else:
+                stack.append(head)
+                yield node, head
 
     def topological_order(self) -> tuple[str, ...]:
         """Deterministic topological order (smallest ready index first).
@@ -333,40 +463,32 @@ class DFG:
             return cached
         import heapq
 
-        indeg = {n: self._g.in_degree(n) for n in self._order}
-        ready = [self._index[n] for n in self._order if indeg[n] == 0]
+        order, index, succ = self._order, self._index, self._succ
+        indeg = {n: len(p) for n, p in self._pred.items()}
+        ready = [index[n] for n in order if indeg[n] == 0]
         heapq.heapify(ready)
         out: list[str] = []
         while ready:
-            n = self._order[heapq.heappop(ready)]
+            n = order[heapq.heappop(ready)]
             out.append(n)
-            for s in self._g.successors(n):
+            for s in succ[n]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    heapq.heappush(ready, self._index[s])
-        if len(out) != len(self._order):
+                    heapq.heappush(ready, index[s])
+        if len(out) != len(order):
             raise CycleError(f"graph {self.name!r} contains a cycle")
-        order = self._analysis_cache["topological_order"] = tuple(out)
-        return order
+        result = self._analysis_cache["topological_order"] = tuple(out)
+        return result
 
     # ------------------------------------------------------------------ #
-    # conversion / copying
+    # copying
     # ------------------------------------------------------------------ #
     def copy(self, name: str | None = None) -> "DFG":
         """A deep, insertion-order-preserving copy."""
         out = DFG(name=name if name is not None else self.name)
         out.meta = dict(self.meta)
-        for n in self._order:
-            data = dict(self._g.nodes[n])
-            color = data.pop("color")
-            out.add_node(n, color, **data)
-        for u, v in self._g.edges():
-            out.add_edge(u, v)
+        out.extend(self.node_data(), self.edges())
         return out
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._g.copy()
 
     def __repr__(self) -> str:
         return (
@@ -403,7 +525,7 @@ class DFG:
             raise GraphError(f"malformed operand reference {ref!r}")
 
         for n in self.topological_order():
-            data = self._g.nodes[n]
+            data = self._attrs[n]
             op = data.get("op")
             if op is None:
                 raise GraphError(f"node {n!r} has no evaluable semantics ('op')")

@@ -110,15 +110,22 @@ def _json_safe(value: object) -> bool:
     return True
 
 
+#: The attrs of a payload node that lists none (copied, never shared).
+_NO_ATTRS: dict[str, Any] = {}
+
+
 def from_payload(payload: dict[str, Any]) -> DFG:
-    """Inverse of :func:`to_payload`."""
+    """Inverse of :func:`to_payload`: one bulk :meth:`DFG.extend`."""
     try:
         dfg = DFG(name=payload.get("name", "dfg"))
-        for node in payload["nodes"]:
-            dfg.add_node(node["name"], node["color"], **node.get("attrs", {}))
-        for u, v in payload["edges"]:
-            dfg.add_edge(u, v)
-    except (KeyError, TypeError) as exc:
+        dfg.extend(
+            [
+                (node["name"], node["color"], {**node.get("attrs", _NO_ATTRS)})
+                for node in payload["nodes"]
+            ],
+            payload["edges"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed DFG JSON payload: {exc!r}") from exc
     return dfg
 

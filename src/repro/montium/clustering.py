@@ -92,12 +92,7 @@ def cluster_dfg(dfg: "DFG", *, fuse_mac: bool = False) -> DFG:
             new_name[mul] = name
             new_name[n] = name
         else:
-            data = {
-                k: v
-                for k, v in dfg.node(n).attrs.items()
-                if k != "color"
-            }
-            out.add_node(n, dfg.color(n), **data)
+            out.add_node(n, dfg.color(n), **dfg.node(n).attrs)
             clusters[n] = (n,)
             new_name[n] = n
 

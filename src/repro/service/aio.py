@@ -7,12 +7,20 @@ the spirit of Uberun's master↔daemon link: many long-lived keep-alive
 connections multiplexed onto one event loop, compute pushed off-loop so
 the reactor never blocks behind a DFS.
 
-**Priority scheduling.**  Compute runs on a small thread pool fed by a
-priority queue.  Interactive edits (``/v1/jobs:edit``) and cache-warm
-submissions (:meth:`SchedulerService.probe_result` says the result
-cache will answer) jump ahead of cold catalog builds, so a long cold
-build cannot starve the traffic that would have returned in
-microseconds.  FIFO order is preserved within a priority class.
+**Warm hits on the loop, compute on a priority pool.**  A ``/v1/jobs``
+request whose result sits in the service's in-memory result cache with
+its encoding memoised (:meth:`SchedulerService.probe_result` returns it)
+is answered from the event loop: its body is those memoised bytes, and
+no pool thread is involved.  The loop probes only workload-named
+requests, whose graph digest is memoised; a request carrying an inline
+graph parses, hashes and probes as one high-priority pool task, so a
+large graph never stalls the other connections.  Everything else is
+compute and runs on a small thread pool fed by a priority queue.
+Interactive edits (``/v1/jobs:edit``) and the warm submissions the loop
+did not answer (disk-only hits, hits not yet encoded, requests naming a
+``backend``) jump ahead of cold catalog builds, so a long cold build
+cannot starve the traffic that would have returned in microseconds.
+FIFO order is preserved within a priority class.
 
 **Per-client quotas.**  A token bucket per client — keyed by the
 ``X-Repro-Client`` header, else the peer address — meters *work*
@@ -143,6 +151,23 @@ def _encoded(outcome: SubmitOutcome) -> "tuple[str, str]":
     otherwise block every other connection while it serialises.
     """
     return outcome.cache, outcome.result.to_json()
+
+
+def _answer_inline(
+    service: SchedulerService, body: bytes
+) -> "tuple[JobRequest, tuple[str, str] | None]":
+    """Parse an inline-graph job and answer it if it is warm (pool side).
+
+    Returns the request and its ``(cache level, body)``, or ``None`` in
+    place of the answer when the probe calls it cold.
+    """
+    request = JobRequest.from_json(body.decode("utf-8"))
+    warm, hit = service.probe_result(request)
+    if hit is not None:
+        return request, ("result", hit.to_json())
+    if warm:
+        return request, _encoded(service.submit_outcome(request))
+    return request, None
 
 
 class _PriorityPool:
@@ -633,20 +658,7 @@ class AsyncServiceServer:
     ) -> bool:
         service = self.service
         if path == "/v1/jobs":
-            request = JobRequest.from_json(body.decode("utf-8"))
-            # Warm traffic (the result cache will answer) jumps the
-            # queue: its service time is microseconds, and making it
-            # wait behind a cold build is the starvation this core
-            # exists to prevent.
-            priority = (
-                PRIORITY_HIGH
-                if service.probe_result(request)
-                else PRIORITY_NORMAL
-            )
-            cache, text = await self._pool.submit(
-                lambda: _encoded(service.submit_outcome(request)),
-                priority=priority,
-            )
+            cache, text = await self._submit_job(body)
             await self._send_json(
                 writer, 200, text, headers={"X-Repro-Cache": cache}
             )
@@ -701,6 +713,39 @@ class AsyncServiceServer:
                 {"error": {"type": "NotFound", "message": f"no route {path!r}"}},
             )
         return False
+
+    async def _submit_job(self, body: bytes) -> "tuple[str, str]":
+        """``(cache level, response body)`` for one ``/v1/jobs`` request.
+
+        A workload-named request is parsed and probed here on the loop
+        (a small body; its graph digest is memoised), and a memory-front
+        result hit is answered with its memoised encoding without a pool
+        hop.  A request carrying an inline graph does its parse, hash and
+        probe as one high-priority pool task, which also answers a warm
+        one; only a cold miss re-enters the queue at normal priority.
+        Everything else the probe declines (a disk-only hit, a hit not yet
+        encoded, a request naming a ``backend``) runs
+        :meth:`SchedulerService.submit_outcome` on the pool at high
+        priority, a miss or a contended lock at normal priority.
+        """
+        service = self.service
+        if b'"dfg"' in body:
+            request, answer = await self._pool.submit(
+                lambda: _answer_inline(service, body), priority=PRIORITY_HIGH
+            )
+            if answer is not None:
+                return answer
+            priority = PRIORITY_NORMAL
+        else:
+            request = JobRequest.from_json(body.decode("utf-8"))
+            warm, hit = service.probe_result(request)
+            if hit is not None:
+                return "result", hit.to_json()
+            priority = PRIORITY_HIGH if warm else PRIORITY_NORMAL
+        return await self._pool.submit(
+            lambda: _encoded(service.submit_outcome(request)),
+            priority=priority,
+        )
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -460,6 +460,11 @@ class JobResult:
             object.__setattr__(self, "_json", text)
         return text
 
+    @property
+    def encoded(self) -> str | None:
+        """The memoised compact :meth:`to_json`, ``None`` until first encoded."""
+        return self.__dict__.get("_json")
+
     def answer_dict(self) -> dict[str, Any]:
         """:meth:`to_dict` minus the per-submit echo fields.
 
@@ -482,7 +487,12 @@ class JobResult:
                 f"got {type(payload).__name__}"
             )
         try:
-            dfg = from_payload(payload["dfg"])
+            try:
+                dfg = from_payload(payload["dfg"])
+            except GraphError as exc:
+                raise JobValidationError(
+                    f"invalid result DFG: {exc}", field="dfg"
+                ) from exc
             metrics = dict(payload["metrics"])
             # JSON objects key by string; pattern_usage keys are pattern
             # indices — restore them to ints for losslessness.

@@ -199,15 +199,17 @@ def schedule_from_dict(payload: Any, dfg: "DFG") -> Schedule:
     payload = _expect(payload, "schedule")
     try:
         cycles = tuple(
-            CycleRecord(
-                cycle=rec["cycle"],
-                candidates=tuple(rec["candidates"]),
-                selections=tuple(tuple(sel) for sel in rec["selections"]),
-                priorities=tuple(rec["priorities"]),
-                chosen=rec["chosen"],
-                scheduled=tuple(rec["scheduled"]),
-            )
-            for rec in _get(payload, "cycles", "schedule")
+            [
+                CycleRecord(
+                    cycle=rec["cycle"],
+                    candidates=tuple(rec["candidates"]),
+                    selections=tuple(map(tuple, rec["selections"])),
+                    priorities=tuple(rec["priorities"]),
+                    chosen=rec["chosen"],
+                    scheduled=tuple(rec["scheduled"]),
+                )
+                for rec in _get(payload, "cycles", "schedule")
+            ]
         )
         return Schedule(
             dfg=dfg,

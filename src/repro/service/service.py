@@ -386,29 +386,53 @@ class SchedulerService:
         for b in self._overrides.values():
             b.close()
 
-    def probe_result(self, request: JobRequest) -> bool:
-        """Best-effort: would the result cache answer this request?
+    def probe_result(
+        self, request: JobRequest
+    ) -> "tuple[bool, JobResult | None]":
+        """``(warm, hit)``: a non-blocking look at the result cache.
 
-        Never computes, never blocks: an unresolved workload name counts
-        as cold, and a contended service lock answers ``False`` rather
-        than waiting behind a running submit.  The async front-end uses
-        this to classify traffic — warm (cache-answerable) submissions
-        jump the compute queue ahead of cold builds.
+        ``warm`` says whether the result cache would answer ``request``
+        (from memory or from disk); the async front-end queues warm
+        submissions ahead of cold builds.  ``hit`` is the memory-front
+        result when it can be answered on the spot: it already holds its
+        memoised encoding (:attr:`JobResult.encoded`) and the request
+        names no ``backend`` (whose name a full submit checks).  A hit is
+        booked as the submit it answers — one admission slot, one
+        ``submitted``, one ``result_hits`` — so the caller sends its
+        memoised ``to_json()`` and submits nothing; with ``max_pending``
+        full it raises the :class:`~repro.exceptions.ServiceOverloadedError`
+        a submit would.
+
+        Never builds and never waits: an unresolved workload name, a
+        malformed request and a contended service lock all answer
+        ``(False, None)``.  An inline graph is hashed here, before the
+        lock is taken (once; the digest is memoised on it), so callers on
+        an event loop probe only workload-named requests.
         """
         if not isinstance(request, JobRequest):
-            return False
-        if not self._lock.acquire(blocking=False):
-            return False
+            return False, None
         try:
             if request.workload is not None:
                 dfg = self._named_graphs.get(request.workload)
             else:
                 dfg = request.dfg
             if dfg is None:
-                return False
-            return request.job_key(dfg_digest(dfg)) in self._results
-        except Exception:  # noqa: BLE001 — a probe must never raise
-            return False
+                return False, None
+            job_key = request.job_key(dfg_digest(dfg))
+        except Exception:  # noqa: BLE001 — a probe never raises on input
+            return False, None
+        if not self._lock.acquire(blocking=False):
+            return False, None
+        try:
+            hit = None
+            if request.backend is None:
+                hit = self._results.get_resident(job_key)
+            if hit is None or hit.encoded is None:
+                return job_key in self._results, None
+            with self._admitted():
+                self.stats.submitted += 1
+                self.stats.result_hits += 1
+            return True, hit
         finally:
             self._lock.release()
 

@@ -86,6 +86,14 @@ class CacheStore:
     def get(self, key: Any) -> Any | None:
         raise NotImplementedError
 
+    def get_resident(self, key: Any) -> Any | None:
+        """``get`` answered from process memory alone, never from a file.
+
+        A hit refreshes recency as ``get`` does.  A store without an
+        in-process front answers ``None``.
+        """
+        return None
+
     def put(self, key: Any, value: Any) -> None:
         raise NotImplementedError
 
@@ -123,6 +131,9 @@ class MemoryCacheStore(CacheStore):
         except KeyError:
             return None
         return self._data[key]
+
+    def get_resident(self, key: Any) -> Any | None:
+        return self.get(key)
 
     def put(self, key: Any, value: Any) -> None:
         self._data[key] = value
@@ -233,13 +244,19 @@ class DiskCacheStore(CacheStore):
         except OSError:
             pass
 
-    def get(self, key: Any) -> Any | None:
+    def get_resident(self, key: Any) -> Any | None:
         # The memory front stores (path, value): the resolved path rides
         # along so a warm hit pays one utime, not a key re-digest.
         entry = self._memory.get(key)
-        if entry is not None:
-            path, value = entry
-            self._touch(path)
+        if entry is None:
+            return None
+        path, value = entry
+        self._touch(path)
+        return value
+
+    def get(self, key: Any) -> Any | None:
+        value = self.get_resident(key)
+        if value is not None:
             return value
         path = self.path_for(key)
         try:

@@ -106,6 +106,20 @@ def levels_3dft(paper_3dft: DFG) -> LevelAnalysis:
 # --------------------------------------------------------------------------- #
 # brute-force oracles
 # --------------------------------------------------------------------------- #
+def networkx_oracle(dfg: DFG):
+    """An independent ``networkx.DiGraph`` with ``dfg``'s nodes and edges.
+
+    Nodes go in insertion order and edges in :meth:`DFG.edges` order, so
+    each successor list keeps the graph's edge-insertion order.
+    """
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(dfg.nodes)
+    g.add_edges_from(dfg.edges())
+    return g
+
+
 def brute_force_antichains(
     dfg: DFG, max_size: int, span_limit: int | None = None
 ) -> set[frozenset[str]]:
@@ -114,7 +128,7 @@ def brute_force_antichains(
 
     from repro.dfg.span import span
 
-    g = dfg.to_networkx()
+    g = networkx_oracle(dfg)
     reach = {n: set(nx.descendants(g, n)) for n in dfg.nodes}
     levels = LevelAnalysis.of(dfg)
     out: set[frozenset[str]] = set()

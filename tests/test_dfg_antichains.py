@@ -152,6 +152,6 @@ class TestEnumeratorReuse:
         dfg.add_node("x", "a")
         dfg.add_node("y", "a")
         dfg.add_edge("x", "y")
-        dfg._g.add_edge("y", "x")
+        dfg.add_edge("y", "x")
         with pytest.raises(CycleError):
             AntichainEnumerator(dfg)

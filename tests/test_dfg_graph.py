@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from tests.conftest import chain, diamond
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests.conftest import chain, diamond, networkx_oracle
 
 from repro.dfg.graph import DFG
 from repro.exceptions import (
@@ -110,7 +117,7 @@ class TestOrdering:
         dfg.add_node("x", "a")
         dfg.add_node("y", "a")
         dfg.add_edge("x", "y")
-        dfg._g.add_edge("y", "x")  # bypass public API to force a cycle
+        dfg.add_edge("y", "x")  # a 2-cycle: add_edge does not check acyclicity
         with pytest.raises(CycleError):
             dfg.topological_order()
 
@@ -163,7 +170,7 @@ class TestTopologicalOrderMemo:
         dfg.add_node("x", "a")
         dfg.add_node("y", "a")
         dfg.add_edge("x", "y")
-        dfg._g.add_edge("y", "x")  # bypass public API to force a cycle
+        dfg.add_edge("y", "x")  # a 2-cycle: add_edge does not check acyclicity
         for _ in range(2):
             with pytest.raises(CycleError):
                 dfg.topological_order()
@@ -252,7 +259,7 @@ class TestAcyclicity:
         dfg.add_node("x", "a")
         dfg.add_node("y", "a")
         dfg.add_edge("x", "y")
-        dfg._g.add_edge("y", "x")
+        dfg.add_edge("y", "x")
         assert not dfg.is_acyclic()
         with pytest.raises(CycleError):
             dfg.check_acyclic()
@@ -271,7 +278,6 @@ class TestAcyclicity:
             validate_dfg(dfg)
 
     def test_one_walk_per_graph_version(self, monkeypatch):
-        from repro.dfg import graph as graph_mod
         from repro.dfg.antichains import AntichainEnumerator
         from repro.dfg.validate import validate_dfg
         from repro.service import JobRequest, SchedulerService
@@ -285,13 +291,7 @@ class TestAcyclicity:
                 walks.append(self)  # a cache miss is one Kahn walk
             return real(self)
 
-        def networkx_check(g):
-            raise AssertionError("networkx DAG check called")
-
         monkeypatch.setattr(DFG, "topological_order", counted)
-        monkeypatch.setattr(
-            graph_mod.nx, "is_directed_acyclic_graph", networkx_check
-        )
         dfg = three_point_dft_paper()
         for _ in range(3):
             validate_dfg(dfg)
@@ -310,6 +310,159 @@ class TestAcyclicity:
         assert len(walks) == 1
 
 
+class TestStorage:
+    def test_duplicate_edge_is_a_no_op(self):
+        dfg = diamond()
+        edges = dfg.edges()
+        dfg.add_edge(*edges[0])
+        assert dfg.edges() == edges
+        assert dfg.n_edges == 4
+        assert dfg.predecessors(edges[0][1]).count(edges[0][0]) == 1
+
+    def test_node_attrs_are_a_live_view(self):
+        dfg = DFG()
+        node = dfg.add_node("a1", "a", op="add")
+        dfg.set_attr("a1", "factor", 2.0)
+        assert node.attrs["factor"] == 2.0
+        dfg.node("a1").attrs["weight"] = 3
+        assert dfg.attr("a1", "weight") == 3
+        assert "color" not in node.attrs
+
+    def test_extend_is_add_node_then_add_edge(self):
+        one = DFG()
+        one.add_node("b", "x")
+        one.add_node("a", "y", op="add")
+        one.add_node("c", "x")
+        for u, v in (("a", "c"), ("b", "c"), ("b", "a"), ("b", "c")):
+            one.add_edge(u, v)
+        bulk = DFG()
+        bulk.extend(
+            [("b", "x", {}), ("a", "y", {"op": "add"}), ("c", "x", {})],
+            [("a", "c"), ("b", "c"), ("b", "a"), ("b", "c")],
+        )
+        assert list(bulk.node_data()) == list(one.node_data())
+        assert bulk.edges() == one.edges()
+        assert bulk.n_edges == one.n_edges == 3
+        for n in one:
+            assert bulk.predecessors(n) == one.predecessors(n)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, exc",
+        [
+            ([("a", "x", {}), ("a", "y", {})], [], DuplicateNodeError),
+            ([("a", "", {})], [], GraphError),
+            ([("a", "x", {})], [("a", "zz")], UnknownNodeError),
+            ([("a", "x", {})], [("zz", "a")], UnknownNodeError),
+            ([("a", "x", {})], [("a", "a")], CycleError),
+        ],
+    )
+    def test_extend_runs_the_add_checks(self, nodes, edges, exc):
+        dfg = DFG()
+        with pytest.raises(exc):
+            dfg.extend(nodes, edges)
+
+    def test_extend_clears_the_analysis_cache(self):
+        dfg = chain(3)
+        first = dfg.topological_order()
+        dfg.extend([("z", "a", {})], [("z", dfg.nodes[0])])
+        assert dfg.topological_order() == ("z",) + first
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_adjacency_order_matches_networkx(self, data):
+        import networkx as nx
+
+        n = data.draw(st.integers(2, 8))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = [
+            (f"n{u}", f"n{v}")
+            for u, v in data.draw(st.lists(pairs, max_size=20))
+            if u != v
+        ]
+        dfg, g = DFG(), nx.DiGraph()
+        for i in range(n):
+            dfg.add_node(f"n{i}", "a")
+            g.add_node(f"n{i}")
+        for u, v in edges:
+            dfg.add_edge(u, v)
+            g.add_edge(u, v)
+        assert dfg.edges() == tuple(g.edges())
+        assert dfg.n_edges == g.number_of_edges()
+        for node in dfg:
+            assert dfg.successors(node) == tuple(g.successors(node))
+            assert dfg.predecessors(node) == tuple(g.predecessors(node))
+
+
+class TestFindCycle:
+    """``check_acyclic``'s message lists the cycle networkx's ``find_cycle``
+    finds (the 2-cycle case is pinned in ``test_core_selection_scaling``)."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # The walk backtracks from a dead end to a side branch whose
+            # edge re-enters the popped path; the cycle lies elsewhere.
+            [(0, 1), (1, 2), (2, 3), (1, 4), (4, 2), (5, 6), (6, 5)],
+            [(0, 1), (1, 2), (2, 0), (3, 1)],
+            [(3, 0), (0, 1), (1, 2), (2, 1)],
+        ],
+    )
+    def test_backtracking_matches_networkx(self, edges):
+        import networkx as nx
+
+        dfg = DFG(name="g")
+        for i in range(1 + max(max(e) for e in edges)):
+            dfg.add_node(f"n{i}", "a")
+        dfg.add_edges((f"n{u}", f"n{v}") for u, v in edges)
+        want = nx.find_cycle(networkx_oracle(dfg))
+        with pytest.raises(CycleError) as exc:
+            dfg.check_acyclic()
+        assert str(exc.value) == f"graph 'g' contains a cycle: {want}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_networkx_find_cycle(self, data):
+        import networkx as nx
+
+        n = data.draw(st.integers(2, 9))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        drawn = data.draw(st.lists(pairs, min_size=1, max_size=24))
+        dfg = DFG(name="g")
+        for i in data.draw(st.permutations(range(n))):
+            dfg.add_node(f"n{i}", "a")
+        # Close at least one cycle: the first drawn pair in both directions.
+        u, v = drawn[0]
+        if u == v:
+            v = (u + 1) % n
+        for a, b in [(u, v)] + drawn[1:] + [(v, u)]:
+            if a != b:
+                dfg.add_edge(f"n{a}", f"n{b}")
+        want = nx.find_cycle(networkx_oracle(dfg))
+        with pytest.raises(CycleError) as exc:
+            dfg.check_acyclic()
+        assert str(exc.value) == f"graph 'g' contains a cycle: {want}"
+
+
+def test_a_cold_submit_and_decode_never_import_networkx():
+    code = (
+        "import sys\n"
+        "from repro.service import JobRequest, JobResult, SchedulerService\n"
+        "from repro.workloads import three_point_dft_paper\n"
+        "with SchedulerService() as service:\n"
+        "    result = service.submit(JobRequest(\n"
+        "        capacity=5, pdef=4, dfg=three_point_dft_paper()))\n"
+        "assert JobResult.from_json(result.to_json()) == result\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestCopy:
     def test_copy_preserves_everything(self, paper_3dft):
         cp = paper_3dft.copy()
@@ -325,11 +478,6 @@ class TestCopy:
         assert "extra" not in dfg
         assert cp.name == "clone"
 
-    def test_to_networkx_is_a_copy(self):
-        dfg = chain(3)
-        g = dfg.to_networkx()
-        g.add_node("foreign")
-        assert "foreign" not in dfg
 
 
 class TestEvaluate:

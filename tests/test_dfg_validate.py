@@ -33,7 +33,7 @@ def test_cycle_rejected():
     dfg.add_node("x", "a")
     dfg.add_node("y", "a")
     dfg.add_edge("x", "y")
-    dfg._g.add_edge("y", "x")
+    dfg.add_edge("y", "x")
     with pytest.raises(CycleError):
         check_acyclic(dfg)
     with pytest.raises(CycleError):

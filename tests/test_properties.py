@@ -13,7 +13,7 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_force_antichains
+from tests.conftest import brute_force_antichains, networkx_oracle
 
 from repro.core.selection import select_patterns
 from repro.dfg.antichains import enumerate_antichains
@@ -75,7 +75,7 @@ def test_asap_max_equals_longest_path(params):
     seed, n, p = params
     dfg = random_dag(seed, n, p)
     lv = LevelAnalysis.of(dfg)
-    assert lv.asap_max == nx.dag_longest_path_length(dfg.to_networkx())
+    assert lv.asap_max == nx.dag_longest_path_length(networkx_oracle(dfg))
 
 
 # --------------------------------------------------------------------------- #

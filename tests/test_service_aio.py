@@ -8,6 +8,11 @@ offers:
   hint, scoped to the offending client while other clients proceed;
 * graceful drain: in-flight work finishes, new work answers 503 with a
   retry hint, reads keep serving;
+* warm hits: a memory-front result hit is answered on the event loop
+  while every pool worker is parked, disk-only hits and inline-graph
+  requests go through the pool, and either way the header, body bytes,
+  stats, admission and backend-name checks match; an inline graph's
+  parse never delays ``/healthz``;
 * server-push shard streaming with heartbeats on silent stretches,
   frame for frame equal to in-process classification and bit-identical
   to a fused build under jittered latencies (hypothesis-pinned).
@@ -15,8 +20,11 @@ offers:
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import http.client
 import json
+import os
 import random
 import threading
 import time
@@ -211,6 +219,206 @@ class TestWarmBodies:
         assert not any(worker.is_alive() for worker in workers)
         concurrent = [reply for mine in per_client for reply in mine]
         assert concurrent == [("result", cold)] * 40
+
+
+# --------------------------------------------------------------------------- #
+# the warm path: memory-front hits on the loop, the rest on the pool
+# --------------------------------------------------------------------------- #
+#: The same warm job in the forms that take each path: a workload-named
+#: request is answered on the event loop; the inline graph and the
+#: ``backend``-naming request go through the pool.
+WARM_FORMS = {
+    "loop": lambda: _job(),
+    "pool-inline-graph": lambda: _job(workload=None, dfg=three_point_dft_paper()),
+    "pool-backend": lambda: _job(backend="fused"),
+}
+
+
+def _post(server, body: bytes, timeout: float = 30):
+    """``(status, X-Repro-Cache, raw body)`` of one ``/v1/jobs`` POST."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=timeout)
+    try:
+        conn.request(
+            "POST", "/v1/jobs", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("X-Repro-Cache"), resp.read()
+    finally:
+        conn.close()
+
+
+def _park_pool(server) -> threading.Event:
+    """Occupy every pool worker until the returned event is set."""
+    workers = len(server._pool._threads)
+    parked = threading.Semaphore(0)
+    release = threading.Event()
+
+    def park():
+        parked.release()
+        assert release.wait(timeout=60)
+
+    async def enqueue():
+        for _ in range(workers):
+            server._pool.submit(park, priority=0)
+
+    asyncio.run_coroutine_threadsafe(enqueue(), server._loop).result(timeout=30)
+    for _ in range(workers):
+        assert parked.acquire(timeout=30)
+    return release
+
+
+def _in_thread(call) -> "tuple[threading.Thread, list]":
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    thread.start()
+    return thread, out
+
+
+class TestWarmPath:
+    @pytest.fixture()
+    def warm(self, server):
+        """A server whose result cache holds the job, encoded; the cold bytes."""
+        status, cache, cold = _post(server, _job().to_json().encode())
+        assert (status, cache) == (200, "none")
+        return server, cold
+
+    @pytest.mark.parametrize("form", sorted(WARM_FORMS))
+    def test_header_and_bytes_equal_the_cold_answer(self, warm, form):
+        server, cold = warm
+        body = WARM_FORMS[form]().to_json().encode()
+        for _ in range(2):
+            assert _post(server, body) == (200, "result", cold)
+
+    @pytest.mark.parametrize("form", sorted(WARM_FORMS))
+    def test_each_hit_is_counted_once(self, warm, form):
+        server, _ = warm
+        stats = server.service.stats
+        before = (stats.submitted, stats.result_hits, stats.result_misses)
+        body = WARM_FORMS[form]().to_json().encode()
+        for _ in range(3):
+            assert _post(server, body)[:2] == (200, "result")
+        after = (stats.submitted, stats.result_hits, stats.result_misses)
+        assert after == (before[0] + 3, before[1] + 3, before[2])
+
+    def test_a_memory_front_hit_answers_while_the_pool_is_parked(self, warm):
+        server, cold = warm
+        release = _park_pool(server)
+        try:
+            body = WARM_FORMS["loop"]().to_json().encode()
+            assert _post(server, body, timeout=10) == (200, "result", cold)
+            # The pool forms need a worker: they wait for the release.
+            pooled = [
+                _in_thread(lambda f=f: _post(server, WARM_FORMS[f]().to_json().encode()))
+                for f in ("pool-inline-graph", "pool-backend")
+            ]
+            for thread, _ in pooled:
+                thread.join(timeout=0.3)
+                assert thread.is_alive()
+        finally:
+            release.set()
+        for thread, out in pooled:
+            thread.join(timeout=30)
+            assert out == [(200, "result", cold)]
+
+    @pytest.mark.parametrize("form", sorted(WARM_FORMS))
+    def test_admission_is_unchanged_with_max_pending_full(self, form):
+        server = AsyncServiceServer(port=0, max_pending=1)
+        server.start_background()
+        service = server.service
+        original = service._submit_outcome
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(request):
+            if request.pdef == 3:
+                entered.set()
+                assert release.wait(timeout=60)
+            return original(request)
+
+        service._submit_outcome = gated
+        try:
+            assert _post(server, _job().to_json().encode())[:2] == (200, "none")
+            # A cold job holds the one admission slot.
+            holder, _ = _in_thread(lambda: _post(server, _job(pdef=3).to_json().encode()))
+            assert entered.wait(timeout=30)
+            rejected = service.stats.rejected
+            status, _, raw = _post(server, WARM_FORMS[form]().to_json().encode())
+            assert status == 429
+            assert json.loads(raw)["error"]["type"] == "ServiceOverloadedError"
+            assert service.stats.rejected == rejected + 1
+        finally:
+            release.set()
+            service._submit_outcome = original
+            holder.join(timeout=30)
+            server.shutdown()
+
+    @pytest.mark.parametrize("form", ["loop", "pool-inline-graph"])
+    def test_an_unknown_backend_is_rejected_on_a_warm_hit(self, warm, form):
+        server, _ = warm
+        request = dataclasses.replace(WARM_FORMS[form](), backend="no-such-backend")
+        cold = dataclasses.replace(request, pdef=2)
+        answers = [_post(server, r.to_json().encode()) for r in (request, cold)]
+        assert [status for status, _, _ in answers] == [422, 422]
+        warm_error, cold_error = (json.loads(raw) for _, _, raw in answers)
+        assert warm_error == cold_error
+        assert warm_error["error"]["type"] == "BackendError"
+
+    def test_a_disk_only_hit_goes_through_the_pool_and_touches_the_file(
+        self, tmp_path
+    ):
+        first = AsyncServiceServer(port=0, cache_dir=tmp_path)
+        first.start_background()
+        try:
+            _, cache, cold = _post(first, _job().to_json().encode())
+            assert cache == "none"
+        finally:
+            first.shutdown()
+        (path,) = (tmp_path / "result").glob("*.json")
+        server = AsyncServiceServer(port=0, cache_dir=tmp_path)
+        server.start_background()
+        try:
+            body = _job().to_json().encode()
+            for disk_only in (True, False):
+                os.utime(path, (1, 1))
+                release = _park_pool(server)
+                try:
+                    thread, out = _in_thread(lambda: _post(server, body))
+                    thread.join(timeout=0.3 if disk_only else 10)
+                    # A disk-only hit needs a worker; once decoded and
+                    # encoded, the next one is answered on the loop.
+                    assert thread.is_alive() == disk_only
+                finally:
+                    release.set()
+                thread.join(timeout=30)
+                assert out == [(200, "result", cold)]
+                assert path.stat().st_mtime > 1
+        finally:
+            server.shutdown()
+
+    def test_healthz_is_not_delayed_by_an_inline_graph_parse(
+        self, server, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        original = JobRequest.from_json.__func__
+
+        def gated(cls, text):
+            if '"dfg"' in text:
+                entered.set()
+                assert release.wait(timeout=60)
+            return original(cls, text)
+
+        monkeypatch.setattr(JobRequest, "from_json", classmethod(gated))
+        body = _job(workload=None, dfg=three_point_dft_paper()).to_json().encode()
+        thread, out = _in_thread(lambda: _post(server, body))
+        try:
+            assert entered.wait(timeout=30)
+            with ServiceClient(server.url, timeout=5) as client:
+                assert client.health()["status"] == "ok"
+            assert thread.is_alive()
+        finally:
+            release.set()
+        thread.join(timeout=30)
+        assert out[0][:2] == (200, "none")
 
 
 # --------------------------------------------------------------------------- #

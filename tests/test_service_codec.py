@@ -269,6 +269,27 @@ class TestMalformedBags:
             JobResult.from_dict(payload)
 
 
+class TestMalformedGraph:
+    """A result's embedded graph fails as the request's does: typed, on ``dfg``."""
+
+    def _payload(self, service) -> dict:
+        return json.loads(service.submit(_job()).to_json())
+
+    def test_node_without_a_color(self, service):
+        payload = self._payload(service)
+        del payload["dfg"]["nodes"][0]["color"]
+        with pytest.raises(JobValidationError) as exc:
+            JobResult.from_dict(payload)
+        assert exc.value.field == "dfg"
+
+    def test_edge_to_an_unknown_node(self, service):
+        payload = self._payload(service)
+        payload["dfg"]["edges"].append([payload["dfg"]["nodes"][0]["name"], "zz"])
+        with pytest.raises(JobValidationError) as exc:
+            JobResult.from_dict(payload)
+        assert exc.value.field == "dfg"
+
+
 # --------------------------------------------------------------------------- #
 # batch decode
 # --------------------------------------------------------------------------- #
