@@ -8,11 +8,8 @@ checks every output bit-identical before it reports a number:
 
 ``enumeration+classify`` rows
     The monolithic catalog build (``PatternSelector.build_catalog``)
-    under the serial reference and the fused backend's scalar DFS, which
-    no service job runs.  ``speedup`` is serial over fused.  With
-    ``--backend process --jobs N`` the process backend's pooled build is
-    timed too and its ``process_speedup_vs_fast`` over the fused build
-    recorded.
+    under the serial reference and the fused backend (the partitioned
+    bitset build).  ``speedup`` is serial over fused.
 ``antichain census`` rows
     ``AntichainEnumerator.count_by_size`` (the Table 5 analysis path)
     against counting a materializing enumeration.
@@ -24,13 +21,12 @@ checks every output bit-identical before it reports a number:
     ``overhead`` is the degraded/healthy wall-time ratio.
 
 The report records the machine's CPU count; ``scripts/diff_bench.py``
-gates it (``--floor``, ``--ratio``, ``--process-floor`` when ``cpus > 1``,
-``--fault-overhead-ceiling`` on full reports).
+gates it (``--floor``, ``--ratio``, ``--fault-overhead-ceiling`` on full
+reports).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py              # serial vs fused
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --backend process --jobs 4
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick      # CI smoke
     PYTHONPATH=src python benchmarks/run_benchmarks.py -o out.json
 """
@@ -53,7 +49,6 @@ from repro._version import __version__
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
-from repro.exec import get_backend
 from repro.workloads.fft import radix2_fft
 
 DEFAULT_OUTPUT = (
@@ -102,7 +97,7 @@ def _row(name, stage, ref_s, fast_s) -> dict:
     }
 
 
-def bench_workload(name, dfg, config, capacity, repeats, process_jobs):
+def bench_workload(name, dfg, config, capacity, repeats):
     """The catalog build per backend, then the census, on one workload."""
     selector = PatternSelector(capacity, config=config)
 
@@ -115,20 +110,6 @@ def bench_workload(name, dfg, config, capacity, repeats, process_jobs):
     fast_s, fast_cat = build("fused")
     _assert_same_catalog(ref_cat, fast_cat, "serial vs fused")
     row = _row(name, "enumeration+classify", ref_s, fast_s)
-    if process_jobs:
-        with get_backend("process", jobs=process_jobs) as backend:
-            proc_s, proc_cat = build(backend)
-        _assert_same_catalog(fast_cat, proc_cat, "fused vs process")
-        row["process_s"] = round(proc_s, 6)
-        row["process_jobs"] = process_jobs
-        row["process_speedup_vs_fast"] = (
-            round(fast_s / proc_s, 2) if proc_s > 0 else None
-        )
-        print(
-            f"  {name:>8} {f'process x{process_jobs}':<24} "
-            f"fast {fast_s:8.4f}s   proc {proc_s:8.4f}s   "
-            f"{fast_s / proc_s:6.2f}x"
-        )
 
     # Table 5 census: counting-only DFS vs materializing enumeration.
     size = capacity
@@ -302,23 +283,10 @@ def main(argv=None) -> int:
         help="small workloads / single repeat (CI smoke)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["process"],
-        help="additionally time this backend against the fused baseline",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker count for --backend process (default: all cores)",
-    )
-    parser.add_argument(
         "-o", "--output", type=Path, default=DEFAULT_OUTPUT,
         help=f"output JSON path (default: {DEFAULT_OUTPUT})",
     )
     args = parser.parse_args(argv)
-    process_jobs = None
-    if args.backend == "process":
-        process_jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
 
     if args.quick:
         workloads = [
@@ -361,14 +329,10 @@ def main(argv=None) -> int:
             ),
         ]
 
-    print("engine benchmark: catalog build (serial / fused"
-          + (f" / process x{process_jobs}" if process_jobs else "")
-          + ") and antichain census")
+    print("engine benchmark: catalog build (serial / fused) and antichain census")
     rows = []
     for name, dfg, config, capacity, repeats in workloads:
-        rows.extend(
-            bench_workload(name, dfg, config, capacity, repeats, process_jobs)
-        )
+        rows.extend(bench_workload(name, dfg, config, capacity, repeats))
 
     print("fault benchmark: sharded build with 1-of-4 shards dead vs "
           "all healthy")
@@ -381,8 +345,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "quick": args.quick,
-        "backends": ["serial", "fused"] + (["process"] if process_jobs else []),
-        "process_jobs": process_jobs,
+        "backends": ["serial", "fused"],
         "stages": rows,
         "faults": faults_section,
     }

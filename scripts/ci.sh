@@ -22,7 +22,7 @@ echo "== optional bitset extension build (best effort) =="
 # The Extension is marked optional=True: a missing compiler degrades to
 # the pure numpy expansion path with identical output, never a failure.
 python setup.py build_ext --inplace >/dev/null 2>&1 \
-    || echo "  (build failed; bitset backend will use the numpy expansion path)"
+    || echo "  (build failed; the bitset kernel will use the numpy expansion path)"
 python - <<'EOF'
 from repro.exec.bitset import bitset_availability
 print(f"  bitset availability: {bitset_availability()}")
@@ -105,19 +105,6 @@ if edit.cache != "edit":
 print(f"  1 classify call, partition_misses={misses}, {cached} partials cached,"
       f" edit answered {edit.cache!r}")
 EOF
-
-echo "== CLI process pool: pipeline fft8 --backend process --jobs 2 matches fused =="
-# Drives the process backend's pool through the service's partitioned
-# build end to end on a heavy graph.  The library and cycle count must
-# equal a fused single-service run; the backend named in the header
-# legitimately differs.  No timing gate.
-pooled=$(python -m repro.cli pipeline fft8 --backend process --jobs 2 | grep -E '^ *(library|cycles):')
-single=$(python -m repro.cli pipeline fft8 | grep -E '^ *(library|cycles):')
-if [[ -z "$single" || "$pooled" != "$single" ]]; then
-    printf 'pooled:\n%s\nsingle:\n%s\n' "$pooled" "$single"
-    exit 1
-fi
-printf '%s\n' "$pooled" | sed 's/^/ /'
 
 echo "== perfbench unit tests =="
 python perfbench/selftest.py

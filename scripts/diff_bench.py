@@ -16,11 +16,6 @@ the absolute floors:
   whose fast path measured under 10 ms on both sides are skipped — at
   that scale a single scheduler hiccup flips the ratio, so the compare
   would gate timer noise, not code;
-* process gate — the process backend's enumeration+classify speedup over
-  the fused build is only meaningful on real multi-core hardware, so it
-  is gated **only when the report says ``cpus > 1``**: it must then reach
-  ≥ ``--process-floor`` (default 1.05x).  On a single-CPU machine the row
-  measures fan-out overhead only and is reported, never gated;
 * fault gate — the report's ``faults`` section (the FFT-8 sharded build
   with 1-of-4 shards dead vs all healthy) must show retries or
   failovers, and on full reports its degraded/healthy ratio must stay ≤
@@ -67,11 +62,6 @@ def main(argv=None) -> int:
         "baseline's (default 0.5)",
     )
     parser.add_argument(
-        "--process-floor", type=float, default=1.05,
-        help="minimum process-vs-fused enumeration speedup, gated only "
-        "when the report's cpus > 1 (default 1.05)",
-    )
-    parser.add_argument(
         "--fault-overhead-ceiling", type=float, default=3.0,
         help="maximum degraded/healthy wall-time ratio for the sharded "
         "build with 1-of-4 shards dead (the report's 'faults' section), "
@@ -83,7 +73,6 @@ def main(argv=None) -> int:
     new = json.loads(args.new.read_text())
     new_stages = _stages(new)
     failures: list[str] = []
-    multicore = (new.get("cpus") or 1) > 1
 
     for (workload, stage), row in sorted(new_stages.items()):
         if stage == "enumeration+classify" and (row["speedup"] or 0) < args.floor:
@@ -91,20 +80,6 @@ def main(argv=None) -> int:
                 f"{workload}/{stage}: fused speedup {row['speedup']}x "
                 f"below the {args.floor}x floor"
             )
-        proc_speedup = row.get("process_speedup_vs_fast")
-        if stage == "enumeration+classify" and proc_speedup is not None:
-            if not multicore:
-                print(
-                    f"  {workload:>8} process x{row.get('process_jobs')} "
-                    f"{proc_speedup}x vs fused — single-CPU report "
-                    f"(cpus={new.get('cpus')}), overhead only; not gated"
-                )
-            elif proc_speedup < args.process_floor:
-                failures.append(
-                    f"{workload}/{stage}: process speedup {proc_speedup}x "
-                    f"vs fused below the {args.process_floor}x floor on a "
-                    f"{new.get('cpus')}-cpu machine"
-                )
 
     faults = new.get("faults")
     if faults is not None:

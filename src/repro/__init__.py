@@ -10,8 +10,8 @@ The library implements, from scratch:
   (:mod:`repro.scheduling`),
 * the paper's contribution — the pattern selection algorithm of §5
   (:mod:`repro.core`),
-* pluggable execution backends — serial, fused, multiprocess — behind a
-  named registry (:mod:`repro.exec`),
+* pluggable execution backends — the serial reference and the fused fast
+  paths — behind a named registry (:mod:`repro.exec`),
 * a job-oriented scheduling service with content-addressed caching and a
   stdlib HTTP front-end (:mod:`repro.service`),
 * a lightweight Montium tile model and 4-phase compiler pipeline

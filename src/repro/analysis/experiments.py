@@ -108,7 +108,6 @@ def random_vs_selected(
     seed: int = 2006,
     config: SelectionConfig | None = None,
     backend: "object | str" = "fused",
-    jobs: int | None = None,
     service: "object | None" = None,
 ) -> list[RandomVsSelectedRow]:
     """The paper's Table 7: random vs selected patterns across ``Pdef``.
@@ -120,47 +119,42 @@ def random_vs_selected(
     catalog cache (results are backend-independent; only wall-clock
     changes).  Pass ``service`` to share a resident service (and its
     caches) across harness calls; otherwise an ephemeral one is created
-    on ``backend``/``jobs``.
+    on ``backend``.
     """
     from repro.service import JobRequest, SchedulerService
 
-    owned = service is None
     if service is None:
-        service = SchedulerService(backend=backend, jobs=jobs)  # type: ignore[arg-type]
-    try:
-        exec_backend = service.backend
-        colors = list(dfg.colors())
-        pdefs = list(pdefs)
-        cfg = config if config is not None else SelectionConfig()
-        selected = service.submit_many(
-            [
-                JobRequest(capacity=capacity, pdef=pdef, dfg=dfg, config=cfg)
-                for pdef in pdefs
-            ]
-        )
-        rows: list[RandomVsSelectedRow] = []
-        for pdef, result in zip(pdefs, selected):
-            rng = random.Random(seed + pdef)
-            lengths = []
-            for _ in range(trials):
-                lib = random_pattern_set(rng, capacity, colors, pdef)
-                lengths.append(
-                    MultiPatternScheduler(lib)
-                    .schedule(dfg, backend=exec_backend)
-                    .length
-                )
-            rows.append(
-                RandomVsSelectedRow(
-                    pdef=pdef,
-                    random=summarize(lengths),
-                    selected=result.schedule.length,
-                    library=result.selection.library.as_strings(),
-                )
+        service = SchedulerService(backend=backend)  # type: ignore[arg-type]
+    exec_backend = service.backend
+    colors = list(dfg.colors())
+    pdefs = list(pdefs)
+    cfg = config if config is not None else SelectionConfig()
+    selected = service.submit_many(
+        [
+            JobRequest(capacity=capacity, pdef=pdef, dfg=dfg, config=cfg)
+            for pdef in pdefs
+        ]
+    )
+    rows: list[RandomVsSelectedRow] = []
+    for pdef, result in zip(pdefs, selected):
+        rng = random.Random(seed + pdef)
+        lengths = []
+        for _ in range(trials):
+            lib = random_pattern_set(rng, capacity, colors, pdef)
+            lengths.append(
+                MultiPatternScheduler(lib)
+                .schedule(dfg, backend=exec_backend)
+                .length
             )
-        return rows
-    finally:
-        if owned:
-            service.close()
+        rows.append(
+            RandomVsSelectedRow(
+                pdef=pdef,
+                random=summarize(lengths),
+                selected=result.schedule.length,
+                library=result.selection.library.as_strings(),
+            )
+        )
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -299,7 +293,6 @@ def baseline_comparison(
     *,
     config: SelectionConfig | None = None,
     backend: "object | str" = "fused",
-    jobs: int | None = None,
     service: "object | None" = None,
 ) -> dict[str, dict[str, object]]:
     """Multi-pattern scheduling vs the classic pattern-oblivious heuristics.
@@ -315,21 +308,16 @@ def baseline_comparison(
     """
     from repro.service import JobRequest, SchedulerService
 
-    owned = service is None
     if service is None:
-        service = SchedulerService(backend=backend, jobs=jobs)  # type: ignore[arg-type]
-    try:
-        result = service.submit(
-            JobRequest(
-                capacity=capacity,
-                pdef=pdef,
-                dfg=dfg,
-                config=config if config is not None else SelectionConfig(),
-            )
+        service = SchedulerService(backend=backend)  # type: ignore[arg-type]
+    result = service.submit(
+        JobRequest(
+            capacity=capacity,
+            pdef=pdef,
+            dfg=dfg,
+            config=config if config is not None else SelectionConfig(),
         )
-    finally:
-        if owned:
-            service.close()
+    )
     selection = result.selection
     mp = result.schedule
 

@@ -5,11 +5,11 @@
     repro tables                 # regenerate every paper table
     repro table 7 --trials 10    # one specific table
     repro select 3dft --pdef 4   # run pattern selection on a workload
-    repro select fft64 --backend process --jobs 4
+    repro select fft64 --backend serial
     repro schedule 3dft --patterns aabcc,aaacc
-    repro pipeline fft64 --backend process --jobs 4 --timings
+    repro pipeline fft64 --timings
     repro pipeline fft64 --cache-dir ~/.cache/repro
-    repro serve --port 8350 --backend process --jobs 4
+    repro serve --port 8350
     repro serve --cache-dir /var/cache/repro --max-pending 64
     repro serve --cache-dir /var/cache/repro --cache-max-bytes 256M
     repro submit fft64 --url http://127.0.0.1:8350 --pdef 5
@@ -19,9 +19,8 @@
     repro workloads              # list built-in workloads
     repro backends               # list execution backends
 
-Compute-heavy commands accept ``--backend`` (``serial``/``fused``/
-``bitset``/``process``; default ``fused``) and ``--jobs`` (worker count for the
-process backend).  ``pipeline`` submits its job through an (ephemeral,
+Compute-heavy commands accept ``--backend`` (``serial`` or ``fused``;
+default ``fused``).  ``pipeline`` submits its job through an (ephemeral,
 per-command) :class:`~repro.service.SchedulerService`; for warm caches
 across requests run the *resident* service — ``serve`` — and submit to
 it with ``submit`` or :class:`~repro.service.ServiceClient`.
@@ -171,11 +170,6 @@ def _cmd_table(args: argparse.Namespace) -> None:
     _TABLE_DISPATCH[args.number](args)
 
 
-def _backend_of(args: argparse.Namespace):
-    """Resolve the --backend/--jobs flags to an execution backend."""
-    return get_backend(args.backend, jobs=args.jobs)
-
-
 def _cmd_select(args: argparse.Namespace) -> None:
     from repro.core.variants import get_variant
 
@@ -184,7 +178,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
     selector = PatternSelector(
         args.capacity, config=cfg, priority_fn=get_variant(args.variant)
     )
-    result = selector.select(dfg, args.pdef, backend=_backend_of(args))
+    result = selector.select(dfg, args.pdef, backend=args.backend)
     print(
         f"selected patterns for {dfg.name!r} "
         f"(Pdef={args.pdef}, variant={args.variant}):"
@@ -200,7 +194,7 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
     dfg = _workload(args.workload)
     patterns = args.patterns.split(",")
     scheduler = MultiPatternScheduler(patterns, capacity=args.capacity)
-    schedule = scheduler.schedule(dfg, backend=_backend_of(args))
+    schedule = scheduler.schedule(dfg, backend=args.backend)
     print(schedule.as_table())
     print(f"\ntotal clock cycles: {schedule.length}")
 
@@ -238,7 +232,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     )
     with SchedulerService(
         backend=args.backend,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
     ) as service:
         outcome = service.submit_outcome(request)
@@ -271,7 +264,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         cache_max_bytes=(
             _parse_bytes(args.cache_max_bytes)
@@ -397,7 +389,7 @@ def _cmd_edit(args: argparse.Namespace) -> None:
 def _cmd_backends(args: argparse.Namespace) -> None:
     rows = []
     for name in available_backends():
-        backend = get_backend(name, jobs=args.jobs)
+        backend = get_backend(name)
         rows.append((name, backend.describe(), backend.availability()))
     print(render_table(
         ["name", "description", "availability"],
@@ -452,12 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--backend", default="fused",
-            help="execution backend: serial, fused (default), bitset or "
-                 "process (see 'repro backends')",
-        )
-        p.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker count for the process backend (default: all cores)",
+            help="execution backend: serial or fused (default; see "
+                 "'repro backends')",
         )
 
     p = sub.add_parser("select", help="run pattern selection on a workload")
@@ -499,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pipeline)
 
     p = sub.add_parser("backends", help="list execution backends")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(fn=_cmd_backends)
 
     p = sub.add_parser(

@@ -35,20 +35,23 @@ the reduction into the walk:
   index level*, accumulating node-frequency int arrays per bucket.  Bag
   identity is tracked incrementally through a transition trie
   (``(bucket, label) → bucket``), so the hot loop performs one dict lookup
-  per extension instead of building a key object per antichain.
+  per extension instead of building a key object per antichain.  It is
+  the scalar reference the vectorized kernel (:mod:`repro.exec.bitset`)
+  is pinned against, and that kernel's fallback.
 
-Parallel partitioning
----------------------
+Seed partitioning
+-----------------
 The DFS explores antichains in lexicographic order of their ascending index
 tuples: the entire subtree rooted at seed node 0 (all antichains whose
 smallest member is 0) is visited before seed node 1's, and so on.  Subtrees
 of distinct seeds are disjoint, so the enumeration partitions cleanly by
 seed node — the ``roots`` parameter of :meth:`AntichainEnumerator.classify_by_label`
-restricts one call to a chosen set of seeds.  The process execution backend
-(:mod:`repro.exec.process`) fans those per-seed subtrees out over workers
-and merges the resulting int frequency arrays elementwise (they add);
-concatenating per-seed results in ascending seed order reproduces the
-sequential visit order exactly, which keeps merged catalogs bit-identical.
+restricts one call to a chosen set of seeds.  Every fast catalog build
+(:mod:`repro.exec.process`) classifies per-seed partitions — in process,
+from a partial cache or on a shard fleet — and merges the resulting int
+frequency arrays elementwise (they add); concatenating per-seed results
+in ascending seed order reproduces the sequential visit order exactly,
+which keeps merged catalogs bit-identical.
 """
 
 from __future__ import annotations
@@ -128,8 +131,8 @@ DEFAULT_MAX_COUNT = 5_000_000
 
 #: Node count beyond which per-bucket frequency arrays spill to numpy
 #: ``int64`` arrays: ``[0] * n`` per bucket costs ~8x the memory of a dense
-#: int64 vector at interpreter-object granularity, and the process backend's
-#: merge becomes a vectorized elementwise add.  Pure-python lists remain the
+#: int64 vector at interpreter-object granularity, and the partitioned
+#: build's merge becomes a vectorized elementwise add.  Pure-python lists remain the
 #: fallback when numpy is absent.
 NUMPY_SPILL_THRESHOLD = 10_000
 
@@ -385,7 +388,7 @@ class AntichainEnumerator:
         max_count: int | None = DEFAULT_MAX_COUNT,
         roots: Sequence[int] | None = None,
     ) -> dict[tuple[int, ...], LabelClassification]:
-        """Classify antichains by label bag inside the DFS (fused fast path).
+        """Classify antichains by label bag inside the DFS (scalar reference).
 
         ``labels[i]`` is an integer label (e.g. an interned color id) for
         node index ``i``.  Antichains are never materialized; each visited
@@ -406,8 +409,8 @@ class AntichainEnumerator:
         seed node indices — i.e. to antichains whose *smallest* member is
         one of those nodes.  The subtrees of distinct seeds are disjoint and
         their concatenation in ascending seed order is the full sequential
-        enumeration, which is what the process backend exploits to fan the
-        classification out over workers (see the module docstring).
+        enumeration, which is what the partitioned builds exploit to
+        classify seed ranges independently (see the module docstring).
         """
         self._check_bounds(max_size, min_size, span_limit)
         n = self.dfg.n_nodes

@@ -484,10 +484,16 @@ class DFG:
     # copying
     # ------------------------------------------------------------------ #
     def copy(self, name: str | None = None) -> "DFG":
-        """A deep, insertion-order-preserving copy."""
+        """A deep, insertion-order-preserving copy.
+
+        Node order and every node's successor *and* predecessor order are
+        kept; replaying :meth:`edges` would re-order predecessors by source.
+        """
         out = DFG(name=name if name is not None else self.name)
         out.meta = dict(self.meta)
-        out.extend(self.node_data(), self.edges())
+        out.extend(self.node_data())
+        out._succ = {n: dict(vs) for n, vs in self._succ.items()}
+        out._pred = {n: dict(us) for n, us in self._pred.items()}
         return out
 
     def __repr__(self) -> str:

@@ -60,7 +60,12 @@ def color_from_name(name: str) -> str:
 
 
 def to_payload(dfg: DFG) -> dict[str, Any]:
-    """The JSON-safe dict behind :func:`to_json` (insertion order preserved)."""
+    """The JSON-safe dict behind :func:`to_json` (insertion order preserved).
+
+    Nodes keep their order and each node its successor order; the wire
+    form carries successor order only (``edges`` grouped by source), not
+    the order in which each node's predecessors were added.
+    """
     return {
         "name": dfg.name,
         "nodes": [
@@ -115,7 +120,12 @@ _NO_ATTRS: dict[str, Any] = {}
 
 
 def from_payload(payload: dict[str, Any]) -> DFG:
-    """Inverse of :func:`to_payload`: one bulk :meth:`DFG.extend`."""
+    """Inverse of :func:`to_payload`: one bulk :meth:`DFG.extend`.
+
+    The payload carries successor order only, so the decoded graph's
+    predecessor order is that of its ``edges`` (grouped by source), which
+    can differ from the encoded graph's.
+    """
     try:
         dfg = DFG(name=payload.get("name", "dfg"))
         dfg.extend(

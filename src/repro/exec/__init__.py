@@ -4,35 +4,28 @@
 
     from repro.exec import get_backend
 
-    backend = get_backend("process", jobs=4)   # or "serial" / "fused"
+    backend = get_backend("fused")   # or "serial"
     catalog = backend.classify(dfg, capacity=5, span_limit=1)
 
-Four backends ship built in, all bit-identical in output:
+Two backends ship built in, bit-identical in output:
 
 ``serial``
-    The straightforward reference loops — the
-    equivalence oracle, and the only backend supporting stored antichains
-    and custom selection priorities natively.
+    The straightforward reference loops — the equivalence oracle, and
+    the only backend supporting stored antichains and custom selection
+    priorities natively.
 ``fused``
-    Single-threaded allocation-free fast paths; the default everywhere.
-``bitset``
-    Vectorized single-threaded pattern generation: batched numpy
-    kernels over packed ``uint64``
-    incomparability rows, with an optional compiled expansion extension;
-    selection and scheduling inherit the fused paths.  Falls back to the
-    fused classifier when numpy is unavailable.
-``process``
-    Seed-partitioned multiprocess pattern generation over
-    ``multiprocessing`` workers, merging per-pattern int frequency arrays elementwise; selection and
-    scheduling inherit the fused paths.
+    The fast paths; the default everywhere.  Pattern generation is the
+    seed-partitioned build of :mod:`repro.exec.process` over the
+    vectorized bitset kernel (:mod:`repro.exec.bitset`, with an optional
+    compiled expansion extension; the scalar in-DFS classifier when
+    numpy is unavailable); selection and scheduling run the incremental
+    and integer hot loops.
 
 Downstream projects may :func:`register_backend` their own.
 """
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.bitset import BitsetBackend
 from repro.exec.fused import FusedBackend
-from repro.exec.process import ProcessBackend
 from repro.exec.registry import available_backends, get_backend, register_backend
 from repro.exec.serial import SerialBackend
 
@@ -40,8 +33,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "FusedBackend",
-    "BitsetBackend",
-    "ProcessBackend",
     "available_backends",
     "get_backend",
     "register_backend",
@@ -49,5 +40,3 @@ __all__ = [
 
 register_backend("serial", SerialBackend)
 register_backend("fused", FusedBackend)
-register_backend("bitset", BitsetBackend)
-register_backend("process", ProcessBackend)

@@ -33,9 +33,8 @@ __all__ = ["ExecutionBackend"]
 class ExecutionBackend(abc.ABC):
     """Strategy object executing the pipeline's compute stages.
 
-    Subclasses implement the three stage hooks below.  Instances are
-    reusable across graphs; resources a backend retains across calls
-    (the process backend's worker pool) are released by :meth:`close`.
+    Subclasses implement the three stage hooks below.  Instances hold no
+    resources and are reusable across graphs.
     """
 
     #: Canonical registry name (also used in reports and JSON output).
@@ -45,16 +44,10 @@ class ExecutionBackend(abc.ABC):
     #: ``classify_partitions(dfg, partitions, weights, size, span_limit,
     #: max_count)`` returns one sparse row list per seed partition, as
     #: :func:`repro.exec.process.classify_partition_rows` does, and raises
-    #: the error of a partition it cannot classify.  The fused and bitset
-    #: backends make that one call in process; the process backend maps
-    #: its passes over a worker pool.  A backend without the step (the
-    #: serial reference) builds every catalog with :meth:`classify` alone.
+    #: the error of a partition it cannot classify.  The fused backend
+    #: makes that one call; a backend without the step (the serial
+    #: reference) builds every catalog with :meth:`classify` alone.
     classify_partitions: "Callable[..., list[list[tuple]]] | None" = None
-
-    def __init__(self, jobs: int | None = None) -> None:
-        # Accepted by every backend so `get_backend(name, jobs=...)` works
-        # uniformly; only parallel backends act on it.
-        self.jobs = jobs
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -92,15 +85,6 @@ class ExecutionBackend(abc.ABC):
         """Run the Fig. 3 multi-pattern list scheduling loop."""
 
     # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release resources retained across calls (worker pools etc.).
-
-        The base implementation is a no-op: most backends retain nothing.
-        Long-lived owners (e.g. :class:`~repro.service.SchedulerService`)
-        call this on shutdown; a closed backend may be used again — it
-        simply re-acquires what it needs.
-        """
-
     def describe(self) -> str:
         """One-line human-readable description for reports/CLI output."""
         return self.name

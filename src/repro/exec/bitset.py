@@ -1,13 +1,14 @@
-"""The bitset backend — vectorized antichain classification over numpy.
+"""The bitset kernel — vectorized antichain classification over numpy.
 
-The fused classifier (:meth:`~repro.dfg.antichains.AntichainEnumerator.classify_by_label`)
-is ~6-8x over the serial reference but remains interpreter-bound: every DFS
-frame pays Python-level bit tricks, dict lookups and int arithmetic.  This
-module replaces that per-frame bookkeeping with batched numpy kernels while
-reproducing the scalar output **bit for bit** — same dict insertion order,
-same ``first_seen`` order, same frequencies, same ``max_count`` error — so
-it slots behind the backend seam as just another way to compute
-(``get_backend("bitset")``).
+The scalar in-DFS classifier
+(:meth:`~repro.dfg.antichains.AntichainEnumerator.classify_by_label`) is
+interpreter-bound: every DFS frame pays Python-level bit tricks, dict
+lookups and int arithmetic.  This module replaces that per-frame
+bookkeeping with batched numpy kernels while reproducing the scalar
+output **bit for bit** — same bag order, same ``first_seen`` order, same
+frequencies, same ``max_count`` error.  Every fast catalog build runs it
+through :func:`repro.exec.process.classify_partition_rows`, the fused
+backend's partition step.
 
 How the vectorization works
 ---------------------------
@@ -58,7 +59,7 @@ assembly time, after the depth loop:
 
 The key fits ``int64`` iff ``(n_nodes + 1) ** max_size < 2**63``; larger
 problems (and numpy-less installs) transparently fall back to the scalar
-classifier, so the backend is safe to use unconditionally.
+classifier, so callers never need to gate.
 
 Batching seed groups
 --------------------
@@ -96,16 +97,10 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from repro.dfg import antichains as _antichains
-from repro.dfg.antichains import (
-    DEFAULT_MAX_COUNT,
-    AntichainEnumerator,
-    LabelClassification,
-)
+from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.dfg.levels import LevelAnalysis
 from repro.dfg.traversal import comparability_masks
-from repro.exceptions import GraphError, PatternError
-from repro.exec.fused import FusedBackend
+from repro.exceptions import GraphError
 
 try:  # optional — the whole module degrades to the scalar classifier
     import numpy as np
@@ -124,13 +119,10 @@ if os.environ.get("REPRO_NO_NATIVE") != "1":
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
-    from repro.patterns.enumeration import PatternCatalog
 
 __all__ = [
-    "BitsetBackend",
     "bitset_availability",
     "bitset_supported",
-    "classify_by_label_bitset",
     "classify_rows_bitset",
     "packed_incomparable_rows",
     "packed_level_windows",
@@ -161,7 +153,7 @@ def bitset_supported(n_nodes: int, max_size: int) -> bool:
     Requires numpy, and the padded positional key
     ``(n_nodes + 1) ** max_size`` must fit ``int64`` — beyond that the
     order-reconstruction keys would overflow and the scalar classifier
-    takes over (transparently, inside :func:`classify_by_label_bitset`).
+    takes over (transparently, inside :func:`classify_rows_bitset`).
     """
     return np is not None and (n_nodes + 1) ** max(1, max_size) <= _INT64_MAX
 
@@ -287,58 +279,6 @@ def _expand_rows(allowed, words: int, n: int):
         yield start, par, nod
 
 
-def classify_by_label_bitset(
-    enum: AntichainEnumerator,
-    labels: Sequence[int],
-    max_size: int,
-    span_limit: int | None = None,
-    *,
-    min_size: int = 1,
-    max_count: int | None = DEFAULT_MAX_COUNT,
-    roots: Sequence[int] | None = None,
-) -> dict[tuple[int, ...], LabelClassification]:
-    """Vectorized drop-in for :meth:`AntichainEnumerator.classify_by_label`.
-
-    Bit-identical output — bag dict order, censuses, frequency arrays,
-    ``first_seen`` orders and the ``max_count``
-    :class:`~repro.exceptions.EnumerationLimitError` all match the scalar
-    classifier exactly (the equivalence suite pins this, with and without
-    the compiled expansion kernel).  Problems the vectorized core cannot
-    represent (no numpy, or positional keys past ``int64``) run the
-    scalar classifier transparently, so callers never need to gate.
-    """
-    if not bitset_supported(enum.dfg.n_nodes, max_size):
-        return enum.classify_by_label(
-            labels,
-            max_size,
-            span_limit,
-            min_size=min_size,
-            max_count=max_count,
-            roots=roots,
-        )
-    (rows,), freq = _bitset_pass(
-        enum,
-        labels,
-        max_size,
-        span_limit,
-        [roots],
-        min_size=min_size,
-        max_count=max_count,
-    )
-    # (Threshold read through the module so test monkeypatching of the
-    # spill regime applies to every classifier uniformly.)
-    spill = enum.dfg.n_nodes >= _antichains.NUMPY_SPILL_THRESHOLD
-    dense = freq if spill else freq.tolist()
-    return {
-        bag: LabelClassification(
-            count=count,
-            frequencies=dense[k].copy() if spill else dense[k],
-            first_seen=first_seen,
-        )
-        for k, (bag, count, first_seen, _) in enumerate(rows)
-    }
-
-
 def classify_rows_bitset(
     enum: AntichainEnumerator,
     labels: Sequence[int],
@@ -352,8 +292,8 @@ def classify_rows_bitset(
 
     Returns one row list per group: ``(bag_key, count, first_seen,
     values)`` per bag in first-visit order, ``values`` aligned with
-    ``first_seen`` — the classification
-    ``classify_by_label_bitset(..., roots=root_groups[g])`` gives, bit for
+    ``first_seen`` — the classification the scalar
+    ``enum.classify_by_label(..., roots=root_groups[g])`` gives, bit for
     bit, in the sparse plain-int form partition caches and the shard wire
     carry.  The groups' frontiers run side by side: a bucket is
     ``(group, bag)`` rather than ``bag``, and the positional keys are
@@ -386,7 +326,7 @@ def classify_rows_bitset(
         return out
     return _bitset_pass(
         enum, labels, max_size, span_limit, root_groups, max_count=max_count
-    )[0]
+    )
 
 
 def _bitset_pass(
@@ -394,37 +334,31 @@ def _bitset_pass(
     labels: Sequence[int],
     max_size: int,
     span_limit: int | None,
-    root_groups: "Sequence[Sequence[int] | None]",
+    root_groups: Sequence[Sequence[int]],
     *,
-    min_size: int = 1,
     max_count: int | None = DEFAULT_MAX_COUNT,
-):
+) -> list[list[tuple]]:
     """The vectorized core: one BFS by cardinality over ``root_groups``.
 
-    Returns ``(rows, freq)``: ``rows[g]`` is group ``g``'s sparse bucket
-    rows (see :func:`classify_rows_bitset`; ``None`` roots mean every
-    node), and ``freq[k]`` the dense ``int64`` frequency row of the
-    ``k``-th bucket in global first-visit order — for a single group, of
-    its ``k``-th row.  Requires :func:`bitset_supported`.
+    Returns ``rows``: ``rows[g]`` is group ``g``'s sparse bucket rows
+    (see :func:`classify_rows_bitset`).  Requires
+    :func:`bitset_supported`.
     """
     dfg = enum.dfg
     n = dfg.n_nodes
-    enum._check_bounds(max_size, min_size, span_limit)
+    enum._check_bounds(max_size, 1, span_limit)
     if len(labels) != n:
         raise GraphError(f"labels has {len(labels)} entries for {n} nodes")
 
     group_seeds: list[list[int]] = []
     for roots in root_groups:
-        if roots is None:
-            group_seeds.append(list(range(n)))
-            continue
         seed_ids = sorted(set(roots))
         for r in seed_ids:
             if not 0 <= r < n:
                 raise GraphError(f"root index {r} out of range for {n} nodes")
         group_seeds.append(seed_ids)
     if not any(group_seeds):
-        return [[] for _ in root_groups], np.zeros((0, n), dtype=np.int64)
+        return [[] for _ in root_groups]
 
     inc, words = packed_incomparable_rows(dfg)
     labels_arr = np.asarray(labels, dtype=np.int64)
@@ -518,31 +452,30 @@ def _bitset_pass(
     depth = 1
     while True:
         grow(len(bag_keys))
-        if depth >= min_size:
-            produced += len(nodes_d)
-            if max_count is not None and produced > max_count:
-                raise enum._limit_error(max_count, max_size, span_limit)
-            np.add.at(cnt, bucket_d, 1)
-            np.minimum.at(minpk, bucket_d, pk_d)
-            # Frequency + first-seen scatter for every member of every
-            # frame: the last member directly, earlier members through
-            # the parent-frame chain (one gather per ancestor level).
-            # Flat ``bucket * n + member`` codes keep ``ufunc.at`` on its
-            # 1-D fast path; the views are taken after ``grow`` because
-            # it reallocates both matrices.
-            freq_flat = freq2d.reshape(-1)
-            minpk_flat = minpk_node.reshape(-1)
-            row0 = bucket_d * np.int64(n)
-            code = row0 + nodes_d
+        produced += len(nodes_d)
+        if max_count is not None and produced > max_count:
+            raise enum._limit_error(max_count, max_size, span_limit)
+        np.add.at(cnt, bucket_d, 1)
+        np.minimum.at(minpk, bucket_d, pk_d)
+        # Frequency + first-seen scatter for every member of every frame:
+        # the last member directly, earlier members through the
+        # parent-frame chain (one gather per ancestor level).  Flat
+        # ``bucket * n + member`` codes keep ``ufunc.at`` on its 1-D fast
+        # path; the views are taken after ``grow`` because it reallocates
+        # both matrices.
+        freq_flat = freq2d.reshape(-1)
+        minpk_flat = minpk_node.reshape(-1)
+        row0 = bucket_d * np.int64(n)
+        code = row0 + nodes_d
+        np.add.at(freq_flat, code, 1)
+        np.minimum.at(minpk_flat, code, pk_d)
+        idx = parent_d
+        for d2 in range(depth - 1, 0, -1):
+            nd, pd = hist[d2 - 1]
+            code = row0 + nd[idx]
             np.add.at(freq_flat, code, 1)
             np.minimum.at(minpk_flat, code, pk_d)
-            idx = parent_d
-            for d2 in range(depth - 1, 0, -1):
-                nd, pd = hist[d2 - 1]
-                code = row0 + nd[idx]
-                np.add.at(freq_flat, code, 1)
-                np.minimum.at(minpk_flat, code, pk_d)
-                idx = pd[idx]
+            idx = pd[idx]
         if depth == max_size:
             break
 
@@ -557,11 +490,7 @@ def _bitset_pass(
             if offset:
                 par = par + offset
             kept += len(par)
-            if (
-                max_count is not None
-                and depth + 1 >= min_size
-                and produced + kept > max_count
-            ):
+            if max_count is not None and produced + kept > max_count:
                 # Every kept child is counted at the next depth; raising
                 # is already inevitable — do it before materializing more.
                 raise enum._limit_error(max_count, max_size, span_limit)
@@ -625,47 +554,4 @@ def _bitset_pass(
             (bag_keys[b], counts[k], first_seen[start:end], values[start:end])
         )
         start = end
-    return rows, freq
-
-
-class BitsetBackend(FusedBackend):
-    """Vectorized single-threaded backend (see module docstring).
-
-    Inherits the fused selection/scheduling paths — only pattern
-    generation differs, and only in *how*: outputs are bit-identical, so
-    catalogs, partials and cache keys are interchangeable with every
-    other backend's.
-    """
-
-    name = "bitset"
-
-    def classify(
-        self,
-        dfg: "DFG",
-        capacity: int,
-        span_limit: int | None = None,
-        *,
-        store_antichains: bool = False,
-        max_count: int | None = DEFAULT_MAX_COUNT,
-    ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _classify_fast
-
-        if store_antichains:
-            raise PatternError(
-                f"the {self.name!r} backend cannot store raw antichains; "
-                "use the serial backend with store_antichains"
-            )
-        enum = AntichainEnumerator(dfg)
-
-        def classify(labels, size, span, **kwargs):
-            return classify_by_label_bitset(enum, labels, size, span, **kwargs)
-
-        return _classify_fast(
-            dfg, enum, capacity, span_limit, max_count, classify=classify
-        )
-
-    def describe(self) -> str:
-        return f"{self.name} ({bitset_availability()})"
-
-    def availability(self) -> str:
-        return bitset_availability()
+    return rows

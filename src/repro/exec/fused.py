@@ -1,30 +1,31 @@
-"""The fused backend — single-threaded allocation-free fast paths.
+"""The fused backend — the fast paths, and the default everywhere.
 
-Wraps the in-DFS classifier (`AntichainEnumerator.classify_by_label`),
-the incremental Fig. 7 selection loop and the integer Fig. 3 scheduler
-hot loop behind the backend seam.  This is the default backend everywhere
-and the baseline the process backend's speedups are measured against.
+Pattern generation is the partitioned build every fast catalog build
+shares (:mod:`repro.exec.process`): plan the
+:data:`~repro.exec.process.EDIT_PARTITIONS` seed partitions, classify
+them with :meth:`FusedBackend.classify_partitions` — one
+:func:`~repro.exec.process.classify_partition_rows` call over the bitset
+kernel (:func:`~repro.exec.bitset.classify_rows_bitset`), which
+reproduces the scalar roots-restricted DFS
+(``classify_by_label(..., roots=seeds)``) bit for bit and falls back to
+it when :func:`~repro.exec.bitset.bitset_supported` says no — and merge
+the rows in ascending-seed order, which is why the catalog is
+bit-identical to the serial reference's.  The monolithic
+:meth:`FusedBackend.classify` (``PatternSelector.build_catalog``,
+``classify_antichains``, ``repro select``), the service's cached build
+(and with it the incremental warm-edit rebuild) and the shard endpoint
+all run that one step.  Selection runs the incremental Fig. 7 loop and
+scheduling the integer Fig. 3 hot loop.
 
 Two capability notes, inherited from the fast paths it wraps:
 
 * it cannot store raw antichains (the per-antichain name tuples are
-  exactly what the fused classifier exists to avoid) — asking for
+  exactly what the kernel exists to avoid) — asking for
   ``store_antichains`` raises;
 * its incremental selection cache is only valid for the stock Eq. 8
   priority, so custom ``priority_fn`` callables (whose scores may depend
   on global pool state) are routed to the reference loop automatically —
   same outputs, without the cache.
-
-Partitioned builds — the service's catalog build (and with it the
-incremental warm-edit rebuild), the shard endpoint and the process
-backend — run :meth:`FusedBackend.classify_partitions`, one
-:func:`~repro.exec.process.classify_partition_rows` call over the
-bitset kernels (:func:`~repro.exec.bitset.classify_rows_bitset`), which
-reproduce this backend's roots-restricted DFS
-(``classify_by_label(..., roots=seeds)``) bit for bit and fall back to
-it when :func:`~repro.exec.bitset.bitset_supported` says no.  They merge
-in ascending-seed order, which is why their catalogs are bit-identical
-to a fused single pass.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.exceptions import PatternError
+from repro.exec import process
 from repro.exec.backend import ExecutionBackend
+from repro.exec.bitset import bitset_availability
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.selection import PatternSelector, SelectionRound
@@ -47,7 +50,7 @@ __all__ = ["FusedBackend"]
 
 
 class FusedBackend(ExecutionBackend):
-    """Fused/incremental single-threaded fast paths (see module docstring)."""
+    """The fast paths behind the backend seam (see module docstring)."""
 
     name = "fused"
 
@@ -60,15 +63,23 @@ class FusedBackend(ExecutionBackend):
         store_antichains: bool = False,
         max_count: int | None = DEFAULT_MAX_COUNT,
     ) -> "PatternCatalog":
-        from repro.patterns.enumeration import _classify_fast
-
+        """Plan → :meth:`classify_partitions` → merge: the partitioned build."""
         if store_antichains:
             raise PatternError(
                 f"the {self.name!r} backend cannot store raw antichains; "
                 "use the serial backend with store_antichains"
             )
-        enum = AntichainEnumerator(dfg)
-        return _classify_fast(dfg, enum, capacity, span_limit, max_count)
+        dfg.check_acyclic()  # a cycle fails before any planning
+        plan, weights = process.plan_seed_partitions(dfg, process.EDIT_PARTITIONS)
+        return process.merge_classified_parts(
+            dfg,
+            self.classify_partitions(
+                dfg, plan, weights, capacity, span_limit, max_count
+            ),
+            capacity=capacity,
+            span_limit=span_limit,
+            max_count=max_count,
+        )
 
     def classify_partitions(
         self,
@@ -79,10 +90,7 @@ class FusedBackend(ExecutionBackend):
         span_limit: int | None,
         max_count: int | None,
     ) -> list[list[tuple]]:
-        """One in-process :func:`~repro.exec.process.classify_partition_rows` call."""
-        # Imported at call time: repro.exec.process imports this module.
-        from repro.exec import process
-
+        """One :func:`~repro.exec.process.classify_partition_rows` call."""
         return process.classify_partition_rows(
             AntichainEnumerator(dfg),
             dfg.color_labels()[0],
@@ -92,6 +100,9 @@ class FusedBackend(ExecutionBackend):
             max_count,
             weights=weights,
         )
+
+    def availability(self) -> str:
+        return bitset_availability()
 
     def run_selection(
         self,

@@ -1,10 +1,10 @@
-"""The process backend — seed-partitioned parallel pattern generation.
+"""Seed-partitioned pattern generation: plan → classify → merge.
 
 The antichain DFS visits the subtree of each *seed node* (the antichain's
 smallest member index) contiguously and in ascending seed order, and the
 subtrees of distinct seeds are disjoint (see :mod:`repro.dfg.antichains`).
-Pattern generation therefore parallelizes without changing a single
-output bit, along one plan shared by every partitioned build:
+Pattern generation therefore splits without changing a single output
+bit, along one plan shared by every fast catalog build:
 
 1. :func:`plan_seed_partitions` cuts the seeds into the
    :data:`EDIT_PARTITIONS` weight-balanced contiguous ranges (a plan fixed
@@ -12,47 +12,24 @@ output bit, along one plan shared by every partitioned build:
 2. :func:`classify_partition_rows` classifies ranges into sparse rows,
    batching light neighbours into one vectorized BFS pass
    (:func:`~repro.exec.bitset.classify_rows_bitset`, bit-identical to the
-   fused DFS, which it runs instead when
+   scalar DFS, which it runs instead when
    :func:`~repro.exec.bitset.bitset_supported` says no);
 3. :func:`merge_classified_parts` merges the rows in ascending seed
    order: censuses and int frequency arrays add elementwise, bag keys
    merge by first appearance and per-bag first-seen node lists
    concatenate-dedupe — exactly the sequential visit order, so the merged
    catalog (including every Counter's insertion order) is bit-identical
-   to the fused single-threaded engine's.
+   to the serial reference's.
 
-Step 2 is a backend's :meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`:
-the fused and bitset backends make the one call in process, and
-:class:`ProcessBackend` maps that call's passes over a
-``multiprocessing.Pool`` — each worker runs :func:`classify_partition_rows`
-on an enumerator primed once per worker, so the rows are the same either
-way.  The service's partitioned build, the shard endpoint and
-:meth:`ProcessBackend.classify` (what ``PatternSelector.build_catalog``
-and ``repro select`` call) all run this one plan → step → merge path.
-``jobs`` defaults to ``os.cpu_count()``; with one job (or a single pass)
-the process backend classifies in-process rather than paying pool
-overhead for nothing.
-
-Selection and scheduling are not parallelized (they are sub-10 ms on
-realistic catalogs and inherently sequential round-by-round); the process
-backend inherits the fused fast paths for both, through
-:class:`~repro.exec.bitset.BitsetBackend`.
-
-Pool lifetime
--------------
-Only the graph is baked into the workers at fork time, so a pool serves
-every later call against the *same graph object* — any capacity or span
-limit.  It lives until :meth:`ProcessBackend.close` (also via
-``with backend:``), until a different or mutated graph arrives (which
-retires it and starts a fresh one), or until the backend is collected
-(or the interpreter exits).
+Step 2 is :meth:`~repro.exec.fused.FusedBackend.classify_partitions`.
+The fused backend's monolithic :meth:`~repro.exec.fused.FusedBackend.classify`
+(what ``PatternSelector.build_catalog`` and ``repro select`` call), the
+service's cached build, the shard endpoint and a shard fleet all run this
+one path; they differ only in which partitions they classify and where.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import weakref
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.dfg.antichains import (
@@ -62,13 +39,8 @@ from repro.dfg.antichains import (
     _np,
     limit_error,
 )
-from repro.exceptions import BackendError, PatternError
-from repro.exec.bitset import (
-    BitsetBackend,
-    classify_rows_bitset,
-    packed_incomparable_rows,
-    packed_level_windows,
-)
+from repro.exceptions import BackendError
+from repro.exec.bitset import classify_rows_bitset, packed_incomparable_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
@@ -76,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EDIT_PARTITIONS",
-    "ProcessBackend",
     "classify_partition_rows",
     "estimate_seed_weights",
     "plan_seed_partitions",
@@ -84,8 +55,8 @@ __all__ = [
 ]
 
 #: Seed-partition count of every partitioned build — the service's, a
-#: shard fleet's and :meth:`ProcessBackend.classify` — so partials answer
-#: across backends and topologies (a fleet build therefore keeps at most
+#: shard fleet's and :meth:`~repro.exec.fused.FusedBackend.classify` — so
+#: partials answer across builds and topologies (a fleet build therefore keeps at most
 #: 16 shards busy).  Finer partitions shrink the re-enumerated region
 #: after an edit but hash and cache more partials.
 EDIT_PARTITIONS = 16
@@ -95,44 +66,6 @@ EDIT_PARTITIONS = 16
 #: classifier's fixed per-depth cost on light partitions; the cap keeps
 #: heavy ones alone so their frontiers (peak memory) never add up.
 _PASS_WEIGHT_BUDGET = 1000
-
-# Worker-process state, installed once per worker by _init_worker.
-_WORKER: dict = {}
-
-
-def _init_worker(dfg: "DFG") -> None:
-    """Pool initializer: prime the per-worker enumerator once per pool.
-
-    Only graph-derived state is baked in here; per-call enumeration
-    parameters travel with each task so one pool can serve any
-    capacity/span against the primed graph.
-    """
-    _WORKER["enum"] = AntichainEnumerator(dfg)
-    _WORKER["labels"] = dfg.color_labels()[0]
-    if _np is not None:
-        # Pack the bitset rows and span windows once per worker, off
-        # every task's critical path.
-        packed_incomparable_rows(dfg)
-        packed_level_windows(dfg)
-
-
-def _classify_pass(task) -> list[list[tuple]]:
-    """One pool task: :func:`classify_partition_rows` over one pass group.
-
-    ``task`` is ``(partitions, weights, size, span_limit, max_count)``;
-    the group fits one pass budget, so the worker runs exactly the pass
-    the in-process call would have run for it.
-    """
-    partitions, weights, size, span_limit, max_count = task
-    return classify_partition_rows(
-        _WORKER["enum"],
-        _WORKER["labels"],
-        partitions,
-        size,
-        span_limit,
-        max_count,
-        weights=weights,
-    )
 
 
 def classify_partition_rows(
@@ -153,8 +86,7 @@ def classify_partition_rows(
     can be cached on disk, shipped over HTTP, and fed straight back to
     :func:`merge_classified_parts` on any instance.  It is the step every
     partition-capable backend runs
-    (:meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`),
-    in process or once per pass group in a :class:`ProcessBackend` worker.
+    (:meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`).
 
     Consecutive partitions share one vectorized BFS pass
     (:func:`~repro.exec.bitset.classify_rows_bitset`) while their
@@ -330,8 +262,8 @@ def plan_seed_partitions(
     order, so classifying each partition independently and merging the
     results in partition order (:func:`merge_classified_parts`)
     reproduces the sequential enumeration bit for bit.  Every
-    partitioned build plans with it — the process backend's worker
-    passes, the service's partial cache and the shard coordinator's
+    partitioned build plans with it — the fused backend's monolithic
+    build, the service's partial cache and the shard coordinator's
     fleet (:mod:`repro.service.shard`).
 
     Seed subtrees are heavily skewed — low seeds own far larger subtrees
@@ -372,7 +304,7 @@ def merge_classified_parts(
     elementwise; bag keys merge by first appearance and per-bag
     first-seen node lists concatenate-dedupe — exactly the sequential
     visit order, so the merged catalog (every Counter's insertion order
-    included) is bit-identical to the fused single-threaded engine's.
+    included) is bit-identical to the serial reference's.
     """
     from collections import Counter
 
@@ -418,159 +350,3 @@ def merge_classified_parts(
         frequencies=freqs,
         antichain_counts=counts,
     )
-
-
-def _shutdown(pool: "multiprocessing.pool.Pool") -> None:
-    """Terminate and reap a backend's pool (its finalizer; runs once)."""
-    pool.terminate()
-    pool.join()
-
-
-class ProcessBackend(BitsetBackend):
-    """Multiprocess pattern generation over seed-node partitions.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count; ``None`` means ``os.cpu_count()``.  The
-        pool is kept for later calls on the same graph (see the module
-        docstring).
-    """
-
-    name = "process"
-
-    def __init__(self, jobs: int | None = None) -> None:
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._pool_graph: "weakref.ref[DFG] | None" = None
-        self._pool_token: object | None = None
-        self._pool_finalizer: weakref.finalize | None = None
-        if jobs is not None and jobs < 1:
-            raise BackendError(f"jobs must be ≥ 1, got {jobs}")
-        super().__init__(jobs=jobs)
-
-    def describe(self) -> str:
-        return f"{self.name}(jobs={self.effective_jobs()})"
-
-    def availability(self) -> str:
-        from repro.exec.bitset import bitset_availability
-
-        # Worker tasks auto-route through the bitset classifier, so the
-        # interesting fact per host is which of its code paths is live.
-        return f"worker tasks: {bitset_availability()}"
-
-    def effective_jobs(self) -> int:
-        """The worker count a classify call would actually use."""
-        return self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-
-    # ------------------------------------------------------------------ #
-    # pool lifecycle
-    # ------------------------------------------------------------------ #
-    def pool_generation(self) -> int:
-        """How many pools this backend has started (observability/tests)."""
-        return self._generation
-
-    _generation = 0
-
-    def _acquire_pool(self, dfg: "DFG"):
-        """A pool primed with ``dfg`` — the retained one when still valid.
-
-        Reuse requires the same graph *object* and, via a token planted in
-        the graph's mutation-cleared ``_analysis_cache``, the same graph
-        *content*: workers hold the graph as pickled at pool creation, so
-        an in-place ``add_node``/``add_edge``/``set_attr`` after that must
-        retire the pool or workers would classify a stale graph.
-        """
-        cache = getattr(dfg, "_analysis_cache", None)
-        if (
-            self._pool is not None
-            and self._pool_graph is not None
-            and self._pool_graph() is dfg
-            and cache is not None
-            and cache.get("process_pool_token") is self._pool_token
-        ):
-            return self._pool
-        self.close()
-        self._pool = multiprocessing.get_context().Pool(
-            self.effective_jobs(), initializer=_init_worker, initargs=(dfg,)
-        )
-        # Shuts the pool down when the backend is collected, or at
-        # interpreter exit while the pool machinery is still importable.
-        self._pool_finalizer = weakref.finalize(self, _shutdown, self._pool)
-        self._generation += 1
-        self._pool_graph = weakref.ref(dfg)
-        self._pool_token = object()
-        if cache is not None:
-            cache["process_pool_token"] = self._pool_token
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the retained pool (no-op without one)."""
-        if self._pool_finalizer is not None:
-            self._pool_finalizer()
-            self._pool = None
-            self._pool_graph = None
-            self._pool_token = None
-            self._pool_finalizer = None
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def classify_partitions(
-        self,
-        dfg: "DFG",
-        partitions: "Sequence[Sequence[int]]",
-        weights: Sequence[int],
-        size: int,
-        span_limit: int | None,
-        max_count: int | None,
-    ) -> list[list[tuple]]:
-        """:func:`classify_partition_rows`, its passes mapped over the pool.
-
-        Each pass group (:func:`_pass_bounds`) is one pool task, so the
-        rows are the in-process call's bit for bit; with one job or a
-        single pass the call runs in-process and starts no pool.
-        """
-        bounds = _pass_bounds(weights)
-        if self.effective_jobs() <= 1 or len(bounds) < 2:
-            return super().classify_partitions(
-                dfg, partitions, weights, size, span_limit, max_count
-            )
-        tasks = [
-            (partitions[lo:hi], weights[lo:hi], size, span_limit, max_count)
-            for lo, hi in bounds
-        ]
-        # map preserves input order: rows come back in ascending seed
-        # order, aligned with ``partitions``.
-        results = self._acquire_pool(dfg).map(_classify_pass, tasks, chunksize=1)
-        return [rows for group in results for rows in group]
-
-    def classify(
-        self,
-        dfg: "DFG",
-        capacity: int,
-        span_limit: int | None = None,
-        *,
-        store_antichains: bool = False,
-        max_count: int | None = DEFAULT_MAX_COUNT,
-    ) -> "PatternCatalog":
-        """Plan → :meth:`classify_partitions` → merge: the partitioned build."""
-        if store_antichains:
-            raise PatternError(
-                f"the {self.name!r} backend cannot store raw antichains; "
-                "use the serial backend with store_antichains"
-            )
-        # Validates the graph eagerly (a cycle fails before any planning).
-        AntichainEnumerator(dfg)
-        plan, weights = plan_seed_partitions(dfg, EDIT_PARTITIONS)
-        return merge_classified_parts(
-            dfg,
-            self.classify_partitions(
-                dfg, plan, weights, capacity, span_limit, max_count
-            ),
-            capacity=capacity,
-            span_limit=span_limit,
-            max_count=max_count,
-        )

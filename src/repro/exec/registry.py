@@ -1,4 +1,4 @@
-"""Named backend registry — ``get_backend("process", jobs=4)``."""
+"""Named backend registry — ``get_backend("fused")``."""
 
 from __future__ import annotations
 
@@ -13,16 +13,14 @@ __all__ = [
     "register_backend",
 ]
 
-_FACTORIES: dict[str, Callable[..., ExecutionBackend]] = {}
+_FACTORIES: dict[str, Callable[[], ExecutionBackend]] = {}
 
 
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name``.
+def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
+    """Register a zero-argument backend factory under ``name``.
 
-    ``factory`` is called with the keyword arguments handed to
-    :func:`get_backend` (currently ``jobs``).  Re-registering a name
-    replaces it — deliberate, so tests and downstream projects can swap
-    implementations.
+    Re-registering a name replaces it — deliberate, so tests and
+    downstream projects can swap implementations.
     """
     if not name or not isinstance(name, str):
         raise BackendError(f"backend name must be a non-empty string, got {name!r}")
@@ -34,32 +32,18 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def get_backend(
-    spec: "ExecutionBackend | str", *, jobs: int | None = None
-) -> ExecutionBackend:
+def get_backend(spec: "ExecutionBackend | str") -> ExecutionBackend:
     """Resolve ``spec`` to an :class:`ExecutionBackend` instance.
 
     ``spec`` may already be a backend instance (returned as-is) or a
-    registered name (``"serial"``, ``"fused"``, ``"bitset"``,
-    ``"process"``).  ``jobs`` is forwarded to the factory (worker count
-    for the process backend; ignored by the others).
+    registered name (``"serial"``, ``"fused"``).
 
     Raises
     ------
     BackendError
-        For an unknown name, listing what is available — or when ``jobs``
-        is combined with an already-constructed instance, whose worker
-        count is fixed at construction (silently dropping the argument
-        hid real configuration bugs; see ``ProcessBackend(jobs=...)``).
+        For an unknown name, listing what is available.
     """
     if isinstance(spec, ExecutionBackend):
-        if jobs is not None:
-            raise BackendError(
-                f"jobs={jobs} cannot be combined with an already-constructed "
-                f"backend instance ({spec.describe()}); construct the "
-                f"instance with the desired worker count, or pass the "
-                f"backend by name"
-            )
         return spec
     if not isinstance(spec, str):
         raise BackendError(
@@ -71,4 +55,4 @@ def get_backend(
         raise BackendError(
             f"unknown execution backend {spec!r}; available: {known}"
         )
-    return factory(jobs=jobs)
+    return factory()

@@ -14,13 +14,12 @@ selection and keeping millions of tuples alive would be wasteful).
 
 Catalog construction runs through an execution backend (see
 :mod:`repro.exec` and PERFORMANCE.md): the default fused backend
-classifies inside the enumeration DFS via
-:meth:`~repro.dfg.antichains.AntichainEnumerator.classify_by_label`
-(no per-antichain allocations; one interned :class:`Pattern` per bag),
-the serial backend materializes name tuples and classifies them
-sequentially, and the process backend fans the bitset classifier out over
-seed-node partitions.  All produce equal catalogs — including per-pattern
-Counter insertion order, which Eq. 8's float summation depends on.
+classifies seed-node partitions with the vectorized bitset kernel and
+merges them in seed order (no per-antichain allocations; one interned
+:class:`Pattern` per bag), and the serial backend materializes name
+tuples and classifies them sequentially.  Both produce equal catalogs —
+including per-pattern Counter insertion order, which Eq. 8's float
+summation depends on.
 """
 
 from __future__ import annotations
@@ -122,12 +121,12 @@ def classify_antichains(
         Enumeration safety ceiling (see :mod:`repro.dfg.antichains`).
     backend:
         An :class:`~repro.exec.backend.ExecutionBackend` instance or
-        registered backend name (e.g. ``"process"``).  Omitted, the fused
-        backend classifies inside the enumeration DFS without
-        materializing antichains, unless ``store_antichains`` demands the
-        serial name-tuple classifier (only the serial backend stores
-        antichains; the others raise).  All backends produce equal
-        catalogs — the equivalence test-suite pins this.
+        registered backend name (``"serial"`` or ``"fused"``).  Omitted,
+        the fused backend classifies without materializing antichains,
+        unless ``store_antichains`` demands the serial name-tuple
+        classifier (only the serial backend stores antichains; the fused
+        one raises).  Both backends produce equal catalogs — the
+        equivalence test-suite pins this.
 
     Returns
     -------
@@ -144,54 +143,6 @@ def classify_antichains(
         span_limit,
         store_antichains=store_antichains,
         max_count=max_count,
-    )
-
-
-def _classify_fast(
-    dfg: "DFG",
-    enum: AntichainEnumerator,
-    capacity: int,
-    span_limit: int | None,
-    max_count: int | None,
-    classify=None,
-) -> PatternCatalog:
-    """Fused engine: in-DFS classification into int frequency arrays.
-
-    One :class:`Pattern` is interned per distinct bag and every name-keyed
-    Counter is built in the same insertion order the reference classifier
-    would produce, so the two engines' catalogs compare equal — including
-    Counter iteration order, which downstream float summations depend on.
-
-    ``classify`` swaps the label-classification core (the bitset backend
-    passes its vectorized kernel); any replacement must honour the
-    ``classify_by_label`` contract bit for bit, because this conversion
-    trusts the bag/first_seen orders it returns.
-    """
-    names = dfg.nodes
-    labels, id_colors = dfg.color_labels()
-
-    if classify is None:
-        classify = enum.classify_by_label
-    buckets = classify(labels, capacity, span_limit, max_count=max_count)
-    freqs: dict[Pattern, Counter[str]] = {}
-    counts: dict[Pattern, int] = {}
-    for bag, cls in buckets.items():
-        bag_counts: dict[str, int] = {}
-        for cid in bag:
-            c = id_colors[cid]
-            bag_counts[c] = bag_counts.get(c, 0) + 1
-        pattern = Pattern.from_counts(bag_counts)
-        freq = cls.frequencies
-        # int() matters in the numpy-spill regime: keep Counter values
-        # plain python ints regardless of the buffer representation.
-        freqs[pattern] = Counter({names[i]: int(freq[i]) for i in cls.first_seen})
-        counts[pattern] = cls.count
-    return PatternCatalog(
-        dfg=dfg,
-        capacity=capacity,
-        span_limit=span_limit,
-        frequencies=freqs,
-        antichain_counts=counts,
     )
 
 

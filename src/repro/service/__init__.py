@@ -1,14 +1,14 @@
 """Scheduling-as-a-service: the job-oriented public API.
 
 Callers submit :class:`JobRequest` jobs to a long-lived
-:class:`SchedulerService` that owns one execution backend (the process
-backend's worker pool included), content-addresses graphs
+:class:`SchedulerService` that owns one execution backend,
+content-addresses graphs
 (:func:`repro.dfg.io.dfg_digest`) and caches catalogs, selections and full
 results in keyed LRUs::
 
     from repro.service import JobRequest, SchedulerService
 
-    service = SchedulerService(backend="process", jobs=4)
+    service = SchedulerService()  # backend="fused"
     result = service.submit(JobRequest(capacity=5, pdef=4, workload="3dft"))
     result.schedule.length          # cycles
     service.stats.result_hits      # cache accounting

@@ -252,7 +252,7 @@ class AsyncServiceServer:
     Parameters
     ----------
     service:
-        The resident service; constructed from ``backend``/``jobs``/
+        The resident service; constructed from ``backend``/
         ``cache_dir``/``cache_max_bytes``/``max_pending`` when omitted
         (overload maps to HTTP 429; a request's ``backend`` field still
         wins over ``backend``).
@@ -278,7 +278,6 @@ class AsyncServiceServer:
         host: str = "127.0.0.1",
         port: int = 8350,
         backend: str = "fused",
-        jobs: "int | None" = None,
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_max_bytes: "int | None" = None,
         max_pending: "int | None" = None,
@@ -290,7 +289,6 @@ class AsyncServiceServer:
         if service is None:
             service = SchedulerService(
                 backend=backend,
-                jobs=jobs,
                 cache_dir=cache_dir,
                 cache_max_bytes=cache_max_bytes,
                 max_pending=max_pending,
@@ -842,7 +840,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8350,
     backend: str = "fused",
-    jobs: "int | None" = None,
     cache_dir: "str | os.PathLike[str] | None" = None,
     cache_max_bytes: "int | None" = None,
     max_pending: "int | None" = None,
@@ -859,7 +856,6 @@ def serve(
         host=host,
         port=port,
         backend=backend,
-        jobs=jobs,
         cache_dir=cache_dir,
         cache_max_bytes=cache_max_bytes,
         max_pending=max_pending,

@@ -3,9 +3,7 @@
 Instead of paying full catalog + selection cost per call, callers
 **submit jobs** to a resident service that
 
-* owns **one backend instance for its lifetime** — the process backend
-  keeps its worker pool across requests on the same graph, so pool
-  startup is amortized;
+* owns **one backend instance for its lifetime** (``fused`` by default);
 * keys work by **content**: graphs are canonicalized and SHA-256-digested
   (:func:`repro.dfg.io.dfg_digest`), so structurally identical graphs
   share cached work no matter how or where they were built;
@@ -31,8 +29,8 @@ Instead of paying full catalog + selection cost per call, callers
   partition by partition against the shard-partial cache — on every
   backend with a partition step
   (:attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`:
-  fused, bitset and process alike; the serial reference and
-  ``store_antichains`` build monolithically) — whose keys
+  the fused backend; the serial reference and ``store_antichains``
+  build monolithically) — whose keys
   are content-addressed at *partition* granularity
   (:func:`repro.dfg.io.subgraph_digest` hashes only the facts a
   partition's DFS subtrees can observe) — so after a
@@ -53,7 +51,7 @@ Instead of paying full catalog + selection cost per call, callers
   of queueing without bound.
 
 The backend is a *strategy*, never part of a cache key — all backends are
-bit-identical by contract, so a result computed under ``process`` serves a
+bit-identical by contract, so a result computed under ``serial`` serves a
 later ``fused`` request for the same job.
 """
 
@@ -247,9 +245,6 @@ class SchedulerService:
     backend:
         Execution backend name or instance the service owns for its
         lifetime (default ``"fused"``).
-    jobs:
-        Worker count forwarded to the backend factory (names only; an
-        instance's worker count is fixed at construction).
     workloads:
         Name → zero-argument DFG builder registry for workload-by-name
         requests (default: :data:`repro.workloads.WORKLOADS`).
@@ -286,7 +281,6 @@ class SchedulerService:
         self,
         *,
         backend: "ExecutionBackend | str" = "fused",
-        jobs: int | None = None,
         workloads: "dict[str, Callable[[], DFG]] | None" = None,
         catalog_cache: int = 64,
         selection_cache: int = 256,
@@ -297,7 +291,7 @@ class SchedulerService:
         max_pending: int | None = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
-        self.backend: ExecutionBackend = get_backend(backend, jobs=jobs)
+        self.backend: ExecutionBackend = get_backend(backend)
         if workloads is None:
             from repro.workloads import WORKLOADS
 
@@ -322,8 +316,8 @@ class SchedulerService:
             max_bytes=cache_max_bytes,
         )
         # digest → first-seen graph object: keeps one canonical DFG per
-        # content class so the worker pool and analysis caches warm up
-        # on a single object instead of per-request copies.
+        # content class so the analysis caches warm up on a single object
+        # instead of per-request copies.
         self._graphs = MemoryCacheStore(catalog_cache)
         self._named_graphs: dict[str, DFG] = {}
         self._overrides: dict[str, ExecutionBackend] = {}
@@ -381,10 +375,11 @@ class SchedulerService:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the resident and per-request backends' resources."""
-        self.backend.close()
-        for b in self._overrides.values():
-            b.close()
+        """End the service's lifetime (also via ``with service:``).
+
+        Releases nothing today: backends hold no resources and the cache
+        stores no open handles.
+        """
 
     def probe_result(
         self, request: JobRequest
@@ -473,7 +468,7 @@ class SchedulerService:
         digest = dfg_digest(dfg)
         seen = self._graphs.get(digest)
         # First-seen object wins the whole digest class: equal content ⇒
-        # equal results, and object stability keeps worker pools warm.
+        # equal results, and object stability keeps analysis caches warm.
         # Guard against a caller mutating a previously submitted graph in
         # place: the stored object must still *hash to* the digest it is
         # filed under (dfg_digest is memoized, so this re-check is a dict
@@ -503,7 +498,7 @@ class SchedulerService:
         else the resident one.
 
         A non-resident backend is created on first use and kept for
-        later jobs; the service owns and closes it.
+        later jobs.
         """
         name = request.backend
         if name is None or name == self.backend.name:
@@ -641,8 +636,8 @@ class SchedulerService:
         disk — run **zero** enumeration DFS.  The misses go to
         ``classify`` (a :data:`MissClassifier`): in process that is the
         backend's partition step (:meth:`_classify_here`) — one
-        :func:`~repro.exec.process.classify_partition_rows` call, or its
-        passes mapped over the process backend's pool; on a fleet it is
+        :func:`~repro.exec.process.classify_partition_rows` call; on a
+        fleet it is
         the :class:`~repro.service.shard.ShardCoordinator`'s steal loop.
         Every landed partial is written back under its own key, and the
         merge in ascending-seed order reproduces the monolithic fused

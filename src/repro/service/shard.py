@@ -741,11 +741,10 @@ class ShardCoordinator:
         ``task.ranges``), which writes them back.  One worker thread per
         shard pulls the next unclaimed range index from the shared queue
         — a fast (or partial-cache-warm) shard simply comes back for more
-        while a slow one is still classifying, which is exactly the
-        process backend's fine-grained dynamic queue lifted to service
-        instances.  Workers start from the shards whose breakers are not
-        open, so a healthy shard takes the work before the local
-        fallback does.
+        while a slow one is still classifying: a fine-grained dynamic
+        queue across service instances.  Workers start from the shards
+        whose breakers are not open, so a healthy shard takes the work
+        before the local fallback does.
 
         A remote shard claims its share of the dispatch,
         ``ceil(ranges / shards)`` consecutive unclaimed indices computed

@@ -83,19 +83,33 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "via backend serial" in out
 
-    def test_pipeline_process_pool_matches_single_service(self, capsys):
-        def summary(argv):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            return [
-                line for line in out.splitlines()
-                if line.strip().startswith(("library:", "cycles:"))
-            ]
+    @pytest.mark.parametrize("command", ["select", "schedule", "pipeline"])
+    @pytest.mark.parametrize("name", ["bitset", "process"])
+    def test_retired_backend_names_are_rejected(self, command, name, capsys):
+        argv = [command, "3dft", "--backend", name]
+        if command == "schedule":
+            argv += ["--patterns", "aabbc,abc"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"unknown execution backend '{name}'" in err
+        assert "available: fused, serial" in err
 
-        single = summary(["pipeline", "3dft"])
-        assert len(single) == 2
-        pooled = ["pipeline", "3dft", "--backend", "process", "--jobs", "2"]
-        assert summary(pooled) == single
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "3dft"],
+            ["schedule", "3dft", "--patterns", "aabbc,abc"],
+            ["pipeline", "3dft"],
+            ["serve"],
+            ["backends"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag",
@@ -128,10 +142,18 @@ class TestPipeline:
         assert "unknown execution backend" in capsys.readouterr().err
 
     def test_backends_listing(self, capsys):
+        from repro.exec.bitset import bitset_availability
+
         assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("serial", "fused", "process"):
-            assert name in out
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["fused"], ["serial"], ["bitset"], ["process"])
+        ]
+        assert [row[0] for row in rows] == ["fused", "serial"]
+        fused, serial = (" ".join(row) for row in rows)
+        assert bitset_availability() in fused
+        assert serial.endswith("pure python")
 
 
 class TestCompile:

@@ -478,6 +478,34 @@ class TestCopy:
         assert "extra" not in dfg
         assert cp.name == "clone"
 
+    def test_copy_keeps_predecessor_order(self):
+        # Edges added b→c, then a→c: c's predecessors are (b, a), while
+        # edges() lists a→c first because it groups by source.
+        dfg = DFG()
+        for name in "abc":
+            dfg.add_node(name, "x")
+        dfg.add_edge("b", "c")
+        dfg.add_edge("a", "c")
+        assert dfg.predecessors("c") == ("b", "a")
+        cp = dfg.copy()
+        assert cp.predecessors("c") == ("b", "a")
+        assert cp.successors("a") == dfg.successors("a")
+        assert cp.edges() == dfg.edges()
+        cp.add_edge("a", "b")
+        assert dfg.predecessors("b") == () and cp.predecessors("b") == ("a",)
+
+    def test_payload_carries_successor_order_only(self):
+        from repro.dfg.io import from_payload, to_payload
+
+        dfg = DFG()
+        for name in "abc":
+            dfg.add_node(name, "x")
+        dfg.add_edge("b", "c")
+        dfg.add_edge("a", "c")
+        decoded = from_payload(to_payload(dfg))
+        assert decoded.edges() == dfg.edges()
+        assert decoded.predecessors("c") == ("a", "b")
+
 
 
 class TestEvaluate:

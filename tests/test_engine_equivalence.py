@@ -10,14 +10,13 @@ identical schedules.
 
 Property tests drive both paths over random layered and Erdős-Rényi DAGs
 with varied capacity / span / pdef; paper workloads pin the named graphs.
-The same contract extends to the process execution backend (seed-node
-partitioned multiprocess classification, see ``repro.exec.process``):
-its merged catalogs must equal the fused engine's bit for bit, driven
-here by a reduced-example property test (pool startup per example is
-expensive) and exhaustively in ``tests/test_exec_backends.py``.  At job
-level, a :class:`~repro.service.SchedulerService` submit answers
-bit-identically whichever backend the request names (serial, fused,
-bitset, process), on random graphs and on fft16/fft64.
+The fused classifier is the seed-partitioned build over the bitset kernel
+(``repro.exec.process``); a property test also pins it with every
+partition in a vectorized pass of its own (the heavy-graph regime), and
+``tests/test_exec_backends.py`` / ``tests/test_exec_bitset.py`` pin it
+further.  At job level, a :class:`~repro.service.SchedulerService` submit
+answers bit-identically whichever backend the request names (serial,
+fused), on random graphs and on fft16/fft64.
 """
 
 from __future__ import annotations
@@ -136,23 +135,22 @@ def test_count_by_size_matches_enumeration(params):
     assert counted == expected
 
 
-@settings(
-    max_examples=8,  # one worker pool per example — keep the count tight
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@COMMON
 @given(layered_params)
 def test_process_backend_classification_equivalence(params):
-    from repro.exec import ProcessBackend
+    # Pass budget 0: each of the 16 seed partitions is a vectorized pass of
+    # its own, as on the heavy graphs.
+    from unittest import mock
+
+    from repro.exec import process as process_mod
 
     seed, layers, width, capacity, span, _, n_colors = params
     dfg = layered_dag(seed, layers=layers, width=width,
                       colors=tuple("abcd"[:n_colors]))
-    fast = classify_antichains(dfg, capacity, span)
-    proc = classify_antichains(
-        dfg, capacity, span, backend=ProcessBackend(jobs=2)
-    )
-    assert_catalogs_identical(proc, fast)
+    with mock.patch.object(process_mod, "_PASS_WEIGHT_BUDGET", 0):
+        fast = classify_antichains(dfg, capacity, span)
+    ref = classify_antichains(dfg, capacity, span, backend="serial")
+    assert_catalogs_identical(fast, ref)
 
 
 def test_classification_equivalence_paper_graphs():
@@ -385,7 +383,7 @@ def test_store_antichains_forces_reference_semantics():
 # every backend through the service: a job's answer never depends on the
 # backend its request names
 # --------------------------------------------------------------------------- #
-SERVICE_BACKENDS = ("serial", "fused", "bitset", "process")
+SERVICE_BACKENDS = ("serial", "fused")
 
 service_graphs = st.one_of(
     st.builds(

@@ -1,10 +1,13 @@
 """Execution backend subsystem: registry resolution + backend equivalence.
 
-The registry tests pin name/alias resolution and error behavior; the
-equivalence tests pin the process backend bit-identical to the fused and
-serial backends — catalogs (including Counter insertion order), selection
+The registry tests pin name resolution and error behavior, including the
+retired ``bitset`` and ``process`` names; the equivalence tests pin the
+fused backend's partitioned build (plan → ``classify_partition_rows`` →
+merge, the build the retired process backend ran) bit-identical to the
+serial reference — catalogs (including Counter insertion order), selection
 rounds (exact floats) and schedules — over random DAGs and paper graphs.
-The numpy bucket spill is exercised by forcing the threshold down.
+The ``test_process_*`` names are kept from that backend.  The numpy
+bucket spill is exercised by forcing the threshold down.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.exceptions import (
 )
 from repro.exec import (
     FusedBackend,
-    ProcessBackend,
     SerialBackend,
     available_backends,
     get_backend,
@@ -72,8 +74,7 @@ def assert_results_identical(a, b):
 
 
 def test_available_backends_lists_builtins():
-    names = available_backends()
-    assert {"serial", "fused", "process"} <= set(names)
+    assert available_backends() == ("fused", "serial")
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,6 @@ def test_available_backends_lists_builtins():
     [
         ("serial", SerialBackend),
         ("fused", FusedBackend),
-        ("process", ProcessBackend),
     ],
 )
 def test_get_backend_resolves_names_and_aliases(name, cls):
@@ -89,7 +89,7 @@ def test_get_backend_resolves_names_and_aliases(name, cls):
 
 
 @pytest.mark.parametrize(
-    "name", ["reference", "fast", "parallel", "mp", "vectorized"]
+    "name", ["reference", "fast", "parallel", "mp", "vectorized", "bitset", "process"]
 )
 def test_get_backend_rejects_removed_aliases(name):
     with pytest.raises(BackendError, match=f"unknown execution backend '{name}'"):
@@ -109,20 +109,8 @@ def test_get_backend_rejects_non_string_non_backend():
 
 
 def test_get_backend_passes_instances_through():
-    backend = ProcessBackend(jobs=3)
+    backend = FusedBackend()
     assert get_backend(backend) is backend
-
-
-def test_get_backend_forwards_jobs():
-    assert get_backend("process", jobs=7).jobs == 7
-    assert get_backend("process").jobs is None
-    # serial/fused accept and ignore jobs uniformly
-    assert get_backend("serial", jobs=7).name == "serial"
-
-
-def test_process_backend_rejects_bad_jobs():
-    with pytest.raises(BackendError, match="jobs must be"):
-        ProcessBackend(jobs=0)
 
 
 def test_register_backend_custom_and_replace():
@@ -146,14 +134,14 @@ def test_register_backend_rejects_bad_name():
 
 def test_describe():
     assert get_backend("serial").describe() == "serial"
-    assert get_backend("process", jobs=2).describe() == "process(jobs=2)"
+    assert get_backend("fused").describe() == "fused"
 
 
 # --------------------------------------------------------------------------- #
-# process backend: classification equivalence
+# the partitioned build: classification equivalence against serial
 # --------------------------------------------------------------------------- #
 
-PROCESS = ProcessBackend(jobs=2)
+FUSED = FusedBackend()
 
 RANDOM_CASES = [
     # (kind, seed, a, b, capacity, span)
@@ -174,9 +162,9 @@ def _case_graph(kind, seed, a, b):
 @pytest.mark.parametrize("kind, seed, a, b, capacity, span", RANDOM_CASES)
 def test_process_classification_equivalence_random(kind, seed, a, b, capacity, span):
     dfg = _case_graph(kind, seed, a, b)
-    fused = classify_antichains(dfg, capacity, span)
-    proc = classify_antichains(dfg, capacity, span, backend=PROCESS)
-    assert_catalogs_identical(proc, fused)
+    serial = classify_antichains(dfg, capacity, span, backend="serial")
+    fused = classify_antichains(dfg, capacity, span, backend=FUSED)
+    assert_catalogs_identical(fused, serial)
 
 
 def test_process_classification_equivalence_paper_graphs():
@@ -186,26 +174,40 @@ def test_process_classification_equivalence_paper_graphs():
         (three_point_dft_paper(), 5, None),
         (radix2_fft(8), 4, 1),
     ]:
-        fused = classify_antichains(dfg, capacity, span)
-        proc = classify_antichains(dfg, capacity, span, backend=PROCESS)
-        assert_catalogs_identical(proc, fused)
+        serial = classify_antichains(dfg, capacity, span, backend="serial")
+        fused = classify_antichains(dfg, capacity, span, backend=FUSED)
+        assert_catalogs_identical(fused, serial)
 
 
 def test_process_single_job_falls_back_in_process():
+    # The retired process backend's one-job build is the fused classify.
     dfg = three_point_dft_paper()
-    backend = ProcessBackend(jobs=1)
-    fused = classify_antichains(dfg, 5, 1)
-    proc = classify_antichains(dfg, 5, 1, backend=backend)
-    assert_catalogs_identical(proc, fused)
+    serial = classify_antichains(dfg, 5, 1, backend="serial")
+    fused = classify_antichains(dfg, 5, 1, backend=FusedBackend())
+    assert_catalogs_identical(fused, serial)
+
+
+def test_get_backend_rejects_jobs_with_instance():
+    # No backend has a worker count any more: ``jobs`` is accepted nowhere.
+    with pytest.raises(TypeError, match="jobs"):
+        get_backend(FusedBackend(), jobs=4)
+    with pytest.raises(TypeError, match="jobs"):
+        get_backend("fused", jobs=4)
+    from repro.service import AsyncServiceServer, SchedulerService
+
+    with pytest.raises(TypeError, match="jobs"):
+        SchedulerService(jobs=2)
+    with pytest.raises(TypeError, match="jobs"):
+        AsyncServiceServer(port=0, jobs=2)
 
 
 def test_build_catalog_store_antichains_routes_to_serial():
     # Only the serial classifier can materialize raw antichains; the
-    # selector's catalog build routes there even on fused/process backends.
+    # selector's catalog build routes there even on the fused backend.
     selector = PatternSelector(
         5, SelectionConfig(span_limit=1, store_antichains=True)
     )
-    for backend in ("fused", PROCESS):
+    for backend in ("fused", FUSED):
         catalog = selector.build_catalog(three_point_dft_paper(), backend=backend)
         assert catalog.antichains  # raw antichains really stored
 
@@ -213,7 +215,7 @@ def test_build_catalog_store_antichains_routes_to_serial():
 def test_process_store_antichains_raises():
     with pytest.raises(PatternError, match="cannot store raw antichains"):
         classify_antichains(
-            small_example(), 2, store_antichains=True, backend=PROCESS
+            small_example(), 2, store_antichains=True, backend=FUSED
         )
     with pytest.raises(PatternError, match="cannot store raw antichains"):
         classify_antichains(
@@ -223,12 +225,15 @@ def test_process_store_antichains_raises():
 
 def test_process_max_count_limit_propagates():
     dfg = radix2_fft(8)
-    with pytest.raises(EnumerationLimitError):
-        classify_antichains(dfg, 4, None, max_count=10, backend=PROCESS)
+    with pytest.raises(EnumerationLimitError) as want:
+        classify_antichains(dfg, 4, None, max_count=10, backend="serial")
+    with pytest.raises(EnumerationLimitError) as got:
+        classify_antichains(dfg, 4, None, max_count=10, backend=FUSED)
+    assert str(got.value) == str(want.value)
 
 
 # --------------------------------------------------------------------------- #
-# all three backends: full pipeline bit-identity
+# both backends: full pipeline bit-identity
 # --------------------------------------------------------------------------- #
 
 PIPELINE_CASES = [
@@ -248,19 +253,18 @@ def test_pipeline_bit_identical_across_backends(
     if pdef * capacity < len(dfg.colors()):
         pdef = -(-len(dfg.colors()) // capacity)
     config = SelectionConfig(span_limit=span, widen_to_capacity=True)
-    serial, fused, process = (
+    serial, fused = (
         run_flow(dfg, capacity, pdef, config, backend)
-        for backend in ("serial", "fused", PROCESS)
+        for backend in ("serial", FUSED)
     )
     assert_results_identical(fused, serial)
-    assert_results_identical(process, serial)
 
 
 def test_selector_and_scheduler_accept_backend_objects():
     dfg = three_point_dft_paper()
     selector = PatternSelector(5, SelectionConfig(span_limit=1))
     ref = selector.select(dfg, 4, backend="serial")
-    for backend in (SerialBackend(), FusedBackend(), PROCESS):
+    for backend in (SerialBackend(), FusedBackend()):
         got = selector.select(dfg, 4, backend=backend)
         assert got.library == ref.library
         sched_ref = MultiPatternScheduler(ref.library).schedule(
@@ -307,58 +311,3 @@ def test_classification_identical_in_numpy_spill_regime(monkeypatch):
     # Counter values must be plain python ints even off numpy buffers.
     for counter in spilled.frequencies.values():
         assert all(type(v) is int for v in counter.values())
-    proc = classify_antichains(dfg, 4, 1, backend=ProcessBackend(jobs=2))
-    assert_catalogs_identical(proc, expected)
-
-
-def test_get_backend_rejects_jobs_with_instance():
-    from repro.exceptions import BackendError
-
-    with pytest.raises(BackendError, match="cannot be combined"):
-        get_backend(FusedBackend(), jobs=4)
-
-
-def _one_pass_per_partition(monkeypatch):
-    """Budget 0: every partition is a pass of its own, so even a 4-node
-    chain has more than one pass and reaches the pool."""
-    from repro.exec import process as process_mod
-
-    monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", 0)
-
-
-def test_process_persistent_pool_reused_across_calls(monkeypatch):
-    from tests.conftest import chain
-
-    _one_pass_per_partition(monkeypatch)
-    dfg = chain(4)
-    dfg2 = chain(5)
-    with ProcessBackend(jobs=2) as backend:
-        a = backend.classify(dfg, 2, None, max_count=None)
-        gen_after_first = backend.pool_generation()
-        # Same graph, different capacity/span: the pool survives.
-        b = backend.classify(dfg, 3, 1, max_count=None)
-        assert backend.pool_generation() == gen_after_first
-        # A different graph retires the pool and starts a new one.
-        backend.classify(dfg2, 2, None, max_count=None)
-        assert backend.pool_generation() == gen_after_first + 1
-    # Closed: a fresh call simply re-acquires.
-    ref = FusedBackend().classify(dfg, 2, None, max_count=None)
-    assert a.frequencies == ref.frequencies
-    assert b.capacity == 3
-
-
-def test_process_persistent_pool_retired_on_graph_mutation(monkeypatch):
-    from tests.conftest import chain
-
-    _one_pass_per_partition(monkeypatch)
-    dfg = chain(4)
-    with ProcessBackend(jobs=2) as backend:
-        backend.classify(dfg, 2, None, max_count=None)
-        gen = backend.pool_generation()
-        # Workers hold the graph as pickled at pool creation; an in-place
-        # mutation must retire the pool (stale workers would classify the
-        # old graph), and the fresh pool must see the new node.
-        dfg.add_node("a9", "a")
-        catalog = backend.classify(dfg, 2, None, max_count=None)
-        assert backend.pool_generation() == gen + 1
-        assert any("a9" in counter for counter in catalog.frequencies.values())

@@ -1,14 +1,15 @@
-"""Bitset backend: vectorized classification pinned bit-identical.
+"""Bitset kernel: vectorized classification pinned bit-identical.
 
-The bitset backend replaces the scalar classify DFS with batched numpy
-kernels; its whole value rests on producing *exactly* the scalar output —
-bag dict insertion order, censuses, frequency arrays, first-seen orders,
-selection priorities as exact floats, schedules, and the ``max_count``
-error.  This suite pins that equivalence against the serial and fused
-oracles over fixed random DAGs, the paper graphs, fft16/fft64, and a
-hypothesis sweep of random layered/ER DAGs — then re-pins it with the
-compiled expansion kernel forced away (pure numpy path) and with numpy
-itself forced away (scalar fallback path).
+The bitset kernel replaces the scalar classify DFS with batched numpy
+passes, and the fused backend's every catalog build runs it; its whole
+value rests on producing *exactly* the scalar output — bag order,
+censuses, frequency arrays, first-seen orders, selection priorities as
+exact floats, schedules, and the ``max_count`` error.  This suite pins
+that equivalence against the serial backend and the scalar
+``classify_by_label`` over fixed random DAGs, the paper graphs,
+fft16/fft64, and a hypothesis sweep of random layered/ER DAGs — then
+re-pins it with the compiled expansion kernel forced away (pure numpy
+path) and with numpy itself forced away (scalar fallback path).
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from repro.exceptions import (
     GraphError,
     PatternError,
 )
-from repro.exec import BitsetBackend, available_backends, get_backend
+from repro.exec import FusedBackend, get_backend
 from repro.exec import bitset as bitset_mod
 from repro.exec.bitset import (
     bitset_availability,
     bitset_supported,
-    classify_by_label_bitset,
     classify_rows_bitset,
     packed_incomparable_rows,
     packed_level_windows,
@@ -55,24 +55,16 @@ from tests.test_exec_backends import (
 
 np = pytest.importorskip("numpy")
 
-BITSET = BitsetBackend()
+FUSED = FusedBackend()
 
 
-def assert_classifications_identical(got, ref):
-    """Raw classify_by_label output equality, insertion orders included."""
-    assert list(got) == list(ref)
-    for key in ref:
-        assert got[key].count == ref[key].count, key
-        assert got[key].first_seen == ref[key].first_seen, key
-        assert list(got[key].frequencies) == list(ref[key].frequencies), key
-
-
-def _check_graph(dfg, size, span, **kw):
+def _check_graph(dfg, size, span, roots=None):
+    """``classify_rows_bitset`` with one root group == scalar ``classify_by_label``."""
     enum = AntichainEnumerator(dfg)
     labels, _ = dfg.color_labels()
-    ref = enum.classify_by_label(labels, size, span, **kw)
-    got = classify_by_label_bitset(enum, labels, size, span, **kw)
-    assert_classifications_identical(got, ref)
+    roots = list(range(dfg.n_nodes)) if roots is None else roots
+    (got,) = classify_rows_bitset(enum, labels, size, span, [roots])
+    assert got == _scalar_rows(enum, labels, roots, size, span, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -80,42 +72,42 @@ def _check_graph(dfg, size, span, **kw):
 # --------------------------------------------------------------------------- #
 
 
-def test_bitset_registered():
-    assert "bitset" in available_backends()
-    assert type(get_backend("bitset")) is BitsetBackend
-
-
-def test_bitset_engine_string_accepted():
-    dfg = small_example()
-    ref = classify_antichains(dfg, 2, None, backend="fused")
-    got = classify_antichains(dfg, 2, None, backend="bitset")
-    assert_catalogs_identical(got, ref)
-
-
 def test_unknown_engine_error_lists_bitset():
-    with pytest.raises(BackendError, match="available: bitset"):
-        classify_antichains(small_example(), 2, backend="bogus")
+    # The retired backend names fail like any unknown one: the error names
+    # them and lists what is available.
+    for name in ("bogus", "bitset", "process"):
+        with pytest.raises(BackendError, match="available: fused, serial$"):
+            classify_antichains(small_example(), 2, backend=name)
 
 
 def test_availability_reports_numpy_and_native_state(monkeypatch):
     assert "numpy" in bitset_availability()
+    # The seam every backend exposes for `repro backends`: the fused
+    # backend runs the kernel, so it reports the kernel's state.
+    assert get_backend("fused").availability() == bitset_availability()
     monkeypatch.setattr(bitset_mod, "_native", None)
     assert "numpy expand" in bitset_availability()
     monkeypatch.setattr(bitset_mod, "np", None)
     assert "fallback" in bitset_availability()
-    # The seam every backend exposes for `repro backends`.
     assert get_backend("serial").availability() == "pure python"
-    assert "numpy" in get_backend("process").availability()
 
 
-def test_describe_includes_availability():
-    assert bitset_availability() in BITSET.describe()
+def test_describe_includes_availability(capsys):
+    # `repro backends` describes the fused row with the kernel's state.
+    from repro.cli import main
+
+    assert main(["backends"]) == 0
+    (row,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.split() and line.split()[0] == "fused"
+    ]
+    assert bitset_availability() in row
 
 
 def test_store_antichains_raises():
     with pytest.raises(PatternError, match="cannot store raw antichains"):
         classify_antichains(
-            small_example(), 2, store_antichains=True, backend=BITSET
+            small_example(), 2, store_antichains=True, backend=FUSED
         )
 
 
@@ -135,24 +127,29 @@ def test_unsupported_key_range_falls_back_to_scalar():
 
     dfg = chain(120)
     assert not bitset_supported(dfg.n_nodes, 10)
-    ref = classify_antichains(dfg, 10, None, backend="fused")
-    got = classify_antichains(dfg, 10, None, backend=BITSET)
+    ref = classify_antichains(dfg, 10, None, backend="serial")
+    got = classify_antichains(dfg, 10, None, backend=FUSED)
     assert_catalogs_identical(got, ref)
 
 
 def test_numpy_absent_falls_back_to_scalar(monkeypatch):
+    # Without numpy the seed weights come from the int masks and every
+    # partition runs the scalar classifier.
+    from repro.exec import process as process_mod
+
     monkeypatch.setattr(bitset_mod, "np", None)
+    monkeypatch.setattr(process_mod, "_np", None)
     assert not bitset_supported(4, 2)
     dfg = three_point_dft_paper()
-    ref = classify_antichains(dfg, 5, 1, backend="fused")
-    got = classify_antichains(dfg, 5, 1, backend=BitsetBackend())
+    ref = classify_antichains(dfg, 5, 1, backend="serial")
+    got = classify_antichains(dfg, 5, 1, backend=FusedBackend())
     assert_catalogs_identical(got, ref)
 
 
 def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
-    # With one job the process backend classifies in-process and starts no
-    # pool; it must run the partition step its workers run (the bitset
-    # pass kernel over the 16-partition plan), in one call.
+    # The monolithic fused build (the retired process backend's one-job
+    # path) runs the partition step every cached build runs: the bitset
+    # pass kernel over the 16-partition plan, in one call.
     from repro.exec import process as process_mod
 
     calls = []
@@ -165,10 +162,8 @@ def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
     monkeypatch.setattr(process_mod, "classify_partition_rows", spy)
     dfg = radix2_fft(16)
     config = SelectionConfig(span_limit=1, max_pattern_size=3)
-    backend = get_backend("process", jobs=1)
-    got = PatternSelector(5, config=config).build_catalog(dfg, backend=backend)
+    got = PatternSelector(5, config=config).build_catalog(dfg, backend="fused")
     assert calls == [process_mod.EDIT_PARTITIONS]
-    assert backend.pool_generation() == 0
     serial = PatternSelector(5, config=config).build_catalog(dfg, backend="serial")
     assert_catalogs_identical(got, serial)
 
@@ -178,9 +173,9 @@ def test_validation_matches_scalar():
     enum = AntichainEnumerator(dfg)
     labels, _ = dfg.color_labels()
     with pytest.raises(GraphError, match="labels has 2 entries"):
-        classify_by_label_bitset(enum, labels[:2], 2)
+        classify_rows_bitset(enum, labels[:2], 2, None, [[0]])
     with pytest.raises(GraphError, match="out of range"):
-        classify_by_label_bitset(enum, labels, 2, roots=[99])
+        classify_rows_bitset(enum, labels, 2, None, [[99]])
 
 
 def test_max_count_error_identical():
@@ -190,7 +185,9 @@ def test_max_count_error_identical():
     with pytest.raises(EnumerationLimitError) as ref:
         enum.classify_by_label(labels, 4, None, max_count=100)
     with pytest.raises(EnumerationLimitError) as got:
-        classify_by_label_bitset(enum, labels, 4, None, max_count=100)
+        classify_rows_bitset(
+            enum, labels, 4, None, [list(range(dfg.n_nodes))], max_count=100
+        )
     assert str(got.value) == str(ref.value)
 
 
@@ -203,10 +200,8 @@ def test_max_count_error_identical():
 def test_catalog_equivalence_random(kind, seed, a, b, capacity, span):
     dfg = _case_graph(kind, seed, a, b)
     serial = classify_antichains(dfg, capacity, span, backend="serial")
-    fused = classify_antichains(dfg, capacity, span, backend="fused")
-    got = classify_antichains(dfg, capacity, span, backend=BITSET)
+    got = classify_antichains(dfg, capacity, span, backend=FUSED)
     assert_catalogs_identical(got, serial)
-    assert_catalogs_identical(got, fused)
 
 
 def test_catalog_equivalence_paper_graphs():
@@ -218,18 +213,17 @@ def test_catalog_equivalence_paper_graphs():
         (radix2_fft(8), 4, None),
     ]:
         serial = classify_antichains(dfg, capacity, span, backend="serial")
-        got = classify_antichains(dfg, capacity, span, backend=BITSET)
+        got = classify_antichains(dfg, capacity, span, backend=FUSED)
         assert_catalogs_identical(got, serial)
 
 
 @pytest.mark.parametrize("points, capacity", [(16, 3), (64, 2)])
 def test_catalog_equivalence_fft(points, capacity):
-    # The benchmark workloads; fused is the oracle here (itself pinned to
-    # serial elsewhere) to keep the suite's runtime bounded.
+    # The benchmark workloads, against the serial reference.
     dfg = radix2_fft(points)
-    fused = classify_antichains(dfg, capacity, 1, backend="fused")
-    got = classify_antichains(dfg, capacity, 1, backend=BITSET)
-    assert_catalogs_identical(got, fused)
+    serial = classify_antichains(dfg, capacity, 1, backend="serial")
+    got = classify_antichains(dfg, capacity, 1, backend=FUSED)
+    assert_catalogs_identical(got, serial)
 
 
 def test_classifier_parameter_combos():
@@ -242,10 +236,7 @@ def test_classifier_parameter_combos():
         n = dfg.n_nodes
         _check_graph(dfg, size, span)
         _check_graph(dfg, size, span, roots=list(range(0, n, 3)))
-        _check_graph(dfg, size, span, min_size=2)
-        _check_graph(
-            dfg, size, span, roots=list(range(0, n, 2)), min_size=2
-        )
+        _check_graph(dfg, size, span, roots=list(range(0, n, 2)))
 
 
 # --------------------------------------------------------------------------- #
@@ -281,9 +272,9 @@ def _random_case(draw):
 @given(_random_case())
 def test_hypothesis_catalog_equivalence(case):
     dfg, capacity, span = case
-    fused = classify_antichains(dfg, capacity, span, backend="fused")
-    got = classify_antichains(dfg, capacity, span, backend=BITSET)
-    assert_catalogs_identical(got, fused)
+    serial = classify_antichains(dfg, capacity, span, backend="serial")
+    got = classify_antichains(dfg, capacity, span, backend=FUSED)
+    assert_catalogs_identical(got, serial)
 
 
 @settings(
@@ -298,7 +289,7 @@ def test_hypothesis_pipeline_bit_identical(case, pdef):
         pdef = -(-len(dfg.colors()) // capacity)
     config = SelectionConfig(span_limit=span, widen_to_capacity=True)
     ref = run_flow(dfg, capacity, pdef, config, "serial")
-    got = run_flow(dfg, capacity, pdef, config, BITSET)
+    got = run_flow(dfg, capacity, pdef, config, FUSED)
     assert_results_identical(got, ref)
 
 
@@ -361,9 +352,9 @@ def test_numpy_expand_matches_reference(monkeypatch, n):
 def test_forced_fallback_equivalence(monkeypatch, kind, seed, a, b, capacity, span):
     monkeypatch.setattr(bitset_mod, "_native", None)
     dfg = _case_graph(kind, seed, a, b)
-    fused = classify_antichains(dfg, capacity, span, backend="fused")
-    got = classify_antichains(dfg, capacity, span, backend=BitsetBackend())
-    assert_catalogs_identical(got, fused)
+    serial = classify_antichains(dfg, capacity, span, backend="serial")
+    got = classify_antichains(dfg, capacity, span, backend=FusedBackend())
+    assert_catalogs_identical(got, serial)
 
 
 def test_repro_no_native_env_var():
@@ -468,15 +459,15 @@ def test_span_window_boundaries_match_scalar(monkeypatch, span):
     groups = [list(range(g, n, 3)) for g in range(3)]
     for size in range(2, 6):
         refs = {
-            roots: enum.classify_by_label(labels, size, span, roots=roots)
-            for roots in (None, tuple(range(1, n, 2)))
+            roots: _scalar_rows(enum, labels, roots, size, span, None)
+            for roots in (tuple(range(n)), tuple(range(1, n, 2)))
         }
         ref_rows = [_scalar_rows(enum, labels, g, size, span, None) for g in groups]
         for native in _expand_paths():
             monkeypatch.setattr(bitset_mod, "_native", native)
             for roots, ref in refs.items():
-                got = classify_by_label_bitset(enum, labels, size, span, roots=roots)
-                assert_classifications_identical(got, ref)
+                (got,) = classify_rows_bitset(enum, labels, size, span, [roots])
+                assert got == ref
             assert classify_rows_bitset(enum, labels, size, span, groups) == ref_rows
 
 
@@ -490,17 +481,17 @@ def test_span_window_max_count_one_below(monkeypatch, span):
     total = sum(cls.count for cls in ref.values())
     with pytest.raises(EnumerationLimitError) as want:
         enum.classify_by_label(labels, 4, span, max_count=total - 1)
-    groups = [[0, 1, 2], list(range(3, dfg.n_nodes))]
+    every = list(range(dfg.n_nodes))
+    groups = [[0, 1, 2], every[3:]]
+    ref_rows = _scalar_rows(enum, labels, every, 4, span, None)
     for native in _expand_paths():
         monkeypatch.setattr(bitset_mod, "_native", native)
-        with pytest.raises(EnumerationLimitError) as got:
-            classify_by_label_bitset(enum, labels, 4, span, max_count=total - 1)
-        assert str(got.value) == str(want.value)
-        with pytest.raises(EnumerationLimitError) as got:
-            classify_rows_bitset(enum, labels, 4, span, groups, max_count=total - 1)
-        assert str(got.value) == str(want.value)
-        exact = classify_by_label_bitset(enum, labels, 4, span, max_count=total)
-        assert_classifications_identical(exact, ref)
+        for roots in ([every], groups):
+            with pytest.raises(EnumerationLimitError) as got:
+                classify_rows_bitset(enum, labels, 4, span, roots, max_count=total - 1)
+            assert str(got.value) == str(want.value)
+        (exact,) = classify_rows_bitset(enum, labels, 4, span, [every], max_count=total)
+        assert exact == ref_rows
 
 
 def _scalar_rows(enum, labels, seeds, size, span, max_count):
@@ -645,7 +636,7 @@ def test_overflowed_pass_raises_the_merge_error(monkeypatch, budget):
 @pytest.mark.parametrize("budget, cached", [(0, 32), (10**12, 16)])
 def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     # The span-1 attempt overflows (in one pass, or only at the merge);
-    # the span-0 retry must give the monolithic fused catalog either way.
+    # the span-0 retry must give the serial reference's catalog either way.
     # An overflowed pass caches none of its partitions' rows.
     from repro.exec import process as process_mod
     from repro.service import SchedulerService
@@ -654,7 +645,7 @@ def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", budget)
     dfg = radix2_fft(8)
     config = SelectionConfig(max_antichains=_FFT8_CAP)
-    backend = get_backend("fused")
+    backend = get_backend("serial")
     with SchedulerService() as svc:
         catalog, hits, misses = svc._build_catalog(
             dfg, PatternSelector(4, config=config), svc._classify_here(dfg, svc.backend)
@@ -688,20 +679,15 @@ def test_estimate_seed_weights_vectorized_matches_pure(monkeypatch):
 
 
 def test_spill_regime_identical(monkeypatch):
+    # Past the (patched) threshold the merge accumulates into numpy
+    # buffers; the catalog must not change, and its counts stay plain ints.
     from repro.dfg import antichains
 
     dfg = radix2_fft(8)
     expected = classify_antichains(dfg, 4, 1, backend="serial")
     monkeypatch.setattr(antichains, "NUMPY_SPILL_THRESHOLD", 1)
-    got = classify_antichains(dfg, 4, 1, backend=BITSET)
+    assert isinstance(antichains._freq_buffer(dfg.n_nodes), np.ndarray)
+    got = classify_antichains(dfg, 4, 1, backend=FUSED)
     assert_catalogs_identical(got, expected)
     for counter in got.frequencies.values():
         assert all(type(v) is int for v in counter.values())
-    # Below the (patched) threshold boundary the raw classifier must hand
-    # back numpy buffers exactly like the scalar one does.
-    enum = AntichainEnumerator(dfg)
-    labels, _ = dfg.color_labels()
-    buckets = classify_by_label_bitset(enum, labels, 4, 1)
-    assert all(
-        isinstance(c.frequencies, np.ndarray) for c in buckets.values()
-    )

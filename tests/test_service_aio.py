@@ -355,13 +355,16 @@ class TestWarmPath:
     @pytest.mark.parametrize("form", ["loop", "pool-inline-graph"])
     def test_an_unknown_backend_is_rejected_on_a_warm_hit(self, warm, form):
         server, _ = warm
-        request = dataclasses.replace(WARM_FORMS[form](), backend="no-such-backend")
-        cold = dataclasses.replace(request, pdef=2)
-        answers = [_post(server, r.to_json().encode()) for r in (request, cold)]
-        assert [status for status, _, _ in answers] == [422, 422]
-        warm_error, cold_error = (json.loads(raw) for _, _, raw in answers)
-        assert warm_error == cold_error
-        assert warm_error["error"]["type"] == "BackendError"
+        # An unknown name and the retired backend names answer alike.
+        for name in ("no-such-backend", "bitset", "process"):
+            request = dataclasses.replace(WARM_FORMS[form](), backend=name)
+            cold = dataclasses.replace(request, pdef=2)
+            answers = [_post(server, r.to_json().encode()) for r in (request, cold)]
+            assert [status for status, _, _ in answers] == [422, 422]
+            warm_error, cold_error = (json.loads(raw) for _, _, raw in answers)
+            assert warm_error == cold_error
+            assert warm_error["error"]["type"] == "BackendError"
+            assert repr(name) in warm_error["error"]["message"]
 
     def test_a_disk_only_hit_goes_through_the_pool_and_touches_the_file(
         self, tmp_path

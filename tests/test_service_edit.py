@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import random
 
 import pytest
@@ -39,7 +38,6 @@ from repro.service import (
 )
 from repro.service.serialize import catalog_to_dict
 from repro.service.service import EDIT_PARTITIONS
-from repro.workloads import WORKLOADS
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
 
@@ -186,9 +184,9 @@ class TestIncrementalRebuild:
 
     def test_partitioned_build_matches_fused_catalog_bit_for_bit(self):
         # The in-service partitioned build (the thing partial reuse rides
-        # on) must itself be bit-identical to one fused DFS pass.
+        # on) must itself be bit-identical to the serial reference.
         dfg = radix2_fft(8)
-        backend = get_backend("fused")
+        backend = get_backend("serial")
         selector = PatternSelector(4, config=CFG)
         with SchedulerService() as svc:
             catalog, hits, misses = svc._build_catalog(
@@ -220,72 +218,6 @@ class TestIncrementalRebuild:
             svc.clear_caches()
             outcome = svc.submit_outcome(job)
             assert outcome.cache == "none"  # full clear drops partials too
-
-
-# --------------------------------------------------------------------------- #
-# one build path for every backend: the process pool classifies the plan
-# --------------------------------------------------------------------------- #
-class TestProcessBackedBuild:
-    def test_cold_build_caches_every_partial_and_an_edit_reuses_them(self):
-        job = JobRequest(capacity=5, pdef=4, workload="5dft")
-        edit = EditRequest(
-            job=job,
-            edits=(_interning_stable_recolor(WORKLOADS["5dft"]()),),
-        )
-        with SchedulerService(backend="process", jobs=2) as svc:
-            cold = svc.submit_outcome(job)
-            assert cold.cache == "none"
-            assert svc.stats.partition_misses == EDIT_PARTITIONS
-            assert len(svc._shard_parts) == EDIT_PARTITIONS
-            assert svc.backend.pool_generation() == 1
-            outcome = svc.submit_edit_outcome(edit)
-            assert outcome.cache == "edit"
-            assert svc.stats.partition_hits > 0
-        with SchedulerService() as fused:
-            fused.submit(job)
-            expected = fused.submit_edit_outcome(edit)
-        assert expected.cache == "edit"
-        assert outcome.result.answer_dict() == expected.result.answer_dict()
-
-    def test_process_override_keeps_its_pool_across_cold_builds(
-        self, monkeypatch
-    ):
-        # The override is created without a worker count; pin the host's
-        # so the pool engages on any machine.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        dfg = radix2_fft(8)
-        job = JobRequest(capacity=5, pdef=4, dfg=dfg, backend="process")
-        with SchedulerService() as svc:
-            first = svc.submit_outcome(job)
-            svc.clear_caches()
-            second = svc.submit_outcome(job)
-            assert (first.cache, second.cache) == ("none", "none")
-            assert svc.stats.partition_misses == 2 * EDIT_PARTITIONS
-            assert svc._overrides["process"].pool_generation() == 1
-        assert first.result.answer_dict() == second.result.answer_dict()
-
-
-@pytest.mark.parametrize("workload", ["dct4", "fft8"])
-@pytest.mark.parametrize(
-    "writer, reader",
-    [("process", "fused"), ("fused", "process")],
-    ids=["process-to-fused", "fused-to-process"],
-)
-class TestCrossBackendPartials:
-    def test_partials_answer_across_backends(
-        self, tmp_path, workload, writer, reader
-    ):
-        job = JobRequest(capacity=5, pdef=4, workload=workload)
-        with SchedulerService(backend=writer, jobs=2, cache_dir=tmp_path) as first:
-            expected = first.submit(job)
-            assert first.stats.partition_misses == EDIT_PARTITIONS
-        with SchedulerService(backend=reader, jobs=2, cache_dir=tmp_path) as second:
-            second.clear_caches(keep_shard_partials=True)
-            outcome = second.submit_outcome(job)
-            assert second.stats.partition_hits == EDIT_PARTITIONS
-            assert second.stats.partition_misses == 0
-        assert outcome.cache == "edit"
-        assert outcome.result.answer_dict() == expected.answer_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -105,21 +105,15 @@ class TestResolveExecution:
         assert created == []
 
     def test_overrides_cache_non_resident_backends(self, created):
-        closed = []
-        service = SchedulerService(backend="fused")
-        created.clear()
-        try:
+        with SchedulerService(backend="fused") as service:
+            created.clear()
             for pdef in (3, 4):
                 service.clear_caches()
                 result = service.submit(
                     dataclasses.replace(self.REQUEST, pdef=pdef, backend="serial")
                 )
                 assert result.backend == "serial"
-            assert [b.name for b in created] == ["serial"]
-            created[0].close = lambda: closed.append(True)
-        finally:
-            service.close()
-        assert closed == [True]
+        assert [b.name for b in created] == ["serial"]
 
 
 # --------------------------------------------------------------------------- #
@@ -127,39 +121,51 @@ class TestResolveExecution:
 # --------------------------------------------------------------------------- #
 class TestUnknownBackendName:
     GOOD = JobRequest(capacity=5, pdef=3, workload="3dft")
-    BAD = dataclasses.replace(GOOD, backend="bogus")
+    #: An unknown name and the retired backend names, rejected alike.
+    BAD_NAMES = ("bogus", "bitset", "process")
+
+    def bad(self, name):
+        return dataclasses.replace(self.GOOD, backend=name)
 
     def test_cold_and_warm_submits_both_reject(self, created):
         with SchedulerService() as service:
             created.clear()
-            with pytest.raises(BackendError, match="bogus"):
-                service.submit(self.BAD)
+            for name in self.BAD_NAMES:
+                with pytest.raises(BackendError, match=f"backend '{name}'"):
+                    service.submit(self.bad(name))
             service.submit(self.GOOD)
             assert service.submit_outcome(self.GOOD).cache == "result"
-            with pytest.raises(BackendError, match="bogus"):
-                service.submit(self.BAD)
+            for name in self.BAD_NAMES:
+                with pytest.raises(BackendError, match=f"backend '{name}'"):
+                    service.submit(self.bad(name))
         assert created == []
 
     def test_batch_duplicate_rejects(self):
         with SchedulerService() as service:
-            with pytest.raises(BackendError, match="bogus"):
-                service.submit_many([self.GOOD, self.BAD])
+            for name in self.BAD_NAMES:
+                with pytest.raises(BackendError, match=name):
+                    service.submit_many([self.GOOD, self.bad(name)])
 
     def test_cold_and_warm_submits_both_reject_over_the_wire(self):
         server = AsyncServiceServer(port=0)
         server.start_background()
+        statuses = []
         try:
             with ServiceClient(server.url, timeout=30) as client:
-                with pytest.raises(BackendError, match="bogus") as cold:
-                    client.submit(self.BAD)
+                for name in self.BAD_NAMES:
+                    with pytest.raises(BackendError, match=name) as cold:
+                        client.submit(self.bad(name))
+                    statuses.append(cold.value.http_status)
                 client.submit(self.GOOD)
                 client.submit(self.GOOD)
                 assert client.last_cache == "result"
-                with pytest.raises(BackendError, match="bogus") as warm:
-                    client.submit(self.BAD)
+                for name in self.BAD_NAMES:
+                    with pytest.raises(BackendError, match=name) as warm:
+                        client.submit(self.bad(name))
+                    statuses.append(warm.value.http_status)
         finally:
             server.shutdown()
-        assert cold.value.http_status == warm.value.http_status == 422
+        assert statuses == [422] * 2 * len(self.BAD_NAMES)
 
 
 # --------------------------------------------------------------------------- #
@@ -169,8 +175,8 @@ class TestLegacyEngineAliases:
     def test_canonical_names_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            for name in ("serial", "fused", "bitset"):
-                get_backend(name).close()
+            for name in ("serial", "fused"):
+                get_backend(name)
 
     def test_engine_keyword_is_gone(self):
         from repro.core.selection import PatternSelector

@@ -124,32 +124,3 @@ def test_missing_baseline_path_is_skipped(tmp_path):
     assert diff_bench.main(
         [str(new), "--baseline", str(tmp_path / "nope.json")]
     ) == 0
-
-
-# --------------------------------------------------------------------------- #
-# multi-core gate (process rows)
-# --------------------------------------------------------------------------- #
-def _multicore_report(cpus, *, process_speedup):
-    report = _report([("FFT-64", "enumeration+classify", 5.0)])
-    report["cpus"] = cpus
-    row = report["stages"][0]
-    row["process_s"] = row["fast_s"] / process_speedup
-    row["process_jobs"] = 4
-    row["process_speedup_vs_fast"] = process_speedup
-    return report
-
-
-def test_process_row_not_gated_on_single_cpu(tmp_path, capsys):
-    new = _write(
-        tmp_path, "new.json", _multicore_report(1, process_speedup=0.8)
-    )
-    assert diff_bench.main([str(new)]) == 0
-    assert "overhead only; not gated" in capsys.readouterr().out
-
-
-def test_process_row_gated_on_multicore(tmp_path, capsys):
-    new = _write(
-        tmp_path, "new.json", _multicore_report(4, process_speedup=0.8)
-    )
-    assert diff_bench.main([str(new)]) == 1
-    assert "process speedup 0.8x" in capsys.readouterr().err
