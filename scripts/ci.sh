@@ -106,6 +106,49 @@ print(f"  1 classify call, partition_misses={misses}, {cached} partials cached,"
       f" edit answered {edit.cache!r}")
 EOF
 
+echo "== write once: a two-shard fleet on one cache dir writes each file once =="
+# The shard services and the coordinator share one --cache-dir, and every
+# key is content-addressed: the coordinator's write-back of a partial the
+# shard already stored finds the file and skips the write.  A cold fleet
+# submit writes its 16 partials once each, plus 1 catalog, 1 selection
+# and 1 result file.  Counts only, no timing.
+python - <<'EOF'
+import os
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from repro.service import JobRequest, ShardCoordinator
+from repro.service.service import EDIT_PARTITIONS
+from repro.workloads.synthetic import layered_dag
+
+writes = []
+replace = os.replace
+
+
+def counted(src, dst, *args, **kwargs):
+    writes.append(Path(dst))
+    return replace(src, dst, *args, **kwargs)
+
+
+os.replace = counted
+dfg = layered_dag(7, layers=5, width=5, colors=("a", "b", "c"))
+with tempfile.TemporaryDirectory() as cache_dir:
+    with ShardCoordinator.local(2, cache_dir=cache_dir) as coord:
+        outcome = coord.submit_outcome(JobRequest(capacity=5, pdef=4, dfg=dfg))
+per_file = Counter(writes)
+per_namespace = Counter(path.parent.name for path in writes)
+twice = sorted(str(path) for path, n in per_file.items() if n > 1)
+if outcome.cache != "catalog":
+    raise SystemExit(f"expected a fleet-built catalog, got cache {outcome.cache!r}")
+if twice:
+    raise SystemExit(f"{len(twice)} files written more than once, e.g. {twice[0]}")
+expected = {"shard": EDIT_PARTITIONS, "catalog": 1, "selection": 1, "result": 1}
+if dict(per_namespace) != expected:
+    raise SystemExit(f"expected writes {expected}, got {dict(per_namespace)}")
+print("  writes: " + ", ".join(f"{ns} {n}" for ns, n in sorted(per_namespace.items())))
+EOF
+
 echo "== perfbench unit tests =="
 python perfbench/selftest.py
 

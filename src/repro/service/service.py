@@ -892,7 +892,12 @@ class SchedulerService:
             ]
 
     def put_shard_partial(self, key: tuple, buckets: list[tuple]) -> None:
-        """Install a shard partial under ``key`` (coordinator side)."""
+        """Install a shard partial under ``key`` (coordinator side).
+
+        On a disk store shared with the shard that classified it, the
+        file is already there: the put fills the memory front and only
+        refreshes the file's mtime (write once).
+        """
         with self._lock:
             self._shard_parts.put(key, buckets)
 

@@ -1022,10 +1022,15 @@ class ShardCoordinator:
             dfg, digest = self.service._resolve_input(request.workload, request.dfg)
             # Already cached at some level (result or catalog, memory or
             # disk)?  Then the completion service answers without any
-            # shard traffic at all.
-            answered = request.job_key(digest) in self.service._results
-            has_catalog = request.catalog_key(digest) in self.service._catalogs
-        if not answered and not has_catalog:
+            # shard traffic at all.  Probed with get, not `in`: a corrupt
+            # file is a miss (and get removes it), and a hit lands in the
+            # memory front the completion service reads next.
+            cached = (
+                self.service._results.get(request.job_key(digest)) is not None
+                or self.service._catalogs.get(request.catalog_key(digest))
+                is not None
+            )
+        if not cached:
             catalog = self.build_catalog(
                 dfg,
                 request.capacity,

@@ -9,21 +9,31 @@ turns that storage decision into a seam:
     most-recently-*used* eviction order.  The default.
 
 :class:`DiskCacheStore`
-    A disk-backed store: every ``put`` writes the value through to a JSON
-    file under ``<directory>/<namespace>/`` (atomically — temp file +
-    ``os.replace``), and a ``get`` that misses the in-process memory
-    front falls back to reading it from disk.  File names are
-    :func:`repro.dfg.io.stable_key_digest` of the structured cache key,
-    so two independent service instances — or one service across a
-    restart — derive the same file for the same key: catalogs survive
-    restarts and can be shared between shard instances via a common
-    cache directory.  Corrupt or truncated cache files are treated as
-    misses, never errors; the next ``put`` atomically replaces them.
-    With ``max_bytes`` set, each ``put`` prunes the namespace back under
-    its byte budget, least-recently-used first (disk reads refresh the
-    file's mtime, so recency survives process restarts); without it the
-    directory grows without bound and :func:`gc_cache_dir` (CLI:
-    ``repro cache-gc``) is the out-of-band pruner.
+    A disk-backed store: a ``put`` writes the value to a JSON file under
+    ``<directory>/<namespace>/`` (atomically — temp file + ``os.replace``)
+    unless that file already exists, and a ``get`` that misses the
+    in-process memory front falls back to reading it from disk.  File
+    names are :func:`repro.dfg.io.stable_key_digest` of the structured
+    cache key, so two independent service instances — or one service
+    across a restart — derive the same file for the same key: catalogs
+    survive restarts and can be shared between shard instances via a
+    common cache directory.
+
+    Each file is written once.  Keys are content-addressed and a key's
+    value is bit-identical whoever computes it, so a ``put`` over an
+    existing file only refreshes its mtime: it neither encodes nor
+    rewrites it.  (A fleet coordinator writing back a partial its shard
+    already stored in the same directory pays one ``utime``.)  Corrupt,
+    truncated or foreign files are misses, never errors: the ``get``
+    that finds one removes it, so the next ``put`` writes the file
+    again.  Two first writers racing on one key both write; that is
+    harmless, because each ``os.replace`` installs a whole, identical
+    file.  With ``max_bytes`` set, each ``put`` that writes prunes the
+    namespace back under its byte budget, least-recently-used first
+    (hits and skipped puts refresh the file's mtime, so recency survives
+    process restarts); without it the directory grows without bound and
+    :func:`gc_cache_dir` (CLI: ``repro cache-gc``) is the out-of-band
+    pruner.
 
 Values are domain objects (:class:`~repro.patterns.enumeration.PatternCatalog`,
 :class:`~repro.core.selection.SelectionResult`,
@@ -163,7 +173,11 @@ class MemoryCacheStore(CacheStore):
 
 
 class DiskCacheStore(CacheStore):
-    """A write-through disk store with an in-process LRU front.
+    """A write-once disk store with an in-process LRU front.
+
+    ``put`` installs the value in the memory front and writes its file
+    only when the file is missing; ``get`` removes a file it cannot use,
+    so the next ``put`` heals it (see the module docstring).
 
     Parameters
     ----------
@@ -212,14 +226,16 @@ class DiskCacheStore(CacheStore):
         self._decode = decode
         self._memory = MemoryCacheStore(memory_size)
         # Running namespace-size estimate for max_bytes enforcement
-        # (None = not yet scanned).  Overwrites over-count (prune early,
-        # never late); sibling instances writing to a shared directory
-        # are invisible until the next prune, whose full directory scan
-        # re-syncs the estimate with reality — so the budget is enforced
-        # strictly per instance and only eventually for a shared
-        # directory (`gc_cache_dir` / `repro cache-gc` is the strict
-        # multi-writer pruner).  The walk runs when the estimate crosses
-        # the budget, not on every put.
+        # (None = not yet scanned).  Only written files count, so a put
+        # over an existing file adds nothing; a file healed by get and
+        # put over-counts once (prune early, never late); sibling
+        # instances writing to a shared directory are invisible until
+        # the next prune, whose full directory scan re-syncs the
+        # estimate with reality — so the budget is enforced strictly per
+        # instance and only eventually for a shared directory
+        # (`gc_cache_dir` / `repro cache-gc` is the strict multi-writer
+        # pruner).  The walk runs when the estimate crosses the budget,
+        # not on every put.
         self._disk_bytes: int | None = None
         self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -266,13 +282,17 @@ class DiskCacheStore(CacheStore):
                 or payload.get("format") != DISK_FORMAT
                 or payload.get("namespace") != self.namespace
             ):
-                return None
+                raise ValueError("not a cache file of this namespace")
             value = self._decode(payload["value"])
         except FileNotFoundError:
             return None
         except Exception:
             # Corrupt, truncated or foreign file: a miss, never an error.
-            # The next put for this key atomically replaces it.
+            # Remove it, or the next put would find it and skip the write.
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
             return None
         self._touch(path)
         self._memory.put(key, (path, value))
@@ -281,6 +301,16 @@ class DiskCacheStore(CacheStore):
     def put(self, key: Any, value: Any) -> None:
         path = self.path_for(key)
         self._memory.put(key, (path, value))
+        # The mtime refresh doubles as the existence probe: a file that
+        # is already there holds this value (write once), so only a
+        # missing one is encoded and written.
+        try:
+            os.utime(path)
+            return
+        except FileNotFoundError:
+            pass
+        except OSError:
+            return  # there, but not ours to touch: nothing to write either
         payload = {
             "format": DISK_FORMAT,
             "namespace": self.namespace,
@@ -316,6 +346,11 @@ class DiskCacheStore(CacheStore):
         return sum(1 for _ in self.directory.glob("*.json"))
 
     def __contains__(self, key: Any) -> bool:
+        """A cheap look: memory front or file present, never a decode.
+
+        A file ``get`` would reject still counts until a ``get`` removes
+        it; a caller that acts on the answer probes with ``get``.
+        """
         return key in self._memory or self.path_for(key).exists()
 
     def clear(self) -> None:

@@ -965,6 +965,80 @@ class TestCrossTopologyPartials:
 
 
 # --------------------------------------------------------------------------- #
+# write once: one shared cache dir, one write per file
+# --------------------------------------------------------------------------- #
+def _count_writes(monkeypatch) -> list:
+    """Record the destination of every ``os.replace`` (a store's write)."""
+    import os
+    from pathlib import Path
+
+    writes: list = []
+    replace = os.replace
+
+    def counted(src, dst, *args, **kwargs):
+        writes.append(Path(dst))
+        return replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counted)
+    return writes
+
+
+def test_fleet_on_one_cache_dir_writes_each_partial_once(tmp_path, monkeypatch):
+    from repro.dfg.edit import DfgEdit, apply_edits
+    from repro.dfg.io import subgraph_digest
+
+    dfg = layered_dag(7, layers=5, width=5, colors=("a", "b", "c"))
+    labels, colors = dfg.color_labels()
+    recolor = DfgEdit.recolor(
+        dfg.nodes[-1], "a" if colors[labels[-1]] != "a" else "b"
+    )
+    edited = apply_edits(dfg, [recolor])
+    cfg = SelectionConfig()
+    writes = _count_writes(monkeypatch)
+    with ShardCoordinator.local(2, cache_dir=tmp_path) as coord:
+        cold = coord.build_catalog(dfg, 5, config=cfg)
+        assert coord.stats.planned == EDIT_PARTITIONS
+        cold_writes = [p for p in writes if p.parent.name == "shard"]
+        del writes[:]
+        warm = coord.build_catalog(edited, 5, config=cfg)
+        edit_writes = [p for p in writes if p.parent.name == "shard"]
+    # The shard server wrote each partial; the coordinator's write-back
+    # of the same content-addressed file found it and wrote nothing.
+    assert len(cold_writes) == len(set(cold_writes)) == EDIT_PARTITIONS
+    partitions = plan_seed_partitions(edited, EDIT_PARTITIONS)[0]
+    dirty = [
+        seeds
+        for seeds in partitions
+        if subgraph_digest(dfg, seeds) != subgraph_digest(edited, seeds)
+    ]
+    assert 0 < len(dirty) < EDIT_PARTITIONS
+    assert len(edit_writes) == len(set(edit_writes)) == len(dirty)
+    assert catalog_bits(cold) == catalog_bits(fused_catalog(dfg, 5, cfg))
+    assert catalog_bits(warm) == catalog_bits(fused_catalog(edited, 5, cfg))
+
+
+def test_corrupt_result_file_still_uses_the_fleet(tmp_path):
+    # A result file the store cannot read is a miss, so the coordinator
+    # fans the catalog build out instead of leaving the completion
+    # service to classify every partition in process.
+    job = JobRequest(capacity=5, pdef=4, workload="fft8")
+    with ShardCoordinator.local(2, cache_dir=tmp_path) as coord:
+        expected = coord.submit(job)
+    for namespace in ("catalog", "selection", "shard"):
+        for path in (tmp_path / namespace).glob("*.json"):
+            path.unlink()
+    [result_file] = (tmp_path / "result").glob("*.json")
+    result_file.write_bytes(b"not json at all {{{")
+    with ShardCoordinator.local(2, cache_dir=tmp_path) as coord:
+        outcome = coord.submit_outcome(job)
+        assert coord.stats.planned == EDIT_PARTITIONS
+        assert coord.stats.dispatched == EDIT_PARTITIONS
+        assert coord.service.stats.partition_misses == 0
+    assert outcome.cache == "catalog"
+    assert outcome.result.answer_dict() == expected.answer_dict()
+
+
+# --------------------------------------------------------------------------- #
 # fan-out guards
 # --------------------------------------------------------------------------- #
 def test_unknown_backend_fails_before_fan_out():

@@ -8,7 +8,10 @@ Pins the :mod:`repro.service.store` contract:
   (bytes-equal JSON) and survives a "restart" (a fresh store instance on
   the same directory);
 * corrupt / truncated / foreign cache files are treated as misses, never
-  errors;
+  errors: the ``get`` that finds one removes it and the next ``put``
+  writes it again;
+* each file is written once: a ``put`` over an existing file only
+  refreshes its mtime and the memory front, never re-encodes or rewrites;
 * two services sharing one ``cache_dir`` serve each other's warm hits —
   including over HTTP across a server restart (``X-Repro-Cache: result``);
 * ``max_bytes`` eviction prunes least-recently-used files (mtime order,
@@ -150,9 +153,14 @@ class TestDiskCacheStore:
         store.path_for(result.job_key).write_bytes(garbage)
         fresh = _result_store(tmp_path)  # cold memory front
         assert fresh.get(result.job_key) is None
-        # ...and a re-put heals the entry atomically.
+        # The miss removed the unusable file, so the next put writes it
+        # again (a put over an existing file would skip the write)...
+        assert not fresh.path_for(result.job_key).exists()
         fresh.put(result.job_key, result)
         assert fresh.get(result.job_key).to_json() == result.to_json()
+        # ...and a third instance reads the healed file back from disk.
+        third = _result_store(tmp_path)
+        assert third.get(result.job_key).to_json() == result.to_json()
 
     def test_contains_len_clear(self, tmp_path, result):
         store = _result_store(tmp_path)
@@ -191,10 +199,10 @@ class TestDiskCacheStore:
 # eviction and GC
 # --------------------------------------------------------------------------- #
 def _int_store(tmp_path, **kwargs) -> DiskCacheStore:
+    kwargs.setdefault("encode", lambda v: {"v": v})
     return DiskCacheStore(
         tmp_path,
         "ints",
-        encode=lambda v: {"v": v},
         decode=lambda d: d["v"],
         memory_size=2,
         **kwargs,
@@ -312,6 +320,59 @@ class TestGcCacheDir:
         assert fresh.get("k") is None
         fresh.put("k", 42)
         assert fresh.get("k") == 42
+
+
+# --------------------------------------------------------------------------- #
+# write once
+# --------------------------------------------------------------------------- #
+class TestWriteOnce:
+    def test_put_over_an_existing_file_skips_encode_and_write(self, tmp_path):
+        first = _int_store(tmp_path)
+        first.put("k", 7)
+        path = first.path_for("k")
+        _age(path, seconds=600)
+        before = path.stat()
+        body = path.read_bytes()
+
+        def refuse(value):
+            raise AssertionError("a put over an existing file encoded")
+
+        other = _int_store(tmp_path, encode=refuse)
+        other.put("k", 7)
+        after = path.stat()
+        assert path.read_bytes() == body
+        assert after.st_ino == before.st_ino
+        assert after.st_mtime > before.st_mtime
+        assert other.get_resident("k") == 7
+
+    def test_skipped_put_adds_nothing_to_the_byte_estimate(self, tmp_path):
+        store = _int_store(tmp_path, max_bytes=10_000)
+        store.put("a", 1)
+        store.put("b", 2)
+        on_disk = sum(p.stat().st_size for p in store.directory.glob("*.json"))
+        assert store._disk_bytes == on_disk
+        for _ in range(3):
+            store.put("a", 1)
+            store.put("b", 2)
+        assert store._disk_bytes == on_disk
+
+    def test_file_vanishing_under_the_probe_is_written(self, tmp_path, monkeypatch):
+        # A concurrent GC removes the file while the put probes it: the
+        # probe misses, so the put writes a readable file again.
+        store = _int_store(tmp_path)
+        store.put("k", 5)
+        path = store.path_for("k")
+        utime = os.utime
+
+        def racing_gc(target, *args, **kwargs):
+            os.unlink(target)
+            return utime(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", racing_gc)
+        store.put("k", 5)
+        monkeypatch.undo()
+        assert path.exists()
+        assert _int_store(tmp_path).get("k") == 5
 
 
 # --------------------------------------------------------------------------- #
