@@ -8,8 +8,11 @@ exactly like a remote caller would, and checks the service contract:
 1. ``/healthz`` answers;
 2. a cold job submit returns a valid, verifiable schedule;
 3. re-submitting the same job is served from the result cache
-   (``X-Repro-Cache: result``), is bit-identical on the wire, and rides
-   the same persistent keep-alive connection;
+   (``X-Repro-Cache: result``) and rides the same persistent keep-alive
+   connection; the client's repeat revalidates (``If-None-Match`` →
+   ``304 Not Modified`` carrying the first ``ETag``, no body) and returns
+   the answer it holds, while a header-less POST still ships the cold
+   answer's exact bytes;
 4. a batch ``pdef`` sweep dedups and shares one catalog;
 5. a malformed request comes back as a typed HTTP 400, not a stack trace;
 6. the server can act as a remote shard: a catalog built through
@@ -50,6 +53,7 @@ Usage::
 from __future__ import annotations
 
 import errno
+import hashlib
 import sys
 
 from repro.service import AsyncServiceServer, JobRequest, ServiceClient
@@ -92,13 +96,24 @@ def main() -> int:
 
         warm = client.submit(request)
         assert client.last_cache == "result", client.last_cache
-        assert warm == cold, "warm HTTP result is not bit-identical"
-        assert warm.to_json() == cold.to_json()
-        # Health check and both submits rode one pooled keep-alive
-        # connection.
+        assert warm is cold, "the revalidated repeat did not return the held answer"
+        assert client.stats()["stats"]["not_modified"] == 1
+        # Health check, both submits and the stats read rode one pooled
+        # keep-alive connection.
         assert len(client._conns) == 1, len(client._conns)
-        print("warm submit ok: bit-identical, served from the result cache "
-              "over one persistent connection")
+        # The wire bytes, header-less: the cold answer's, tagged by their
+        # hash; the tag revalidates to a bodiless 304 carrying it.
+        body = request.to_json().encode()
+        status, cache, raw, tag = post_job(server, body)
+        assert (status, cache) == (200, "result"), (status, cache)
+        assert raw == cold.to_json().encode(), "warm wire bytes differ"
+        assert tag == f'"{hashlib.sha256(raw).hexdigest()}"', tag
+        ((first_tag, _),) = client._held.values()  # the cold 200's ETag
+        assert tag == first_tag, (tag, first_tag)
+        assert post_job(server, body, tag) == (304, "result", b"", tag)
+        print("warm submit ok: revalidated with a 304 carrying the first "
+              "ETag over one persistent connection; header-less bytes "
+              "bit-identical")
 
         sweep = client.submit_many(
             [
@@ -265,20 +280,28 @@ def main() -> int:
     return 0
 
 
-def post_job(server: AsyncServiceServer, body: bytes) -> "tuple[str, bytes]":
-    """``(X-Repro-Cache, raw body)`` of one ``/v1/jobs`` POST."""
+def post_job(
+    server: AsyncServiceServer, body: bytes, etag: "str | None" = None
+) -> "tuple[int, str, bytes, str]":
+    """``(status, X-Repro-Cache, raw body, ETag)`` of one ``/v1/jobs`` POST,
+    sent with ``If-None-Match: etag`` when a tag is given."""
     import http.client
 
+    headers = {"Content-Type": "application/json"}
+    if etag is not None:
+        headers["If-None-Match"] = etag
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
     try:
-        conn.request(
-            "POST", "/v1/jobs", body=body,
-            headers={"Content-Type": "application/json"},
-        )
+        conn.request("POST", "/v1/jobs", body=body, headers=headers)
         resp = conn.getresponse()
         raw = resp.read()
-        assert resp.status == 200, (resp.status, raw[:200])
-        return resp.getheader("X-Repro-Cache"), raw
+        assert resp.status in (200, 304), (resp.status, raw[:200])
+        return (
+            resp.status,
+            resp.getheader("X-Repro-Cache"),
+            raw,
+            resp.getheader("ETag"),
+        )
     finally:
         conn.close()
 
@@ -291,15 +314,15 @@ def restart_leg() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         first = start_server(cache_dir=cache_dir)
         try:
-            cache, cold = post_job(first, body)
-            assert cache == "none", cache
+            status, cache, cold, _ = post_job(first, body)
+            assert (status, cache) == (200, "none"), (status, cache)
         finally:
             first.shutdown()
         second = start_server(cache_dir=cache_dir)
         try:
             for _ in range(2):  # from disk, then from the memory front
-                cache, warm = post_job(second, body)
-                assert cache == "result", cache
+                status, cache, warm, _ = post_job(second, body)
+                assert (status, cache) == (200, "result"), (status, cache)
                 assert warm == cold, "restarted server's answer differs"
         finally:
             second.shutdown()

@@ -71,7 +71,7 @@ from repro.exceptions import (
 )
 from repro.service.errors import error_envelope, http_status, retry_after_of
 from repro.service.http import CLIENT_HEADER, shard_rows_to_wire
-from repro.service.jobs import EditRequest, JobRequest, results_json
+from repro.service.jobs import EditRequest, JobRequest, JobResult, results_json
 from repro.service.service import SchedulerService, SubmitOutcome
 from repro.service.shard import ShardTask
 
@@ -89,6 +89,7 @@ PRIORITY_NORMAL = 1
 
 _REASONS = {
     200: "OK",
+    304: "Not Modified",
     400: "Bad Request",
     404: "Not Found",
     422: "Unprocessable Entity",
@@ -143,31 +144,48 @@ class _TokenBucket:
         return (1.0 - self.tokens) / self.rate
 
 
-def _encoded(outcome: SubmitOutcome) -> "tuple[str, str]":
-    """``(cache level, response body)``, encoded on the calling pool thread.
+def _tagged(outcome: SubmitOutcome) -> "tuple[str, JobResult]":
+    """``(cache level, result)`` with the result encoded and tagged.
 
-    The encode runs once per result (:meth:`JobResult.to_json` memoises
-    it), and never on the event loop: a cold 670 KB answer would
-    otherwise block every other connection while it serialises.
+    Runs on the calling pool thread: :attr:`JobResult.etag` encodes the
+    result (memoised by :meth:`JobResult.to_json`) and hashes it, once
+    per result, and never on the event loop, where a cold 670 KB answer
+    would block every other connection while it serialises.
     """
-    return outcome.cache, outcome.result.to_json()
+    outcome.result.etag
+    return outcome.cache, outcome.result
 
 
 def _answer_inline(
     service: SchedulerService, body: bytes
-) -> "tuple[JobRequest, tuple[str, str] | None]":
+) -> "tuple[JobRequest, tuple[str, JobResult] | None]":
     """Parse an inline-graph job and answer it if it is warm (pool side).
 
-    Returns the request and its ``(cache level, body)``, or ``None`` in
+    Returns the request and its ``(cache level, result)``, or ``None`` in
     place of the answer when the probe calls it cold.
     """
     request = JobRequest.from_json(body.decode("utf-8"))
     warm, hit = service.probe_result(request)
     if hit is not None:
-        return request, ("result", hit.to_json())
+        return request, _tagged(SubmitOutcome(hit, "result"))
     if warm:
-        return request, _encoded(service.submit_outcome(request))
+        return request, _tagged(service.submit_outcome(request))
     return request, None
+
+
+def _matches(if_none_match: "str | None", etag: str) -> bool:
+    """Whether an ``If-None-Match`` header names ``etag``.
+
+    The header is a comma-separated list of entity tags compared weakly,
+    as RFC 9110 §13.1.2 asks (a ``W/`` prefix is ignored); ``*`` is not
+    honoured, so only a tag the caller was sent can revalidate.
+    """
+    if not if_none_match:
+        return False
+    return any(
+        tag.strip().removeprefix("W/") == etag
+        for tag in if_none_match.split(",")
+    )
 
 
 class _PriorityPool:
@@ -645,21 +663,23 @@ class AsyncServiceServer:
         assert self._idle is not None
         self._inflight += 1
         try:
-            return await self._dispatch_post(writer, path, body)
+            return await self._dispatch_post(writer, path, headers, body)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
 
     async def _dispatch_post(
-        self, writer: asyncio.StreamWriter, path: str, body: bytes
+        self,
+        writer: asyncio.StreamWriter,
+        path: str,
+        headers: "dict[str, str]",
+        body: bytes,
     ) -> bool:
         service = self.service
         if path == "/v1/jobs":
-            cache, text = await self._submit_job(body)
-            await self._send_json(
-                writer, 200, text, headers={"X-Repro-Cache": cache}
-            )
+            cache, result = await self._submit_job(body)
+            await self._send_result(writer, headers, cache, result)
         elif path == "/v1/jobs:batch":
             try:
                 payload = json.loads(body.decode("utf-8"))
@@ -680,13 +700,11 @@ class AsyncServiceServer:
         elif path == "/v1/jobs:edit":
             request = EditRequest.from_json(body.decode("utf-8"))
             # Edits are interactive by definition: always high priority.
-            cache, text = await self._pool.submit(
-                lambda: _encoded(service.submit_edit_outcome(request)),
+            cache, result = await self._pool.submit(
+                lambda: _tagged(service.submit_edit_outcome(request)),
                 priority=PRIORITY_HIGH,
             )
-            await self._send_json(
-                writer, 200, text, headers={"X-Repro-Cache": cache}
-            )
+            await self._send_result(writer, headers, cache, result)
         elif path == "/v1/catalog:shard:stream":
             try:
                 payload = json.loads(body.decode("utf-8"))
@@ -712,8 +730,35 @@ class AsyncServiceServer:
             )
         return False
 
-    async def _submit_job(self, body: bytes) -> "tuple[str, str]":
-        """``(cache level, response body)`` for one ``/v1/jobs`` request.
+    async def _send_result(
+        self,
+        writer: asyncio.StreamWriter,
+        headers: "dict[str, str]",
+        cache: str,
+        result: JobResult,
+    ) -> None:
+        """200 with the result's memoised body, or 304 if the caller holds it.
+
+        Every 200 carries the body's strong validator as ``ETag``.  A
+        request whose ``If-None-Match`` names that tag gets ``304 Not
+        Modified`` with the same ``ETag`` and ``X-Repro-Cache`` and no
+        body; it was parsed, admitted and booked exactly as the 200 it
+        replaces.  A loop hit whose encoding came from the batch route is
+        hashed here, on its first single-result send.
+        """
+        tag = result.etag
+        answer = {"X-Repro-Cache": cache, "ETag": tag}
+        if not _matches(headers.get("if-none-match"), tag):
+            await self._send_json(writer, 200, result.to_json(), headers=answer)
+            return
+        self.service.note_not_modified()
+        head = [f"HTTP/1.1 304 {_REASONS[304]}"]
+        head.extend(f"{k}: {v}" for k, v in answer.items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+        await writer.drain()
+
+    async def _submit_job(self, body: bytes) -> "tuple[str, JobResult]":
+        """``(cache level, result)`` for one ``/v1/jobs`` request.
 
         A workload-named request is parsed and probed here on the loop
         (a small body; its graph digest is memoised), and a memory-front
@@ -738,10 +783,10 @@ class AsyncServiceServer:
             request = JobRequest.from_json(body.decode("utf-8"))
             warm, hit = service.probe_result(request)
             if hit is not None:
-                return "result", hit.to_json()
+                return "result", hit
             priority = PRIORITY_HIGH if warm else PRIORITY_NORMAL
         return await self._pool.submit(
-            lambda: _encoded(service.submit_outcome(request)),
+            lambda: _tagged(service.submit_outcome(request)),
             priority=priority,
         )
 

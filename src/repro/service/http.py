@@ -26,7 +26,11 @@ method     path                         body → response
 Every job response carries an ``X-Repro-Cache`` header naming the deepest
 cache level that answered (``result`` / ``selection`` / ``catalog`` /
 ``edit`` / ``shard`` / ``none``) — cache behaviour is observable without
-perturbing the bit-identical result body.
+perturbing the bit-identical result body.  Single-result job responses
+(``/v1/jobs``, ``/v1/jobs:edit``) also carry an ``ETag``, the strong
+validator of the exact body; a request whose ``If-None-Match`` names it
+is answered ``304 Not Modified`` with no body.  The client holds its last
+:data:`HELD_ANSWERS` answers and revalidates repeats.
 
 Every failure, on every route, is the one envelope from
 :mod:`repro.service.errors`::
@@ -71,6 +75,7 @@ import json
 import socket
 import threading
 import time
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterator
 from urllib.parse import urlsplit
 
@@ -93,6 +98,10 @@ __all__ = ["ServiceClient"]
 #: Header a client sends to identify itself for per-client quotas (the
 #: server buckets by it; unset falls back to the peer address).
 CLIENT_HEADER = "X-Repro-Client"
+
+#: Answers a :class:`ServiceClient` holds for revalidation, least
+#: recently used evicted first.
+HELD_ANSWERS = 64
 
 
 def shard_rows_to_wire(buckets: "list[tuple]") -> "list[list]":
@@ -133,6 +142,16 @@ class ServiceClient:
     quota buckets (the ``X-Repro-Client`` header); unset, the server
     buckets by peer address.
 
+    Single-result submits revalidate.  The client holds the last
+    :data:`HELD_ANSWERS` answers by request body, each with its ``ETag``;
+    a repeat sends ``If-None-Match``, and on ``304 Not Modified`` it
+    returns the held :class:`JobResult` *instance* without a body or a
+    decode.  That is the in-process :meth:`SchedulerService.submit
+    <repro.service.service.SchedulerService.submit>` contract, which
+    returns its cached instance on a result hit: callers share it and
+    must not mutate it.  The server still parses, admits and books every
+    repeat as the submit it answers.
+
     Timeouts are split by phase: ``connect_timeout`` bounds establishing
     the TCP connection (default ``min(timeout, 5.0)`` — a dead host
     fails fast), ``timeout`` bounds each read on the established
@@ -161,9 +180,6 @@ class ServiceClient:
         )
         self.retry_after_cap = retry_after_cap
         self.client_id = client_id
-        #: Cache level of the most recent single-job submit (the
-        #: ``X-Repro-Cache`` response header).
-        self.last_cache: str | None = None
         split = urlsplit(self.base_url)
         if split.scheme not in ("http", ""):
             raise ServiceError(
@@ -175,7 +191,16 @@ class ServiceClient:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._conns: "list[http.client.HTTPConnection]" = []
+        # (route, request body) → (ETag, answer), least recently used
+        # first; guarded by _lock.
+        self._held: "OrderedDict[tuple, tuple[str, JobResult]]" = OrderedDict()
         self._closed = False
+
+    @property
+    def last_cache(self) -> "str | None":
+        """Cache level of this thread's most recent single-job submit
+        (the ``X-Repro-Cache`` response header)."""
+        return getattr(self._local, "last_cache", None)
 
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "ServiceClient":
@@ -185,12 +210,14 @@ class ServiceClient:
         self.close()
 
     def close(self) -> None:
-        """Close every pooled connection (idempotent)."""
+        """Close every pooled connection and drop every held answer
+        (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             conns, self._conns = self._conns, []
+            self._held.clear()
         for conn in conns:
             try:
                 conn.close()
@@ -236,16 +263,18 @@ class ServiceClient:
         except Exception:  # pragma: no cover - socket already dead
             pass
 
-    def _headers(self, has_body: bool) -> "dict[str, str]":
+    def _headers(self, has_body: bool, etag: "str | None") -> "dict[str, str]":
         headers: "dict[str, str]" = {}
         if has_body:
             headers["Content-Type"] = "application/json"
         if self.client_id is not None:
             headers[CLIENT_HEADER] = self.client_id
+        if etag is not None:
+            headers["If-None-Match"] = etag
         return headers
 
     def _open(
-        self, path: str, body: "bytes | None"
+        self, path: str, body: "bytes | None", etag: "str | None" = None
     ) -> "http.client.HTTPResponse":
         """Issue a request on the thread's connection, retrying once.
 
@@ -254,7 +283,7 @@ class ServiceClient:
         errors return a response and are mapped by the caller.
         """
         method = "POST" if body is not None else "GET"
-        headers = self._headers(body is not None)
+        headers = self._headers(body is not None, etag)
         last_exc: "Exception | None" = None
         for _attempt in range(2):
             try:
@@ -285,11 +314,16 @@ class ServiceClient:
         return exc
 
     def _request(
-        self, path: str, body: "bytes | None" = None
-    ) -> tuple[str, dict[str, str]]:
+        self, path: str, body: "bytes | None" = None, etag: "str | None" = None
+    ) -> "tuple[int, bytes, http.client.HTTPMessage]":
+        """``(status, body, headers)`` of one request; errors raise typed.
+
+        ``headers`` is the response's case-insensitive header map, so a
+        proxy that lower-cases names changes nothing.
+        """
         polite_waits = 0
         while True:
-            resp = self._open(path, body)
+            resp = self._open(path, body, etag)
             try:
                 data = resp.read()
             except (http.client.HTTPException, OSError) as exc:
@@ -302,7 +336,6 @@ class ServiceClient:
                 raise ShardTransportError(
                     f"connection to {self.base_url} died mid-response: {exc}"
                 ) from exc
-            headers = dict(resp.getheaders())
             if resp.getheader("Connection", "").lower() == "close":
                 self._drop_connection()
             if resp.status >= 400:
@@ -321,35 +354,72 @@ class ServiceClient:
                     time.sleep(min(hint, self.retry_after_cap))
                     continue
                 raise exc
-            return data.decode("utf-8"), headers
+            return resp.status, data, resp.headers
+
+    def _json(self, path: str, body: "bytes | None" = None) -> Any:
+        """The decoded JSON body of one request."""
+        return json.loads(self._request(path, body)[1].decode("utf-8"))
+
+    def _submit_one(self, path: str, body: bytes) -> JobResult:
+        """One single-result submit, revalidating a held answer.
+
+        The held entry is read before the request and used only for the
+        tag it sent, so a concurrent replacement cannot pair a 304 with
+        another answer.
+        """
+        key = (path, body)
+        with self._lock:
+            held = self._held.get(key)
+            if held is not None:
+                self._held.move_to_end(key)
+        status, data, headers = self._request(
+            path, body, held[0] if held is not None else None
+        )
+        self._local.last_cache = headers.get("X-Repro-Cache")
+        if status == 304:
+            if held is None:
+                raise ServiceError(
+                    f"{self.base_url}{path} answered 304 to a request "
+                    f"that named no ETag"
+                )
+            return held[1]
+        result = JobResult.from_json(data.decode("utf-8"))
+        tag = headers.get("ETag")
+        with self._lock:
+            if tag is None or self._closed:
+                self._held.pop(key, None)
+            else:
+                self._held[key] = (tag, result)
+                self._held.move_to_end(key)
+                if len(self._held) > HELD_ANSWERS:
+                    self._held.popitem(last=False)
+        return result
 
     # ------------------------------------------------------------------ #
     def submit(self, request: JobRequest) -> JobResult:
-        """Submit one job; ``self.last_cache`` records the cache level."""
-        body, headers = self._request(
-            "/v1/jobs", request.to_json().encode("utf-8")
-        )
-        self.last_cache = headers.get("X-Repro-Cache")
-        return JobResult.from_json(body)
+        """Submit one job; ``self.last_cache`` records the cache level.
+
+        A repeat of a held request revalidates: on ``304`` the held
+        instance is returned (see the class docstring).
+        """
+        return self._submit_one("/v1/jobs", request.to_json().encode("utf-8"))
 
     def submit_edit(self, request: "EditRequest") -> JobResult:
         """Submit an edit of a known job (``POST /v1/jobs:edit``).
 
         ``self.last_cache`` records the cache level; ``"edit"`` means the
         server rebuilt incrementally, reusing cached partition partials
-        for everything outside the edit's dirty region.
+        for everything outside the edit's dirty region.  Repeats
+        revalidate as :meth:`submit` does.
         """
-        body, headers = self._request(
+        return self._submit_one(
             "/v1/jobs:edit", request.to_json().encode("utf-8")
         )
-        self.last_cache = headers.get("X-Repro-Cache")
-        return JobResult.from_json(body)
 
     def submit_many(self, requests: "list[JobRequest]") -> list[JobResult]:
         """Submit a batch (service-side dedup applies)."""
         payload = json.dumps({"jobs": [r.to_dict() for r in requests]})
-        body, _ = self._request("/v1/jobs:batch", payload.encode("utf-8"))
-        parsed = json.loads(body)
+        parsed = self._json("/v1/jobs:batch", payload.encode("utf-8"))
         return [JobResult.from_dict(r) for r in parsed["results"]]
 
     def classify_shard_stream(
@@ -460,17 +530,13 @@ class ServiceClient:
 
     def drain(self) -> dict[str, Any]:
         """Start a graceful drain (``POST /v1/admin:drain``)."""
-        body, _ = self._request("/v1/admin:drain", b"{}")
-        return json.loads(body)
+        return self._json("/v1/admin:drain", b"{}")
 
     def health(self) -> dict[str, Any]:
-        body, _ = self._request("/healthz")
-        return json.loads(body)
+        return self._json("/healthz")
 
     def stats(self) -> dict[str, Any]:
-        body, _ = self._request("/stats")
-        return json.loads(body)
+        return self._json("/stats")
 
     def workloads(self) -> list[str]:
-        body, _ = self._request("/workloads")
-        return json.loads(body)["workloads"]
+        return self._json("/workloads")["workloads"]

@@ -465,6 +465,21 @@ class JobResult:
         """The memoised compact :meth:`to_json`, ``None`` until first encoded."""
         return self.__dict__.get("_json")
 
+    @property
+    def etag(self) -> str:
+        """Strong HTTP validator of the compact :meth:`to_json` bytes.
+
+        The quoted SHA-256 hex digest of the exact response body, so two
+        results share a tag exactly when their bodies are byte-identical.
+        Memoised beside the encoding: each result is hashed once.
+        """
+        tag = self.__dict__.get("_etag")
+        if tag is None:
+            digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+            tag = f'"{digest}"'
+            object.__setattr__(self, "_etag", tag)
+        return tag
+
     def answer_dict(self) -> dict[str, Any]:
         """:meth:`to_dict` minus the per-submit echo fields.
 

@@ -159,6 +159,10 @@ class ServiceStats:
     (:meth:`~SchedulerService.classify_shard_outcome`); ``shard_hits`` /
     ``shard_misses`` split those by whether the content-addressed shard
     partial cache answered (a hit runs **no** enumeration DFS at all).
+    ``not_modified`` counts single-result answers the HTTP front-end
+    sent as ``304 Not Modified`` because the caller's ``If-None-Match``
+    named the answer's ``ETag``; each is also booked as the submit it
+    answered (``submitted``, ``result_hits``).
     ``edit_jobs`` counts :meth:`~SchedulerService.submit_edit` calls;
     ``partition_hits`` / ``partition_misses`` account the per-partition
     probes of this service's own (in-process) partitioned catalog builds
@@ -176,6 +180,7 @@ class ServiceStats:
     submitted: int = 0
     deduped: int = 0
     rejected: int = 0
+    not_modified: int = 0
     edit_jobs: int = 0
     shard_tasks: int = 0
     shard_hits: int = 0
@@ -204,6 +209,7 @@ class ServiceStats:
             "submitted": self.submitted,
             "deduped": self.deduped,
             "rejected": self.rejected,
+            "not_modified": self.not_modified,
             "edit_jobs": self.edit_jobs,
             "shard_tasks": self.shard_tasks,
             "shard_hits": self.shard_hits,
@@ -380,6 +386,15 @@ class SchedulerService:
         Releases nothing today: backends hold no resources and the cache
         stores no open handles.
         """
+
+    def note_not_modified(self) -> None:
+        """Count one answer sent as ``304 Not Modified`` (``not_modified``).
+
+        Called on an event loop, so it takes the short admission lock,
+        never the service lock a cold build holds for its whole run.
+        """
+        with self._pending_lock:
+            self.stats.not_modified += 1
 
     def probe_result(
         self, request: JobRequest

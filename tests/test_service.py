@@ -13,6 +13,7 @@ Covers the `repro.service` contract:
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import pytest
@@ -300,20 +301,31 @@ class TestHTTP:
         server.shutdown()
 
     def test_smoke_round_trip(self, server):
-        client = ServiceClient(server.url, timeout=30)
-        assert client.health()["status"] == "ok"
-        assert "3dft" in client.workloads()
+        with ServiceClient(server.url, timeout=30) as client:
+            assert client.health()["status"] == "ok"
+            assert "3dft" in client.workloads()
 
-        cold = client.submit(_job())
-        assert client.last_cache == "none"
-        cold.schedule.verify()
+            cold = client.submit(_job())
+            assert client.last_cache == "none"
+            cold.schedule.verify()
 
-        warm = client.submit(_job())
-        assert client.last_cache == "result"
-        assert warm == cold and warm.to_json() == cold.to_json()
+            warm = client.submit(_job())
+            assert client.last_cache == "result"
+            # The repeat revalidated: the client holds the cold answer.
+            assert warm is cold
 
-        stats = client.stats()
-        assert stats["stats"]["result_hits"] == 1
+            # A header-less POST still ships the warm bytes: the cold answer's.
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+            try:
+                conn.request("POST", "/v1/jobs", body=_job().to_json().encode())
+                resp = conn.getresponse()
+                assert (resp.status, resp.getheader("X-Repro-Cache")) == (200, "result")
+                assert resp.read() == cold.to_json().encode()
+            finally:
+                conn.close()
+
+            stats = client.stats()["stats"]
+            assert (stats["result_hits"], stats["not_modified"]) == (2, 1)
 
     def test_batch_over_http(self, server):
         client = ServiceClient(server.url, timeout=30)

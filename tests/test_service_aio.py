@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import hashlib
 import http.client
 import json
 import os
 import random
+import socket
+import sys
 import threading
 import time
 
@@ -51,7 +54,10 @@ from repro.service import (
     ShardCoordinator,
     ShardTask,
 )
+from repro.dfg.edit import DfgEdit
+from repro.service import http as http_module
 from repro.service.http import CLIENT_HEADER
+from repro.service.jobs import EditRequest
 from repro.service.serialize import catalog_to_dict
 from repro.service.shard import RemoteShard
 from repro.workloads import three_point_dft_paper
@@ -106,8 +112,14 @@ class TestAsyncCoreRoundTrip:
             cold.schedule.verify()
             warm = client.submit(_job())
             assert client.last_cache == "result"
-            assert warm == cold
-            assert client.stats()["stats"]["result_hits"] == 1
+            # The repeat revalidated: the client holds the cold answer,
+            # and a header-less POST still ships the cold bytes.
+            assert warm is cold
+            assert _post(server, _job().to_json().encode()) == (
+                200, "result", cold.to_json().encode()
+            )
+            stats = client.stats()["stats"]
+            assert (stats["result_hits"], stats["not_modified"]) == (2, 1)
 
     def test_keep_alive_reuses_one_connection(self, server):
         with ServiceClient(server.url, timeout=30) as client:
@@ -234,18 +246,32 @@ WARM_FORMS = {
 }
 
 
-def _post(server, body: bytes, timeout: float = 30):
-    """``(status, X-Repro-Cache, raw body)`` of one ``/v1/jobs`` POST."""
+def _post_tagged(
+    server, body: bytes, etag: "str | None" = None, timeout: float = 30
+):
+    """``(status, ETag, X-Repro-Cache, raw body)`` of one ``/v1/jobs``
+    POST, sent with ``If-None-Match: etag`` when a tag is given."""
+    headers = {"Content-Type": "application/json"}
+    if etag is not None:
+        headers["If-None-Match"] = etag
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=timeout)
     try:
-        conn.request(
-            "POST", "/v1/jobs", body=body,
-            headers={"Content-Type": "application/json"},
-        )
+        conn.request("POST", "/v1/jobs", body=body, headers=headers)
         resp = conn.getresponse()
-        return resp.status, resp.getheader("X-Repro-Cache"), resp.read()
+        return (
+            resp.status,
+            resp.getheader("ETag"),
+            resp.getheader("X-Repro-Cache"),
+            resp.read(),
+        )
     finally:
         conn.close()
+
+
+def _post(server, body: bytes, timeout: float = 30):
+    """``(status, X-Repro-Cache, raw body)`` of one ``/v1/jobs`` POST."""
+    status, _, cache, raw = _post_tagged(server, body, timeout=timeout)
+    return status, cache, raw
 
 
 def _park_pool(server) -> threading.Event:
@@ -422,6 +448,259 @@ class TestWarmPath:
             release.set()
         thread.join(timeout=30)
         assert out[0][:2] == (200, "none")
+
+
+# --------------------------------------------------------------------------- #
+# revalidation: a repeat the client holds costs a 304, not a body
+# --------------------------------------------------------------------------- #
+def _strong_tag(raw: bytes) -> str:
+    return '"' + hashlib.sha256(raw).hexdigest() + '"'
+
+
+class TestRevalidation:
+    @pytest.mark.parametrize("form", sorted(WARM_FORMS))
+    def test_a_repeat_is_a_304_and_the_client_keeps_its_answer(
+        self, server, form
+    ):
+        body = WARM_FORMS[form]().to_json().encode()
+        status, tag, cache, raw = _post_tagged(server, body)
+        assert (status, cache) == (200, "none")
+        assert tag == _strong_tag(raw)
+        assert _post_tagged(server, body, tag) == (304, tag, "result", b"")
+        with ServiceClient(server.url, timeout=30) as client:
+            first = client.submit(WARM_FORMS[form]())
+            assert first.to_json().encode() == raw
+            assert client.submit(WARM_FORMS[form]()) is first
+            assert client.last_cache == "result"
+
+    @pytest.mark.parametrize("form", sorted(WARM_FORMS))
+    def test_a_304_is_booked_as_the_submit_it_answers(self, server, form):
+        stats = server.service.stats
+        body = WARM_FORMS[form]().to_json().encode()
+        assert _post_tagged(server, body)[2] == "none"
+        before = (stats.submitted, stats.result_hits, stats.not_modified)
+        with ServiceClient(server.url, timeout=30) as client:
+            client.submit(WARM_FORMS[form]())  # 200: the first answer held
+            client.submit(WARM_FORMS[form]())  # 304
+            described = client.stats()["stats"]
+        after = (stats.submitted, stats.result_hits, stats.not_modified)
+        assert after == (before[0] + 2, before[1] + 2, before[2] + 1)
+        assert described["not_modified"] == stats.not_modified
+
+    def test_a_stale_tag_gets_the_new_answer_and_replaces_the_entry(
+        self, server
+    ):
+        with ServiceClient(server.url, timeout=30) as client:
+            first = client.submit(_job())
+            (key,) = client._held
+            old_tag = client._held[key][0]
+            # A rebuild re-times the stages, so the body and its tag change.
+            client.clear_caches()
+            rebuilt = client.submit(_job())
+            assert client.last_cache == "none"
+            assert rebuilt is not first
+            assert rebuilt.answer_dict() == first.answer_dict()
+            new_tag, held = client._held[key]
+            assert held is rebuilt and new_tag != old_tag
+            assert new_tag == _strong_tag(rebuilt.to_json().encode())
+            assert client.submit(_job()) is rebuilt
+        assert server.service.stats.not_modified == 1
+
+    def test_a_garbage_tag_gets_the_header_less_answer(self, server):
+        body = _job().to_json().encode()
+        _post_tagged(server, body)
+        plain = _post_tagged(server, body)
+        assert plain[:3] == (200, plain[1], "result")
+        for garbage in ('"garbage"', "garbage", plain[1][:-2] + '"', "*"):
+            assert _post_tagged(server, body, garbage) == plain
+        assert server.service.stats.not_modified == 0
+        # If-None-Match is a list compared weakly (RFC 9110 §13.1.2).
+        for listed in (f'"x", {plain[1]}', f"W/{plain[1]}"):
+            assert _post_tagged(server, body, listed)[0] == 304
+
+    def test_a_header_less_body_is_the_answer_encoding(self, server):
+        body = _job().to_json().encode()
+        _, tag, _, cold = _post_tagged(server, body)
+        results = server.service._results
+        (key,) = results.keys()
+        cached = results.get(key)
+        assert cold == json.dumps(cached.to_dict()).encode()
+        assert _post_tagged(server, body) == (200, tag, "result", cold)
+
+    @pytest.mark.parametrize("form", ["loop", "pool-inline-graph"])
+    def test_a_valid_tag_does_not_skip_the_backend_check(self, server, form):
+        _, tag, _, _ = _post_tagged(server, WARM_FORMS[form]().to_json().encode())
+        request = dataclasses.replace(WARM_FORMS[form](), backend="no-such-backend")
+        status, _, _, raw = _post_tagged(server, request.to_json().encode(), tag)
+        assert status == 422
+        assert json.loads(raw)["error"]["type"] == "BackendError"
+
+    def test_a_valid_tag_does_not_skip_the_drain(self, server):
+        body = _job().to_json().encode()
+        _, tag, _, _ = _post_tagged(server, body)
+        server.drain()
+        status, _, _, raw = _post_tagged(server, body, tag)
+        assert status == 503
+        assert json.loads(raw)["error"]["type"] == "ServiceUnavailableError"
+
+    def test_an_edit_repeat_revalidates(self, server):
+        edit = EditRequest(job=_job(), edits=(DfgEdit.recolor("b1", "a"),))
+        with ServiceClient(server.url, timeout=30) as client:
+            first = client.submit_edit(edit)
+            assert client.submit_edit(edit) is first
+            assert client.last_cache == "result"
+        assert server.service.stats.not_modified == 1
+
+    def test_the_held_answers_are_bounded_lru(self, server, monkeypatch):
+        monkeypatch.setattr(http_module, "HELD_ANSWERS", 2)
+        jobs = {pdef: _job(pdef=pdef) for pdef in (2, 3, 4)}
+        with ServiceClient(server.url, timeout=30) as client:
+            a = client.submit(jobs[2])
+            b = client.submit(jobs[3])
+            assert client.submit(jobs[2]) is a  # 2 is now the newest
+            client.submit(jobs[4])  # evicts 3, the oldest
+            held = [json.loads(body)["pdef"] for _, body in client._held]
+            assert held == [2, 4]
+            assert client.submit(jobs[3]) is not b
+            assert server.service.stats.not_modified == 1
+            client.close()
+            assert not client._held
+
+    def test_last_cache_is_per_thread(self, server):
+        with ServiceClient(server.url, timeout=30) as client:
+            submitted, read = threading.Event(), threading.Event()
+            seen: list = []
+
+            def cold_caller():
+                client.submit(_job())
+                seen.append(client.last_cache)
+                submitted.set()
+                assert read.wait(timeout=30)
+                seen.append(client.last_cache)
+
+            thread = threading.Thread(target=cold_caller)
+            thread.start()
+            assert submitted.wait(timeout=30)
+            client.submit(_job())
+            assert client.last_cache == "result"
+            read.set()
+            thread.join(timeout=30)
+            assert seen == ["none", "none"]
+
+
+    def test_concurrent_revalidation_books_every_304(self, monkeypatch):
+        """Eight threads share two clients of two servers over one service.
+
+        The held answers are shared and evicting (bound 2, three jobs),
+        both event loops book ``not_modified``, and switches are forced
+        often: every 304 a client saw is booked exactly once and every
+        answer, held or decoded, is the job's.
+        """
+        monkeypatch.setattr(http_module, "HELD_ANSWERS", 2)
+        lock = threading.Lock()
+        statuses: "dict[int, int]" = {}
+
+        class CountingClient(ServiceClient):
+            def _request(self, path, body=None, etag=None):
+                status, data, headers = super()._request(path, body, etag)
+                with lock:
+                    statuses[status] = statuses.get(status, 0) + 1
+                return status, data, headers
+
+        jobs = [_job(pdef=pdef) for pdef in (2, 3, 4)]
+        rounds, wrong = 30, []
+        with SchedulerService() as service:
+            expected = [service.submit(job).answer_dict() for job in jobs]
+            submitted = service.stats.submitted
+            servers = [AsyncServiceServer(service=service, port=0) for _ in "ab"]
+            clients = []
+            for server in servers:
+                server.start_background()
+                clients.append(CountingClient(server.url, timeout=30))
+
+            def caller(client, seed):
+                rng = random.Random(seed)
+                for _ in range(rounds):
+                    i = rng.randrange(len(jobs))
+                    if client.submit(jobs[i]).answer_dict() != expected[i]:
+                        wrong.append(i)
+
+            threads = [
+                threading.Thread(target=caller, args=(clients[n % 2], n))
+                for n in range(8)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+                for client in clients:
+                    client.close()
+                for server in servers:
+                    server.shutdown()
+            assert not any(thread.is_alive() for thread in threads)
+            assert not wrong
+            assert sum(statuses.values()) == 8 * rounds
+            assert service.stats.submitted - submitted == 8 * rounds
+            assert service.stats.not_modified == statuses.get(304, 0) > 0
+
+class TestLowerCaseHeaders:
+    def test_the_client_reads_lower_case_headers(self):
+        """A gateway that lower-cases header names changes nothing."""
+        with SchedulerService() as service:
+            answer = service.submit(_job()).to_json().encode()
+        tag = _strong_tag(answer)
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        requests: list = []
+
+        def read_request(conn) -> "dict[str, str]":
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(65536)
+            head, _, rest = data.partition(b"\r\n\r\n")
+            headers = {}
+            for line in head.decode("latin-1").split("\r\n")[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", 0))
+            while len(rest) < length:
+                rest += conn.recv(65536)
+            return headers
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                requests.append(read_request(conn))
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n"
+                    + f"content-length: {len(answer)}\r\n".encode()
+                    + f"x-repro-cache: none\r\netag: {tag}\r\n\r\n".encode()
+                    + answer
+                )
+                requests.append(read_request(conn))
+                conn.sendall(
+                    b"HTTP/1.1 304 Not Modified\r\n"
+                    + f"x-repro-cache: result\r\netag: {tag}\r\n\r\n".encode()
+                )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(f"http://127.0.0.1:{port}", timeout=30) as client:
+                first = client.submit(_job())
+                assert client.last_cache == "none"
+                assert client.submit(_job()) is first
+                assert client.last_cache == "result"
+        finally:
+            thread.join(timeout=30)
+            listener.close()
+        assert "if-none-match" not in requests[0]
+        assert requests[1]["if-none-match"] == tag
 
 
 # --------------------------------------------------------------------------- #
