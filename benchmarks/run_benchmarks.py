@@ -7,9 +7,10 @@ runner keeps only the measurements no perfbench workload makes, and
 checks every output bit-identical before it reports a number:
 
 ``enumeration+classify`` rows
-    The monolithic catalog build (``PatternSelector.build_catalog``)
-    under the serial reference and the fused backend (the partitioned
-    bitset build).  ``speedup`` is serial over fused.
+    The monolithic catalog build (``PatternSelector.build_catalog``, the
+    partitioned bitset build) against the same size/span policy on the
+    sequential reference classifier (``_classify_reference``).
+    ``speedup`` is reference over fast.
 ``antichain census`` rows
     ``AntichainEnumerator.count_by_size`` (the Table 5 analysis path)
     against counting a materializing enumeration.
@@ -26,7 +27,7 @@ reports).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py              # serial vs fused
+    PYTHONPATH=src python benchmarks/run_benchmarks.py              # reference vs fast
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick      # CI smoke
     PYTHONPATH=src python benchmarks/run_benchmarks.py -o out.json
 """
@@ -49,6 +50,7 @@ from repro._version import __version__
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
+from repro.patterns.enumeration import _classify_reference
 from repro.workloads.fft import radix2_fft
 
 DEFAULT_OUTPUT = (
@@ -98,17 +100,25 @@ def _row(name, stage, ref_s, fast_s) -> dict:
 
 
 def bench_workload(name, dfg, config, capacity, repeats):
-    """The catalog build per backend, then the census, on one workload."""
+    """The catalog build, reference then fast, then the census, on one workload."""
     selector = PatternSelector(capacity, config=config)
 
-    def build(backend):
-        return _best_of(
-            lambda: selector.build_catalog(dfg, backend=backend), repeats
+    def reference_build():
+        return selector.build_catalog_with(
+            dfg,
+            lambda size, span: _classify_reference(
+                dfg,
+                AntichainEnumerator(dfg),
+                size,
+                span,
+                config.max_antichains,
+                False,
+            ),
         )
 
-    ref_s, ref_cat = build("serial")
-    fast_s, fast_cat = build("fused")
-    _assert_same_catalog(ref_cat, fast_cat, "serial vs fused")
+    ref_s, ref_cat = _best_of(reference_build, repeats)
+    fast_s, fast_cat = _best_of(lambda: selector.build_catalog(dfg), repeats)
+    _assert_same_catalog(ref_cat, fast_cat, "reference vs fast")
     row = _row(name, "enumeration+classify", ref_s, fast_s)
 
     # Table 5 census: counting-only DFS vs materializing enumeration.
@@ -181,7 +191,7 @@ def bench_faults() -> dict:
     all healthy, once with one server SIGKILLed before dispatch.  The
     degraded pass must open the dead shard's circuit breaker, fail its
     partitions over to the three survivors, and still merge a catalog
-    bit-identical to the fused single-instance build — ``overhead``
+    bit-identical to the in-process single-instance build — ``overhead``
     records the degraded/healthy wall-time ratio, which
     ``scripts/diff_bench.py --fault-overhead-ceiling`` caps on full
     reports (losing a shard must cost failover latency, not a rebuild).
@@ -223,7 +233,7 @@ def bench_faults() -> dict:
                 health = coord.describe()["health"]
             _check(
                 catalog_to_dict(catalog) == reference,
-                "sharded catalog is not bit-identical to the fused build"
+                "sharded catalog is not bit-identical to the in-process build"
                 + (" (degraded fleet)" if kill_one else ""),
             )
             return elapsed, stats, health
@@ -329,7 +339,7 @@ def main(argv=None) -> int:
             ),
         ]
 
-    print("engine benchmark: catalog build (serial / fused) and antichain census")
+    print("engine benchmark: catalog build (reference / fast) and antichain census")
     rows = []
     for name, dfg, config, capacity, repeats in workloads:
         rows.extend(bench_workload(name, dfg, config, capacity, repeats))
@@ -345,7 +355,6 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "quick": args.quick,
-        "backends": ["serial", "fused"],
         "stages": rows,
         "faults": faults_section,
     }

@@ -6,7 +6,7 @@
 #   ./scripts/ci.sh --fast   # tier-1 and perfbench unit tests only
 #
 # The engine smoke times only what perfbench (the benchmark of record for
-# the served path) cannot see: the serial-vs-fused monolithic catalog
+# the served path) cannot see: the reference-vs-fast monolithic catalog
 # build, the antichain census and the 1-of-4-dead shard fleet.  Its report
 # is gated on the absolute --floor and diffed per (workload, stage)
 # against the previous run's report when one is available under
@@ -30,6 +30,27 @@ EOF
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== no unclosed sockets in the service suites (python -X dev) =="
+# -X dev turns ResourceWarning on, so a client, connection or HTTP error
+# a test forgets to close prints "ResourceWarning: unclosed <socket ...>".
+# Any such line fails the step; the suites must also pass.
+LEAKS_LOG="$(mktemp)"
+if ! python -X dev -m pytest tests/test_service.py tests/test_service_aio.py \
+        -q -p no:cacheprovider >"$LEAKS_LOG" 2>&1; then
+    cat "$LEAKS_LOG"
+    rm -f "$LEAKS_LOG"
+    exit 1
+fi
+LEAKS="$(grep -c "ResourceWarning: unclosed" "$LEAKS_LOG" || true)"
+if [[ "$LEAKS" != "0" ]]; then
+    grep "ResourceWarning: unclosed" "$LEAKS_LOG" | head -20
+    rm -f "$LEAKS_LOG"
+    echo "$LEAKS unclosed-resource warnings in the service suites"
+    exit 1
+fi
+rm -f "$LEAKS_LOG"
+echo "  0 unclosed-resource warnings"
 
 echo "== pre-flight: a doomed default-config fft64 submit runs no DFS =="
 # The level-width floor alone proves fft64 exceeds the 5M antichain cap at

@@ -17,7 +17,7 @@ exactly like a remote caller would, and checks the service contract:
 5. a malformed request comes back as a typed HTTP 400, not a stack trace;
 6. the server can act as a remote shard: a catalog built through
    ``POST /v1/catalog:shard:stream`` partitions merges bit-identical to
-   the in-process fused catalog;
+   the in-process catalog;
 7. a streamed shard claim (one ``ShardTask``: the graph and bounds once,
    plus its seed ranges) answers one slot per range with exactly the
    in-process rows, and shard partials are content-addressed:
@@ -34,7 +34,7 @@ exactly like a remote caller would, and checks the service contract:
 10. the fleet survives losing a shard: with three real ``repro serve``
    subprocesses, SIGKILLing one mid-job must open its circuit breaker,
    fail its partitions over to the survivors, and still merge a catalog
-   bit-identical to the fused single-instance build;
+   bit-identical to the single-instance build;
 11. the partition plan does not depend on the fleet: over one real
    ``repro serve``, a one-shard coordinator build and then a three-shard
    build of the same job — every slot of the second answers ``cache:
@@ -86,7 +86,7 @@ def main() -> int:
     try:
         health = client.health()
         assert health["status"] == "ok", health
-        print(f"healthz ok ({health['backend']}) at {server.url}")
+        print(f"healthz ok ({health['kernel']}) at {server.url}")
 
         request = JobRequest(capacity=5, pdef=4, workload="3dft")
         cold = client.submit(request)
@@ -154,7 +154,7 @@ def main() -> int:
             raise AssertionError("malformed request was accepted")
 
         # Remote shard: the server classifies seed partitions over HTTP
-        # and the merged catalog is bit-identical to a local fused build.
+        # and the merged catalog is bit-identical to a local build.
         from repro.core.config import SelectionConfig
         from repro.core.selection import PatternSelector
         from repro.service import ShardCoordinator
@@ -169,7 +169,7 @@ def main() -> int:
         assert json.dumps(catalog_to_dict(sharded)) == json.dumps(
             catalog_to_dict(reference)
         ), "remote shard catalog is not bit-identical"
-        print("remote shard ok: merged catalog bit-identical to fused")
+        print("remote shard ok: merged catalog bit-identical to the local build")
 
         # Streamed shard slots carry exactly the in-process rows, and
         # re-streaming a task is answered from the server's
@@ -384,7 +384,7 @@ def fault_leg() -> None:
     first is SIGKILLed as soon as the job is genuinely in flight.  The
     coordinator must retry, open the dead shard's breaker, fail its
     partitions over to the two survivors, and the merged catalog must
-    still be bit-identical to the fused single-instance build.
+    still be bit-identical to the single-instance build.
     """
     import json
     import signal
@@ -448,7 +448,7 @@ def fault_leg() -> None:
             raise outcome["error"]
         assert json.dumps(catalog_to_dict(outcome["catalog"])) == json.dumps(
             catalog_to_dict(reference)
-        ), "degraded catalog is not bit-identical to the fused build"
+        ), "degraded catalog is not bit-identical to the local build"
         assert stats.retries + stats.failovers > 0, stats.to_dict()
         assert health[0]["state"] == "open", health[0]
         assert health[0]["opens"] >= 1, health[0]

@@ -12,7 +12,7 @@ place with::
     python setup.py build_ext --inplace
 
 ``optional=True`` makes a missing compiler a warning, not a failure — the
-bitset backend detects the absent module and runs its pure numpy
+bitset kernel detects the absent module and runs its pure numpy
 expansion with identical output.
 """
 

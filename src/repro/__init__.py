@@ -10,8 +10,9 @@ The library implements, from scratch:
   (:mod:`repro.scheduling`),
 * the paper's contribution — the pattern selection algorithm of §5
   (:mod:`repro.core`),
-* pluggable execution backends — the serial reference and the fused fast
-  paths — behind a named registry (:mod:`repro.exec`),
+* the fast pattern-generation kernels — the seed-partitioned build over
+  the vectorized bitset classifier (:mod:`repro.exec`) — pinned bit for
+  bit against sequential reference loops,
 * a job-oriented scheduling service with content-addressed caching and a
   stdlib HTTP front-end (:mod:`repro.service`),
 * a lightweight Montium tile model and 4-phase compiler pipeline
@@ -39,7 +40,6 @@ from repro.core import (
     select_patterns,
 )
 from repro.dfg import DFG, LevelAnalysis
-from repro.exec import available_backends, get_backend
 from repro.patterns import Pattern, PatternLibrary, random_pattern_set
 from repro.scheduling import (
     MultiPatternScheduler,
@@ -68,8 +68,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "select_patterns",
-    "available_backends",
-    "get_backend",
     "three_point_dft_paper",
     "five_point_dft",
     "small_example",

@@ -107,7 +107,6 @@ def random_vs_selected(
     trials: int = 10,
     seed: int = 2006,
     config: SelectionConfig | None = None,
-    backend: "object | str" = "fused",
     service: "object | None" = None,
 ) -> list[RandomVsSelectedRow]:
     """The paper's Table 7: random vs selected patterns across ``Pdef``.
@@ -116,16 +115,13 @@ def random_vs_selected(
     trials in the paper); the selected column submits one job per ``Pdef``
     to a :class:`~repro.service.SchedulerService` — the catalog is built
     exactly once for the whole sweep by the service's content-addressed
-    catalog cache (results are backend-independent; only wall-clock
-    changes).  Pass ``service`` to share a resident service (and its
-    caches) across harness calls; otherwise an ephemeral one is created
-    on ``backend``.
+    catalog cache.  Pass ``service`` to share a resident service (and its
+    caches) across harness calls; otherwise an ephemeral one is created.
     """
     from repro.service import JobRequest, SchedulerService
 
     if service is None:
-        service = SchedulerService(backend=backend)  # type: ignore[arg-type]
-    exec_backend = service.backend
+        service = SchedulerService()
     colors = list(dfg.colors())
     pdefs = list(pdefs)
     cfg = config if config is not None else SelectionConfig()
@@ -142,9 +138,7 @@ def random_vs_selected(
         for _ in range(trials):
             lib = random_pattern_set(rng, capacity, colors, pdef)
             lengths.append(
-                MultiPatternScheduler(lib)
-                .schedule(dfg, backend=exec_backend)
-                .length
+                MultiPatternScheduler(lib).schedule(dfg).length
             )
         rows.append(
             RandomVsSelectedRow(
@@ -292,7 +286,6 @@ def baseline_comparison(
     pdef: int,
     *,
     config: SelectionConfig | None = None,
-    backend: "object | str" = "fused",
     service: "object | None" = None,
 ) -> dict[str, dict[str, object]]:
     """Multi-pattern scheduling vs the classic pattern-oblivious heuristics.
@@ -309,7 +302,7 @@ def baseline_comparison(
     from repro.service import JobRequest, SchedulerService
 
     if service is None:
-        service = SchedulerService(backend=backend)  # type: ignore[arg-type]
+        service = SchedulerService()
     result = service.submit(
         JobRequest(
             capacity=capacity,

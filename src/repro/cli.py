@@ -5,7 +5,6 @@
     repro tables                 # regenerate every paper table
     repro table 7 --trials 10    # one specific table
     repro select 3dft --pdef 4   # run pattern selection on a workload
-    repro select fft64 --backend serial
     repro schedule 3dft --patterns aabcc,aaacc
     repro pipeline fft64 --timings
     repro pipeline fft64 --cache-dir ~/.cache/repro
@@ -17,10 +16,8 @@
     repro cache-gc /var/cache/repro --max-bytes 64M
     repro compile examples.prog --pdef 3
     repro workloads              # list built-in workloads
-    repro backends               # list execution backends
 
-Compute-heavy commands accept ``--backend`` (``serial`` or ``fused``;
-default ``fused``).  ``pipeline`` submits its job through an (ephemeral,
+``pipeline`` submits its job through an (ephemeral,
 per-command) :class:`~repro.service.SchedulerService`; for warm caches
 across requests run the *resident* service — ``serve`` — and submit to
 it with ``submit`` or :class:`~repro.service.ServiceClient`.
@@ -45,7 +42,6 @@ from repro.core.frequency import frequency_table
 from repro.core.selection import PatternSelector
 from repro.dfg.levels import LevelAnalysis
 from repro.exceptions import ReproError
-from repro.exec import available_backends, get_backend
 from repro.montium.compiler import MontiumCompiler
 from repro.scheduling.scheduler import schedule_dfg
 from repro.workloads import WORKLOADS, small_example, three_point_dft_paper
@@ -178,7 +174,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
     selector = PatternSelector(
         args.capacity, config=cfg, priority_fn=get_variant(args.variant)
     )
-    result = selector.select(dfg, args.pdef, backend=args.backend)
+    result = selector.select(dfg, args.pdef)
     print(
         f"selected patterns for {dfg.name!r} "
         f"(Pdef={args.pdef}, variant={args.variant}):"
@@ -194,7 +190,7 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
     dfg = _workload(args.workload)
     patterns = args.patterns.split(",")
     scheduler = MultiPatternScheduler(patterns, capacity=args.capacity)
-    schedule = scheduler.schedule(dfg, backend=args.backend)
+    schedule = scheduler.schedule(dfg)
     print(schedule.as_table())
     print(f"\ntotal clock cycles: {schedule.length}")
 
@@ -230,15 +226,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     request = JobRequest(
         capacity=args.capacity, pdef=args.pdef, dfg=dfg, config=cfg
     )
-    with SchedulerService(
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-    ) as service:
+    with SchedulerService(cache_dir=args.cache_dir) as service:
         outcome = service.submit_outcome(request)
-    print(
-        f"pipeline {dfg.name!r} via backend {service.backend.describe()} "
-        f"(C={args.capacity}, Pdef={args.pdef}):"
-    )
+    print(f"pipeline {dfg.name!r} (C={args.capacity}, Pdef={args.pdef}):")
     _print_job_result(outcome.result, outcome.cache, timings=args.timings)
 
 
@@ -263,7 +253,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     serve(
         host=args.host,
         port=args.port,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         cache_max_bytes=(
             _parse_bytes(args.cache_max_bytes)
@@ -386,17 +375,6 @@ def _cmd_edit(args: argparse.Namespace) -> None:
     _print_job_result(result, cache or "?", timings=args.timings)
 
 
-def _cmd_backends(args: argparse.Namespace) -> None:
-    rows = []
-    for name in available_backends():
-        backend = get_backend(name)
-        rows.append((name, backend.describe(), backend.availability()))
-    print(render_table(
-        ["name", "description", "availability"],
-        rows, title="registered execution backends",
-    ))
-
-
 def _cmd_compile(args: argparse.Namespace) -> None:
     with open(args.source, "r", encoding="utf-8") as fh:
         source = fh.read()
@@ -441,13 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span-limit", type=int, default=1)
     p.set_defaults(fn=_cmd_table)
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend", default="fused",
-            help="execution backend: serial or fused (default; see "
-                 "'repro backends')",
-        )
-
     p = sub.add_parser("select", help="run pattern selection on a workload")
     p.add_argument("workload")
     p.add_argument("--pdef", type=int, default=4)
@@ -455,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span-limit", type=int, default=1)
     p.add_argument("--variant", default="paper",
                    help="priority variant (see repro.core.variants)")
-    add_backend_args(p)
     p.set_defaults(fn=_cmd_select)
 
     p = sub.add_parser("schedule", help="schedule a workload with patterns")
@@ -463,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True,
                    help="comma-separated, e.g. aabcc,aaacc")
     p.add_argument("--capacity", type=int, default=5)
-    add_backend_args(p)
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser(
@@ -483,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="disk-backed cache directory: catalogs/selections/"
                         "results persist across invocations")
-    add_backend_args(p)
     p.set_defaults(fn=_cmd_pipeline)
-
-    p = sub.add_parser("backends", help="list execution backends")
-    p.set_defaults(fn=_cmd_backends)
 
     p = sub.add_parser(
         "serve",
@@ -512,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "address)")
     p.add_argument("--quota-burst", type=float, default=None,
                    help="per-client burst size (defaults to 2x --quota-rps)")
-    add_backend_args(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

@@ -142,12 +142,7 @@ class PatternSelector:
         )
 
     # ------------------------------------------------------------------ #
-    def build_catalog(
-        self,
-        dfg: "DFG",
-        *,
-        backend: "object | None" = None,
-    ) -> PatternCatalog:
+    def build_catalog(self, dfg: "DFG") -> PatternCatalog:
         """Pattern generation (paper §5.1) with this selector's bounds.
 
         The enumeration is capped at ``config.max_pattern_size`` (default:
@@ -156,18 +151,12 @@ class PatternSelector:
         produce more than ``config.max_antichains`` antichains — wide
         graphs grow as ``C(width, size)`` and the tightest useful bound is
         span 0 (single-level antichains).  The catalog records the span
-        actually used.  ``backend`` (an
-        :class:`~repro.exec.backend.ExecutionBackend` or registered name)
-        selects who runs the enumeration; default resolution is as in
-        :func:`~repro.patterns.enumeration.classify_antichains`.  A
-        ``store_antichains`` config always routes to the serial
-        classifier (only it can materialize the raw antichains),
-        regardless of ``backend`` — the backend remains in force for the
-        selection/scheduling stages.
+        actually used.  Each attempt is one
+        :func:`~repro.patterns.enumeration.classify_antichains` call, so a
+        ``store_antichains`` config runs the sequential classifier (only
+        it can materialize the raw antichains).
         """
         config = self.config
-        if config.store_antichains:
-            backend = None  # auto-resolves to the serial classifier
         return self.build_catalog_with(
             dfg,
             lambda size, span: classify_antichains(
@@ -176,7 +165,6 @@ class PatternSelector:
                 span,
                 store_antichains=config.store_antichains,
                 max_count=config.max_antichains,
-                backend=backend,
             ),
         )
 
@@ -242,7 +230,6 @@ class PatternSelector:
         pdef: int,
         *,
         catalog: PatternCatalog | None = None,
-        backend: "object | None" = None,
     ) -> SelectionResult:
         """Run Fig. 7 and return the selected library plus diagnostics.
 
@@ -255,25 +242,18 @@ class PatternSelector:
             enforced via :class:`~repro.patterns.library.PatternLibrary`).
         catalog:
             Optional pre-built catalog (reused across ``pdef`` sweeps).
-        backend:
-            An :class:`~repro.exec.backend.ExecutionBackend` instance or
-            registered backend name (default ``"fused"``: the incremental
-            loop for the stock Eq. 8 priority, the reference loop for
-            custom ``priority_fn`` callables, whose scores may depend on
-            global pool state the incremental cache cannot track).  An
-            explicit backend also builds the catalog when ``catalog`` is
-            ``None``.
-        """
-        from repro.exec import get_backend
 
+        The stock Eq. 8 priority runs the incremental loop
+        (:meth:`_run_fast`); a custom ``priority_fn``, whose scores may
+        depend on global pool state the incremental cache cannot track,
+        runs the reference loop (:meth:`_run_reference`).  Both select
+        identically for Eq. 8.
+        """
         validate_dfg(dfg)
         if pdef < 1:
             raise SelectionError(f"pdef must be ≥ 1, got {pdef}")
-        exec_backend = get_backend(backend if backend is not None else "fused")
-        # Without an explicit backend the catalog keeps its own default.
-        catalog_backend = exec_backend if backend is not None else None
         if catalog is None:
-            catalog = self.build_catalog(dfg, backend=catalog_backend)
+            catalog = self.build_catalog(dfg)
         config = self.config
         all_colors = frozenset(dfg.colors())
         if pdef * self.capacity < len(all_colors):
@@ -282,9 +262,10 @@ class PatternSelector:
                 f"{len(all_colors)} colors of {dfg.name!r}"
             )
 
-        selected, rounds = exec_backend.run_selection(
-            self, catalog, pdef, all_colors
-        )
+        if self.priority_fn is raw_priority:
+            selected, rounds = self._run_fast(catalog, pdef, all_colors)
+        else:
+            selected, rounds = self._run_reference(catalog, pdef, all_colors)
 
         if not selected:
             raise SelectionError(

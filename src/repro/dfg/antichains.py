@@ -91,8 +91,8 @@ def limit_error(
     """The canonical over-``max_count`` error for ``dfg``.
 
     Shared by the in-DFS enumerators and every merge path that re-checks
-    the global count after combining per-partition results (the process
-    backend and the shard coordinator), so all of them fail with the same
+    the global count after combining per-partition results (the
+    partitioned build and the shard coordinator), so all of them fail with the same
     message for the same overflow.
     """
     return EnumerationLimitError(

@@ -22,7 +22,6 @@ __all__ = [
     "ScheduleValidationError",
     "SelectionError",
     "EnumerationLimitError",
-    "BackendError",
     "FrontendError",
     "AllocationError",
     "ServiceError",
@@ -92,10 +91,6 @@ class SelectionError(ReproError):
 
 class EnumerationLimitError(ReproError):
     """Antichain enumeration exceeded the configured safety limit."""
-
-
-class BackendError(ReproError):
-    """An execution backend was unknown or configured inconsistently."""
 
 
 class FrontendError(ReproError):

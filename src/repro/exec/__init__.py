@@ -1,42 +1,20 @@
-"""Execution backends: interchangeable strategies for the compute stages.
+"""The pattern-generation kernels every fast catalog build runs.
 
-::
+:mod:`repro.exec.process`
+    The seed-partitioned build: plan the weight-balanced seed partitions,
+    classify them into sparse rows and merge the rows in ascending-seed
+    order.  :func:`~repro.exec.process.classify_partitioned` is the whole
+    in-process build (``classify_antichains``, ``PatternSelector``); the
+    service and the shard fleet run the same three steps around their
+    partial caches.
+:mod:`repro.exec.bitset`
+    The vectorized classify kernel over numpy (with an optional compiled
+    expansion extension; the scalar in-DFS classifier when numpy is
+    unavailable).  :func:`~repro.exec.bitset.bitset_availability` says
+    which of those this process runs.
 
-    from repro.exec import get_backend
-
-    backend = get_backend("fused")   # or "serial"
-    catalog = backend.classify(dfg, capacity=5, span_limit=1)
-
-Two backends ship built in, bit-identical in output:
-
-``serial``
-    The straightforward reference loops — the equivalence oracle, and
-    the only backend supporting stored antichains and custom selection
-    priorities natively.
-``fused``
-    The fast paths; the default everywhere.  Pattern generation is the
-    seed-partitioned build of :mod:`repro.exec.process` over the
-    vectorized bitset kernel (:mod:`repro.exec.bitset`, with an optional
-    compiled expansion extension; the scalar in-DFS classifier when
-    numpy is unavailable); selection and scheduling run the incremental
-    and integer hot loops.
-
-Downstream projects may :func:`register_backend` their own.
+The sequential references — ``_classify_reference`` in
+:mod:`repro.patterns.enumeration`, ``PatternSelector._run_reference`` and
+``MultiPatternScheduler._schedule_reference`` — are the oracle the
+equivalence suites pin these fast paths against, bit for bit.
 """
-
-from repro.exec.backend import ExecutionBackend
-from repro.exec.fused import FusedBackend
-from repro.exec.registry import available_backends, get_backend, register_backend
-from repro.exec.serial import SerialBackend
-
-__all__ = [
-    "ExecutionBackend",
-    "SerialBackend",
-    "FusedBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]
-
-register_backend("serial", SerialBackend)
-register_backend("fused", FusedBackend)

@@ -7,8 +7,8 @@ lookups and int arithmetic.  This module replaces that per-frame
 bookkeeping with batched numpy kernels while reproducing the scalar
 output **bit for bit** — same bag order, same ``first_seen`` order, same
 frequencies, same ``max_count`` error.  Every fast catalog build runs it
-through :func:`repro.exec.process.classify_partition_rows`, the fused
-backend's partition step.
+through :func:`repro.exec.process.classify_partition_rows`, the classify
+step of the partitioned build.
 
 How the vectorization works
 ---------------------------

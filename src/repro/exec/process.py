@@ -19,13 +19,14 @@ bit, along one plan shared by every fast catalog build:
    merge by first appearance and per-bag first-seen node lists
    concatenate-dedupe — exactly the sequential visit order, so the merged
    catalog (including every Counter's insertion order) is bit-identical
-   to the serial reference's.
+   to the sequential reference's
+   (:func:`repro.patterns.enumeration._classify_reference`).
 
-Step 2 is :meth:`~repro.exec.fused.FusedBackend.classify_partitions`.
-The fused backend's monolithic :meth:`~repro.exec.fused.FusedBackend.classify`
-(what ``PatternSelector.build_catalog`` and ``repro select`` call), the
-service's cached build, the shard endpoint and a shard fleet all run this
-one path; they differ only in which partitions they classify and where.
+:func:`classify_partitioned` runs the three steps in process (what
+``classify_antichains``, ``PatternSelector.build_catalog`` and ``repro
+select`` call); the service's cached build, the shard endpoint and a
+shard fleet run the same steps around their partial caches.  They differ
+only in which partitions they classify and where.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.dfg.antichains import (
     _np,
     limit_error,
 )
-from repro.exceptions import BackendError
 from repro.exec.bitset import classify_rows_bitset, packed_incomparable_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,13 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "EDIT_PARTITIONS",
     "classify_partition_rows",
+    "classify_partitioned",
     "estimate_seed_weights",
     "plan_seed_partitions",
     "merge_classified_parts",
 ]
 
 #: Seed-partition count of every partitioned build — the service's, a
-#: shard fleet's and :meth:`~repro.exec.fused.FusedBackend.classify` — so
+#: shard fleet's and :func:`classify_partitioned` — so
 #: partials answer across builds and topologies (a fleet build therefore keeps at most
 #: 16 shards busy).  Finer partitions shrink the re-enumerated region
 #: after an edit but hash and cache more partials.
@@ -84,9 +85,8 @@ def classify_partition_rows(
     row is ``(bag_key, count, first_seen, values)`` with ``values``
     aligned to ``first_seen`` — always sparse plain ints, so a row list
     can be cached on disk, shipped over HTTP, and fed straight back to
-    :func:`merge_classified_parts` on any instance.  It is the step every
-    partition-capable backend runs
-    (:meth:`~repro.exec.backend.ExecutionBackend.classify_partitions`).
+    :func:`merge_classified_parts` on any instance.  It is the classify
+    step of every partitioned build.
 
     Consecutive partitions share one vectorized BFS pass
     (:func:`~repro.exec.bitset.classify_rows_bitset`) while their
@@ -262,9 +262,9 @@ def plan_seed_partitions(
     order, so classifying each partition independently and merging the
     results in partition order (:func:`merge_classified_parts`)
     reproduces the sequential enumeration bit for bit.  Every
-    partitioned build plans with it — the fused backend's monolithic
-    build, the service's partial cache and the shard coordinator's
-    fleet (:mod:`repro.service.shard`).
+    partitioned build plans with it — :func:`classify_partitioned`, the
+    service's partial cache and the shard coordinator's fleet
+    (:mod:`repro.service.shard`).
 
     Seed subtrees are heavily skewed — low seeds own far larger subtrees
     — so the cut points balance *estimated subtree weight*
@@ -280,7 +280,7 @@ def plan_seed_partitions(
     caller that plans and classifies estimates the weights once.
     """
     if partitions < 1:
-        raise BackendError(f"partitions must be ≥ 1, got {partitions}")
+        raise ValueError(f"partitions must be ≥ 1, got {partitions}")
     seeds = list(range(dfg.n_nodes))
     weights = estimate_seed_weights(dfg, seeds)
     parts = _split_weighted(seeds, weights, partitions)
@@ -304,7 +304,7 @@ def merge_classified_parts(
     elementwise; bag keys merge by first appearance and per-bag
     first-seen node lists concatenate-dedupe — exactly the sequential
     visit order, so the merged catalog (every Counter's insertion order
-    included) is bit-identical to the serial reference's.
+    included) is bit-identical to the sequential reference's.
     """
     from collections import Counter
 
@@ -349,4 +349,33 @@ def merge_classified_parts(
         span_limit=span_limit,
         frequencies=freqs,
         antichain_counts=counts,
+    )
+
+
+def classify_partitioned(
+    dfg: "DFG",
+    capacity: int,
+    span_limit: int | None = None,
+    *,
+    max_count: int | None = DEFAULT_MAX_COUNT,
+) -> "PatternCatalog":
+    """Plan → :func:`classify_partition_rows` → merge: the in-process build.
+
+    Classifies all :data:`EDIT_PARTITIONS` seed partitions of ``dfg`` and
+    merges them, so the catalog equals the sequential reference's bit for
+    bit.  A cyclic graph fails before any planning.
+    """
+    dfg.check_acyclic()
+    plan, weights = plan_seed_partitions(dfg, EDIT_PARTITIONS)
+    rows = classify_partition_rows(
+        AntichainEnumerator(dfg),
+        dfg.color_labels()[0],
+        plan,
+        capacity,
+        span_limit,
+        max_count,
+        weights=weights,
+    )
+    return merge_classified_parts(
+        dfg, rows, capacity=capacity, span_limit=span_limit, max_count=max_count
     )

@@ -12,12 +12,12 @@ algorithm needs.
 optionally (they are only needed for reporting; frequencies suffice for
 selection and keeping millions of tuples alive would be wasteful).
 
-Catalog construction runs through an execution backend (see
-:mod:`repro.exec` and PERFORMANCE.md): the default fused backend
-classifies seed-node partitions with the vectorized bitset kernel and
-merges them in seed order (no per-antichain allocations; one interned
-:class:`Pattern` per bag), and the serial backend materializes name
-tuples and classifies them sequentially.  Both produce equal catalogs —
+Catalog construction classifies seed-node partitions with the vectorized
+bitset kernel and merges them in seed order (:mod:`repro.exec.process`;
+no per-antichain allocations, one interned :class:`Pattern` per bag).
+The sequential reference (:func:`_classify_reference`) materializes name
+tuples and classifies them one by one; it is the oracle, and the only
+path that stores raw antichains.  Both produce equal catalogs —
 including per-pattern Counter insertion order, which Eq. 8's float
 summation depends on.
 """
@@ -99,7 +99,6 @@ def classify_antichains(
     *,
     store_antichains: bool = False,
     max_count: int | None = DEFAULT_MAX_COUNT,
-    backend: object | None = None,
 ) -> PatternCatalog:
     """Enumerate antichains of ``dfg`` and classify them into patterns.
 
@@ -115,35 +114,33 @@ def classify_antichains(
         Table 5 for how sharply this cuts the enumeration).
     store_antichains:
         Keep the raw antichains per pattern (Table 4 style reporting).
-        Requires the serial backend — the stored name tuples are exactly
-        what the fused path exists to avoid.
+        Runs the sequential name-tuple classifier
+        (:func:`_classify_reference`) — the stored name tuples are exactly
+        what the partitioned build exists to avoid.
     max_count:
         Enumeration safety ceiling (see :mod:`repro.dfg.antichains`).
-    backend:
-        An :class:`~repro.exec.backend.ExecutionBackend` instance or
-        registered backend name (``"serial"`` or ``"fused"``).  Omitted,
-        the fused backend classifies without materializing antichains,
-        unless ``store_antichains`` demands the serial name-tuple
-        classifier (only the serial backend stores antichains; the fused
-        one raises).  Both backends produce equal catalogs — the
-        equivalence test-suite pins this.
+
+    Without ``store_antichains`` the seed-partitioned build
+    (:func:`repro.exec.process.classify_partitioned`) classifies without
+    materializing antichains.  Both paths produce equal catalogs — the
+    equivalence test-suite pins this.
 
     Returns
     -------
     PatternCatalog
     """
-    from repro.exec import get_backend
+    if store_antichains:
+        return _classify_reference(
+            dfg,
+            AntichainEnumerator(dfg),
+            capacity,
+            span_limit,
+            max_count,
+            store_antichains,
+        )
+    from repro.exec import process
 
-    if backend is None:
-        backend = "serial" if store_antichains else "fused"
-    backend = get_backend(backend)  # type: ignore[arg-type]
-    return backend.classify(
-        dfg,
-        capacity,
-        span_limit,
-        store_antichains=store_antichains,
-        max_count=max_count,
-    )
+    return process.classify_partitioned(dfg, capacity, span_limit, max_count=max_count)
 
 
 def _classify_reference(

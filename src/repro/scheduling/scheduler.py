@@ -37,7 +37,6 @@ from repro.scheduling.selected_set import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
-    from repro.exec.backend import ExecutionBackend
 
 __all__ = ["MultiPatternScheduler", "schedule_dfg"]
 
@@ -85,26 +84,14 @@ class MultiPatternScheduler:
         self.max_cycles = max_cycles
 
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        dfg: "DFG",
-        *,
-        backend: "ExecutionBackend | str | None" = None,
-    ) -> Schedule:
+    def schedule(self, dfg: "DFG") -> Schedule:
         """Schedule ``dfg``, returning the full :class:`Schedule` trace.
 
-        Parameters
-        ----------
-        dfg:
-            The graph to schedule.
-        backend:
-            An :class:`~repro.exec.backend.ExecutionBackend` instance or
-            registered backend name (see :func:`repro.exec.get_backend`).
-            The default ``"fused"`` runs the integer hot loop — color-id
-            arrays, slot-count vectors, an incrementally sorted candidate
-            queue; ``"serial"`` runs the straightforward name-based loop.
-            Both produce identical schedules (pinned by the equivalence
-            tests).
+        Runs the integer hot loop (:meth:`_schedule_fast`) — color-id
+        arrays, slot-count vectors, an incrementally sorted candidate
+        queue.  The straightforward name-based loop
+        (:meth:`_schedule_reference`) produces the identical schedule
+        (pinned by the equivalence tests).
 
         Raises
         ------
@@ -112,9 +99,6 @@ class MultiPatternScheduler:
             When no pattern can execute any candidate (the library's colors
             do not cover the graph's colors).
         """
-        from repro.exec import get_backend
-
-        backend = get_backend(backend if backend is not None else "fused")
         validate_dfg(dfg)
         missing = set(dfg.colors()) - self.library.color_set()
         if missing:
@@ -122,7 +106,7 @@ class MultiPatternScheduler:
                 f"library {self.library.as_strings()} has no slot for "
                 f"colors {sorted(missing)} used by {dfg.name!r}"
             )
-        return backend.run_schedule(self, dfg)
+        return self._schedule_fast(dfg)
 
     # ------------------------------------------------------------------ #
     def _schedule_reference(self, dfg: "DFG") -> Schedule:

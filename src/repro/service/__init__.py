@@ -1,14 +1,13 @@
 """Scheduling-as-a-service: the job-oriented public API.
 
 Callers submit :class:`JobRequest` jobs to a long-lived
-:class:`SchedulerService` that owns one execution backend,
-content-addresses graphs
+:class:`SchedulerService` that content-addresses graphs
 (:func:`repro.dfg.io.dfg_digest`) and caches catalogs, selections and full
 results in keyed LRUs::
 
     from repro.service import JobRequest, SchedulerService
 
-    service = SchedulerService()  # backend="fused"
+    service = SchedulerService()
     result = service.submit(JobRequest(capacity=5, pdef=4, workload="3dft"))
     result.schedule.length          # cycles
     service.stats.result_hits      # cache accounting
@@ -40,9 +39,6 @@ Scaling seams layered on top:
   disk across restarts and instances;
 * ``max_pending=...`` bounds admission
   (:class:`~repro.exceptions.ServiceOverloadedError` → HTTP 429);
-* a job runs on its request's ``backend`` when set, else on the
-  service's resident backend; every backend is bit-identical, so the
-  choice never enters a cache key;
 * :class:`RetryPolicy` + :class:`CircuitBreaker`
   (:mod:`repro.service.retry`) make the shard fleet fault-tolerant:
   per-attempt timeouts, same-shard retries with deterministic-jitter

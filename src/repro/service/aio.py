@@ -17,9 +17,9 @@ graph parses, hashes and probes as one high-priority pool task, so a
 large graph never stalls the other connections.  Everything else is
 compute and runs on a small thread pool fed by a priority queue.
 Interactive edits (``/v1/jobs:edit``) and the warm submissions the loop
-did not answer (disk-only hits, hits not yet encoded, requests naming a
-``backend``) jump ahead of cold catalog builds, so a long cold build
-cannot starve the traffic that would have returned in microseconds.
+did not answer (disk-only hits, hits not yet encoded) jump ahead of cold
+catalog builds, so a long cold build cannot starve the traffic that
+would have returned in microseconds.
 FIFO order is preserved within a priority class.
 
 **Per-client quotas.**  A token bucket per client — keyed by the
@@ -69,6 +69,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.exec.bitset import bitset_availability
 from repro.service.errors import error_envelope, http_status, retry_after_of
 from repro.service.http import CLIENT_HEADER, shard_rows_to_wire
 from repro.service.jobs import EditRequest, JobRequest, JobResult, results_json
@@ -270,10 +271,9 @@ class AsyncServiceServer:
     Parameters
     ----------
     service:
-        The resident service; constructed from ``backend``/
-        ``cache_dir``/``cache_max_bytes``/``max_pending`` when omitted
-        (overload maps to HTTP 429; a request's ``backend`` field still
-        wins over ``backend``).
+        The resident service; constructed from ``cache_dir``/
+        ``cache_max_bytes``/``max_pending`` when omitted (overload maps
+        to HTTP 429).
     host / port:
         Bind address; port 0 picks a free port (see :attr:`port`).
     quota_rps / quota_burst:
@@ -295,7 +295,6 @@ class AsyncServiceServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8350,
-        backend: str = "fused",
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_max_bytes: "int | None" = None,
         max_pending: "int | None" = None,
@@ -306,7 +305,6 @@ class AsyncServiceServer:
     ) -> None:
         if service is None:
             service = SchedulerService(
-                backend=backend,
                 cache_dir=cache_dir,
                 cache_max_bytes=cache_max_bytes,
                 max_pending=max_pending,
@@ -624,7 +622,7 @@ class AsyncServiceServer:
                     200,
                     {
                         "status": "draining" if self.draining else "ok",
-                        "backend": service.backend.describe(),
+                        "kernel": bitset_availability(),
                         "draining": self.draining,
                     },
                 )
@@ -767,7 +765,7 @@ class AsyncServiceServer:
         probe as one high-priority pool task, which also answers a warm
         one; only a cold miss re-enters the queue at normal priority.
         Everything else the probe declines (a disk-only hit, a hit not yet
-        encoded, a request naming a ``backend``) runs
+        encoded) runs
         :meth:`SchedulerService.submit_outcome` on the pool at high
         priority, a miss or a contended lock at normal priority.
         """
@@ -870,7 +868,7 @@ async def _serve_async(
         pass
     print(
         f"repro service listening on {server.url} "
-        f"(backend {server.service.backend.describe()}{banner_extras}); "
+        f"({bitset_availability()}{banner_extras}); "
         f"Ctrl-C to stop",
         flush=True,
     )
@@ -884,7 +882,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8350,
-    backend: str = "fused",
     cache_dir: "str | os.PathLike[str] | None" = None,
     cache_max_bytes: "int | None" = None,
     max_pending: "int | None" = None,
@@ -900,7 +897,6 @@ def serve(
     server = AsyncServiceServer(
         host=host,
         port=port,
-        backend=backend,
         cache_dir=cache_dir,
         cache_max_bytes=cache_max_bytes,
         max_pending=max_pending,

@@ -18,7 +18,7 @@ method     path                         body → response
                                         seed range
 ``POST``   ``/v1/caches:clear``         (empty body) → ``{"cleared": true}``
 ``POST``   ``/v1/admin:drain``          (empty body) → ``{"draining": true}``
-``GET``    ``/healthz``                 liveness + backend + drain state
+``GET``    ``/healthz``                 liveness + kernel + drain state
 ``GET``    ``/stats``                   :meth:`SchedulerService.describe`
 ``GET``    ``/workloads``               available workload names
 =========  ===========================  ====================================

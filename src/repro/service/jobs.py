@@ -2,7 +2,7 @@
 
 A :class:`JobRequest` names a scheduling problem: a workload (by registry
 name or as an inline DFG) plus ``capacity``/``pdef``/``config``/
-``priority``/``backend``.  An :class:`EditRequest` is a base job plus a
+``priority``.  An :class:`EditRequest` is a base job plus a
 sequence of :class:`~repro.dfg.edit.DfgEdit` mutations — the service
 applies the edits and runs the derived job incrementally
 (:meth:`~repro.service.SchedulerService.submit_edit`).  A
@@ -49,7 +49,6 @@ _REQUEST_FIELDS = {
     "pdef",
     "config",
     "priority",
-    "backend",
 }
 
 
@@ -59,9 +58,7 @@ class JobRequest:
 
     Exactly one of ``workload`` (a registry name, see
     :data:`repro.workloads.WORKLOADS`) and ``dfg`` (an inline graph) names
-    the input.  ``backend`` optionally overrides the service's resident
-    backend for this job — results are backend-independent by the
-    bit-identity contract, so the cache key ignores it.
+    the input.
 
     Attributes
     ----------
@@ -77,8 +74,6 @@ class JobRequest:
         Selection tunables (paper constants by default).
     priority:
         Scheduler pattern priority, ``"f2"`` (default) or ``"f1"``.
-    backend:
-        Optional backend-name override for this job only.
     """
 
     capacity: int
@@ -87,7 +82,6 @@ class JobRequest:
     dfg: DFG | None = None
     config: SelectionConfig = field(default_factory=SelectionConfig)
     priority: str = "f2"
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.capacity, int) or self.capacity < 1:
@@ -129,12 +123,6 @@ class JobRequest:
                 f"priority must be 'f1' or 'f2', got {self.priority!r}",
                 field="priority",
             ) from None
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise JobValidationError(
-                f"backend must be a registered backend name, "
-                f"got {self.backend!r}",
-                field="backend",
-            )
 
     # ------------------------------------------------------------------ #
     def catalog_key(self, digest: str) -> tuple:
@@ -169,12 +157,10 @@ class JobRequest:
 
         SHA-256 over the graph digest and every answer-determining knob
         (``capacity``, ``pdef``, ``config``, ``priority``) — deliberately
-        **not** the backend, which by contract cannot change the answer,
-        and not the ``workload`` *name* either (the digest already is the
-        graph's identity).  Consequence, shared with the backend
-        exclusion: a result-cache hit returns the stored
-        :class:`JobResult` verbatim, so its descriptive echo fields
-        (``workload``, ``backend``, ``timings``) describe the submit that
+        **not** the ``workload`` *name* (the digest already is the
+        graph's identity).  Consequence: a result-cache hit returns the
+        stored :class:`JobResult` verbatim, so its descriptive echo fields
+        (``workload``, ``timings``) describe the submit that
         *computed* it — e.g. an inline-DFG submit can be answered by a
         result recorded under the equivalent workload name.  The
         answer-bearing fields are identical by construction.
@@ -216,8 +202,6 @@ class JobRequest:
             out["workload"] = self.workload
         if self.dfg is not None:
             out["dfg"] = to_payload(self.dfg)
-        if self.backend is not None:
-            out["backend"] = self.backend
         return out
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -264,7 +248,6 @@ class JobRequest:
             dfg=dfg,
             config=config,
             priority=payload.get("priority", "f2"),
-            backend=payload.get("backend"),
         )
 
     @classmethod
@@ -406,8 +389,6 @@ class JobResult:
         Per-stage wall-clock seconds for the stages actually *computed* by
         the submit that built this result — stages served from a service
         cache are absent, so cache hits show up directly in the timings.
-    backend:
-        Name of the backend that executed the computed stages.
     """
 
     job_key: str
@@ -421,7 +402,6 @@ class JobResult:
     selection: SelectionResult
     metrics: dict[str, Any]
     timings: dict[str, float]
-    backend: str
 
     @property
     def length(self) -> int:
@@ -441,7 +421,6 @@ class JobResult:
             "selection": selection_result_to_dict(self.selection),
             "metrics": dict(self.metrics),
             "timings": dict(self.timings),
-            "backend": self.backend,
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -481,21 +460,26 @@ class JobResult:
         return tag
 
     def answer_dict(self) -> dict[str, Any]:
-        """:meth:`to_dict` minus the per-submit echo fields.
+        """:meth:`to_dict` minus the per-submit ``timings``.
 
-        ``timings`` and ``backend`` describe the submit that *computed* a
-        result, not its answer — two bit-identical answers computed on
-        different runs (or backends) differ in exactly these fields.  Cross-run bit-identity checks (the
+        ``timings`` describe the submit that *computed* a result, not its
+        answer — two bit-identical answers computed on different runs
+        differ in exactly this field.  Cross-run bit-identity checks (the
         edit-path benchmark, smoke and property tests) therefore compare
         this form.
         """
         out = self.to_dict()
         del out["timings"]
-        del out["backend"]
         return out
 
     @classmethod
     def from_dict(cls, payload: Any) -> "JobResult":
+        """Inverse of :meth:`to_dict`.
+
+        Unknown keys are ignored: result files written before results
+        stopped recording a ``"backend"`` still carry one, and they load
+        (and hit) unchanged.
+        """
         if not isinstance(payload, dict):
             raise JobValidationError(
                 f"malformed job result: expected an object, "
@@ -531,7 +515,6 @@ class JobResult:
                 timings={
                     str(k): float(v) for k, v in payload["timings"].items()
                 },
-                backend=payload["backend"],
             )
         except JobValidationError:
             raise

@@ -3,7 +3,6 @@
 Instead of paying full catalog + selection cost per call, callers
 **submit jobs** to a resident service that
 
-* owns **one backend instance for its lifetime** (``fused`` by default);
 * keys work by **content**: graphs are canonicalized and SHA-256-digested
   (:func:`repro.dfg.io.dfg_digest`), so structurally identical graphs
   share cached work no matter how or where they were built;
@@ -26,12 +25,9 @@ Instead of paying full catalog + selection cost per call, callers
   bit-identical :class:`~repro.service.jobs.JobResult` from the result
   cache, and an edited config invalidates exactly the levels it touches;
 * rebuilds **incrementally after graph edits**: cold catalog builds run
-  partition by partition against the shard-partial cache — on every
-  backend with a partition step
-  (:attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`:
-  the fused backend; the serial reference and ``store_antichains``
-  build monolithically) — whose keys
-  are content-addressed at *partition* granularity
+  partition by partition against the shard-partial cache (a
+  ``store_antichains`` config builds in one piece, on the sequential
+  classifier), whose keys are content-addressed at *partition* granularity
   (:func:`repro.dfg.io.subgraph_digest` hashes only the facts a
   partition's DFS subtrees can observe) — so after a
   :meth:`SchedulerService.submit_edit`, untouched partitions are served
@@ -49,10 +45,6 @@ Instead of paying full catalog + selection cost per call, callers
   arriving while that many are already pending is rejected with a typed
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) instead
   of queueing without bound.
-
-The backend is a *strategy*, never part of a cache key — all backends are
-bit-identical by contract, so a result computed under ``serial`` serves a
-later ``fused`` request for the same job.
 """
 
 from __future__ import annotations
@@ -67,6 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.metrics import schedule_stats
 from repro.core.selection import PatternSelector, SelectionResult
+from repro.dfg.antichains import AntichainEnumerator
 from repro.dfg.edit import apply_edits
 from repro.dfg.graph import DFG
 from repro.dfg.io import dfg_digest, subgraph_digest
@@ -77,12 +70,8 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.exec import (
-    ExecutionBackend,
-    FusedBackend,
-    available_backends,
-    get_backend,
-)
+from repro.exec import process
+from repro.exec.bitset import bitset_availability
 from repro.exec.process import (
     EDIT_PARTITIONS,
     estimate_seed_weights,
@@ -248,9 +237,6 @@ class SchedulerService:
 
     Parameters
     ----------
-    backend:
-        Execution backend name or instance the service owns for its
-        lifetime (default ``"fused"``).
     workloads:
         Name → zero-argument DFG builder registry for workload-by-name
         requests (default: :data:`repro.workloads.WORKLOADS`).
@@ -286,7 +272,6 @@ class SchedulerService:
     def __init__(
         self,
         *,
-        backend: "ExecutionBackend | str" = "fused",
         workloads: "dict[str, Callable[[], DFG]] | None" = None,
         catalog_cache: int = 64,
         selection_cache: int = 256,
@@ -297,7 +282,6 @@ class SchedulerService:
         max_pending: int | None = None,
         timer: Callable[[], float] = time.perf_counter,
     ) -> None:
-        self.backend: ExecutionBackend = get_backend(backend)
         if workloads is None:
             from repro.workloads import WORKLOADS
 
@@ -326,7 +310,6 @@ class SchedulerService:
         # instead of per-request copies.
         self._graphs = MemoryCacheStore(catalog_cache)
         self._named_graphs: dict[str, DFG] = {}
-        self._overrides: dict[str, ExecutionBackend] = {}
         self.stats = ServiceStats()
         self.timer = timer
         self._lock = threading.RLock()
@@ -383,8 +366,7 @@ class SchedulerService:
     def close(self) -> None:
         """End the service's lifetime (also via ``with service:``).
 
-        Releases nothing today: backends hold no resources and the cache
-        stores no open handles.
+        Releases nothing today: the cache stores hold no open handles.
         """
 
     def note_not_modified(self) -> None:
@@ -405,8 +387,7 @@ class SchedulerService:
         (from memory or from disk); the async front-end queues warm
         submissions ahead of cold builds.  ``hit`` is the memory-front
         result when it can be answered on the spot: it already holds its
-        memoised encoding (:attr:`JobResult.encoded`) and the request
-        names no ``backend`` (whose name a full submit checks).  A hit is
+        memoised encoding (:attr:`JobResult.encoded`).  A hit is
         booked as the submit it answers — one admission slot, one
         ``submitted``, one ``result_hits`` — so the caller sends its
         memoised ``to_json()`` and submits nothing; with ``max_pending``
@@ -434,9 +415,7 @@ class SchedulerService:
         if not self._lock.acquire(blocking=False):
             return False, None
         try:
-            hit = None
-            if request.backend is None:
-                hit = self._results.get_resident(job_key)
+            hit = self._results.get_resident(job_key)
             if hit is None or hit.encoded is None:
                 return job_key in self._results, None
             with self._admitted():
@@ -493,36 +472,6 @@ class SchedulerService:
             seen = dfg
         return seen, digest
 
-    def _check_backend_name(self, request: JobRequest) -> None:
-        """Reject an unknown ``request.backend`` without creating a backend.
-
-        The backend never enters the job key, so without this check a
-        warm result hit (or a deduplicated batch member) would answer a
-        name that a cold submit rejects.
-        """
-        name = request.backend
-        if (
-            name is not None
-            and name != self.backend.name
-            and name not in available_backends()
-        ):
-            get_backend(name)  # raises the registry's BackendError
-
-    def _backend_for(self, request: JobRequest) -> ExecutionBackend:
-        """The backend this job runs on: ``request.backend`` when set,
-        else the resident one.
-
-        A non-resident backend is created on first use and kept for
-        later jobs.
-        """
-        name = request.backend
-        if name is None or name == self.backend.name:
-            return self.backend
-        backend = self._overrides.get(name)
-        if backend is None:
-            backend = self._overrides[name] = get_backend(name)
-        return backend
-
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
@@ -543,7 +492,6 @@ class SchedulerService:
         """:meth:`submit_outcome` inside an already-held admission slot."""
         with self._lock:
             self.stats.submitted += 1
-            self._check_backend_name(request)
             dfg, digest = self._resolve_graph(request)
             job_key = request.job_key(digest)
 
@@ -553,7 +501,6 @@ class SchedulerService:
                 return SubmitOutcome(result=cached, cache="result")
             self.stats.result_misses += 1
 
-            backend = self._backend_for(request)
             timings: dict[str, float] = {}
             config = request.config
             selector = PatternSelector(request.capacity, config=config)
@@ -577,16 +524,12 @@ class SchedulerService:
                 else:
                     self.stats.catalog_misses += 1
                     t0 = self.timer()
-                    if (
-                        backend.classify_partitions is None
-                        or config.store_antichains
-                    ):
-                        # The serial reference classifies monolithically,
-                        # and store_antichains needs its path.
-                        catalog = selector.build_catalog(dfg, backend=backend)
+                    if config.store_antichains:
+                        # Only the sequential classifier stores antichains.
+                        catalog = selector.build_catalog(dfg)
                     else:
                         catalog, hits, misses = self._build_catalog(
-                            dfg, selector, self._classify_here(dfg, backend)
+                            dfg, selector, self._classify_here(dfg)
                         )
                         self.stats.partition_hits += hits
                         self.stats.partition_misses += misses
@@ -595,9 +538,7 @@ class SchedulerService:
                     timings["catalog"] = self.timer() - t0
                     self._catalogs.put(catalog_key, catalog)
                 t0 = self.timer()
-                selection = selector.select(
-                    dfg, request.pdef, catalog=catalog, backend=backend
-                )
+                selection = selector.select(dfg, request.pdef, catalog=catalog)
                 timings["selection"] = self.timer() - t0
                 self._selections.put(selection_key, selection)
 
@@ -605,7 +546,7 @@ class SchedulerService:
                 selection.library, priority=request.priority
             )
             t0 = self.timer()
-            schedule = scheduler.schedule(dfg, backend=backend)
+            schedule = scheduler.schedule(dfg)
             timings["schedule"] = self.timer() - t0
             t0 = self.timer()
             metrics = schedule_stats(schedule)
@@ -625,7 +566,6 @@ class SchedulerService:
                 selection=selection,
                 metrics=metrics,
                 timings=timings,
-                backend=backend.name,
             )
             self._results.put(job_key, result)
             return SubmitOutcome(result=result, cache=cache_level)
@@ -649,14 +589,16 @@ class SchedulerService:
         already cached — an *edited* graph shares them with its
         predecessor, another instance computed them, or they survived on
         disk — run **zero** enumeration DFS.  The misses go to
-        ``classify`` (a :data:`MissClassifier`): in process that is the
-        backend's partition step (:meth:`_classify_here`) — one
+        ``classify`` (a :data:`MissClassifier`): in process that is
+        :meth:`_classify_here` — one
         :func:`~repro.exec.process.classify_partition_rows` call; on a
         fleet it is
         the :class:`~repro.service.shard.ShardCoordinator`'s steal loop.
         Every landed partial is written back under its own key, and the
-        merge in ascending-seed order reproduces the monolithic fused
-        build bit for bit (:func:`repro.exec.process.merge_classified_parts`).
+        merge in ascending-seed order
+        (:func:`repro.exec.process.merge_classified_parts`) reproduces the
+        in-process build (:func:`repro.exec.process.classify_partitioned`)
+        bit for bit.
         An attempt whose pass overflows ``max_antichains`` caches none of
         that pass's partials; the adaptive-span retry probes afresh.
 
@@ -724,19 +666,24 @@ class SchedulerService:
         return parts, missed, land
 
     @staticmethod
-    def _classify_here(dfg: DFG, backend: ExecutionBackend) -> MissClassifier:
-        """The in-process :data:`MissClassifier`: ``backend``'s partition step.
+    def _classify_here(dfg: DFG) -> MissClassifier:
+        """The in-process :data:`MissClassifier`.
 
         Every call hands its ranges to one
-        :attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`
-        call and lands the rows in range order.  A backend without the
-        step (the serial reference) classifies with the fused one: shard
-        claims and a fleet's local fallback always classify by partition.
+        :func:`~repro.exec.process.classify_partition_rows` call and lands
+        the rows in range order.
         """
-        step = backend.classify_partitions or FusedBackend().classify_partitions
 
         def classify(ranges, weights, size, span_limit, max_count, land):
-            rows = step(dfg, ranges, weights, size, span_limit, max_count)
+            rows = process.classify_partition_rows(
+                AntichainEnumerator(dfg),
+                dfg.color_labels()[0],
+                ranges,
+                size,
+                span_limit,
+                max_count,
+                weights=weights,
+            )
             for j, part in enumerate(rows):
                 land(j, part)
 
@@ -810,7 +757,6 @@ class SchedulerService:
                     raise JobValidationError(
                         f"expected a JobRequest, got {type(request).__name__}"
                     )
-                self._check_backend_name(request)
                 _, digest = self._resolve_graph(request)
                 keyed.append((request.job_key(digest), request))
             computed: dict[str, JobResult] = {}
@@ -851,20 +797,19 @@ class SchedulerService:
         probes the content-addressed partial cache for every claimed range
         (keyed by :func:`shard_partial_key` — the *range's* subgraph
         digest, seed range, capacity and bounds) and classifies the
-        misses in one call of the resident backend's partition step — the
-        same probe and classify helpers the in-process partitioned build
-        uses.  Returns one ``(rows, cache)`` per range,
-        aligned with ``task.ranges``: ``rows`` are ``(bag_key, count,
-        first_seen, values)`` tuples in local first-visit order, JSON-safe
-        so the HTTP layer is a pipe, and ``cache`` is ``"shard"`` when the
-        partial cache answered (no DFS ran) or ``"none"`` when this call
-        computed and cached the rows.  A classify call that fails with a
-        typed error — a pass overflowing ``max_count`` — answers
-        ``(error, None)`` for every missed range and caches none of them;
-        hit ranges still answer with rows.  Over HTTP, range ``i`` is
+        misses in one :meth:`_classify_here` call — the same probe and
+        classify helpers the in-process partitioned build uses.  Returns
+        one ``(rows, cache)`` per range, aligned with ``task.ranges``:
+        ``rows`` are ``(bag_key, count, first_seen, values)`` tuples in
+        local first-visit order, JSON-safe so the HTTP layer is a pipe,
+        and ``cache`` is ``"shard"`` when the partial cache answered (no
+        DFS ran) or ``"none"`` when this call computed and cached the rows.
+        A classify call that fails with a typed error — a pass overflowing
+        ``max_count`` — answers ``(error, None)`` for every missed range
+        and caches none of them; hit ranges still answer with rows.  Over HTTP, range ``i`` is
         stream frame ``slot`` ``i``.  Merging ranges in ascending-seed
         order (:func:`repro.exec.process.merge_classified_parts`)
-        reproduces the single-instance fused catalog bit for bit.
+        reproduces the single-instance catalog bit for bit.
 
         A claim is real enumeration work and therefore takes one admission
         slot like any submit (cache hits included: admission bounds
@@ -889,7 +834,7 @@ class SchedulerService:
             error: "ReproError | None" = None
             if missed:
                 try:
-                    self._classify_here(dfg, self.backend)(
+                    self._classify_here(dfg)(
                         [ranges[i] for i in missed],
                         [sum(estimate_seed_weights(dfg, ranges[i])) for i in missed],
                         task.size,
@@ -956,7 +901,7 @@ class SchedulerService:
                 self._stats_sources[name] = fn
 
     def describe(self) -> dict[str, Any]:
-        """Service status: backend, cache occupancy, hit/miss counters."""
+        """Service status: classify kernel, cache occupancy, hit/miss counters."""
         sources: dict[str, Any] = {}
         for name, fn in list(self._stats_sources.items()):
             try:
@@ -964,7 +909,7 @@ class SchedulerService:
             except Exception as exc:  # noqa: BLE001 — introspection must not fail
                 sources[name] = {"error": str(exc)}
         return {
-            "backend": self.backend.describe(),
+            "kernel": bitset_availability(),
             "caches": {
                 "catalog": self._catalogs.describe(),
                 "selection": self._selections.describe(),
@@ -1012,7 +957,7 @@ class SchedulerService:
         """Convenience: build a request from loose arguments and submit it.
 
         ``kwargs`` are the optional :class:`JobRequest` fields
-        (``config``, ``priority``, ``backend``).
+        (``config``, ``priority``).
         """
         if isinstance(workload_or_dfg, str):
             request = JobRequest(

@@ -65,15 +65,14 @@ beyond 16 sit idle.
 One claim is one :class:`ShardTask`: the graph and the attempt's bounds
 once, plus the claimed seed ranges.  The shard server probes each range
 against its own partial cache and classifies the claim's misses in one
-call of its backend's partition step
-(:attr:`~repro.exec.backend.ExecutionBackend.classify_partitions`), so a repeated
+:func:`~repro.exec.process.classify_partition_rows` call, so a repeated
 partition answers with cache level ``shard`` and zero DFS — and with a
 shared ``--cache-dir``, partials computed by any instance answer every
 instance, restarts included.
 
 Bit-identity is the contract, not an aspiration: the merged catalog —
 pattern set, antichain counts, per-node frequencies and every Counter's
-insertion order — equals the single-instance fused catalog, for every
+insertion order — equals the single-instance catalog, for every
 shard count, any completion order (the steal loop makes ordering
 timing-dependent; the index-addressed merge makes it irrelevant) and
 through partial-cache hits, memory or disk — pinned by
@@ -101,6 +100,7 @@ from repro.exceptions import (
     ServiceError,
     ShardTransportError,
 )
+from repro.exec.bitset import bitset_availability
 from repro.service.http import ServiceClient
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
 from repro.service.jobs import EditRequest, JobRequest, JobResult
@@ -140,7 +140,7 @@ class ShardTask:
         retries; shards only ever see one concrete attempt).
     max_count:
         Global antichain ceiling; a classify pass whose ranges alone
-        exceed it fails the attempt exactly like a fused DFS would.
+        exceed it fails the attempt as a single-instance build would.
     ranges:
         The claimed seed partitions, in ascending order: each an
         ascending run of node indices whose DFS subtrees are classified,
@@ -297,7 +297,7 @@ class LocalShard:
             yield slot, payload, None
 
     def describe(self) -> str:
-        return f"local({self.service.backend.describe()})"
+        return "local"
 
     def probe(self) -> bool:
         """Liveness probe; an in-process service is alive by definition."""
@@ -594,6 +594,12 @@ class ShardCoordinator:
         ]
         self._owns_service = service is None
         self._owned_shards: list[SchedulerService] = []
+        # Clients this coordinator opened for shards named by URL.
+        self._owned_clients = [
+            shard.client
+            for given, shard in zip(shards, self.shards)
+            if isinstance(given, str)
+        ]
         self.service = service if service is not None else SchedulerService()
         self.stats = CoordinatorStats(tasks_per_shard=[0] * len(self.shards))
         # Surface dispatch + breaker accounting through the completion
@@ -656,6 +662,8 @@ class ShardCoordinator:
             self.service.close()
         for shard_service in self._owned_shards:
             shard_service.close()
+        for client in self._owned_clients:
+            client.close()
 
     def __enter__(self) -> "ShardCoordinator":
         return self
@@ -666,7 +674,7 @@ class ShardCoordinator:
     def describe(self) -> dict[str, Any]:
         return {
             "shards": [s.describe() for s in self.shards],
-            "service": self.service.describe()["backend"],
+            "kernel": bitset_availability(),
             "stats": self.stats.to_dict(),
             "retry": self.retry.to_dict(),
             "health": [b.to_dict() for b in self.breakers],
@@ -683,7 +691,7 @@ class ShardCoordinator:
         config: SelectionConfig | None = None,
         workload: str | None = None,
     ) -> "PatternCatalog":
-        """The merged catalog for ``dfg`` — bit-identical to a fused build.
+        """The merged catalog for ``dfg`` — bit-identical to an in-process build.
 
         Runs the completion service's partitioned build
         (:meth:`~repro.service.service.SchedulerService._build_catalog`:
@@ -699,7 +707,7 @@ class ShardCoordinator:
         if config.store_antichains:
             raise PatternError(
                 "sharded pattern generation cannot store raw antichains; "
-                "use the serial backend with store_antichains"
+                "submit the job, which builds such a catalog in process"
             )
 
         def classify(ranges, weights, size, span_limit, max_count, land):
@@ -988,7 +996,7 @@ class ShardCoordinator:
             # one pass — the job succeeds degraded as long as one
             # executor exists, and the lowest-failure contract holds.
             try:
-                self.service._classify_here(dfg, self.service.backend)(
+                self.service._classify_here(dfg)(
                     [task.ranges[i] for i in leftovers],
                     [weights[i] for i in leftovers],
                     task.size,
@@ -1011,14 +1019,15 @@ class ShardCoordinator:
             raise JobValidationError(
                 f"expected a JobRequest, got {type(request).__name__}"
             )
-        # Check, resolve + probe under the service lock (graph registries
-        # and stores are lock-protected everywhere else), but do NOT hold
-        # it across the shard fan-out: a dispatch worker writing a
-        # partial back through this service would deadlock.  An unknown
-        # backend name fails here, as on a single service, before any
-        # shard sees the job.
+        if request.config.store_antichains:
+            # Only the sequential classifier stores raw antichains: the
+            # completion service builds the catalog, as one service does.
+            return self.service.submit_outcome(request)
+        # Resolve + probe under the service lock (graph registries and
+        # stores are lock-protected everywhere else), but do NOT hold it
+        # across the shard fan-out: a dispatch worker writing a partial
+        # back through this service would deadlock.
         with self.service._lock:
-            self.service._check_backend_name(request)
             dfg, digest = self.service._resolve_input(request.workload, request.dfg)
             # Already cached at some level (result or catalog, memory or
             # disk)?  Then the completion service answers without any

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
+from repro.dfg.antichains import DEFAULT_MAX_COUNT, AntichainEnumerator
 from repro.dfg.graph import DFG
 from repro.dfg.levels import LevelAnalysis
+from repro.patterns.enumeration import _classify_reference
 from repro.workloads import (
     five_point_dft,
     small_example,
@@ -168,3 +171,51 @@ def diamond() -> DFG:
     dfg.add_node("a3", "a")
     dfg.add_edges([("a0", "b1"), ("a0", "c2"), ("b1", "a3"), ("c2", "a3")])
     return dfg
+
+
+# --------------------------------------------------------------------------- #
+# the sequential reference pipeline: the oracle the fast paths are pinned to
+# --------------------------------------------------------------------------- #
+def reference_catalog(
+    dfg: DFG,
+    capacity: int,
+    span_limit: int | None = None,
+    *,
+    max_count: int | None = DEFAULT_MAX_COUNT,
+    store_antichains: bool = False,
+):
+    """The sequential name-tuple classifier's catalog (``_classify_reference``)."""
+    return _classify_reference(
+        dfg,
+        AntichainEnumerator(dfg),
+        capacity,
+        span_limit,
+        max_count,
+        store_antichains,
+    )
+
+
+def reference_build_catalog(selector, dfg: DFG):
+    """``selector.build_catalog`` with every attempt on the reference classifier."""
+    config = selector.config
+    return selector.build_catalog_with(
+        dfg,
+        lambda size, span: reference_catalog(
+            dfg,
+            size,
+            span,
+            max_count=config.max_antichains,
+            store_antichains=config.store_antichains,
+        ),
+    )
+
+
+def reference_select(selector, dfg: DFG, pdef: int, *, catalog=None):
+    """``selector.select`` on the reference Fig. 7 loop (``_run_reference``).
+
+    Without ``catalog`` the catalog comes from :func:`reference_build_catalog`.
+    """
+    if catalog is None:
+        catalog = reference_build_catalog(selector, dfg)
+    with mock.patch.object(selector, "_run_fast", selector._run_reference):
+        return selector.select(dfg, pdef, catalog=catalog)

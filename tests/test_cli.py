@@ -78,22 +78,6 @@ class TestPipeline:
         assert "cycles:" in out and "stage timings" in out
         assert "catalog" in out and "schedule" in out
 
-    def test_pipeline_backend_flag(self, capsys):
-        assert main(["pipeline", "3dft", "--backend", "serial"]) == 0
-        out = capsys.readouterr().out
-        assert "via backend serial" in out
-
-    @pytest.mark.parametrize("command", ["select", "schedule", "pipeline"])
-    @pytest.mark.parametrize("name", ["bitset", "process"])
-    def test_retired_backend_names_are_rejected(self, command, name, capsys):
-        argv = [command, "3dft", "--backend", name]
-        if command == "schedule":
-            argv += ["--patterns", "aabbc,abc"]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"unknown execution backend '{name}'" in err
-        assert "available: fused, serial" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -101,7 +85,6 @@ class TestPipeline:
             ["schedule", "3dft", "--patterns", "aabbc,abc"],
             ["pipeline", "3dft"],
             ["serve"],
-            ["backends"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -127,33 +110,11 @@ class TestPipeline:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_select_backend_flag(self, capsys):
-        assert main(["select", "3dft", "--pdef", "3",
-                     "--backend", "serial"]) == 0
-        assert "selected patterns" in capsys.readouterr().out
-
-    def test_select_legacy_alias_is_rejected(self, capsys):
-        assert main(["select", "3dft", "--pdef", "3",
-                     "--backend", "reference"]) == 1
-        assert "unknown execution backend 'reference'" in capsys.readouterr().err
-
-    def test_unknown_backend_is_clean_error(self, capsys):
-        assert main(["select", "3dft", "--backend", "warp"]) == 1
-        assert "unknown execution backend" in capsys.readouterr().err
-
-    def test_backends_listing(self, capsys):
-        from repro.exec.bitset import bitset_availability
-
-        assert main(["backends"]) == 0
-        rows = [
-            line.split()
-            for line in capsys.readouterr().out.splitlines()
-            if line.split()[:1] in (["fused"], ["serial"], ["bitset"], ["process"])
-        ]
-        assert [row[0] for row in rows] == ["fused", "serial"]
-        fused, serial = (" ".join(row) for row in rows)
-        assert bitset_availability() in fused
-        assert serial.endswith("pure python")
+    def test_backends_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backends"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
 
 class TestCompile:

@@ -10,34 +10,48 @@ identical schedules.
 
 Property tests drive both paths over random layered and Erdős-Rényi DAGs
 with varied capacity / span / pdef; paper workloads pin the named graphs.
-The fused classifier is the seed-partitioned build over the bitset kernel
+The fast classifier is the seed-partitioned build over the bitset kernel
 (``repro.exec.process``); a property test also pins it with every
 partition in a vectorized pass of its own (the heavy-graph regime), and
 ``tests/test_exec_backends.py`` / ``tests/test_exec_bitset.py`` pin it
-further.  At job level, a :class:`~repro.service.SchedulerService` submit
-answers bit-identically whichever backend the request names (serial,
-fused), on random graphs and on fft16/fft64.
+further.  The references are called directly (``tests/conftest.py``).  At
+job level, a :class:`~repro.service.SchedulerService` submit answers
+exactly what the reference pipeline computes on the same graph, on random
+graphs and on fft16/fft64.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.metrics import schedule_stats
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
-from repro.exceptions import BackendError
+from repro.exceptions import PatternError
 from repro.patterns.enumeration import classify_antichains
 from repro.scheduling.scheduler import MultiPatternScheduler
 from repro.service import JobRequest, SchedulerService
-from repro.workloads import five_point_dft, small_example, three_point_dft_paper
+from repro.service.serialize import schedule_to_dict, selection_result_to_dict
+from repro.service.shard import ShardCoordinator
+from repro.workloads import (
+    WORKLOADS,
+    five_point_dft,
+    small_example,
+    three_point_dft_paper,
+)
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
+from tests.conftest import (
+    reference_build_catalog,
+    reference_catalog,
+    reference_select,
+)
 
 COMMON = settings(
     max_examples=30,
@@ -108,7 +122,7 @@ def test_classification_equivalence_layered(params):
     dfg = layered_dag(seed, layers=layers, width=width,
                       colors=tuple("abcd"[:n_colors]))
     fast = classify_antichains(dfg, capacity, span)
-    ref = classify_antichains(dfg, capacity, span, backend="serial")
+    ref = reference_catalog(dfg, capacity, span)
     assert_catalogs_identical(fast, ref)
 
 
@@ -118,7 +132,7 @@ def test_classification_equivalence_random(params):
     seed, n, prob, capacity, span = params
     dfg = random_dag(seed, n, edge_prob=prob)
     fast = classify_antichains(dfg, capacity, span)
-    ref = classify_antichains(dfg, capacity, span, backend="serial")
+    ref = reference_catalog(dfg, capacity, span)
     assert_catalogs_identical(fast, ref)
 
 
@@ -140,8 +154,6 @@ def test_count_by_size_matches_enumeration(params):
 def test_process_backend_classification_equivalence(params):
     # Pass budget 0: each of the 16 seed partitions is a vectorized pass of
     # its own, as on the heavy graphs.
-    from unittest import mock
-
     from repro.exec import process as process_mod
 
     seed, layers, width, capacity, span, _, n_colors = params
@@ -149,7 +161,7 @@ def test_process_backend_classification_equivalence(params):
                       colors=tuple("abcd"[:n_colors]))
     with mock.patch.object(process_mod, "_PASS_WEIGHT_BUDGET", 0):
         fast = classify_antichains(dfg, capacity, span)
-    ref = classify_antichains(dfg, capacity, span, backend="serial")
+    ref = reference_catalog(dfg, capacity, span)
     assert_catalogs_identical(fast, ref)
 
 
@@ -162,7 +174,7 @@ def test_classification_equivalence_paper_graphs():
         (radix2_fft(8), 4, 1),
     ]:
         fast = classify_antichains(dfg, capacity, span)
-        ref = classify_antichains(dfg, capacity, span, backend="serial")
+        ref = reference_catalog(dfg, capacity, span)
         assert_catalogs_identical(fast, ref)
 
 
@@ -181,8 +193,8 @@ def test_selection_equivalence(params):
         pdef = -(-len(dfg.colors()) // capacity)
     selector = PatternSelector(capacity, SelectionConfig(span_limit=span))
     catalog = selector.build_catalog(dfg)
-    fast = selector.select(dfg, pdef, catalog=catalog, backend="fused")
-    ref = selector.select(dfg, pdef, catalog=catalog, backend="serial")
+    fast = selector.select(dfg, pdef, catalog=catalog)
+    ref = reference_select(selector, dfg, pdef, catalog=catalog)
     assert_selections_identical(fast, ref)
 
 
@@ -198,8 +210,8 @@ def test_selection_equivalence_paper_graphs():
     ]:
         selector = PatternSelector(capacity, config)
         catalog = selector.build_catalog(dfg)
-        fast = selector.select(dfg, pdef, catalog=catalog, backend="fused")
-        ref = selector.select(dfg, pdef, catalog=catalog, backend="serial")
+        fast = selector.select(dfg, pdef, catalog=catalog)
+        ref = reference_select(selector, dfg, pdef, catalog=catalog)
         assert_selections_identical(fast, ref)
 
 
@@ -210,16 +222,18 @@ def test_selection_auto_uses_reference_for_custom_priority():
     selector = PatternSelector(2, priority_fn=linear_size)
     result = selector.select(dfg, 2)  # auto → reference loop; must not raise
     assert result.patterns
-    # The fused backend falls back to the reference loop for custom
-    # priorities instead of refusing.
-    via_backend = selector.select(dfg, 2, backend="fused")
-    assert_selections_identical(via_backend, result)
-    via_serial = selector.select(dfg, 2, backend="serial")
-    assert_selections_identical(via_serial, result)
+    # A custom priority runs the reference loop instead of refusing; the
+    # incremental loop is never entered.
+    with mock.patch.object(selector, "_run_fast", side_effect=AssertionError):
+        again = selector.select(dfg, 2)
+    assert_selections_identical(again, result)
+    via_reference = reference_select(selector, dfg, 2)
+    assert_selections_identical(via_reference, result)
 
 
 def test_selection_rejects_unknown_engine():
-    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+    # No engine is chosen by name any more: the keyword itself is gone.
+    with pytest.raises(TypeError, match="backend"):
         PatternSelector(2).select(small_example(), 2, backend="bogus")
 
 
@@ -267,20 +281,16 @@ def test_full_pipeline_equivalence(params):
         capacity, SelectionConfig(span_limit=span, widen_to_capacity=True)
     )
     fast_cat = selector.build_catalog(dfg)
-    ref_cat = classify_antichains(
-        dfg, capacity if selector.config.max_pattern_size is None
-        else min(capacity, selector.config.max_pattern_size),
-        fast_cat.span_limit, backend="serial",
-    )
+    ref_cat = reference_build_catalog(selector, dfg)
     assert_catalogs_identical(fast_cat, ref_cat)
 
-    fast_sel = selector.select(dfg, pdef, catalog=fast_cat, backend="fused")
-    ref_sel = selector.select(dfg, pdef, catalog=ref_cat, backend="serial")
+    fast_sel = selector.select(dfg, pdef, catalog=fast_cat)
+    ref_sel = reference_select(selector, dfg, pdef, catalog=ref_cat)
     assert_selections_identical(fast_sel, ref_sel)
 
     scheduler = MultiPatternScheduler(fast_sel.library)
-    fast_sched = scheduler.schedule(dfg, backend="fused")
-    ref_sched = scheduler.schedule(dfg, backend="serial")
+    fast_sched = scheduler.schedule(dfg)
+    ref_sched = scheduler._schedule_reference(dfg)
     assert_schedules_identical(fast_sched, ref_sched)
 
 
@@ -295,14 +305,14 @@ def test_scheduling_equivalence_paper_graphs(priority):
         scheduler = MultiPatternScheduler(
             patterns, capacity=capacity, priority=priority
         )
-        fast = scheduler.schedule(dfg, backend="fused")
-        ref = scheduler.schedule(dfg, backend="serial")
+        fast = scheduler.schedule(dfg)
+        ref = scheduler._schedule_reference(dfg)
         assert_schedules_identical(fast, ref)
 
 
 def test_scheduler_rejects_unknown_engine():
     scheduler = MultiPatternScheduler(["aa"], capacity=2)
-    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+    with pytest.raises(TypeError, match="backend"):
         scheduler.schedule(small_example(), backend="bogus")
 
 
@@ -355,17 +365,17 @@ def test_from_counts_fast_path_matches_init():
 
 
 def test_classify_rejects_unknown_engine():
-    with pytest.raises(BackendError, match="unknown execution backend 'bogus'"):
+    with pytest.raises(TypeError, match="backend"):
         classify_antichains(small_example(), 2, backend="bogus")
 
 
 def test_classify_rejects_explicit_fast_with_stored_antichains():
-    from repro.exceptions import PatternError
-
-    with pytest.raises(PatternError, match="cannot store raw antichains"):
-        classify_antichains(
-            small_example(), 2, store_antichains=True, backend="fused"
-        )
+    # The fleet's partitioned build is the one fast build a caller can ask
+    # for raw antichains directly; it refuses (a submit builds in process).
+    config = SelectionConfig(store_antichains=True)
+    with ShardCoordinator.local(2) as coord:
+        with pytest.raises(PatternError, match="cannot store raw antichains"):
+            coord.build_catalog(small_example(), 2, config=config)
 
 
 def test_store_antichains_forces_reference_semantics():
@@ -380,11 +390,8 @@ def test_store_antichains_forces_reference_semantics():
 
 
 # --------------------------------------------------------------------------- #
-# every backend through the service: a job's answer never depends on the
-# backend its request names
+# the service's answer is the reference pipeline's, run directly on the graph
 # --------------------------------------------------------------------------- #
-SERVICE_BACKENDS = ("serial", "fused")
-
 service_graphs = st.one_of(
     st.builds(
         layered_dag,
@@ -401,24 +408,29 @@ service_graphs = st.one_of(
 )
 
 
-def assert_backends_agree(request):
-    """Cold-submit ``request`` once per backend; answers must be identical,
-    Counter insertion order included."""
-    answers = {}
+def assert_service_matches_reference(request):
+    """Cold-submit ``request``; its selection and schedule must equal the
+    reference pipeline's on the same graph, Counter insertion order
+    included."""
     with SchedulerService() as service:
-        for name in SERVICE_BACKENDS:
-            service.clear_caches()
-            result = service.submit(dataclasses.replace(request, backend=name))
-            assert result.backend == name
-            answers[name] = json.dumps(result.answer_dict())
-    for name, answer in answers.items():
-        assert answer == answers["fused"], name
+        answer = service.submit(request).answer_dict()
+    dfg = request.dfg if request.dfg is not None else WORKLOADS[request.workload]()
+    selector = PatternSelector(request.capacity, config=request.config)
+    selection = reference_select(selector, dfg, request.pdef)
+    schedule = MultiPatternScheduler(
+        selection.library, priority=request.priority
+    )._schedule_reference(dfg)
+    assert json.dumps(answer["selection"]) == json.dumps(
+        selection_result_to_dict(selection)
+    )
+    assert json.dumps(answer["schedule"]) == json.dumps(schedule_to_dict(schedule))
+    assert answer["metrics"] == schedule_stats(schedule)
 
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(service_graphs, st.integers(1, 4))
 def test_service_backends_agree(dfg, pdef):
-    assert_backends_agree(JobRequest(capacity=5, pdef=pdef, dfg=dfg))
+    assert_service_matches_reference(JobRequest(capacity=5, pdef=pdef, dfg=dfg))
 
 
 @pytest.mark.parametrize(
@@ -430,6 +442,6 @@ def test_service_backends_agree(dfg, pdef):
     ids=["fft16", "fft64"],
 )
 def test_service_backends_agree_fft(workload, pdef, config):
-    assert_backends_agree(
+    assert_service_matches_reference(
         JobRequest(capacity=5, pdef=pdef, workload=workload, config=config)
     )

@@ -1,11 +1,11 @@
 """Bitset kernel: vectorized classification pinned bit-identical.
 
 The bitset kernel replaces the scalar classify DFS with batched numpy
-passes, and the fused backend's every catalog build runs it; its whole
+passes, and every fast catalog build runs it; its whole
 value rests on producing *exactly* the scalar output — bag order,
 censuses, frequency arrays, first-seen orders, selection priorities as
 exact floats, schedules, and the ``max_count`` error.  This suite pins
-that equivalence against the serial backend and the scalar
+that equivalence against the sequential reference classifier and the scalar
 ``classify_by_label`` over fixed random DAGs, the paper graphs,
 fft16/fft64, and a hypothesis sweep of random layered/ER DAGs — then
 re-pins it with the compiled expansion kernel forced away (pure numpy
@@ -25,13 +25,7 @@ from hypothesis import strategies as st
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.antichains import AntichainEnumerator
-from repro.exceptions import (
-    BackendError,
-    EnumerationLimitError,
-    GraphError,
-    PatternError,
-)
-from repro.exec import FusedBackend, get_backend
+from repro.exceptions import EnumerationLimitError, GraphError
 from repro.exec import bitset as bitset_mod
 from repro.exec.bitset import (
     bitset_availability,
@@ -45,17 +39,17 @@ from repro.patterns.enumeration import classify_antichains
 from repro.workloads import small_example, three_point_dft_paper
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
+from tests.conftest import reference_build_catalog, reference_catalog
 from tests.test_exec_backends import (
     RANDOM_CASES,
     _case_graph,
     assert_catalogs_identical,
     assert_results_identical,
     run_flow,
+    run_reference_flow,
 )
 
 np = pytest.importorskip("numpy")
-
-FUSED = FusedBackend()
 
 
 def _check_graph(dfg, size, span, roots=None):
@@ -68,47 +62,28 @@ def _check_graph(dfg, size, span, roots=None):
 
 
 # --------------------------------------------------------------------------- #
-# registry / CLI surface
+# availability surface
 # --------------------------------------------------------------------------- #
-
-
-def test_unknown_engine_error_lists_bitset():
-    # The retired backend names fail like any unknown one: the error names
-    # them and lists what is available.
-    for name in ("bogus", "bitset", "process"):
-        with pytest.raises(BackendError, match="available: fused, serial$"):
-            classify_antichains(small_example(), 2, backend=name)
 
 
 def test_availability_reports_numpy_and_native_state(monkeypatch):
     assert "numpy" in bitset_availability()
-    # The seam every backend exposes for `repro backends`: the fused
-    # backend runs the kernel, so it reports the kernel's state.
-    assert get_backend("fused").availability() == bitset_availability()
     monkeypatch.setattr(bitset_mod, "_native", None)
     assert "numpy expand" in bitset_availability()
     monkeypatch.setattr(bitset_mod, "np", None)
     assert "fallback" in bitset_availability()
-    assert get_backend("serial").availability() == "pure python"
 
 
-def test_describe_includes_availability(capsys):
-    # `repro backends` describes the fused row with the kernel's state.
-    from repro.cli import main
+def test_describe_includes_availability():
+    # Operators read which kernel is loaded from a service's and a
+    # fleet's describe() (and /healthz, see the service tests).
+    from repro.service import SchedulerService
+    from repro.service.shard import ShardCoordinator
 
-    assert main(["backends"]) == 0
-    (row,) = [
-        line for line in capsys.readouterr().out.splitlines()
-        if line.split() and line.split()[0] == "fused"
-    ]
-    assert bitset_availability() in row
-
-
-def test_store_antichains_raises():
-    with pytest.raises(PatternError, match="cannot store raw antichains"):
-        classify_antichains(
-            small_example(), 2, store_antichains=True, backend=FUSED
-        )
+    with SchedulerService() as service:
+        assert service.describe()["kernel"] == bitset_availability()
+    with ShardCoordinator.local(1) as coord:
+        assert coord.describe()["kernel"] == bitset_availability()
 
 
 # --------------------------------------------------------------------------- #
@@ -127,8 +102,8 @@ def test_unsupported_key_range_falls_back_to_scalar():
 
     dfg = chain(120)
     assert not bitset_supported(dfg.n_nodes, 10)
-    ref = classify_antichains(dfg, 10, None, backend="serial")
-    got = classify_antichains(dfg, 10, None, backend=FUSED)
+    ref = reference_catalog(dfg, 10, None)
+    got = classify_antichains(dfg, 10, None)
     assert_catalogs_identical(got, ref)
 
 
@@ -141,15 +116,15 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
     monkeypatch.setattr(process_mod, "_np", None)
     assert not bitset_supported(4, 2)
     dfg = three_point_dft_paper()
-    ref = classify_antichains(dfg, 5, 1, backend="serial")
-    got = classify_antichains(dfg, 5, 1, backend=FusedBackend())
+    ref = reference_catalog(dfg, 5, 1)
+    got = classify_antichains(dfg, 5, 1)
     assert_catalogs_identical(got, ref)
 
 
 def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
-    # The monolithic fused build (the retired process backend's one-job
-    # path) runs the partition step every cached build runs: the bitset
-    # pass kernel over the 16-partition plan, in one call.
+    # The in-process build (the retired process backend's one-job path)
+    # runs the classify step every cached build runs: the bitset pass
+    # kernel over the 16-partition plan, in one call.
     from repro.exec import process as process_mod
 
     calls = []
@@ -162,10 +137,10 @@ def test_single_job_process_build_runs_the_bitset_kernel(monkeypatch):
     monkeypatch.setattr(process_mod, "classify_partition_rows", spy)
     dfg = radix2_fft(16)
     config = SelectionConfig(span_limit=1, max_pattern_size=3)
-    got = PatternSelector(5, config=config).build_catalog(dfg, backend="fused")
+    got = PatternSelector(5, config=config).build_catalog(dfg)
     assert calls == [process_mod.EDIT_PARTITIONS]
-    serial = PatternSelector(5, config=config).build_catalog(dfg, backend="serial")
-    assert_catalogs_identical(got, serial)
+    reference = reference_build_catalog(PatternSelector(5, config=config), dfg)
+    assert_catalogs_identical(got, reference)
 
 
 def test_validation_matches_scalar():
@@ -199,9 +174,9 @@ def test_max_count_error_identical():
 @pytest.mark.parametrize("kind, seed, a, b, capacity, span", RANDOM_CASES)
 def test_catalog_equivalence_random(kind, seed, a, b, capacity, span):
     dfg = _case_graph(kind, seed, a, b)
-    serial = classify_antichains(dfg, capacity, span, backend="serial")
-    got = classify_antichains(dfg, capacity, span, backend=FUSED)
-    assert_catalogs_identical(got, serial)
+    ref = reference_catalog(dfg, capacity, span)
+    got = classify_antichains(dfg, capacity, span)
+    assert_catalogs_identical(got, ref)
 
 
 def test_catalog_equivalence_paper_graphs():
@@ -212,18 +187,18 @@ def test_catalog_equivalence_paper_graphs():
         (radix2_fft(8), 4, 1),
         (radix2_fft(8), 4, None),
     ]:
-        serial = classify_antichains(dfg, capacity, span, backend="serial")
-        got = classify_antichains(dfg, capacity, span, backend=FUSED)
-        assert_catalogs_identical(got, serial)
+        ref = reference_catalog(dfg, capacity, span)
+        got = classify_antichains(dfg, capacity, span)
+        assert_catalogs_identical(got, ref)
 
 
 @pytest.mark.parametrize("points, capacity", [(16, 3), (64, 2)])
 def test_catalog_equivalence_fft(points, capacity):
-    # The benchmark workloads, against the serial reference.
+    # The benchmark workloads, against the sequential reference.
     dfg = radix2_fft(points)
-    serial = classify_antichains(dfg, capacity, 1, backend="serial")
-    got = classify_antichains(dfg, capacity, 1, backend=FUSED)
-    assert_catalogs_identical(got, serial)
+    ref = reference_catalog(dfg, capacity, 1)
+    got = classify_antichains(dfg, capacity, 1)
+    assert_catalogs_identical(got, ref)
 
 
 def test_classifier_parameter_combos():
@@ -272,9 +247,9 @@ def _random_case(draw):
 @given(_random_case())
 def test_hypothesis_catalog_equivalence(case):
     dfg, capacity, span = case
-    serial = classify_antichains(dfg, capacity, span, backend="serial")
-    got = classify_antichains(dfg, capacity, span, backend=FUSED)
-    assert_catalogs_identical(got, serial)
+    ref = reference_catalog(dfg, capacity, span)
+    got = classify_antichains(dfg, capacity, span)
+    assert_catalogs_identical(got, ref)
 
 
 @settings(
@@ -288,8 +263,8 @@ def test_hypothesis_pipeline_bit_identical(case, pdef):
     if pdef * capacity < len(dfg.colors()):
         pdef = -(-len(dfg.colors()) // capacity)
     config = SelectionConfig(span_limit=span, widen_to_capacity=True)
-    ref = run_flow(dfg, capacity, pdef, config, "serial")
-    got = run_flow(dfg, capacity, pdef, config, FUSED)
+    ref = run_reference_flow(dfg, capacity, pdef, config)
+    got = run_flow(dfg, capacity, pdef, config)
     assert_results_identical(got, ref)
 
 
@@ -352,9 +327,9 @@ def test_numpy_expand_matches_reference(monkeypatch, n):
 def test_forced_fallback_equivalence(monkeypatch, kind, seed, a, b, capacity, span):
     monkeypatch.setattr(bitset_mod, "_native", None)
     dfg = _case_graph(kind, seed, a, b)
-    serial = classify_antichains(dfg, capacity, span, backend="serial")
-    got = classify_antichains(dfg, capacity, span, backend=FusedBackend())
-    assert_catalogs_identical(got, serial)
+    ref = reference_catalog(dfg, capacity, span)
+    got = classify_antichains(dfg, capacity, span)
+    assert_catalogs_identical(got, ref)
 
 
 def test_repro_no_native_env_var():
@@ -636,7 +611,7 @@ def test_overflowed_pass_raises_the_merge_error(monkeypatch, budget):
 @pytest.mark.parametrize("budget, cached", [(0, 32), (10**12, 16)])
 def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     # The span-1 attempt overflows (in one pass, or only at the merge);
-    # the span-0 retry must give the serial reference's catalog either way.
+    # the span-0 retry must give the reference catalog either way.
     # An overflowed pass caches none of its partitions' rows.
     from repro.exec import process as process_mod
     from repro.service import SchedulerService
@@ -645,18 +620,15 @@ def test_adaptive_span_retry_after_overflowed_pass(monkeypatch, budget, cached):
     monkeypatch.setattr(process_mod, "_PASS_WEIGHT_BUDGET", budget)
     dfg = radix2_fft(8)
     config = SelectionConfig(max_antichains=_FFT8_CAP)
-    backend = get_backend("serial")
     with SchedulerService() as svc:
         catalog, hits, misses = svc._build_catalog(
-            dfg, PatternSelector(4, config=config), svc._classify_here(dfg, svc.backend)
+            dfg, PatternSelector(4, config=config), svc._classify_here(dfg)
         )
         assert hits == 0
         assert misses == 32  # both attempts probed
         assert len(svc._shard_parts) == cached
     assert catalog.span_limit == 0
-    reference = PatternSelector(4, config=config).build_catalog(
-        dfg, backend=backend
-    )
+    reference = reference_build_catalog(PatternSelector(4, config=config), dfg)
     assert catalog_to_dict(catalog) == catalog_to_dict(reference)
 
 
@@ -684,10 +656,10 @@ def test_spill_regime_identical(monkeypatch):
     from repro.dfg import antichains
 
     dfg = radix2_fft(8)
-    expected = classify_antichains(dfg, 4, 1, backend="serial")
+    expected = reference_catalog(dfg, 4, 1)
     monkeypatch.setattr(antichains, "NUMPY_SPILL_THRESHOLD", 1)
     assert isinstance(antichains._freq_buffer(dfg.n_nodes), np.ndarray)
-    got = classify_antichains(dfg, 4, 1, backend=FUSED)
+    got = classify_antichains(dfg, 4, 1)
     assert_catalogs_identical(got, expected)
     for counter in got.frequencies.values():
         assert all(type(v) is int for v in counter.values())

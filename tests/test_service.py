@@ -21,6 +21,7 @@ import pytest
 from repro.core.config import SelectionConfig
 from repro.dfg.io import dfg_digest
 from repro.exceptions import JobValidationError, ServiceError
+from repro.exec.bitset import bitset_availability
 from repro.service import (
     AsyncServiceServer,
     JobRequest,
@@ -182,11 +183,21 @@ class TestServiceCaching:
         assert outcome.cache == "result"
         assert named.dfg_digest == dfg_digest(three_point_dft_paper())
 
-    def test_backend_is_not_part_of_the_cache_key(self):
-        with SchedulerService(backend="fused") as service:
-            service.submit(_job())
-            outcome = service.submit_outcome(_job(backend="serial"))
+    def test_backend_is_not_part_of_the_cache_key(self, tmp_path):
+        # Result files written while results still recorded the backend
+        # that computed them carry a "backend" key: they load, and hit.
+        with SchedulerService(cache_dir=tmp_path) as first:
+            cold = first.submit(_job())
+        (path,) = (tmp_path / "result").glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "backend" not in payload["value"]
+        payload["value"]["backend"] = "serial"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with SchedulerService(cache_dir=tmp_path) as restarted:
+            outcome = restarted.submit_outcome(_job())
         assert outcome.cache == "result"
+        assert outcome.result.answer_dict() == cold.answer_dict()
+        assert "backend" not in outcome.result.to_dict()
 
     def test_result_cache_lru_evicts(self):
         with SchedulerService(result_cache=1) as service:
@@ -302,7 +313,9 @@ class TestHTTP:
 
     def test_smoke_round_trip(self, server):
         with ServiceClient(server.url, timeout=30) as client:
-            assert client.health()["status"] == "ok"
+            health = client.health()
+            assert health["status"] == "ok"
+            assert health["kernel"] == bitset_availability()
             assert "3dft" in client.workloads()
 
             cold = client.submit(_job())
@@ -328,14 +341,15 @@ class TestHTTP:
             assert (stats["result_hits"], stats["not_modified"]) == (2, 1)
 
     def test_batch_over_http(self, server):
-        client = ServiceClient(server.url, timeout=30)
-        results = client.submit_many([_job(pdef=2), _job(pdef=2), _job(pdef=3)])
-        assert [r.pdef for r in results] == [2, 2, 3]
-        assert results[0] == results[1]
-        assert client.stats()["stats"]["deduped"] == 1
+        with ServiceClient(server.url, timeout=30) as client:
+            results = client.submit_many(
+                [_job(pdef=2), _job(pdef=2), _job(pdef=3)]
+            )
+            assert [r.pdef for r in results] == [2, 2, 3]
+            assert results[0] == results[1]
+            assert client.stats()["stats"]["deduped"] == 1
 
     def test_validation_error_maps_to_400(self, server):
-        client = ServiceClient(server.url, timeout=30)
         import urllib.error
         import urllib.request
 
@@ -349,13 +363,15 @@ class TestHTTP:
                 ),
                 timeout=30,
             )
-        assert exc.value.code == 400
-        detail = json.loads(exc.value.read())["error"]
+        with exc.value:
+            assert exc.value.code == 400
+            detail = json.loads(exc.value.read())["error"]
         assert detail["type"] == "JobValidationError"
         assert detail["field"] == "capacity"
         # The thin client re-raises the same typed exception.
-        with pytest.raises(JobValidationError, match="unknown workload"):
-            client.submit(_job(workload="bogus"))
+        with ServiceClient(server.url, timeout=30) as client:
+            with pytest.raises(JobValidationError, match="unknown workload"):
+                client.submit(_job(workload="bogus"))
 
     def test_unknown_route_is_404(self, server):
         import urllib.error
@@ -363,12 +379,13 @@ class TestHTTP:
 
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(server.url + "/nope", timeout=30)
-        assert exc.value.code == 404
+        with exc.value:
+            assert exc.value.code == 404
 
     def test_unreachable_service_is_typed(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(ServiceError, match="cannot reach"):
-            client.health()
+        with ServiceClient("http://127.0.0.1:9", timeout=0.5) as client:
+            with pytest.raises(ServiceError, match="cannot reach"):
+                client.health()
 
 
 # --------------------------------------------------------------------------- #
@@ -448,8 +465,8 @@ class TestHTTPKeepAliveSafety:
             assert resp.getheader("Connection") == "close" or resp.will_close
             conn.close()
             # A clean follow-up request on a NEW connection still works.
-            client = ServiceClient(server.url, timeout=30)
-            assert client.health()["status"] == "ok"
+            with ServiceClient(server.url, timeout=30) as client:
+                assert client.health()["status"] == "ok"
         finally:
             server.shutdown()
 
@@ -552,33 +569,34 @@ class TestAdmissionControl:
         server = AsyncServiceServer(port=0, max_pending=1)
         server.start_background()
         try:
-            client = ServiceClient(server.url, timeout=30)
-            with server.service._admitted():  # hold the only slot
-                import urllib.error
-                import urllib.request
+            with ServiceClient(server.url, timeout=30) as client:
+                with server.service._admitted():  # hold the only slot
+                    import urllib.error
+                    import urllib.request
 
-                with pytest.raises(urllib.error.HTTPError) as exc:
-                    urllib.request.urlopen(
-                        urllib.request.Request(
-                            server.url + "/v1/jobs",
-                            data=_job().to_json().encode("utf-8"),
-                            headers={"Content-Type": "application/json"},
-                            method="POST",
-                        ),
-                        timeout=30,
-                    )
-                assert exc.value.code == 429
-                assert exc.value.headers.get("Retry-After") == "1"
-                detail = json.loads(exc.value.read())["error"]
-                assert detail["type"] == "ServiceOverloadedError"
-                assert detail["max_pending"] == 1
-                # The thin client re-raises the typed exception.
-                with pytest.raises(ServiceOverloadedError):
-                    client.submit(_job())
-            # Slot released: the service recovers without a restart.
-            result = client.submit(_job())
-            assert client.last_cache == "none"
-            result.schedule.verify()
+                    with pytest.raises(urllib.error.HTTPError) as exc:
+                        urllib.request.urlopen(
+                            urllib.request.Request(
+                                server.url + "/v1/jobs",
+                                data=_job().to_json().encode("utf-8"),
+                                headers={"Content-Type": "application/json"},
+                                method="POST",
+                            ),
+                            timeout=30,
+                        )
+                    with exc.value:
+                        assert exc.value.code == 429
+                        assert exc.value.headers.get("Retry-After") == "1"
+                        detail = json.loads(exc.value.read())["error"]
+                    assert detail["type"] == "ServiceOverloadedError"
+                    assert detail["max_pending"] == 1
+                    # The thin client re-raises the typed exception.
+                    with pytest.raises(ServiceOverloadedError):
+                        client.submit(_job())
+                # Slot released: the service recovers without a restart.
+                result = client.submit(_job())
+                assert client.last_cache == "none"
+                result.schedule.verify()
         finally:
             server.shutdown()
 

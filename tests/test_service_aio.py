@@ -11,7 +11,7 @@ offers:
 * warm hits: a memory-front result hit is answered on the event loop
   while every pool worker is parked, disk-only hits and inline-graph
   requests go through the pool, and either way the header, body bytes,
-  stats, admission and backend-name checks match; an inline graph's
+  stats, admission and unknown-field checks match; an inline graph's
   parse never delays ``/healthz``;
 * server-push shard streaming with heartbeats on silent stretches,
   frame for frame equal to in-process classification and bit-identical
@@ -237,13 +237,19 @@ class TestWarmBodies:
 # the warm path: memory-front hits on the loop, the rest on the pool
 # --------------------------------------------------------------------------- #
 #: The same warm job in the forms that take each path: a workload-named
-#: request is answered on the event loop; the inline graph and the
-#: ``backend``-naming request go through the pool.
+#: request is answered on the event loop; the inline graph goes through
+#: the pool.
 WARM_FORMS = {
     "loop": lambda: _job(),
     "pool-inline-graph": lambda: _job(workload=None, dfg=three_point_dft_paper()),
-    "pool-backend": lambda: _job(backend="fused"),
 }
+
+
+def _naming_backend(request: JobRequest, name: str) -> bytes:
+    """``request``'s wire body with the removed ``backend`` field added."""
+    payload = request.to_dict()
+    payload["backend"] = name
+    return json.dumps(payload).encode()
 
 
 def _post_tagged(
@@ -333,19 +339,15 @@ class TestWarmPath:
         try:
             body = WARM_FORMS["loop"]().to_json().encode()
             assert _post(server, body, timeout=10) == (200, "result", cold)
-            # The pool forms need a worker: they wait for the release.
-            pooled = [
-                _in_thread(lambda f=f: _post(server, WARM_FORMS[f]().to_json().encode()))
-                for f in ("pool-inline-graph", "pool-backend")
-            ]
-            for thread, _ in pooled:
-                thread.join(timeout=0.3)
-                assert thread.is_alive()
+            # The pool form needs a worker: it waits for the release.
+            body = WARM_FORMS["pool-inline-graph"]().to_json().encode()
+            thread, out = _in_thread(lambda: _post(server, body))
+            thread.join(timeout=0.3)
+            assert thread.is_alive()
         finally:
             release.set()
-        for thread, out in pooled:
-            thread.join(timeout=30)
-            assert out == [(200, "result", cold)]
+        thread.join(timeout=30)
+        assert out == [(200, "result", cold)]
 
     @pytest.mark.parametrize("form", sorted(WARM_FORMS))
     def test_admission_is_unchanged_with_max_pending_full(self, form):
@@ -381,16 +383,19 @@ class TestWarmPath:
     @pytest.mark.parametrize("form", ["loop", "pool-inline-graph"])
     def test_an_unknown_backend_is_rejected_on_a_warm_hit(self, warm, form):
         server, _ = warm
-        # An unknown name and the retired backend names answer alike.
-        for name in ("no-such-backend", "bitset", "process"):
-            request = dataclasses.replace(WARM_FORMS[form](), backend=name)
+        # The removed field is an unknown field whatever name it carries,
+        # whether or not the result cache holds the answer.
+        for name in ("no-such-backend", "fused", "serial"):
+            request = WARM_FORMS[form]()
             cold = dataclasses.replace(request, pdef=2)
-            answers = [_post(server, r.to_json().encode()) for r in (request, cold)]
-            assert [status for status, _, _ in answers] == [422, 422]
+            answers = [
+                _post(server, _naming_backend(r, name)) for r in (request, cold)
+            ]
+            assert [status for status, _, _ in answers] == [400, 400]
             warm_error, cold_error = (json.loads(raw) for _, _, raw in answers)
             assert warm_error == cold_error
-            assert warm_error["error"]["type"] == "BackendError"
-            assert repr(name) in warm_error["error"]["message"]
+            assert warm_error["error"]["type"] == "JobValidationError"
+            assert warm_error["error"]["field"] == "backend"
 
     def test_a_disk_only_hit_goes_through_the_pool_and_touches_the_file(
         self, tmp_path
@@ -530,10 +535,10 @@ class TestRevalidation:
     @pytest.mark.parametrize("form", ["loop", "pool-inline-graph"])
     def test_a_valid_tag_does_not_skip_the_backend_check(self, server, form):
         _, tag, _, _ = _post_tagged(server, WARM_FORMS[form]().to_json().encode())
-        request = dataclasses.replace(WARM_FORMS[form](), backend="no-such-backend")
-        status, _, _, raw = _post_tagged(server, request.to_json().encode(), tag)
-        assert status == 422
-        assert json.loads(raw)["error"]["type"] == "BackendError"
+        body = _naming_backend(WARM_FORMS[form](), "fused")
+        status, _, _, raw = _post_tagged(server, body, tag)
+        assert status == 400
+        assert json.loads(raw)["error"]["field"] == "backend"
 
     def test_a_valid_tag_does_not_skip_the_drain(self, server):
         body = _job().to_json().encode()

@@ -27,7 +27,6 @@ from repro.dfg.edit import DfgEdit, apply_edits
 from repro.dfg.graph import DFG
 from repro.dfg.io import subgraph_digest
 from repro.exceptions import JobValidationError
-from repro.exec import get_backend
 from repro.exec.process import plan_seed_partitions
 from repro.service import (
     AsyncServiceServer,
@@ -40,6 +39,7 @@ from repro.service.serialize import catalog_to_dict
 from repro.service.service import EDIT_PARTITIONS
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
+from tests.conftest import reference_build_catalog
 
 CFG = SelectionConfig(span_limit=1)
 
@@ -184,18 +184,15 @@ class TestIncrementalRebuild:
 
     def test_partitioned_build_matches_fused_catalog_bit_for_bit(self):
         # The in-service partitioned build (the thing partial reuse rides
-        # on) must itself be bit-identical to the serial reference.
+        # on) must itself be bit-identical to the sequential reference.
         dfg = radix2_fft(8)
-        backend = get_backend("serial")
         selector = PatternSelector(4, config=CFG)
         with SchedulerService() as svc:
             catalog, hits, misses = svc._build_catalog(
-                dfg, selector, svc._classify_here(dfg, svc.backend)
+                dfg, selector, svc._classify_here(dfg)
             )
             assert (hits, misses) == (0, EDIT_PARTITIONS)
-        reference = PatternSelector(4, config=CFG).build_catalog(
-            dfg, backend=backend
-        )
+        reference = reference_build_catalog(selector, dfg)
         assert catalog_to_dict(catalog) == catalog_to_dict(reference)
 
     def test_edit_of_unknown_base_node_is_typed(self):
@@ -312,7 +309,7 @@ class TestEditSequenceProperty:
             reference = cold.submit(
                 dataclasses.replace(job, workload=None, dfg=edited)
             )
-        # answer_dict drops timings/backend only: selection library,
+        # answer_dict drops timings only: selection library,
         # schedule, metrics and every Counter's insertion order remain.
         assert incremental.answer_dict() == reference.answer_dict()
 

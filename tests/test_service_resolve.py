@@ -1,12 +1,10 @@
-"""Which backend runs a job, plus the one error envelope.
+"""Removed request fields, plus the one error envelope.
 
-A job runs on its request's ``backend`` when set and on the service's
-resident backend otherwise.  Pinned here: a non-resident backend runs the
-job, is created once, reused and closed with the service, and answers
-bit-identically to the resident one; an unknown name is rejected the same
-way on a cold submit and a warm result-cache hit, in process and over the
-wire; and the removed request fields (``engine``, ``policy``) are
-rejected as unknown fields (the legacy ``engine=`` keyword too).
+Every job runs the one pipeline.  Pinned here: the removed request
+fields (``backend``, ``engine``, ``policy``) are rejected as unknown
+fields — ``backend`` the same way on a cold submit and a warm
+result-cache hit, in process and over the wire — and the legacy
+``engine=`` keyword is gone.
 
 :mod:`repro.service.errors` is the single wire error shape.  Pinned
 here: envelope → exception round-trips for every registered type, in
@@ -17,7 +15,6 @@ payloads.
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import json
 import warnings
@@ -25,7 +22,6 @@ import warnings
 import pytest
 
 from repro.exceptions import (
-    BackendError,
     EnumerationLimitError,
     JobValidationError,
     ReproError,
@@ -34,14 +30,12 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
-from repro.exec import get_backend
 from repro.service import (
     AsyncServiceServer,
     JobRequest,
     SchedulerService,
     ServiceClient,
 )
-from repro.service import service as service_module
 from repro.service.errors import (
     ERROR_TYPES,
     error_envelope,
@@ -52,132 +46,93 @@ from repro.service.errors import (
 from repro.workloads import three_point_dft_paper
 
 
-def answer_bits(result) -> str:
-    return json.dumps(result.answer_dict())
-
-
-@pytest.fixture()
-def created(monkeypatch):
-    """Every backend the service module creates, in creation order (a
-    test clears it after constructing its service)."""
-    out = []
-
-    def spy(spec, **kwargs):
-        backend = real(spec, **kwargs)
-        out.append(backend)
-        return backend
-
-    real = service_module.get_backend
-    monkeypatch.setattr(service_module, "get_backend", spy)
-    return out
+def _post(server, route: str, payload) -> "tuple[int, dict]":
+    """``(status, decoded body)`` of one raw JSON POST to ``server``."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request("POST", route, body=json.dumps(payload))
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 # --------------------------------------------------------------------------- #
-# which backend runs a job
+# the removed backend field: an unknown field, cold and warm alike
 # --------------------------------------------------------------------------- #
-class TestResolveExecution:
-    REQUEST = JobRequest(capacity=5, pdef=4, workload="3dft")
-
-    def test_default_falls_through_to_resident_backend(self, created):
-        with SchedulerService(backend="fused") as service:
-            created.clear()
-            result = service.submit(self.REQUEST)
-        assert result.backend == "fused"
-        assert created == []
-
-    def test_request_backend_wins_outright(self):
-        with SchedulerService(backend="fused") as service:
-            resident = service.submit(self.REQUEST)
-            service.clear_caches()
-            other = service.submit(
-                dataclasses.replace(self.REQUEST, backend="serial")
-            )
-        assert (resident.backend, other.backend) == ("fused", "serial")
-        assert answer_bits(other) == answer_bits(resident)
-
-    def test_resident_backend_is_not_recreated(self, created):
-        with SchedulerService(backend="fused") as service:
-            created.clear()
-            result = service.submit(
-                dataclasses.replace(self.REQUEST, backend="fused")
-            )
-        assert result.backend == "fused"
-        assert created == []
-
-    def test_overrides_cache_non_resident_backends(self, created):
-        with SchedulerService(backend="fused") as service:
-            created.clear()
-            for pdef in (3, 4):
-                service.clear_caches()
-                result = service.submit(
-                    dataclasses.replace(self.REQUEST, pdef=pdef, backend="serial")
-                )
-                assert result.backend == "serial"
-        assert [b.name for b in created] == ["serial"]
+#: The generic unknown-field refusal a request naming ``backend`` gets.
+UNKNOWN_BACKEND = "unknown job request field(s) ['backend']"
 
 
-# --------------------------------------------------------------------------- #
-# unknown backend names: cold and warm agree
-# --------------------------------------------------------------------------- #
 class TestUnknownBackendName:
     GOOD = JobRequest(capacity=5, pdef=3, workload="3dft")
-    #: An unknown name and the retired backend names, rejected alike.
-    BAD_NAMES = ("bogus", "bitset", "process")
+    #: The names the field took once, and an unknown one: refused alike.
+    BAD_NAMES = ("fused", "serial", "bogus")
 
-    def bad(self, name):
-        return dataclasses.replace(self.GOOD, backend=name)
+    def bad(self, name) -> dict:
+        payload = self.GOOD.to_dict()
+        payload["backend"] = name
+        return payload
 
-    def test_cold_and_warm_submits_both_reject(self, created):
+    def test_cold_and_warm_submits_both_reject(self):
+        # Refused when the request is parsed, before any cache is probed,
+        # so a result-cache hit cannot answer it either.
+        with pytest.raises(TypeError, match="backend"):
+            JobRequest(capacity=5, pdef=3, workload="3dft", backend="fused")
         with SchedulerService() as service:
-            created.clear()
-            for name in self.BAD_NAMES:
-                with pytest.raises(BackendError, match=f"backend '{name}'"):
-                    service.submit(self.bad(name))
-            service.submit(self.GOOD)
-            assert service.submit_outcome(self.GOOD).cache == "result"
-            for name in self.BAD_NAMES:
-                with pytest.raises(BackendError, match=f"backend '{name}'"):
-                    service.submit(self.bad(name))
-        assert created == []
+            for warm in (False, True):
+                if warm:
+                    service.submit(self.GOOD)
+                    assert service.submit_outcome(self.GOOD).cache == "result"
+                for name in self.BAD_NAMES:
+                    with pytest.raises(JobValidationError) as exc:
+                        JobRequest.from_dict(self.bad(name))
+                    assert str(exc.value) == UNKNOWN_BACKEND
+                    assert exc.value.field == "backend"
+                    assert http_status(exc.value) == 400
 
     def test_batch_duplicate_rejects(self):
-        with SchedulerService() as service:
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        try:
             for name in self.BAD_NAMES:
-                with pytest.raises(BackendError, match=name):
-                    service.submit_many([self.GOOD, self.bad(name)])
+                good = self.GOOD.to_dict()
+                status, body = _post(
+                    server, "/v1/jobs:batch", {"jobs": [good, self.bad(name)]}
+                )
+                assert status == 400
+                assert body["error"]["field"] == "backend"
+            assert server.service.stats.submitted == 0
+        finally:
+            server.shutdown()
 
     def test_cold_and_warm_submits_both_reject_over_the_wire(self):
         server = AsyncServiceServer(port=0)
         server.start_background()
-        statuses = []
+        answers = []
         try:
-            with ServiceClient(server.url, timeout=30) as client:
+            for warm in (False, True):
+                if warm:
+                    with ServiceClient(server.url, timeout=30) as client:
+                        client.submit(self.GOOD)
+                        client.submit(self.GOOD)
+                        assert client.last_cache == "result"
                 for name in self.BAD_NAMES:
-                    with pytest.raises(BackendError, match=name) as cold:
-                        client.submit(self.bad(name))
-                    statuses.append(cold.value.http_status)
-                client.submit(self.GOOD)
-                client.submit(self.GOOD)
-                assert client.last_cache == "result"
-                for name in self.BAD_NAMES:
-                    with pytest.raises(BackendError, match=name) as warm:
-                        client.submit(self.bad(name))
-                    statuses.append(warm.value.http_status)
+                    answers.append(_post(server, "/v1/jobs", self.bad(name)))
         finally:
             server.shutdown()
-        assert statuses == [422] * 2 * len(self.BAD_NAMES)
+        assert len(answers) == 2 * len(self.BAD_NAMES)
+        for status, body in answers:
+            assert status == 400
+            assert body["error"]["type"] == "JobValidationError"
+            assert body["error"]["field"] == "backend"
+            assert body["error"]["message"] == UNKNOWN_BACKEND
 
 
 # --------------------------------------------------------------------------- #
 # legacy engine aliases: removed, not deprecated
 # --------------------------------------------------------------------------- #
 class TestLegacyEngineAliases:
-    def test_canonical_names_never_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for name in ("serial", "fused"):
-                get_backend(name)
-
     def test_engine_keyword_is_gone(self):
         from repro.core.selection import PatternSelector
         from repro.patterns.enumeration import classify_antichains

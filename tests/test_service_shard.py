@@ -94,9 +94,7 @@ class TestPlanSeedPartitions:
             assert all(part for part in parts)
 
     def test_rejects_bad_partition_count(self):
-        from repro.exceptions import BackendError
-
-        with pytest.raises(BackendError, match="partitions"):
+        with pytest.raises(ValueError, match="partitions"):
             plan_seed_partitions(three_point_dft_paper(), 0)
 
 
@@ -1041,19 +1039,25 @@ def test_corrupt_result_file_still_uses_the_fleet(tmp_path):
 # --------------------------------------------------------------------------- #
 # fan-out guards
 # --------------------------------------------------------------------------- #
-def test_unknown_backend_fails_before_fan_out():
-    from repro.exceptions import BackendError
-
-    request = JobRequest(capacity=5, pdef=4, workload="fft8", backend="nope")
+def test_store_antichains_job_answers_as_on_one_service():
+    # Only the sequential classifier stores raw antichains, so a fleet
+    # leaves such a job's catalog to its completion service: the answer
+    # is one service's, and no shard sees a claim.
+    request = JobRequest(
+        capacity=5,
+        pdef=4,
+        workload="3dft",
+        config=SelectionConfig(store_antichains=True),
+    )
     with SchedulerService() as single:
-        with pytest.raises(BackendError) as expected:
-            single.submit(request)
+        expected = single.submit(request)
     with ShardCoordinator.local(2) as coord:
-        with pytest.raises(BackendError) as raised:
-            coord.submit(request)
-        assert coord.stats.dispatched == 0
-        assert [s.service.stats.shard_misses for s in coord.shards] == [0, 0]
-    assert str(raised.value) == str(expected.value)
+        got = coord.submit(request)
+        assert coord.stats.planned == coord.stats.dispatched == 0
+        assert [s.service.stats.shard_tasks for s in coord.shards] == [0, 0]
+    assert got.length == 6
+    assert got.selection.catalog.antichains
+    assert got.answer_dict() == expected.answer_dict()
 
 
 def test_healthy_shard_takes_work_before_local_fallback():
